@@ -6,6 +6,13 @@ hypothesis validation, the derivative rule, the limit-exponent rule for the
 boundary derivative case, majorant comparison when the derivative does not
 stabilize, the signed-mode rules, and an empirical orbit cross-check.
 
+Every rule scan reads one sample table per analysis (`Samples`): f is
+compiled once, each grid generated once, and f evaluated once per grid
+point; the limit probes share its ln-values. The rules take f as a
+FunctionDef or as that table, which carries its own precision. The table
+only avoids repeated work: every check is still sampling evidence on the
+grid, not a proof.
+
 Numeric limits are declared by a fixed-window stabilization rule: the tail
 of a sample sequence on the geometric grid counts as a limit when its
 spread is below tolerance; a one-directional tail is extrapolated with a
@@ -36,7 +43,7 @@ from .expr import (
     parse,
     taylor_polynomial,
 )
-from .grids import GridSpec, PROBE_GRID, validation_grid
+from .grids import GridSpec, PROBE_GRID, Samples, validation_grid
 from .orbit import (
     HYPOTHESIS_VIOLATION,
     HypothesisReport,
@@ -172,7 +179,6 @@ class MajorantSpec:
     fn: FunctionDef
     c_text: Optional[str] = None
     a_text: Optional[str] = None
-    monotone_delta: Optional[object] = None  # None means unchecked
 
     @staticmethod
     def linear(c_text: str, ctx) -> "MajorantSpec":
@@ -243,7 +249,7 @@ def _classify_tail(values, ctx, rel_tol, abs_tol, window=STABLE_WINDOW):
 
 
 def estimate_derivative_at_zero(
-    f: FunctionDef,
+    f: FunctionDef | Samples,
     grid: Optional[GridSpec] = None,
     mode: Mode = Mode.POSITIVE,
     precision: int = DEFAULT_PRECISION,
@@ -256,10 +262,10 @@ def estimate_derivative_at_zero(
     up to margin) is flagged out_of_range.
     """
     grid = grid or PROBE_GRID
-    ctx = context(precision)
-    fn = evaluator(f, ctx)
+    table = Samples.of(f, precision)
+    ctx = table.ctx
     margin = ctx.mpf(DERIVATIVE_MARGIN)
-    samples = [(x, fn(x) / x) for x in grid.points(ctx)]
+    samples = [(x, table.f(x) / x) for x in table.points(grid)]
     values = [v for _, v in samples]
     kind, value = _classify_tail(values, ctx, ctx.mpf(REL_TOL), ctx.mpf(ABS_TOL))
     if kind in ("stable", "stable_zero"):
@@ -341,7 +347,7 @@ def derivative_rule(est: DerivativeEstimate, margin=None) -> Verdict:
 
 
 def probe_limit(
-    f: FunctionDef,
+    f: FunctionDef | Samples,
     a,
     grid: Optional[GridSpec] = None,
     precision: int = DEFAULT_PRECISION,
@@ -349,37 +355,34 @@ def probe_limit(
 ) -> LimitProbe:
     """Sample L_a(x) = (x^a - f(x)^a) / (x^a * f(x)^a) toward zero.
 
-    Guards against catastrophic cancellation: when x^a and f(x)^a agree in
-    more digits than the working precision can spare, the probe raises
-    rather than classifying noise.
+    Each sample is computed as f(x)^-a - x^-a from the table's ln-values,
+    two exponentials per point. Guards against catastrophic cancellation:
+    when x^a and f(x)^a agree in more digits than the working precision can
+    spare, the probe raises rather than classifying noise.
     """
     grid = grid or PROBE_GRID
-    ctx = context(precision)
+    table = Samples.of(f, precision)
+    ctx = table.ctx
     a = ctx.convert(a)
     if not a > 0:
         raise ValueError("exponent a must be positive")
-    fn = evaluator(f, ctx)
     # evaluation runs at ctx.dps digits; the quotient must keep at least
     # CANCELLATION_HEADROOM trustworthy digits after the subtraction
     limit = ctx.dps - CANCELLATION_HEADROOM
+    # |x^a - f^a| / x^a, the share of digits left, equals |L| / f^-a
+    tiny = ctx.power(10, -limit)
+    neg_a = -a
     samples = []
-    for x in grid.points(ctx):
-        fx = fn(x)
-        if not fx > 0:
-            raise ValueError(
-                f"f must be positive on the probe grid; f({mpmath.nstr(x, 12)})"
-                f" = {mpmath.nstr(fx, 12)}"
-            )
-        xa = ctx.power(x, a)
-        fa = ctx.power(fx, a)
-        diff = xa - fa
-        if diff == 0 or -ctx.log10(abs(diff) / xa) > limit:
+    for x, ln_x, ln_f in table.logs(grid):
+        fa = ctx.exp(ctx.fmul(neg_a, ln_f, exact=True))  # f(x)^-a
+        value = fa - ctx.exp(ctx.fmul(neg_a, ln_x, exact=True))
+        if abs(value) < fa * tiny:
             raise PrecisionGuardError(
                 f"x^a and f(x)^a agree in more than {limit} digits at"
                 f" x = {mpmath.nstr(x, 12)}, a = {mpmath.nstr(a, 12)};"
-                f" rerun with precision above {precision}"
+                f" rerun with precision above {table.precision}"
             )
-        samples.append((x, diff / (xa * fa)))
+        samples.append((x, value))
     values = [v for _, v in samples]
     tol = ctx.mpf(REL_TOL if rel_tol is None else rel_tol)
     kind, value = _classify_tail(values, ctx, tol, ctx.mpf(ABS_TOL))
@@ -406,7 +409,7 @@ def _fit_from_probe(probe: LimitProbe, ctx) -> AsymptoticFit:
 
 
 def search_exponent(
-    f: FunctionDef,
+    f: FunctionDef | Samples,
     a_range: Tuple[str, str] = SEARCH_RANGE,
     grid: Optional[GridSpec] = None,
     precision: int = DEFAULT_PRECISION,
@@ -418,16 +421,18 @@ def search_exponent(
     relaxed-tolerance probe confirms a finite nonzero limit there. The
     returned fit carries a and k = L^(-1/a) with the probe attached; the
     fit window refers to probe-grid indices. NotFound (found=False) means
-    no transition lies in range or the probe oscillates near it.
+    no transition lies in range or the probe oscillates near it. Every
+    probe reads one table.
     """
-    ctx = context(precision)
+    table = Samples.of(f, precision)
+    ctx = table.ctx
     lo = ctx.mpf(a_range[0])
     hi = ctx.mpf(a_range[1])
     if not 0 < lo < hi:
         raise ValueError("need 0 < a_lo < a_hi")
 
     def probe(a, tol=None):
-        return probe_limit(f, a, grid, precision, rel_tol=tol)
+        return probe_limit(table, a, grid, rel_tol=tol)
 
     def confirm(a):
         p = probe(a, CONFIRM_REL_TOL)
@@ -512,14 +517,15 @@ def limit_exponent_rule(fit: AsymptoticFit, margin=None) -> Verdict:
     )
 
 
-def analytic_rule(t: TaylorDef) -> Verdict:
+def analytic_rule(t: TaylorDef, precision: int = DEFAULT_PRECISION) -> Verdict:
     """Divergence from Taylor data a1 = 1 with the first nonzero higher
     coefficient negative (so that f(x) < x holds near zero).
 
     Raises AnalyticRuleError when a hypothesis fails; a1 != 1 routes to the
-    derivative rule with c = a1 instead.
+    derivative rule with c = a1 instead. Coefficients given as text are
+    read at the given precision.
     """
-    ctx = context(DEFAULT_PRECISION)
+    ctx = context(precision)
     coeffs = [c if hasattr(c, "_mpf_") else ctx.convert(c) for c in t.coefficients]
     a1 = coeffs[0]
     if a1 != 1:
@@ -579,7 +585,7 @@ def check_monotone(
 
 
 def majorant_rule(
-    g: FunctionDef,
+    g: FunctionDef | Samples,
     m: MajorantSpec,
     grid: Optional[GridSpec] = None,
     precision: int = DEFAULT_PRECISION,
@@ -589,18 +595,20 @@ def majorant_rule(
     """Convergence by comparison: 0 < g(x) <= m(x) < x on the grid with m
     monotone and m's own series convergent.
 
-    The built-in families are monotone by construction; a user majorant is
-    checked for monotonicity (delta must cover x0 when given) and needs
-    user_certified=True, meaning its series was analyzed separately. A
-    domination failure yields Inconclusive with the witness point, never
-    Divergent: comparison gives one-sided information.
+    The built-in families are monotone by construction, so their delta is
+    the top grid point; a user majorant is checked for monotonicity (delta
+    must cover x0 when given) and needs user_certified=True, meaning its
+    series was analyzed separately. A domination failure yields
+    Inconclusive with the witness point, never Divergent: comparison gives
+    one-sided information.
     """
-    ctx = context(precision)
+    table = Samples.of(g, precision)
+    ctx = table.ctx
     grid = grid or validation_grid()
+    points = table.points(grid)
     notes = []
-    monotone, delta = check_monotone(m.fn, grid=grid, precision=precision)
-    witnesses = {"majorant": m.label, "delta": delta}
     if m.family == "user":
+        monotone, delta = check_monotone(m.fn, grid=grid, precision=table.precision)
         required = abs(ctx.convert(x0)) if x0 is not None else None
         if not monotone and (required is None or delta < required):
             return Verdict(
@@ -621,12 +629,13 @@ def majorant_rule(
         notes.append(
             f"user majorant monotone on (0, {mpmath.nstr(delta, 12)}] by sampling"
         )
-    gf = evaluator(g, ctx)
+    else:
+        delta = points[0]  # grids descend from their start
     mf = evaluator(m.fn, ctx)
     margin = None
-    for x in grid.points(ctx):
+    for x in points:
         try:
-            gx = gf(x)
+            gx = table.f(x)
             mx = mf(x)
         except EvalDomainError as err:
             return Verdict(
@@ -644,7 +653,7 @@ def majorant_rule(
         gap = mx - gx
         if margin is None or gap < margin:
             margin = gap
-    witnesses["margin"] = margin
+    witnesses = {"majorant": m.label, "delta": delta, "margin": margin}
     if m.family == "linear":
         notes.append("majorant series is geometric, hence convergent")
     elif m.family == "powerlaw":
@@ -654,7 +663,7 @@ def majorant_rule(
 
 
 def signed_rule(
-    f: FunctionDef,
+    f: FunctionDef | Samples,
     grid: Optional[GridSpec] = None,
     precision: int = DEFAULT_PRECISION,
     margin=None,
@@ -666,11 +675,12 @@ def signed_rule(
     sup |f(x)| / |x| <= c < 1 gives absolute convergence. Anything else is
     inconclusive; nothing general holds in the open signed regime.
     """
-    ctx = context(precision)
+    table = Samples.of(f, precision)
+    ctx = table.ctx
     margin = ctx.mpf(ABS_BOUND_MARGIN if margin is None else margin)
-    fn = evaluator(f, ctx)
+    fn = table.f
     points = []
-    for p in (grid or validation_grid()).points(ctx):
+    for p in table.points(grid or validation_grid()):
         points.extend((p, -p))
     alternating = True
     sup = None
@@ -792,28 +802,33 @@ def analyze(f, x0, config: Optional[AnalyzerConfig] = None) -> AnalysisReport:
     where the hypotheses hold.
     """
     cfg = config or AnalyzerConfig()
-    ctx = context(cfg.precision)
     taylor = None
     if isinstance(f, TaylorDef):
         taylor = f
-        fdef = taylor_polynomial(f, ctx)
+        fdef = taylor_polynomial(f, context(cfg.precision))
     else:
         fdef = f
+    table = Samples(fdef, cfg.precision)
+    ctx = table.ctx
     x0 = ctx.convert(x0)
     if x0 == 0:
         raise AnalysisError("x0 must be nonzero")
 
     start_text = "1" if abs(x0) <= 1 else mpmath.nstr(abs(x0), cfg.precision)
     vgrid = validation_grid(start=start_text)
-    fn = evaluator(fdef, ctx)
     if cfg.mode == "positive":
         mode = Mode.POSITIVE
     elif cfg.mode == "signed":
         mode = Mode.SIGNED
     else:
-        mode = detect_mode(fn, vgrid.points(ctx))
+        mode = detect_mode(table.f, table.points(vgrid))
+    if mode is Mode.POSITIVE and not x0 > 0:
+        raise AnalysisError(
+            f"x0 = {mpmath.nstr(x0, 12)} must be positive in positive mode,"
+            " where the orbit keeps 0 < f(x) < x"
+        )
 
-    hypothesis = validate_hypotheses(fdef, mode, vgrid, cfg.precision)
+    hypothesis = validate_hypotheses(table, mode, vgrid)
     region = validated_region(hypothesis)
     if region is None:
         first = "; ".join(_violation_text(x, y) for x, y in hypothesis.violations[:3])
@@ -843,17 +858,15 @@ def analyze(f, x0, config: Optional[AnalyzerConfig] = None) -> AnalysisReport:
             " derivative and limit probes may sample outside it"
         )
 
-    derivative = estimate_derivative_at_zero(
-        fdef, cfg.probe_grid, mode=mode, precision=cfg.precision
-    )
+    derivative = estimate_derivative_at_zero(table, cfg.probe_grid, mode=mode)
     search = None
     verdict = None
     if mode is Mode.SIGNED:
-        verdict = signed_rule(fdef, work_grid, cfg.precision)
+        verdict = signed_rule(table, work_grid)
     else:
         if taylor is not None and ctx.convert(taylor.coefficients[0]) == 1:
             try:
-                verdict = analytic_rule(taylor)
+                verdict = analytic_rule(taylor, cfg.precision)
             except AnalyticRuleError as err:
                 warnings.append(f"analytic rule inapplicable: {err}")
         if verdict is None:
@@ -863,9 +876,7 @@ def analyze(f, x0, config: Optional[AnalyzerConfig] = None) -> AnalysisReport:
                 if derivative.kind == VALUE and abs(derivative.c - 1) <= ctx.mpf(
                     DERIVATIVE_MARGIN
                 ):
-                    search = search_exponent(
-                        fdef, grid=cfg.probe_grid, precision=cfg.precision
-                    )
+                    search = search_exponent(table, grid=cfg.probe_grid)
                     if search.found:
                         verdict = limit_exponent_rule(search.fit)
                         verdict.notes = routed + verdict.notes
@@ -877,9 +888,7 @@ def analyze(f, x0, config: Optional[AnalyzerConfig] = None) -> AnalysisReport:
                 elif derivative.kind == DNE:
                     band_hi = derivative.band[1]
                     for spec in _majorant_candidates(ctx, band_hi):
-                        attempt = majorant_rule(
-                            fdef, spec, work_grid, cfg.precision, x0=x0
-                        )
+                        attempt = majorant_rule(table, spec, work_grid, x0=x0)
                         if attempt.conclusion == CONVERGENT:
                             attempt.notes = routed + attempt.notes
                             verdict = attempt

@@ -84,6 +84,11 @@ class RunConfig:
             raise ValueError("give a function with --f or coefficients with --taylor")
         if self.function_text is not None and self.taylor is not None:
             raise ValueError("--f and --taylor are mutually exclusive")
+        for name, text in (("x0", self.x0), ("floor", self.floor)):
+            try:
+                mpmath.mpf(text)
+            except ValueError:
+                raise ValueError(f"{name} must be a number, got {text!r}") from None
 
 
 def _num(value, precision: int) -> str:

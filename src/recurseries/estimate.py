@@ -9,7 +9,7 @@ sums with model-based tail estimates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, TextIO, Tuple
+from typing import List, Optional, Tuple
 
 import mpmath
 
@@ -136,16 +136,6 @@ def verify_asymptotic(orbit: Orbit, a, k, tolerance) -> Verification:
         if abs(r / k - 1) > tolerance:
             passed = False
     return Verification(passed, trace, a, k, tolerance)
-
-
-TRACE_HEADER = "n,x_n,r_n"
-
-
-def write_trace_csv(verification: Verification, out: TextIO, digits: int = 64) -> int:
-    out.write(TRACE_HEADER + "\n")
-    for n, x, r in verification.trace:
-        out.write(f"{n},{mpmath.nstr(x, digits)},{mpmath.nstr(r, digits)}\n")
-    return len(verification.trace)
 
 
 GRID_RATIO_TOL = "1e-6"

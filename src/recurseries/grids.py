@@ -1,4 +1,5 @@
-"""Geometric sample grids descending toward zero.
+"""Geometric sample grids descending toward zero, and the table of f values
+an analysis reads from them.
 
 Grids are described by decimal strings so that two runs with the same
 configuration regenerate bit-identical points at any working precision.
@@ -7,7 +8,11 @@ configuration regenerate bit-identical points at any working precision.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List
+
+import mpmath
+
+from .expr import DEFAULT_PRECISION, EvalDomainError, FunctionDef, context, evaluator
 
 
 @dataclass(frozen=True)
@@ -44,3 +49,77 @@ VALIDATION_FLOOR = "1e-30"
 def validation_grid(start: str = "1") -> GridSpec:
     """Hypothesis-checking grid; spans (0, start] down to a deep floor."""
     return GridSpec(start=start, floor=VALIDATION_FLOOR, step_log10="-0.25")
+
+
+# extra bits for ln x and ln f(x): a*ln(x) then stays exact to the working
+# precision for |a*ln(x)| below 2^LOG_GUARD_BITS, so exp(-a*ln x) is as
+# accurate as ctx.power(x, -a)
+LOG_GUARD_BITS = 32
+
+
+class Samples:
+    """The sample table of one analysis: f compiled once, each grid generated
+    once, and f evaluated once per distinct point.
+
+    A point's entry is f(x) or the EvalDomainError f raised there; reading
+    it raises that error again. ln x and ln f(x) are computed on first use
+    per grid, for the limit probes. The table belongs to one analysis and is
+    not shared between calls.
+    """
+
+    def __init__(self, f: FunctionDef, precision: int = DEFAULT_PRECISION):
+        self.precision = precision
+        self.ctx = context(precision)
+        self._fn = evaluator(f, self.ctx)
+        self._values: Dict = {}  # x -> f(x) or EvalDomainError
+        self._points: Dict[GridSpec, List] = {}
+        self._logs: Dict[GridSpec, List] = {}
+
+    @staticmethod
+    def of(f, precision: int = DEFAULT_PRECISION) -> "Samples":
+        """f itself when it is already a table, else a new table for f."""
+        return f if isinstance(f, Samples) else Samples(f, precision)
+
+    def points(self, grid: GridSpec) -> List:
+        """The grid's points, generated once; callers must not modify them."""
+        points = self._points.get(grid)
+        if points is None:
+            points = self._points[grid] = grid.points(self.ctx)
+        return points
+
+    def f(self, x):
+        """f(x) from the table, evaluated on first use."""
+        y = self._values.get(x)
+        if y is None:
+            try:
+                y = self._fn(x)
+            except EvalDomainError as err:
+                y = err
+            self._values[x] = y
+        if isinstance(y, EvalDomainError):
+            raise y
+        return y
+
+    def logs(self, grid: GridSpec) -> List:
+        """(x, ln x, ln f(x)) at every grid point, kept at LOG_GUARD_BITS
+        extra bits. Raises when f is not evaluable or not positive at some
+        point; nothing is kept for the grid then."""
+        rows = self._logs.get(grid)
+        if rows is not None:
+            return rows
+        points = self.points(grid)
+        values = []
+        for x in points:
+            fx = self.f(x)
+            if not fx > 0:
+                raise ValueError(
+                    f"f must be positive on the probe grid; f({mpmath.nstr(x, 12)})"
+                    f" = {mpmath.nstr(fx, 12)}"
+                )
+            values.append(fx)
+        ctx = self.ctx
+        # f itself stays at the working precision: it was evaluated above
+        with ctx.extraprec(LOG_GUARD_BITS):
+            rows = [(x, ctx.ln(x), ctx.ln(fx)) for x, fx in zip(points, values)]
+        self._logs[grid] = rows
+        return rows

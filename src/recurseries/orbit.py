@@ -14,7 +14,7 @@ from typing import List, Optional, TextIO, Tuple
 import mpmath
 
 from .expr import DEFAULT_PRECISION, EvalDomainError, FunctionDef, context, evaluator
-from .grids import GridSpec, validation_grid
+from .grids import GridSpec, Samples, validation_grid
 
 SAMPLING_CAVEAT = "grid sampling is evidence, not a proof"
 
@@ -80,19 +80,20 @@ def _check(mode: Mode, x, y) -> bool:
 
 
 def validate_hypotheses(
-    f: FunctionDef,
+    f: FunctionDef | Samples,
     mode: Mode = Mode.POSITIVE,
     grid: Optional[GridSpec] = None,
     precision: int = DEFAULT_PRECISION,
 ) -> HypothesisReport:
     """Sample the decay hypothesis on a geometric grid.
 
-    In signed mode every magnitude is checked at both signs. Evaluation
-    domain errors count as violations (recorded with value None).
+    f is a FunctionDef or an analysis's sample table, which carries its own
+    precision. In signed mode every magnitude is checked at both signs.
+    Evaluation domain errors count as violations (recorded with value None).
     """
-    ctx = context(precision)
-    fn = evaluator(f, ctx)
-    points = (grid or validation_grid()).points(ctx)
+    table = Samples.of(f, precision)
+    fn = table.f
+    points = table.points(grid or validation_grid())
     if mode is Mode.SIGNED:
         signed_points = []
         for p in points:

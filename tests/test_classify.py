@@ -265,6 +265,13 @@ def test_analytic_rule_rejections():
     with pytest.raises(AnalyticRuleError, match="identity"):
         analytic_rule(TaylorDef((1, 0, 0)))
 
+    # a1 differs from 1 only in the 81st digit: 1 at the default precision,
+    # not 1 at precision 100
+    near_one = TaylorDef(("1." + "0" * 79 + "1", "-0.1"))
+    assert analytic_rule(near_one).conclusion == DIVERGENT
+    with pytest.raises(AnalyticRuleError, match="is not 1"):
+        analytic_rule(near_one, precision=100)
+
 
 def test_check_monotone():
     monotone, delta = check_monotone(parse("x/2"))
@@ -439,6 +446,11 @@ def test_analyze_error_paths():
         analyze(parse("x - x^2"), 2)
     with pytest.raises(AnalysisError, match="every sampled scale"):
         analyze(parse("2*x"), 1)
+    # positive mode, detected or forced, needs a positive seed
+    with pytest.raises(AnalysisError, match="must be positive"):
+        analyze(parse("x/(1+x)"), -1)
+    with pytest.raises(AnalysisError, match="must be positive"):
+        analyze(parse("-x/2"), "-0.5", AnalyzerConfig(mode="positive"))
 
 
 def test_analyze_warnings():

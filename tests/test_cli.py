@@ -146,6 +146,25 @@ def test_analyze_error_exit_codes():
     assert out.startswith("error:")
     code, out = run(["analyze", "--f", "x/2", "--x0", "0"])
     assert code == 1
+    # a negative seed has no orbit under 0 < f(x) < x
+    code, out = run(["analyze", "--f=x/(1+x)", "--x0=-1"])
+    assert code == 1
+    assert "must be positive in positive mode" in out
+
+
+SUBCOMMAND_ARGS = {
+    "analyze": [],
+    "iterate": [],
+    "limit": ["--a=1"],
+    "compare": ["--majorant=linear:0.5"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGS))
+def test_non_numeric_seed_is_an_error_message(command):
+    code, out = run([command, "--f=x/2", "--x0=abc"] + SUBCOMMAND_ARGS[command])
+    assert code == 1
+    assert out == "error: x0 must be a number, got 'abc'"
 
 
 def test_run_config_validation():

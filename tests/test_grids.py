@@ -1,0 +1,147 @@
+import sys
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import recurseries.expr
+from recurseries.classify import (
+    CANCELLATION_HEADROOM,
+    AnalyzerConfig,
+    PrecisionGuardError,
+    analyze,
+    probe_limit,
+)
+from recurseries.expr import (
+    EvalDomainError,
+    TaylorDef,
+    context,
+    evaluator,
+    parse,
+    parse_constant,
+    taylor_polynomial,
+)
+from recurseries.grids import PROBE_GRID, Samples, validation_grid
+
+from corpus import ALL
+
+CTX = context(64)
+POSITIVE = [e for e in ALL if e.mode == "positive"]
+BY_NAME = {e.name: e for e in ALL}
+
+
+def corpus_function(entry):
+    if entry.taylor is None:
+        return parse(entry.function)
+    coeffs = tuple(parse_constant(p, CTX) for p in entry.taylor.split(","))
+    return taylor_polynomial(TaylorDef(coeffs), CTX)
+
+
+def test_table_points_are_the_grid_points():
+    table = Samples(parse("sin(x)"))
+    for grid in (PROBE_GRID, validation_grid(), validation_grid(start="0.3")):
+        assert table.points(grid) == grid.points(table.ctx)
+        assert table.points(grid) is table.points(grid)
+
+
+def test_table_reads_match_the_evaluator():
+    f = parse("x / ln(x^2)")  # ln(1) = 0: a domain error at x = 1 and -1
+    table = Samples(f)
+    fn = evaluator(f, table.ctx)
+    points = table.points(validation_grid())
+    for x in (points[0], -points[0], points[0]):
+        with pytest.raises(EvalDomainError, match="division by zero"):
+            table.f(x)
+    for x in points[1:]:
+        assert table.f(x) == fn(x)
+        assert table.f(-x) == fn(-x)
+
+
+@pytest.mark.parametrize("text,error", [
+    ("x - 1e-10", ValueError),  # f <= 0 below the grid's middle
+    ("sqrt(x - 2e-12)", EvalDomainError),
+])
+def test_failed_fill_leaves_no_partial_table(text, error):
+    table = Samples(parse(text))
+    for _ in range(2):
+        with pytest.raises(error):
+            table.logs(PROBE_GRID)
+        with pytest.raises(error):
+            probe_limit(table, 1)
+
+
+def direct_probe(f, a, grid, ctx):
+    """Reference form of the probe: (x^a - f^a) / (x^a * f^a) by ctx.power,
+    with the share |x^a - f^a| / x^a the cancellation guard reads."""
+    fn = evaluator(f, ctx)
+    rows = []
+    for x in grid.points(ctx):
+        fx = fn(x)
+        xa = ctx.power(x, a)
+        fa = ctx.power(fx, a)
+        rows.append((x, (xa - fa) / (xa * fa), abs(xa - fa) / xa))
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    entry=st.sampled_from(POSITIVE),
+    a=st.floats(min_value=0.01, max_value=4, exclude_min=True, exclude_max=True),
+)
+def test_probe_samples_match_direct_power_form(entry, a):
+    # the guard promises CANCELLATION_HEADROOM trustworthy digits
+    f = corpus_function(entry)
+    a = CTX.mpf(repr(a))
+    tol = CTX.mpf(10) ** -CANCELLATION_HEADROOM
+    direct = direct_probe(f, a, PROBE_GRID, CTX)
+    floor = CTX.mpf(10) ** -(CTX.dps - CANCELLATION_HEADROOM)
+    guarded = any(share < floor for _, _, share in direct)
+    try:
+        probe = probe_limit(f, a)
+    except PrecisionGuardError:
+        assert guarded
+        return
+    assert not guarded
+    assert len(probe.samples) == len(direct)
+    for (x, value), (x_ref, ref, _) in zip(probe.samples, direct):
+        assert x == x_ref
+        assert abs(value - ref) <= tol * abs(ref)
+
+
+def count_evaluations(monkeypatch):
+    """Replace `evaluator` in every module bound to it, as the benchmark's
+    tracer does; returns the argument list of each compiled f, by source."""
+    original = recurseries.expr.evaluator
+    calls = []  # (source text, arguments of that compiled callable)
+
+    def counting(f, ctx):
+        fn = original(f, ctx)
+        args = []
+        calls.append((f.source_text, args))
+
+        def counted(x):
+            args.append(x)
+            return fn(x)
+
+        return counted
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("recurseries") and getattr(module, "evaluator", None) is original:
+            monkeypatch.setattr(module, "evaluator", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["sine", "wide_band"])
+def test_analyze_evaluates_f_once_per_grid_point(monkeypatch, name):
+    entry = BY_NAME[name]
+    calls = count_evaluations(monkeypatch)
+    report = analyze(parse(entry.function), entry.x0, AnalyzerConfig(max_n=entry.max_n))
+    assert report.verdict.conclusion == entry.verdict
+    f_calls = [args for source, args in calls if source == entry.function]
+    assert len(f_calls) <= 2  # the table and the orbit
+    seen = Counter(x for args in f_calls for x in args)
+    orbit = report.orbit_result
+    # the orbit loop evaluates f at x_0 .. x_{step-1}
+    seen.subtract(orbit.terms[:orbit.status.step])
+    assert min(seen.values()) >= 0
+    assert max(seen.values()) == 1
