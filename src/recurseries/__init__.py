@@ -42,7 +42,6 @@ from .estimate import (
     AsymptoticFit,
     SumEstimate,
     Verification,
-    extrapolate_limit,
     fit_power_law,
     sum_estimate,
     verify_asymptotic,

@@ -41,6 +41,7 @@ from .expr import (
     context,
     evaluator,
     parse,
+    parse_constant,
     taylor_polynomial,
 )
 from .grids import GridSpec, PROBE_GRID, Samples, validation_grid
@@ -64,6 +65,9 @@ ZERO_FRACTION = "0.3"  # extrapolated limit below this share of the tail value c
 DERIVATIVE_MARGIN = "1e-4"
 EXPONENT_MARGIN = "1e-4"
 ABS_BOUND_MARGIN = "1e-4"
+
+# cap on the empirical cross-check orbit
+CROSS_CHECK_N = 10**4
 
 # exponent search
 SEARCH_RANGE = ("0.01", "4")
@@ -182,8 +186,6 @@ class MajorantSpec:
 
     @staticmethod
     def linear(c_text: str, ctx) -> "MajorantSpec":
-        from .expr import parse_constant
-
         c = parse_constant(c_text, ctx)
         if not 0 < c < 1:
             raise ValueError("linear majorant needs c in (0, 1)")
@@ -191,8 +193,6 @@ class MajorantSpec:
 
     @staticmethod
     def powerlaw(a_text: str, c_text: str, ctx) -> "MajorantSpec":
-        from .expr import parse_constant
-
         a = parse_constant(a_text, ctx)
         c = parse_constant(c_text, ctx)
         if not 0 < a < 1:
@@ -280,14 +280,14 @@ def estimate_derivative_at_zero(
     return DerivativeEstimate(DNE, None, (min(values), max(values)), samples, grid)
 
 
-def derivative_rule(est: DerivativeEstimate, margin=None) -> Verdict:
+def derivative_rule(est: DerivativeEstimate) -> Verdict:
     """Convergent when f'(0) = c is clearly below 1; route onward otherwise.
 
     This rule never concludes divergence: c = 1 is exactly the regime the
     limit-exponent rule decides, and an unstable derivative leaves the
     majorant comparison as the remaining tool.
     """
-    margin = mpmath.mpf(DERIVATIVE_MARGIN if margin is None else margin)
+    margin = mpmath.mpf(DERIVATIVE_MARGIN)
     if est.kind == OUT_OF_RANGE:
         return Verdict(
             INCONCLUSIVE,
@@ -489,13 +489,13 @@ def search_exponent(
     return confirm((lo + hi) / 2)
 
 
-def limit_exponent_rule(fit: AsymptoticFit, margin=None) -> Verdict:
+def limit_exponent_rule(fit: AsymptoticFit) -> Verdict:
     """Divergent when the decay exponent a is at least 1, convergent below.
 
     The boundary case within margin of 1 is reported divergent with a note,
     since a = 1 itself diverges.
     """
-    margin = mpmath.mpf(EXPONENT_MARGIN if margin is None else margin)
+    margin = mpmath.mpf(EXPONENT_MARGIN)
     witnesses = {"a": fit.a, "k": fit.k}
     a_text = mpmath.nstr(fit.a, 12)
     if fit.a >= 1 + margin:
@@ -666,7 +666,6 @@ def signed_rule(
     f: FunctionDef | Samples,
     grid: Optional[GridSpec] = None,
     precision: int = DEFAULT_PRECISION,
-    margin=None,
 ) -> Verdict:
     """Signed-mode criteria under 0 < |f(x)| < |x|.
 
@@ -677,7 +676,7 @@ def signed_rule(
     """
     table = Samples.of(f, precision)
     ctx = table.ctx
-    margin = ctx.mpf(ABS_BOUND_MARGIN if margin is None else margin)
+    margin = ctx.mpf(ABS_BOUND_MARGIN)
     fn = table.f
     points = []
     for p in table.points(grid or validation_grid()):
@@ -756,7 +755,6 @@ class AnalyzerConfig:
     max_n: int = 10**6
     floor: str = "1e-40"
     probe_grid: GridSpec = field(default_factory=GridSpec)
-    cross_check_n: int = 10**4  # cap for the empirical cross-check orbit
 
 
 @dataclass
@@ -901,7 +899,7 @@ def analyze(f, x0, config: Optional[AnalyzerConfig] = None) -> AnalysisReport:
                         )
 
     orbit_result = iterate(
-        fdef, x0, min(cfg.max_n, cfg.cross_check_n), cfg.floor, mode, cfg.precision
+        fdef, x0, min(cfg.max_n, CROSS_CHECK_N), cfg.floor, mode, cfg.precision
     )
     if orbit_result.status.kind == HYPOTHESIS_VIOLATION:
         warnings.append(f"orbit cross-check: {orbit_result.status.describe()}")

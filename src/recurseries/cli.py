@@ -12,11 +12,12 @@ same configuration produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional, Tuple
 
 import mpmath
@@ -103,12 +104,13 @@ def _probe_grid(cfg: RunConfig) -> GridSpec:
     )
 
 
-def _expr_diagnostic(err: ExprError, text: str) -> str:
+def _expr_diagnostic(err: ExprError) -> str:
+    """The message, then the text that failed to parse with a caret under
+    the offending character."""
     lines = [f"error: {err}"]
-    offset = getattr(err, "offset", None)
-    if offset is not None and text:
-        lines.append("  " + text)
-        lines.append("  " + " " * offset + "^")
+    if err.text:
+        lines.append("  " + err.text)
+        lines.append("  " + " " * err.offset + "^")
     return "\n".join(lines)
 
 
@@ -234,54 +236,58 @@ def _report_text(report, cfg: RunConfig, label: str) -> str:
     return "\n".join(lines)
 
 
-def cmd_analyze(cfg: RunConfig) -> Tuple[int, str]:
-    try:
-        cfg.validate()
-        ctx = context(cfg.precision)
-        target, label = _parse_target(cfg, ctx)
-        acfg = AnalyzerConfig(
-            precision=cfg.precision,
-            mode=cfg.mode,
-            max_n=cfg.max_n,
-            floor=cfg.floor,
-            probe_grid=_probe_grid(cfg),
-        )
-        report = analyze(target, cfg.x0, acfg)
-    except ExprError as err:
-        return 1, _expr_diagnostic(err, cfg.function_text or cfg.taylor or "")
-    except (AnalysisError, PrecisionGuardError, EvalDomainError, ValueError) as err:
-        return 1, f"error: {err}"
+def _command(body):
+    """Turn body(cfg, ctx, target, f, label) into a (RunConfig) -> (exit code,
+    output) subcommand: the configuration is validated and the target read
+    once here, and every error leaves by the one exit-1 path below.
+
+    target is what the user gave (a FunctionDef or TaylorDef), f the function
+    itself (the Taylor polynomial for --taylor).
+    """
+
+    @functools.wraps(body)
+    def run(cfg: RunConfig) -> Tuple[int, str]:
+        try:
+            cfg.validate()
+            ctx = context(cfg.precision)
+            target, label = _parse_target(cfg, ctx)
+            f = target
+            if isinstance(target, TaylorDef):
+                f = taylor_polynomial(target, ctx)
+            return body(cfg, ctx, target, f, label)
+        except ExprError as err:
+            return 1, _expr_diagnostic(err)
+        except (ValueError, PrecisionGuardError, EvalDomainError, OSError) as err:
+            return 1, f"error: {err}"
+
+    return run
+
+
+@_command
+def cmd_analyze(cfg: RunConfig, ctx, target, f, label) -> Tuple[int, str]:
+    acfg = AnalyzerConfig(
+        precision=cfg.precision,
+        mode=cfg.mode,
+        max_n=cfg.max_n,
+        floor=cfg.floor,
+        probe_grid=_probe_grid(cfg),
+    )
+    report = analyze(target, cfg.x0, acfg)
     if cfg.orbit_csv:
         with open(cfg.orbit_csv, "w") as out:
             write_csv(report.orbit_result, out, thin=cfg.thin)
-    if cfg.output == "json":
-        out = _report_json(report, cfg, label)
-    else:
-        out = _report_text(report, cfg, label)
+    render = _report_json if cfg.output == "json" else _report_text
     code = 2 if report.verdict.conclusion == INCONCLUSIVE else 0
-    return code, out
+    return code, render(report, cfg, label)
 
 
-def cmd_iterate(cfg: RunConfig) -> Tuple[int, str]:
-    try:
-        cfg.validate()
-        ctx = context(cfg.precision)
-        target, label = _parse_target(cfg, ctx)
-        if isinstance(target, TaylorDef):
-            target = taylor_polynomial(target, ctx)
-        if cfg.mode == "auto":
-            mode = detect_mode(
-                evaluator(target, ctx), validation_grid().points(ctx)
-            )
-        else:
-            mode = Mode.SIGNED if cfg.mode == "signed" else Mode.POSITIVE
-        orbit = iterate(
-            target, cfg.x0, cfg.max_n, cfg.floor, mode, cfg.precision
-        )
-    except ExprError as err:
-        return 1, _expr_diagnostic(err, cfg.function_text or cfg.taylor or "")
-    except (EvalDomainError, ValueError) as err:
-        return 1, f"error: {err}"
+@_command
+def cmd_iterate(cfg: RunConfig, ctx, target, f, label) -> Tuple[int, str]:
+    if cfg.mode == "auto":
+        mode = detect_mode(evaluator(f, ctx), validation_grid().points(ctx))
+    else:
+        mode = Mode(cfg.mode)
+    orbit = iterate(f, cfg.x0, cfg.max_n, cfg.floor, mode, cfg.precision)
     p = cfg.precision
     summary = (
         f"n = {orbit.last_index}  x_n = {_num(orbit.terms[-1], p)}"
@@ -297,39 +303,25 @@ def cmd_iterate(cfg: RunConfig) -> Tuple[int, str]:
     return 0, buffer.getvalue() + summary
 
 
-def cmd_limit(cfg: RunConfig) -> Tuple[int, str]:
-    try:
-        cfg.validate()
-        if cfg.a is None:
-            raise ValueError('give an exponent with --a <value> or --a search')
-        ctx = context(cfg.precision)
-        target, label = _parse_target(cfg, ctx)
-        if isinstance(target, TaylorDef):
-            target = taylor_polynomial(target, ctx)
-        grid = _probe_grid(cfg)
-        p = cfg.precision
-        if cfg.a == "search":
-            result = search_exponent(target, grid=grid, precision=cfg.precision)
-            if not result.found:
-                return 2, f"search: NotFound - {result.note}"
-            fit = result.fit
-            lines = [
-                f"search: a = {_num(fit.a, p)}  k = {_num(fit.k, p)}"
-                f"  residual = {_num(fit.residual, p)}",
-                "x,L",
-            ]
-            lines.extend(
-                f"{_num(x, p)},{_num(v, p)}" for x, v in result.probe.samples
-            )
-            return 0, "\n".join(lines)
-        a = parse_constant(cfg.a, ctx)
-        probe = probe_limit(target, a, grid, cfg.precision)
-    except ExprError as err:
-        return 1, _expr_diagnostic(err, cfg.function_text or cfg.taylor or "")
-    except PrecisionGuardError as err:
-        return 1, f"error: {err}"
-    except (EvalDomainError, ValueError) as err:
-        return 1, f"error: {err}"
+@_command
+def cmd_limit(cfg: RunConfig, ctx, target, f, label) -> Tuple[int, str]:
+    if cfg.a is None:
+        raise ValueError('give an exponent with --a <value> or --a search')
+    grid = _probe_grid(cfg)
+    p = cfg.precision
+    if cfg.a == "search":
+        result = search_exponent(f, grid=grid, precision=p)
+        if not result.found:
+            return 2, f"search: NotFound - {result.note}"
+        fit = result.fit
+        lines = [
+            f"search: a = {_num(fit.a, p)}  k = {_num(fit.k, p)}"
+            f"  residual = {_num(fit.residual, p)}",
+            "x,L",
+        ]
+        lines.extend(f"{_num(x, p)},{_num(v, p)}" for x, v in result.probe.samples)
+        return 0, "\n".join(lines)
+    probe = probe_limit(f, parse_constant(cfg.a, ctx), grid, p)
     lines = [f"probe: a = {_num(probe.a, p)}  verdict = {probe.verdict}"]
     if probe.verdict == FINITE_NONZERO:
         k = ctx.power(probe.L, -1 / probe.a)
@@ -340,80 +332,53 @@ def cmd_limit(cfg: RunConfig) -> Tuple[int, str]:
     return code, "\n".join(lines)
 
 
-def cmd_compare(cfg: RunConfig) -> Tuple[int, str]:
-    try:
-        cfg.validate()
-        if cfg.majorant is None:
-            raise ValueError("give a majorant with --majorant")
-        ctx = context(cfg.precision)
-        target, label = _parse_target(cfg, ctx)
-        if isinstance(target, TaylorDef):
-            target = taylor_polynomial(target, ctx)
-        spec = parse_majorant_spec(cfg.majorant, ctx)
-        p = cfg.precision
-        lines = [f"function: {label}", f"majorant: {spec.label}"]
-        certified = False
-        if spec.family == "user":
-            try:
-                sub = analyze(spec.fn, cfg.x0, AnalyzerConfig(precision=cfg.precision))
-            except AnalysisError as err:
-                lines.append(f"majorant series: analysis failed ({err}); cannot certify")
+@_command
+def cmd_compare(cfg: RunConfig, ctx, target, f, label) -> Tuple[int, str]:
+    if cfg.majorant is None:
+        raise ValueError("give a majorant with --majorant")
+    spec = parse_majorant_spec(cfg.majorant, ctx)
+    p = cfg.precision
+    lines = [f"function: {label}", f"majorant: {spec.label}"]
+    certified = False
+    if spec.family == "user":
+        # the majorant's own analysis is part of the report, not an error
+        try:
+            sub = analyze(spec.fn, cfg.x0, AnalyzerConfig(precision=p))
+        except AnalysisError as err:
+            lines.append(f"majorant series: analysis failed ({err}); cannot certify")
+        else:
+            if sub.verdict.conclusion == "convergent":
+                certified = True
+                lines.append(f"majorant series: convergent ({sub.verdict.rule})")
             else:
-                if sub.verdict.conclusion == "convergent":
-                    certified = True
-                    lines.append(
-                        f"majorant series: convergent ({sub.verdict.rule})"
-                    )
-                else:
-                    lines.append(
-                        f"majorant series: {sub.verdict.conclusion}; cannot certify"
-                    )
-        monotone, delta = check_monotone(spec.fn, precision=cfg.precision)
-        lines.append(
-            f"monotone on grid: {'yes' if monotone else 'no'}"
-            f"  delta = {_num(delta, p)}"
-        )
-        verdict = majorant_rule(
-            target,
-            spec,
-            precision=cfg.precision,
-            x0=cfg.x0,
-            user_certified=certified,
-        )
-        lines.append(
-            f"verdict: {verdict.conclusion}"
-            + (f" ({verdict.rule})" if verdict.rule else "")
-        )
-        lines.extend(f"  - {note}" for note in verdict.notes)
-        g_orbit = iterate(
-            target, cfg.x0, min(cfg.max_n, 10**4), cfg.floor,
-            Mode.POSITIVE, cfg.precision,
-        )
-        m_orbit = iterate(
-            spec.fn, cfg.x0, min(cfg.max_n, 10**4), cfg.floor,
-            Mode.POSITIVE, cfg.precision,
-        )
-        common = min(g_orbit.last_index, m_orbit.last_index)
-        dominated = all(
-            m_orbit.terms[n] >= g_orbit.terms[n] for n in range(common + 1)
-        )
-        lines.append("n,g_n,m_n")
-        stride = max(1, common // COMPARE_TABLE_ROWS)
-        shown = list(range(0, common + 1, stride))
-        if shown[-1] != common:
-            shown.append(common)
-        for n in shown:
-            lines.append(
-                f"{n},{_num(g_orbit.terms[n], p)},{_num(m_orbit.terms[n], p)}"
-            )
-        lines.append(
-            f"orbit domination m_n >= g_n for all n <= {common}:"
-            f" {'yes' if dominated else 'no'}"
-        )
-    except ExprError as err:
-        return 1, _expr_diagnostic(err, cfg.function_text or cfg.taylor or "")
-    except (AnalysisError, PrecisionGuardError, EvalDomainError, ValueError) as err:
-        return 1, f"error: {err}"
+                lines.append(
+                    f"majorant series: {sub.verdict.conclusion}; cannot certify"
+                )
+    monotone, delta = check_monotone(spec.fn, precision=p)
+    lines.append(
+        f"monotone on grid: {'yes' if monotone else 'no'}  delta = {_num(delta, p)}"
+    )
+    verdict = majorant_rule(f, spec, precision=p, x0=cfg.x0, user_certified=certified)
+    lines.append(
+        f"verdict: {verdict.conclusion}" + (f" ({verdict.rule})" if verdict.rule else "")
+    )
+    lines.extend(f"  - {note}" for note in verdict.notes)
+    steps = min(cfg.max_n, 10**4)
+    g_orbit = iterate(f, cfg.x0, steps, cfg.floor, Mode.POSITIVE, p)
+    m_orbit = iterate(spec.fn, cfg.x0, steps, cfg.floor, Mode.POSITIVE, p)
+    common = min(g_orbit.last_index, m_orbit.last_index)
+    dominated = all(m_orbit.terms[n] >= g_orbit.terms[n] for n in range(common + 1))
+    lines.append("n,g_n,m_n")
+    stride = max(1, common // COMPARE_TABLE_ROWS)
+    shown = list(range(0, common + 1, stride))
+    if shown[-1] != common:
+        shown.append(common)
+    for n in shown:
+        lines.append(f"{n},{_num(g_orbit.terms[n], p)},{_num(m_orbit.terms[n], p)}")
+    lines.append(
+        f"orbit domination m_n >= g_n for all n <= {common}:"
+        f" {'yes' if dominated else 'no'}"
+    )
     code = 0 if verdict.conclusion == "convergent" else 2
     return code, "\n".join(lines)
 
@@ -444,7 +409,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("analyze", help="run the full convergence pipeline")
     common(sp)
-    sp.add_argument("--json", action="store_true", help="emit the JSON report")
+    sp.add_argument("--json", dest="output", action="store_const", const="json",
+                    default="text", help="emit the JSON report")
 
     sp = sub.add_parser("iterate", help="iterate the orbit and emit CSV")
     common(sp)
@@ -469,23 +435,9 @@ _COMMANDS = {
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        function_text=args.function_text,
-        x0=args.x0,
-        mode=args.mode,
-        precision=args.precision,
-        max_n=args.max_n,
-        floor=args.floor,
-        grid_start=args.grid_start,
-        grid_floor=args.grid_floor,
-        grid_step=args.grid_step,
-        output="json" if getattr(args, "json", False) else "text",
-        orbit_csv=args.orbit_csv,
-        taylor=args.taylor,
-        a=getattr(args, "a", None),
-        majorant=getattr(args, "majorant", None),
-        thin=args.thin,
-    )
+    given = vars(args)
+    return RunConfig(**{f.name: given[f.name] for f in fields(RunConfig)
+                        if f.name in given})
 
 
 def main(argv: Optional[List[str]] = None) -> None:

@@ -1,8 +1,7 @@
 """Empirical asymptotics from computed orbits.
 
 Fits the power law x_n ~ k * n^(-1/a) by least squares in log-log space,
-verifies a claimed (a, k) pair against the orbit, accelerates sequence
-limits with one Richardson-style elimination step, and combines partial
+verifies a claimed (a, k) pair against the orbit, and combines partial
 sums with model-based tail estimates.
 """
 
@@ -136,41 +135,6 @@ def verify_asymptotic(orbit: Orbit, a, k, tolerance) -> Verification:
         if abs(r / k - 1) > tolerance:
             passed = False
     return Verification(passed, trace, a, k, tolerance)
-
-
-GRID_RATIO_TOL = "1e-6"
-
-
-def extrapolate_limit(samples) -> Tuple:
-    """One Richardson-style elimination assuming v(x) = L + A * x^p.
-
-    samples are (x, v) pairs with x descending on a geometric grid. The
-    decay rate is taken from the last three samples; when the differences
-    vanish or do not contract, falls back to the raw tail value with the
-    last inter-sample gap as the uncertainty. Returns (L, uncertainty).
-    """
-    if len(samples) < 4:
-        raise ValueError("need at least 4 samples")
-    xs = [x for x, _ in samples]
-    vs = [v for _, v in samples]
-    ratios = [b / a for a, b in zip(xs, xs[1:])]
-    tol = mpmath.mpf(GRID_RATIO_TOL)
-    if any(not 0 < r < 1 for r in ratios):
-        raise ValueError("samples must descend on a geometric grid")
-    if any(abs(r / ratios[0] - 1) > tol for r in ratios[1:]):
-        raise ValueError("samples are not on a geometric grid")
-
-    d1 = vs[-2] - vs[-3]
-    d2 = vs[-1] - vs[-2]
-    gap = abs(d2)
-    if d1 == 0 or d2 == 0:
-        return vs[-1], gap
-    rho = d2 / d1
-    if not 0 < rho < 1:
-        # oscillating or non-contracting differences: no model applies
-        return vs[-1], gap
-    limit = vs[-1] + d2 * rho / (1 - rho)
-    return limit, abs(vs[-1] - limit)
 
 
 @dataclass

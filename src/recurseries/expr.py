@@ -26,11 +26,13 @@ from mpmath import mp
 
 
 class ExprError(ValueError):
-    """Base class for parse failures; offset is a byte position in the input."""
+    """Base class for parse failures; offset is a byte position in text, the
+    input being parsed."""
 
-    def __init__(self, message: str, offset: int):
+    def __init__(self, message: str, offset: int, text: Optional[str] = None):
         super().__init__(f"{message} (offset {offset})")
         self.offset = offset
+        self.text = text
 
 
 class ExprSyntaxError(ExprError):
@@ -119,7 +121,6 @@ class TaylorDef:
     """
 
     coefficients: Tuple
-    radius_hint: Optional[object] = None
 
     def __post_init__(self):
         if not self.coefficients:
@@ -248,9 +249,13 @@ class _Parser:
 
 def parse(text: str) -> FunctionDef:
     """Parse an expression into a FunctionDef; raises ExprError on bad input."""
-    if not text or not text.strip():
-        raise ExprSyntaxError("empty expression", 0)
-    return FunctionDef(_Parser(text).parse(), text)
+    try:
+        if not text or not text.strip():
+            raise ExprSyntaxError("empty expression", 0)
+        return FunctionDef(_Parser(text).parse(), text)
+    except ExprError as err:
+        err.text = text
+        raise
 
 
 def _level(node: Node) -> int:
@@ -419,7 +424,7 @@ def parse_constant(text: str, ctx):
         return False
 
     if has_var(f.root):
-        raise ExprSyntaxError("expected a constant, found the variable x", 0)
+        raise ExprSyntaxError("expected a constant, found the variable x", 0, text)
     return evaluator(f, ctx)(ctx.mpf(0))
 
 

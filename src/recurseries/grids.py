@@ -15,6 +15,10 @@ import mpmath
 from .expr import DEFAULT_PRECISION, EvalDomainError, FunctionDef, context, evaluator
 
 
+# the most points a grid may hold; the default grids hold 93 and 121
+MAX_GRID_POINTS = 10_000
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Points x_j = start * 10^(j * step_log10), j = 0, 1, ... down to floor.
@@ -36,8 +40,14 @@ class GridSpec:
         if not step < 0:
             raise ValueError("grid step_log10 must be negative")
         # closed-form point count avoids drift in the loop condition
-        span = ctx.log10(start / floor)
-        last = int(ctx.floor(span / (-step) + ctx.mpf("1e-9")))
+        steps = ctx.log10(start / floor) / (-step) + ctx.mpf("1e-9")
+        # an absurd span or step is refused before any point is generated
+        if not steps < MAX_GRID_POINTS:
+            raise ValueError(
+                f"grid from {self.start} down to {self.floor} in steps of"
+                f" {self.step_log10} decades needs more than {MAX_GRID_POINTS} points"
+            )
+        last = int(ctx.floor(steps))
         return [start * ctx.power(10, step * j) for j in range(last + 1)]
 
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from recurseries.classify import (
     ABSOLUTE_BOUND_RULE,
+    ABS_TOL,
     ALTERNATING_RULE,
     ANALYTIC_RULE,
     AnalysisError,
@@ -21,8 +22,10 @@ from recurseries.classify import (
     MajorantSpec,
     OUT_OF_RANGE,
     PrecisionGuardError,
+    REL_TOL,
     VALUE,
     Verdict,
+    _classify_tail,
     _majorant_candidates,
     _snap_rational,
     analytic_rule,
@@ -57,6 +60,15 @@ def test_verdict_shape_is_enforced():
         Verdict(CONVERGENT, None, {}, [])
     Verdict(INCONCLUSIVE, None, {}, [])  # fine
     Verdict(DIVERGENT, LIMIT_EXPONENT_RULE, {}, [])  # fine
+
+
+def test_classify_tail_extrapolates_exact_model():
+    # v(x) = 1 + 3 * x^2 on a quarter-decade grid: one Richardson step
+    # eliminates the x^2 term exactly
+    values = [1 + 3 * CTX.power(10, -CTX.mpf(i) / 4) ** 2 for i in range(16)]
+    kind, limit = _classify_tail(values, CTX, CTX.mpf(REL_TOL), CTX.mpf(ABS_TOL))
+    assert kind == "finite"
+    assert abs(limit - 1) < CTX.mpf("1e-60")
 
 
 def test_derivative_estimate_stable_values():

@@ -120,13 +120,26 @@ def test_text_and_json_agree(entry):
     assert extract_text_witnesses(text) == doc["witnesses"]
 
 
+# argv, message fragment, the text that failed to parse, caret offset
+PARSE_ERRORS = [
+    (["analyze", "--f", "x + tan(x)"], "unknown identifier 'tan'", "x + tan(x)", 4),
+    (["limit", "--f=x/2", "--a=abc"], "unknown identifier 'abc'", "abc", 0),
+    (["compare", "--f=x/3", "--majorant=fn:x^"], "expected a number", "x^", 2),
+    (["compare", "--f=x/3", "--majorant=linear:abc"],
+     "unknown identifier 'abc'", "abc", 0),
+    (["analyze", "--taylor=1,abc"], "unknown identifier 'abc'", "abc", 0),
+]
+
+
 def test_parse_error_diagnostic():
-    code, out = run(["analyze", "--f", "x + tan(x)"])
-    assert code == 1
-    lines = out.splitlines()
-    assert "unknown identifier 'tan'" in lines[0]
-    assert lines[1] == "  x + tan(x)"
-    assert lines[2] == "  " + " " * 4 + "^"
+    # the caret sits under the argument that failed, not under --f
+    for argv, message, text, offset in PARSE_ERRORS:
+        code, out = run(argv)
+        assert code == 1
+        lines = out.splitlines()
+        assert message in lines[0]
+        assert lines[1] == "  " + text
+        assert lines[2] == "  " + " " * offset + "^"
 
 
 def test_taylor_label_and_rule():
@@ -165,6 +178,37 @@ def test_non_numeric_seed_is_an_error_message(command):
     code, out = run([command, "--f=x/2", "--x0=abc"] + SUBCOMMAND_ARGS[command])
     assert code == 1
     assert out == "error: x0 must be a number, got 'abc'"
+
+
+# the grid flags steer the probe grid of analyze and limit; --orbit-csv is
+# written by analyze and iterate
+FAILURES = {
+    "bad_expression": (SUBCOMMAND_ARGS, lambda tmp: ["--f=x +"]),
+    "non_numeric_x0": (SUBCOMMAND_ARGS, lambda tmp: ["--f=x/2", "--x0=abc"]),
+    "bad_grid": (("analyze", "limit"), lambda tmp: ["--f=x/2", "--grid-step=0.25"]),
+    "unbounded_grid": (
+        ("analyze", "limit"), lambda tmp: ["--f=x/2", "--grid-floor=1e-400000000000"]
+    ),
+    "unbounded_seed_grid": (
+        ("analyze",), lambda tmp: ["--f=x/2", "--x0=1e100000000000"]
+    ),
+    "unwritable_orbit_csv": (
+        ("analyze", "iterate"),
+        lambda tmp: ["--f=x/2", "--orbit-csv", str(tmp / "missing" / "o.csv")],
+    ),
+}
+
+
+@pytest.mark.parametrize("command,failure", [
+    (command, failure)
+    for failure, (commands, _) in FAILURES.items()
+    for command in sorted(commands)
+])
+def test_every_failure_is_an_error_message(tmp_path, command, failure):
+    argv = [command] + FAILURES[failure][1](tmp_path) + SUBCOMMAND_ARGS[command]
+    code, out = run(argv)
+    assert code == 1
+    assert out.startswith("error:")
 
 
 def test_run_config_validation():

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from recurseries.estimate import (
     AsymptoticFit,
-    extrapolate_limit,
     fit_power_law,
     sum_estimate,
     verify_asymptotic,
@@ -103,42 +102,6 @@ def test_verify_rejects_wrong_exponent():
     orbit = iterate(parse("x/(1+x)"), 1, max_n=1000)
     check = verify_asymptotic(orbit, 2, 1, "1e-3")
     assert not check.passed
-
-
-def test_extrapolate_exact_model():
-    # v(x) = 1 + 3 * x^2 on a geometric grid is eliminated exactly
-    xs = [CTX.power(10, -CTX.mpf("0.25") * i) for i in range(12)]
-    samples = [(x, 1 + 3 * x ** 2) for x in xs]
-    limit, err = extrapolate_limit(samples)
-    assert abs(limit - 1) < CTX.mpf("1e-70")
-    assert err < CTX.mpf("1e-5")
-
-
-def test_extrapolate_constant_sequence():
-    xs = [CTX.power(10, -CTX.mpf("0.25") * i) for i in range(6)]
-    limit, err = extrapolate_limit([(x, CTX.mpf(7)) for x in xs])
-    assert limit == 7
-    assert err == 0
-
-
-def test_extrapolate_oscillation_falls_back():
-    # alternating differences never contract, so no model applies
-    xs = [CTX.power(10, -CTX.mpf("0.5") * i) for i in range(10)]
-    samples = [(x, CTX.mpf((-1) ** i)) for i, x in enumerate(xs)]
-    limit, err = extrapolate_limit(samples)
-    assert limit == samples[-1][1]
-    assert err == 2
-
-
-def test_extrapolate_input_validation():
-    xs = [CTX.power(10, -CTX.mpf("0.25") * i) for i in range(6)]
-    with pytest.raises(ValueError):
-        extrapolate_limit([(x, x) for x in xs[:3]])
-    with pytest.raises(ValueError):
-        extrapolate_limit([(x, x) for x in reversed(xs)])  # ascending
-    mixed = [(CTX.mpf(s), CTX.mpf(s)) for s in ("1", "0.5", "0.3", "0.1")]
-    with pytest.raises(ValueError):
-        extrapolate_limit(mixed)  # not geometric
 
 
 def test_sum_estimate_geometric():

@@ -21,7 +21,13 @@ from recurseries.expr import (
     parse_constant,
     taylor_polynomial,
 )
-from recurseries.grids import PROBE_GRID, Samples, validation_grid
+from recurseries.grids import (
+    GridSpec,
+    MAX_GRID_POINTS,
+    PROBE_GRID,
+    Samples,
+    validation_grid,
+)
 
 from corpus import ALL
 
@@ -42,6 +48,26 @@ def test_table_points_are_the_grid_points():
     for grid in (PROBE_GRID, validation_grid(), validation_grid(start="0.3")):
         assert table.points(grid) == grid.points(table.ctx)
         assert table.points(grid) is table.points(grid)
+
+
+@pytest.mark.parametrize("spec", [
+    GridSpec(floor="1e-400000000000"),  # about 1.6e12 points
+    GridSpec(step_log10="-1e-300"),
+    GridSpec(start="1e100000000000", floor="1e-30"),
+    GridSpec(start="inf"),
+], ids=["deep_floor", "tiny_step", "huge_start", "infinite_start"])
+def test_oversized_grid_is_refused_before_generation(spec):
+    with pytest.raises(ValueError, match=f"more than {MAX_GRID_POINTS} points"):
+        spec.points(CTX)
+
+
+def test_default_grids_fit_the_point_limit():
+    assert len(PROBE_GRID.points(CTX)) == 93
+    assert len(validation_grid().points(CTX)) == 121
+    edge = GridSpec(start="1", floor="1e-9999", step_log10="-1")
+    assert len(edge.points(CTX)) == MAX_GRID_POINTS
+    with pytest.raises(ValueError, match="more than"):
+        GridSpec(start="1", floor="1e-10000", step_log10="-1").points(CTX)
 
 
 def test_table_reads_match_the_evaluator():
