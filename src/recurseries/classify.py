@@ -7,11 +7,11 @@ boundary derivative case, majorant comparison when the derivative does not
 stabilize, the signed-mode rules, and an empirical orbit cross-check.
 
 Every rule scan reads one sample table per analysis (`Samples`): f is
-compiled once, each grid generated once, and f evaluated once per grid
-point; the limit probes share its ln-values. The rules take f as a
-FunctionDef or as that table, which carries its own precision. The table
-only avoids repeated work: every check is still sampling evidence on the
-grid, not a proof.
+compiled once, each grid generated once as a slice of one lattice, and f
+evaluated once per distinct point; the limit probes share its ln-values.
+The rules take f as a FunctionDef or as that table, which carries its own
+precision. The table only avoids repeated work: every check is still
+sampling evidence on the grid, not a proof.
 
 Numeric limits are declared by a fixed-window stabilization rule: the tail
 of a sample sequence on the geometric grid counts as a limit when its
@@ -556,8 +556,7 @@ def analytic_rule(t: TaylorDef, precision: int = DEFAULT_PRECISION) -> Verdict:
 
 
 def check_monotone(
-    f: FunctionDef,
-    interval: Optional[Tuple] = None,
+    f: FunctionDef | Samples,
     grid: Optional[GridSpec] = None,
     precision: int = DEFAULT_PRECISION,
 ) -> Tuple[bool, object]:
@@ -567,15 +566,11 @@ def check_monotone(
     below every violation, so f is grid-certified nondecreasing on
     (0, delta]. Sampling only; a pass is evidence, not proof.
     """
-    ctx = context(precision)
-    fn = evaluator(f, ctx)
-    points = sorted((grid or validation_grid()).points(ctx))
-    if interval is not None:
-        lo, hi = ctx.convert(interval[0]), ctx.convert(interval[1])
-        points = [p for p in points if lo <= p <= hi]
+    table = Samples.of(f, precision)
+    points = sorted(table.points(grid or validation_grid()))
     if len(points) < 2:
-        raise ValueError("interval contains fewer than two grid points")
-    values = [fn(p) for p in points]
+        raise ValueError("grid holds fewer than two points")
+    values = [table.f(p) for p in points]
     delta = points[0]
     for i in range(len(points) - 1):
         if values[i + 1] < values[i]:
@@ -608,7 +603,10 @@ def majorant_rule(
     points = table.points(grid)
     notes = []
     if m.family == "user":
-        monotone, delta = check_monotone(m.fn, grid=grid, precision=table.precision)
+        # one table of m for the monotonicity and the domination scans
+        m_table = Samples(m.fn, table.precision)
+        mf = m_table.f
+        monotone, delta = check_monotone(m_table, grid)
         required = abs(ctx.convert(x0)) if x0 is not None else None
         if not monotone and (required is None or delta < required):
             return Verdict(
@@ -631,7 +629,8 @@ def majorant_rule(
         )
     else:
         delta = points[0]  # grids descend from their start
-    mf = evaluator(m.fn, ctx)
+        # no monotonicity scan to share, so no table (and its own context)
+        mf = evaluator(m.fn, ctx)
     margin = None
     for x in points:
         try:
@@ -850,7 +849,7 @@ def analyze(f, x0, config: Optional[AnalyzerConfig] = None) -> AnalysisReport:
         )
         # rule scans must stay where the hypotheses hold
         work_grid = validation_grid(start=mpmath.nstr(region, cfg.precision))
-    if region < ctx.mpf(cfg.probe_grid.start):
+    if region < table.points(cfg.probe_grid)[0]:
         warnings.append(
             "validated region is smaller than the probe grid start;"
             " derivative and limit probes may sample outside it"

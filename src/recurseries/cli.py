@@ -25,6 +25,7 @@ import mpmath
 from .classify import (
     AnalysisError,
     AnalyzerConfig,
+    CROSS_CHECK_N,
     FINITE_NONZERO,
     INCONCLUSIVE,
     MajorantSpec,
@@ -64,7 +65,6 @@ class RunConfig:
     floor: str = "1e-40"
     grid_start: Optional[str] = None
     grid_floor: Optional[str] = None
-    grid_step: Optional[str] = None
     output: str = "text"  # text | json
     orbit_csv: Optional[str] = None
     taylor: Optional[str] = None
@@ -87,9 +87,11 @@ class RunConfig:
             raise ValueError("--f and --taylor are mutually exclusive")
         for name, text in (("x0", self.x0), ("floor", self.floor)):
             try:
-                mpmath.mpf(text)
+                value = mpmath.mpf(text)
             except ValueError:
                 raise ValueError(f"{name} must be a number, got {text!r}") from None
+            if not mpmath.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {text!r}")
 
 
 def _num(value, precision: int) -> str:
@@ -97,11 +99,7 @@ def _num(value, precision: int) -> str:
 
 
 def _probe_grid(cfg: RunConfig) -> GridSpec:
-    return GridSpec(
-        start=cfg.grid_start or PROBE_GRID.start,
-        floor=cfg.grid_floor or PROBE_GRID.floor,
-        step_log10=cfg.grid_step or PROBE_GRID.step_log10,
-    )
+    return GridSpec(cfg.grid_start or PROBE_GRID.start, cfg.grid_floor or PROBE_GRID.floor)
 
 
 def _expr_diagnostic(err: ExprError) -> str:
@@ -363,7 +361,7 @@ def cmd_compare(cfg: RunConfig, ctx, target, f, label) -> Tuple[int, str]:
         f"verdict: {verdict.conclusion}" + (f" ({verdict.rule})" if verdict.rule else "")
     )
     lines.extend(f"  - {note}" for note in verdict.notes)
-    steps = min(cfg.max_n, 10**4)
+    steps = min(cfg.max_n, CROSS_CHECK_N)
     g_orbit = iterate(f, cfg.x0, steps, cfg.floor, Mode.POSITIVE, p)
     m_orbit = iterate(spec.fn, cfg.x0, steps, cfg.floor, Mode.POSITIVE, p)
     common = min(g_orbit.last_index, m_orbit.last_index)
@@ -383,55 +381,61 @@ def cmd_compare(cfg: RunConfig, ctx, target, f, label) -> Tuple[int, str]:
     return code, "\n".join(lines)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Bad arguments exit 1 with a one-line message, like every other error."""
+
+    def error(self, message):
+        self.exit(1, f"error: {message}\n")
+
+
+# every option once; each subcommand accepts only the options it reads
+_OPTIONS = {
+    "--f": dict(dest="function_text", help="defining expression f(x)"),
+    "--taylor": dict(help="comma-separated Taylor coefficients a1,a2,..."),
+    "--precision": dict(type=int, help="working digits (min 16)"),
+    "--x0": dict(help="seed value (decimal string)"),
+    "--max-n": dict(type=int, dest="max_n"),
+    "--floor": dict(help="stop when |x_n| < floor"),
+    "--mode": dict(choices=["auto", "positive", "signed"]),
+    "--orbit-csv": dict(dest="orbit_csv", help="write the orbit as CSV"),
+    "--thin": dict(type=int, help="keep every k-th CSV row"),
+    "--grid-start": dict(dest="grid_start", help="probe grid start"),
+    "--grid-floor": dict(dest="grid_floor", help="probe grid floor"),
+    "--json": dict(dest="output", action="store_const", const="json",
+                   help="emit the JSON report"),
+    "--a": dict(help='exponent (decimal) or "search"'),
+    "--majorant": dict(help="linear:<c> | powerlaw:a=<a>,c=<c> | fn:<expression>"),
+}
+
+_TARGET = ("--f", "--taylor", "--precision")
+_ORBIT = ("--x0", "--max-n", "--floor")
+_GRID = ("--grid-start", "--grid-floor")
+_ITERATE = _TARGET + _ORBIT + ("--mode", "--orbit-csv", "--thin")
+
+_SUBCOMMANDS = {
+    "analyze": (cmd_analyze, "run the full convergence pipeline",
+                _ITERATE + _GRID + ("--json",)),
+    "iterate": (cmd_iterate, "iterate the orbit and emit CSV", _ITERATE),
+    "limit": (cmd_limit, "probe the quotient limit at an exponent",
+              _TARGET + _GRID + ("--a",)),
+    "compare": (cmd_compare, "check domination by a majorant",
+                _TARGET + _ORBIT + ("--majorant",)),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="recurseries",
         description="Convergence analyzer for series with recursively"
         " defined terms x_{n+1} = f(x_n)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--f", dest="function_text", help="defining expression f(x)")
-        sp.add_argument("--x0", default="1", help="seed value (decimal string)")
-        sp.add_argument("--mode", default="auto", choices=["auto", "positive", "signed"])
-        sp.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
-                        help="working digits (min 16)")
-        sp.add_argument("--max-n", type=int, default=10**6, dest="max_n")
-        sp.add_argument("--floor", default="1e-40", help="stop when |x_n| < floor")
-        sp.add_argument("--taylor", help="comma-separated Taylor coefficients a1,a2,...")
-        sp.add_argument("--orbit-csv", dest="orbit_csv", help="write the orbit as CSV")
-        sp.add_argument("--thin", type=int, default=1, help="keep every k-th CSV row")
-        sp.add_argument("--grid-start", dest="grid_start", help="probe grid start")
-        sp.add_argument("--grid-floor", dest="grid_floor", help="probe grid floor")
-        sp.add_argument("--grid-step", dest="grid_step",
-                        help="probe grid log10 step (negative)")
-
-    sp = sub.add_parser("analyze", help="run the full convergence pipeline")
-    common(sp)
-    sp.add_argument("--json", dest="output", action="store_const", const="json",
-                    default="text", help="emit the JSON report")
-
-    sp = sub.add_parser("iterate", help="iterate the orbit and emit CSV")
-    common(sp)
-
-    sp = sub.add_parser("limit", help="probe the quotient limit at an exponent")
-    common(sp)
-    sp.add_argument("--a", help='exponent (decimal) or "search"')
-
-    sp = sub.add_parser("compare", help="check domination by a majorant")
-    common(sp)
-    sp.add_argument("--majorant",
-                    help="linear:<c> | powerlaw:a=<a>,c=<c> | fn:<expression>")
+    for name, (_, help_text, options) in _SUBCOMMANDS.items():
+        # an absent option stays out of the namespace: RunConfig holds the defaults
+        sp = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        for option in options:
+            sp.add_argument(option, **_OPTIONS[option])
     return parser
-
-
-_COMMANDS = {
-    "analyze": cmd_analyze,
-    "iterate": cmd_iterate,
-    "limit": cmd_limit,
-    "compare": cmd_compare,
-}
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -442,7 +446,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def main(argv: Optional[List[str]] = None) -> None:
     args = _build_parser().parse_args(argv)
-    code, output = _COMMANDS[args.command](config_from_args(args))
+    code, output = _SUBCOMMANDS[args.command][0](config_from_args(args))
     if output:
         try:
             print(output)

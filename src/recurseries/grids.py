@@ -21,34 +21,33 @@ MAX_GRID_POINTS = 10_000
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Points x_j = start * 10^(j * step_log10), j = 0, 1, ... down to floor.
+    """The lattice points x_j = 10^(-j/4) in [floor, start], descending.
 
-    step_log10 must be negative; the default quarter-decade step gives
-    log-uniform coverage, which matches power-law behavior near zero.
+    A start between two lattice points rounds up to the one above it, so
+    every grid is a bit-identical slice of one lattice and two grids share
+    the points they overlap in. Quarter-decade steps give log-uniform
+    coverage, which matches power-law behavior near zero.
     """
 
     start: str = "1e-2"
     floor: str = "1e-25"
-    step_log10: str = "-0.25"
 
     def points(self, ctx) -> List:
         start = ctx.mpf(self.start)
         floor = ctx.mpf(self.floor)
-        step = ctx.mpf(self.step_log10)
         if not (start > floor > 0):
             raise ValueError("grid requires start > floor > 0")
-        if not step < 0:
-            raise ValueError("grid step_log10 must be negative")
-        # closed-form point count avoids drift in the loop condition
-        steps = ctx.log10(start / floor) / (-step) + ctx.mpf("1e-9")
-        # an absurd span or step is refused before any point is generated
-        if not steps < MAX_GRID_POINTS:
+        # lattice indices of start and floor; the slack absorbs the rounding
+        # of log10 at a lattice point
+        first = ctx.floor(-4 * ctx.log10(start) + ctx.mpf("1e-9"))
+        last = ctx.floor(-4 * ctx.log10(floor) + ctx.mpf("1e-9"))
+        # an absurd span is refused before any point is generated
+        if not last - first < MAX_GRID_POINTS:
             raise ValueError(
-                f"grid from {self.start} down to {self.floor} in steps of"
-                f" {self.step_log10} decades needs more than {MAX_GRID_POINTS} points"
+                f"grid from {self.start} down to {self.floor}"
+                f" needs more than {MAX_GRID_POINTS} points"
             )
-        last = int(ctx.floor(steps))
-        return [start * ctx.power(10, step * j) for j in range(last + 1)]
+        return [ctx.power(10, ctx.mpf(-j) / 4) for j in range(int(first), int(last) + 1)]
 
 
 PROBE_GRID = GridSpec()
@@ -58,7 +57,7 @@ VALIDATION_FLOOR = "1e-30"
 
 def validation_grid(start: str = "1") -> GridSpec:
     """Hypothesis-checking grid; spans (0, start] down to a deep floor."""
-    return GridSpec(start=start, floor=VALIDATION_FLOOR, step_log10="-0.25")
+    return GridSpec(start=start, floor=VALIDATION_FLOOR)
 
 
 # extra bits for ln x and ln f(x): a*ln(x) then stays exact to the working

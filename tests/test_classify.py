@@ -224,7 +224,7 @@ def test_search_exponent_not_found():
     assert "blows up at every exponent" in result.note
 
     # true exponent 5 sits above the scanned range
-    shallow = GridSpec(start="1e-1", floor="1e-8", step_log10="-0.25")
+    shallow = GridSpec(start="1e-1", floor="1e-8")
     result = search_exponent(
         parse("x/(1+x^5)^(1/5)"), a_range=("1", "4"), grid=shallow
     )
@@ -294,14 +294,14 @@ def test_check_monotone():
     assert not monotone
     assert delta < CTX.mpf("1e-6")  # no useful certified region
 
-    # x - x^2 increases only below 1/2
-    monotone, _ = check_monotone(parse("x - x^2"), interval=("1e-6", "0.5"))
+    # x - x^2 increases only below 1/2; this grid descends from 10^-0.5
+    monotone, _ = check_monotone(parse("x - x^2"), grid=GridSpec("0.3", "1e-6"))
     assert monotone
     monotone, _ = check_monotone(parse("x - x^2"))
     assert not monotone
 
-    with pytest.raises(ValueError):
-        check_monotone(parse("x/2"), interval=("0.3", "0.30001"))
+    with pytest.raises(ValueError, match="fewer than two points"):
+        check_monotone(parse("x/2"), grid=GridSpec("0.3", "0.29"))
 
 
 def test_majorant_rule_oscillatory():

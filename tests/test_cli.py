@@ -91,6 +91,16 @@ def test_json_rule_none_for_inconclusive():
     assert doc["witnesses"] == {}
 
 
+@pytest.mark.parametrize("entry", ALL, ids=lambda e: e.name)
+def test_outcome_does_not_depend_on_precision(entry):
+    outcomes = []
+    for precision in (64, 128):
+        code, out = run(entry.cli_args("--json", f"--precision={precision}"))
+        doc = json.loads(out)
+        outcomes.append((code, doc["mode"], doc["verdict"], doc["rule"]))
+    assert outcomes[0] == outcomes[1]
+
+
 @pytest.mark.parametrize("entry", DECISIVE, ids=lambda e: e.name)
 def test_json_output_is_deterministic(entry):
     first = run(entry.cli_args("--json"))
@@ -173,7 +183,11 @@ SUBCOMMAND_ARGS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGS))
+# the subcommands that take --x0 and --floor
+SEEDED = ("analyze", "compare", "iterate")
+
+
+@pytest.mark.parametrize("command", SEEDED)
 def test_non_numeric_seed_is_an_error_message(command):
     code, out = run([command, "--f=x/2", "--x0=abc"] + SUBCOMMAND_ARGS[command])
     assert code == 1
@@ -184,8 +198,15 @@ def test_non_numeric_seed_is_an_error_message(command):
 # written by analyze and iterate
 FAILURES = {
     "bad_expression": (SUBCOMMAND_ARGS, lambda tmp: ["--f=x +"]),
-    "non_numeric_x0": (SUBCOMMAND_ARGS, lambda tmp: ["--f=x/2", "--x0=abc"]),
-    "bad_grid": (("analyze", "limit"), lambda tmp: ["--f=x/2", "--grid-step=0.25"]),
+    "non_numeric_x0": (SEEDED, lambda tmp: ["--f=x/2", "--x0=abc"]),
+    "nan_x0": (SEEDED, lambda tmp: ["--f=x/2", "--x0=nan"]),
+    "inf_x0": (SEEDED, lambda tmp: ["--f=x/2", "--x0=inf"]),
+    "nan_floor": (SEEDED, lambda tmp: ["--f=x/2", "--floor=nan"]),
+    "inf_floor": (SEEDED, lambda tmp: ["--f=x/2", "--floor=-inf"]),
+    "bad_grid": (
+        ("analyze", "limit"),
+        lambda tmp: ["--f=x/2", "--grid-start=1e-30", "--grid-floor=1e-2"],
+    ),
     "unbounded_grid": (
         ("analyze", "limit"), lambda tmp: ["--f=x/2", "--grid-floor=1e-400000000000"]
     ),
@@ -218,6 +239,10 @@ def test_run_config_validation():
         RunConfig(function_text="x/2", taylor="1,-1").validate()
     with pytest.raises(ValueError, match="--f or"):
         RunConfig().validate()
+    with pytest.raises(ValueError, match="x0 must be a finite number, got 'nan'"):
+        RunConfig(function_text="x/2", x0="nan").validate()
+    with pytest.raises(ValueError, match="floor must be a finite number, got 'inf'"):
+        RunConfig(function_text="x/2", floor="inf").validate()
     code, out = run(["analyze", "--f", "x/2", "--precision", "8"])
     assert code == 1
     assert "precision" in out
@@ -269,7 +294,7 @@ def test_limit_fixed_exponent():
 def test_limit_grid_overrides():
     code, out = run([
         "limit", "--f", "x/(1+x)", "--a", "1",
-        "--grid-start", "1e-1", "--grid-floor", "1e-6", "--grid-step=-0.25",
+        "--grid-start", "1e-1", "--grid-floor", "1e-6",
     ])
     assert code == 0
     lines = out.splitlines()
@@ -279,7 +304,7 @@ def test_limit_grid_overrides():
     # the stabilization rule needs enough samples to see a window
     code, out = run([
         "limit", "--f", "x/(1+x)", "--a", "1",
-        "--grid-start", "1e-1", "--grid-floor", "1e-3", "--grid-step=-0.25",
+        "--grid-start", "1e-1", "--grid-floor", "1e-3",
     ])
     assert code == 1
     assert "at least 16 samples" in out
@@ -356,6 +381,36 @@ def test_main_exit_codes(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "--f", "x +"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--f=x/2", "--bogus"],
+    ["analyze", "--f=x/2", "--precision=abc"],
+    ["analyze", "--f=x/2", "--grid-step=-0.25"],
+    ["iterate", "--f=x/2", "--grid-start=1e-1"],
+    ["limit", "--f=x/2", "--a=1", "--x0=1"],
+    ["limit", "--f=x/2", "--a=1", "--orbit-csv=o.csv"],
+    ["compare", "--f=x/3", "--majorant=linear:0.5", "--mode=signed"],
+    ["iterate", "--f=x/2", "--mode=complex"],
+    ["integrate", "--f=x/2"],
+])
+def test_parser_errors_exit_1(capsys, argv):
+    # exit code 2 means inconclusive; a bad argument is an error like any other
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [None] + sorted(SUBCOMMAND_ARGS))
+def test_help_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(([command] if command else []) + ["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: recurseries")
 
 
 def test_module_entry_point():

@@ -26,13 +26,38 @@ def test_library_names_import():
     assert missing == []
 
 
-def test_command_line_flags_exist():
-    flags = set(re.findall(r"--[a-z][a-z0-9-]*", section("Command line")))
-    assert {"--f", "--taylor", "--orbit-csv", "--json"} <= flags
-    options = set()
+FLAG = r"--[a-z][a-z0-9-]*"
+
+
+def subcommand_options():
+    """Each subcommand's option strings, --help aside."""
+    options = {}
     for action in _build_parser()._actions:
         if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                for option in sub._actions:
-                    options.update(option.option_strings)
+            for name, sub in action.choices.items():
+                options[name] = {
+                    flag for option in sub._actions for flag in option.option_strings
+                } - {"-h", "--help"}
+    return options
+
+
+def test_command_line_flags_exist():
+    flags = set(re.findall(FLAG, section("Command line")))
+    assert {"--f", "--taylor", "--orbit-csv", "--json"} <= flags
+    options = set().union(*subcommand_options().values())
     assert sorted(flags - options) == []
+
+
+def test_each_subcommand_lists_exactly_its_options():
+    # the list item "- `name`: ..." names every option of the subcommand
+    text = section("Command line")
+    options = subcommand_options()
+    listed = dict(re.findall(r"^- `(\w+)`: (.*?)(?=^\S|\Z)", text, re.M | re.S))
+    assert sorted(listed) == sorted(options)
+    for name, item in listed.items():
+        assert set(re.findall(FLAG, item)) == options[name], name
+    # and every example command line uses only options of its subcommand
+    examples = re.findall(r"^\$ recurseries (\w+)(.*)$", README, re.M)
+    assert {name for name, _ in examples} == set(options)
+    for name, line in examples:
+        assert set(re.findall(FLAG, line)) <= options[name], line

@@ -1,6 +1,7 @@
 import sys
 from collections import Counter
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -52,10 +53,9 @@ def test_table_points_are_the_grid_points():
 
 @pytest.mark.parametrize("spec", [
     GridSpec(floor="1e-400000000000"),  # about 1.6e12 points
-    GridSpec(step_log10="-1e-300"),
     GridSpec(start="1e100000000000", floor="1e-30"),
     GridSpec(start="inf"),
-], ids=["deep_floor", "tiny_step", "huge_start", "infinite_start"])
+], ids=["deep_floor", "huge_start", "infinite_start"])
 def test_oversized_grid_is_refused_before_generation(spec):
     with pytest.raises(ValueError, match=f"more than {MAX_GRID_POINTS} points"):
         spec.points(CTX)
@@ -64,10 +64,34 @@ def test_oversized_grid_is_refused_before_generation(spec):
 def test_default_grids_fit_the_point_limit():
     assert len(PROBE_GRID.points(CTX)) == 93
     assert len(validation_grid().points(CTX)) == 121
-    edge = GridSpec(start="1", floor="1e-9999", step_log10="-1")
+    # x_9999 = 10^-2499.75 is the last point above 1.5e-2500
+    edge = GridSpec(start="1", floor="1.5e-2500")
     assert len(edge.points(CTX)) == MAX_GRID_POINTS
     with pytest.raises(ValueError, match="more than"):
-        GridSpec(start="1", floor="1e-10000", step_log10="-1").points(CTX)
+        GridSpec(start="1", floor="1e-2500").points(CTX)
+
+
+def lattice(j):
+    """The lattice point x_j = 10^(-j/4) every grid is cut from."""
+    return CTX.power(10, CTX.mpf(-j) / 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(i=st.integers(-40, 200), span=st.integers(1, 200))
+def test_grids_are_slices_of_one_lattice(i, span):
+    k = i + span
+    spec = GridSpec(start=mpmath.nstr(lattice(i), 20), floor=mpmath.nstr(lattice(k), 20))
+    assert spec.points(CTX) == [lattice(j) for j in range(i, k + 1)]
+    # a start between two lattice points rounds up to the one above it
+    between = mpmath.nstr(lattice(i) * CTX.mpf("0.9"), 20)
+    assert GridSpec(start=between, floor=spec.floor).points(CTX)[0] == lattice(i)
+
+
+def test_probe_grid_is_a_slice_of_the_validation_grid():
+    validation = validation_grid().points(CTX)
+    assert PROBE_GRID.points(CTX) == validation[8:101]
+    for start in ("3", "0.3"):
+        assert set(validation_grid(start).points(CTX)) >= set(validation[2:])
 
 
 def test_table_reads_match_the_evaluator():
@@ -165,6 +189,8 @@ def test_analyze_evaluates_f_once_per_grid_point(monkeypatch, name):
     assert report.verdict.conclusion == entry.verdict
     f_calls = [args for source, args in calls if source == entry.function]
     assert len(f_calls) <= 2  # the table and the orbit
+    # the probe grid is a slice of the validation grid: 121 points in all
+    assert set(f_calls[0]) == set(validation_grid().points(CTX))
     seen = Counter(x for args in f_calls for x in args)
     orbit = report.orbit_result
     # the orbit loop evaluates f at x_0 .. x_{step-1}

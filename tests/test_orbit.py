@@ -166,7 +166,7 @@ def test_write_csv_thin_keeps_last_row():
 
 def test_grid_spec_points():
     ctx = context(64)
-    points = GridSpec(start="1e-2", floor="1e-25", step_log10="-0.25").points(ctx)
+    points = GridSpec(start="1e-2", floor="1e-25").points(ctx)
     assert len(points) == 93
     assert points[0] == ctx.mpf("1e-2")
     assert all(a > b for a, b in zip(points, points[1:]))
@@ -174,6 +174,6 @@ def test_grid_spec_points():
     assert len(ratios) == 1  # geometric
     assert points[-1] >= ctx.mpf("1e-25")
     with pytest.raises(ValueError):
-        GridSpec(start="1e-30", floor="1e-2", step_log10="-0.25").points(ctx)
+        GridSpec(start="1e-30", floor="1e-2").points(ctx)
     with pytest.raises(ValueError):
-        GridSpec(start="1", floor="1e-2", step_log10="0.25").points(ctx)
+        GridSpec(start="1", floor="0").points(ctx)
