@@ -629,7 +629,8 @@ def majorant_rule(
         )
     else:
         delta = points[0]  # grids descend from their start
-        # no monotonicity scan to share, so no table (and its own context)
+        # no monotonicity scan to share, so no table: its own context costs
+        # about 0.5 ms per candidate, and wide_band tries 63 candidates
         mf = evaluator(m.fn, ctx)
     margin = None
     for x in points:

@@ -23,10 +23,11 @@ MAX_GRID_POINTS = 10_000
 class GridSpec:
     """The lattice points x_j = 10^(-j/4) in [floor, start], descending.
 
-    A start between two lattice points rounds up to the one above it, so
-    every grid is a bit-identical slice of one lattice and two grids share
-    the points they overlap in. Quarter-decade steps give log-uniform
-    coverage, which matches power-law behavior near zero.
+    A start between two lattice points is the grid's first point, followed
+    by the lattice points below it: the grid never samples above its start,
+    and two grids share every lattice point they overlap in. Quarter-decade
+    steps give log-uniform coverage, which matches power-law behavior near
+    zero.
     """
 
     start: str = "1e-2"
@@ -37,17 +38,22 @@ class GridSpec:
         floor = ctx.mpf(self.floor)
         if not (start > floor > 0):
             raise ValueError("grid requires start > floor > 0")
-        # lattice indices of start and floor; the slack absorbs the rounding
-        # of log10 at a lattice point
-        first = ctx.floor(-4 * ctx.log10(start) + ctx.mpf("1e-9"))
-        last = ctx.floor(-4 * ctx.log10(floor) + ctx.mpf("1e-9"))
+        # lattice positions of start and floor; the slack absorbs the
+        # rounding of log10 at a lattice point
+        slack = ctx.mpf("1e-9")
+        top = -4 * ctx.log10(start)
+        first = ctx.ceil(top - slack)
+        last = ctx.floor(-4 * ctx.log10(floor) + slack)
+        off_lattice = first - top > slack
         # an absurd span is refused before any point is generated
-        if not last - first < MAX_GRID_POINTS:
+        if not last - first + off_lattice < MAX_GRID_POINTS:
             raise ValueError(
                 f"grid from {self.start} down to {self.floor}"
                 f" needs more than {MAX_GRID_POINTS} points"
             )
-        return [ctx.power(10, ctx.mpf(-j) / 4) for j in range(int(first), int(last) + 1)]
+        indices = range(int(first), int(last) + 1)
+        lattice = [ctx.power(10, ctx.mpf(-j) / 4) for j in indices]
+        return [start] + lattice if off_lattice else lattice
 
 
 PROBE_GRID = GridSpec()

@@ -465,6 +465,19 @@ def test_analyze_error_paths():
         analyze(parse("-x/2"), "-0.5", AnalyzerConfig(mode="positive"))
 
 
+@pytest.mark.parametrize("mode", ["auto", "positive"])
+def test_analyze_never_samples_above_the_seed(mode):
+    # f < 0 only above x = 4: a grid reaching past the seed x0 = 3.9 would
+    # detect signed mode, or shrink the validated region below the seed
+    report = analyze(parse("x - x^2/4"), "3.9", AnalyzerConfig(mode=mode, max_n=2000))
+    assert report.mode is Mode.POSITIVE
+    assert max(report.hypothesis.checked_grid) == report.x0
+    assert report.hypothesis.passed
+    assert (report.verdict.conclusion, report.verdict.rule) == (
+        DIVERGENT, LIMIT_EXPONENT_RULE,
+    )
+
+
 def test_analyze_warnings():
     report = analyze(parse("x - x^2"), "0.5", AnalyzerConfig(max_n=2000))
     assert any("hypothesis violations above the validated region" in w

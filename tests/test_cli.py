@@ -301,6 +301,12 @@ def test_limit_grid_overrides():
     assert lines[1] == "x,L"
     assert len(lines) == 2 + 21  # quarter-decade steps from 1e-1 to 1e-6
 
+    # a start between lattice points is sampled itself, never rounded up
+    code, out = run(["limit", "--f", "x/(1+x)", "--a", "1", "--grid-start", "0.05"])
+    assert code == 0
+    assert out.splitlines()[2].startswith("0.05,")
+    assert out.splitlines()[3].startswith("0.0316227766")
+
     # the stabilization rule needs enough samples to see a window
     code, out = run([
         "limit", "--f", "x/(1+x)", "--a", "1",

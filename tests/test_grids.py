@@ -82,16 +82,20 @@ def test_grids_are_slices_of_one_lattice(i, span):
     k = i + span
     spec = GridSpec(start=mpmath.nstr(lattice(i), 20), floor=mpmath.nstr(lattice(k), 20))
     assert spec.points(CTX) == [lattice(j) for j in range(i, k + 1)]
-    # a start between two lattice points rounds up to the one above it
+    # a start between two lattice points comes first, then the lattice below
     between = mpmath.nstr(lattice(i) * CTX.mpf("0.9"), 20)
-    assert GridSpec(start=between, floor=spec.floor).points(CTX)[0] == lattice(i)
+    assert GridSpec(start=between, floor=spec.floor).points(CTX) == (
+        [CTX.mpf(between)] + [lattice(j) for j in range(i + 1, k + 1)]
+    )
 
 
 def test_probe_grid_is_a_slice_of_the_validation_grid():
     validation = validation_grid().points(CTX)
     assert PROBE_GRID.points(CTX) == validation[8:101]
-    for start in ("3", "0.3"):
-        assert set(validation_grid(start).points(CTX)) >= set(validation[2:])
+    for start, below in (("3", 0), ("0.3", 3)):
+        points = validation_grid(start).points(CTX)
+        assert points[0] == CTX.mpf(start)  # never above the start
+        assert set(points) >= set(validation[below:])
 
 
 def test_table_reads_match_the_evaluator():
