@@ -590,27 +590,29 @@ def majorant_rule(
     """Convergence by comparison: 0 < g(x) <= m(x) < x on the grid with m
     monotone and m's own series convergent.
 
-    The built-in families are monotone by construction, so their delta is
-    the top grid point; a user majorant is checked for monotonicity (delta
-    must cover x0 when given) and needs user_certified=True, meaning its
-    series was analyzed separately. A domination failure yields
-    Inconclusive with the witness point, never Divergent: comparison gives
-    one-sided information.
+    Built-in families are monotone by construction (delta is the top grid
+    point); a user majorant is scanned for monotonicity, every verdict
+    carries the scan as witnesses "monotone" and "delta" (which must cover
+    x0 when given), and it needs user_certified=True: its series was
+    analyzed separately. A domination failure yields Inconclusive with the
+    witness point, never Divergent: comparison gives one-sided information.
     """
     table = Samples.of(g, precision)
     ctx = table.ctx
     grid = grid or validation_grid()
     points = table.points(grid)
     notes = []
+    scan = {}
     if m.family == "user":
         # one table of m for the monotonicity and the domination scans
         m_table = Samples(m.fn, table.precision)
         mf = m_table.f
         monotone, delta = check_monotone(m_table, grid)
+        scan = {"monotone": monotone, "delta": delta}
         required = abs(ctx.convert(x0)) if x0 is not None else None
         if not monotone and (required is None or delta < required):
             return Verdict(
-                INCONCLUSIVE, None, {},
+                INCONCLUSIVE, None, scan,
                 [
                     "majorant is not monotone on the required region;"
                     f" certified only on (0, {mpmath.nstr(delta, 12)}]"
@@ -618,7 +620,7 @@ def majorant_rule(
             )
         if not user_certified:
             return Verdict(
-                INCONCLUSIVE, None, {},
+                INCONCLUSIVE, None, scan,
                 [
                     "the majorant's own series has no convergence certificate;"
                     " analyze the majorant first"
@@ -639,12 +641,12 @@ def majorant_rule(
             mx = mf(x)
         except EvalDomainError as err:
             return Verdict(
-                INCONCLUSIVE, None, {},
+                INCONCLUSIVE, None, scan,
                 [f"evaluation failed during the comparison scan: {err}"],
             )
         if not (0 < gx <= mx < x):
             return Verdict(
-                INCONCLUSIVE, None, {},
+                INCONCLUSIVE, None, scan,
                 [
                     f"domination fails at x = {mpmath.nstr(x, 12)}:"
                     f" g(x) = {mpmath.nstr(gx, 12)}, m(x) = {mpmath.nstr(mx, 12)}"
@@ -653,7 +655,7 @@ def majorant_rule(
         gap = mx - gx
         if margin is None or gap < margin:
             margin = gap
-    witnesses = {"majorant": m.label, "delta": delta, "margin": margin}
+    witnesses = {**scan, "majorant": m.label, "delta": delta, "margin": margin}
     if m.family == "linear":
         notes.append("majorant series is geometric, hence convergent")
     elif m.family == "powerlaw":

@@ -31,7 +31,6 @@ from .classify import (
     MajorantSpec,
     PrecisionGuardError,
     analyze,
-    check_monotone,
     detect_mode,
     majorant_rule,
     probe_limit,
@@ -352,11 +351,13 @@ def cmd_compare(cfg: RunConfig, ctx, target, f, label) -> Tuple[int, str]:
                 lines.append(
                     f"majorant series: {sub.verdict.conclusion}; cannot certify"
                 )
-    monotone, delta = check_monotone(spec.fn, precision=p)
-    lines.append(
-        f"monotone on grid: {'yes' if monotone else 'no'}  delta = {_num(delta, p)}"
-    )
     verdict = majorant_rule(f, spec, precision=p, x0=cfg.x0, user_certified=certified)
+    scan = verdict.witnesses
+    lines.append(
+        f"monotone on grid: {'yes' if scan['monotone'] else 'no'}"
+        f"  delta = {_num(scan['delta'], p)}"
+        if spec.family == "user" else "monotone: by construction (built-in family)"
+    )
     lines.append(
         f"verdict: {verdict.conclusion}" + (f" ({verdict.rule})" if verdict.rule else "")
     )

@@ -358,6 +358,8 @@ def test_majorant_rule_user_certification():
     v = majorant_rule(g, m, x0="0.3")
     assert v.conclusion == INCONCLUSIVE
     assert any("certificate" in n for n in v.notes)
+    # the monotonicity scan rides along in the witnesses of every verdict
+    assert v.witnesses == {"monotone": True, "delta": 1}
 
     v = majorant_rule(g, m, x0="0.3", user_certified=True)
     assert v.conclusion == CONVERGENT

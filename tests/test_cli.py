@@ -342,6 +342,7 @@ def test_compare_convergent():
         "--majorant", "linear:5/6",
     ])
     assert code == 0
+    assert "monotone: by construction (built-in family)" in out
     assert "verdict: convergent (MajorantRule)" in out
     assert "n,g_n,m_n" in out
     assert "orbit domination m_n >= g_n" in out
@@ -364,6 +365,15 @@ def test_compare_user_majorant_certification():
     assert code == 0
     assert "majorant series: convergent (DerivativeRule)" in out
     assert "user majorant monotone" in out
+
+    # the printed scan is the one the verdict read, also when it fails
+    code, out = run([
+        "compare", "--f", OSCILLATORY, "--x0", "0.3",
+        "--majorant", f"fn:{OSCILLATORY}",
+    ])
+    assert code == 2
+    assert "monotone on grid: no  delta = 1.77827941" in out
+    assert "majorant is not monotone on the required region" in out
 
 
 def test_compare_bad_majorant_spec():

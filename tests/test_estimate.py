@@ -1,9 +1,18 @@
+import functools
+import json
+import os
+import re
+
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import recurseries.estimate
+from recurseries.cli import _build_parser, cmd_analyze, config_from_args
 from recurseries.estimate import (
+    FIT_SAMPLES,
     AsymptoticFit,
+    _sample_indices,
     fit_power_law,
     sum_estimate,
     verify_asymptotic,
@@ -11,7 +20,10 @@ from recurseries.estimate import (
 from recurseries.expr import context, parse
 from recurseries.orbit import Mode, Orbit, OrbitStatus, iterate
 
+from corpus import ALL
+
 CTX = context(64)
+BY_NAME = {e.name: e for e in ALL}
 
 
 def synthetic_orbit(terms, precision=64):
@@ -141,3 +153,120 @@ def test_sum_estimate_rejected_fit_falls_back():
     assert fit.rejected
     est = sum_estimate(orbit, fit)
     assert est.method == "geometric tail"
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    a=st.floats(min_value=0.2, max_value=5),
+    k=st.floats(min_value=1e-3, max_value=1e3),
+    n=st.integers(min_value=200, max_value=10000),
+)
+def test_fit_recovers_exact_power_law(a, k, n):
+    a, k = CTX.mpf(repr(a)), CTX.mpf(repr(k))
+    inv_a = 1 / a
+    terms = [2 * k] + [k * CTX.power(i, -inv_a) for i in range(1, n + 1)]
+    fit = fit_power_law(synthetic_orbit(terms))
+    assert not fit.rejected
+    assert abs(fit.a / a - 1) < CTX.mpf("1e-50")
+    assert abs(fit.k / k - 1) < CTX.mpf("1e-50")
+    assert fit.residual < CTX.mpf("1e-50")
+
+
+@given(start=st.integers(min_value=1, max_value=10**6),
+       length=st.integers(min_value=1, max_value=10**5))
+def test_sample_indices(start, length):
+    end = start + length - 1
+    picked = _sample_indices(start, end)
+    assert picked[0] == start and picked[-1] == end
+    assert all(p < q for p, q in zip(picked, picked[1:]))
+    assert len(picked) <= FIT_SAMPLES
+    if length <= FIT_SAMPLES:
+        assert picked == list(range(start, end + 1))
+
+
+@functools.lru_cache(maxsize=None)
+def corpus_orbit(name):
+    entry = BY_NAME[name]
+    return iterate(parse(entry.function), entry.x0, max_n=entry.max_n)
+
+
+@pytest.mark.parametrize("name", [
+    "harmonic", "sine", "half_exponent", "logistic_edge", "damped_harmonic",
+])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_residual_reads_every_window_index(name, data):
+    # the fit reads samples, but the residual is the maximum over every
+    # index of the window, at working precision
+    orbit = corpus_orbit(name)
+    last = orbit.last_index
+    start = data.draw(st.integers(min_value=1, max_value=last // 2), label="start")
+    end = data.draw(st.integers(min_value=start + 99, max_value=last), label="end")
+    for window in (None, (start, end)):
+        fit = fit_power_law(orbit, window)
+        lo, hi = fit.window
+        ctx = context(orbit.precision)
+        worst = max(
+            abs(ctx.power(n, 1 / fit.a) * orbit.terms[n] - fit.k)
+            for n in range(lo, hi + 1)
+        )
+        assert fit.residual == worst / fit.k
+
+
+def test_fit_work_is_bounded_by_the_samples(monkeypatch):
+    # working-precision ln/exp/power calls: about 15,000 when every window
+    # index is fitted, a few per sample when only the samples are
+    calls = []
+
+    def counting_context(precision):
+        ctx = context(precision)
+        for name in ("ln", "exp", "power"):
+            original = getattr(ctx, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            setattr(ctx, name, counted)
+        return ctx
+
+    orbit = iterate(parse("x/(1+x)"), 1, max_n=10000)
+    monkeypatch.setattr(recurseries.estimate, "context", counting_context)
+    fit = fit_power_law(orbit)
+    assert not fit.rejected
+    assert len(calls) <= 3 * FIT_SAMPLES + 16
+
+
+REFERENCE = os.path.join(os.path.dirname(__file__), "analyze_reference.json")
+NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
+
+
+def test_analyze_fit_moves_only_the_fit():
+    # reports recorded when the line was fitted through every window index:
+    # the 12 corpus entries, then the three long power-law decays at 10^4
+    # steps. Only the fit may move; the residual a rejected fit prints in its
+    # warning is the fit's own number, held to the same tolerance as a
+    with open(REFERENCE) as f:
+        reference = json.load(f)
+    assert len(reference) == 15
+    tol = mpmath.mpf("2e-4")
+    for want in reference:
+        args = _build_parser().parse_args(want["argv"])
+        code, out = cmd_analyze(config_from_args(args))
+        got = json.loads(out)
+        assert code == want["code"], want["argv"]
+        for key in ("mode", "verdict", "rule", "witnesses", "orbit"):
+            assert got[key] == want[key], (want["argv"], key)
+        assert len(got["warnings"]) == len(want["warnings"])
+        for line, ref in zip(got["warnings"], want["warnings"]):
+            if not ref.startswith("empirical fit:"):
+                assert line == ref
+                continue
+            assert NUMBER.sub("#", line) == NUMBER.sub("#", ref)
+            for x, y in zip(NUMBER.findall(line), NUMBER.findall(ref)):
+                assert abs(mpmath.mpf(x) / mpmath.mpf(y) - 1) < tol, (line, ref)
+        if want["fit_a"] is None:
+            assert "fit" not in got
+        else:
+            a = mpmath.mpf(got["fit"]["a"])
+            assert abs(a / mpmath.mpf(want["fit_a"]) - 1) < tol, want["argv"]

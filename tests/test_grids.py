@@ -13,6 +13,7 @@ from recurseries.classify import (
     analyze,
     probe_limit,
 )
+from recurseries.cli import main
 from recurseries.expr import (
     EvalDomainError,
     TaylorDef,
@@ -201,3 +202,16 @@ def test_analyze_evaluates_f_once_per_grid_point(monkeypatch, name):
     seen.subtract(orbit.terms[:orbit.status.step])
     assert min(seen.values()) >= 0
     assert max(seen.values()) == 1
+
+
+def test_compare_compiles_a_user_majorant_at_most_four_times(monkeypatch, capsys):
+    # the majorant's own analysis (its table and its orbit), the comparison
+    # table that both the monotonicity and the domination scans read, and
+    # the comparison orbit; the printed scan is the one the verdict used
+    calls = count_evaluations(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--f=x*(1/2 + 1/3*sin(1/x))", "--x0=0.3",
+              "--majorant=fn:5/6 * x"])
+    assert exc.value.code == 0
+    assert "monotone on grid: yes  delta = 1.0\n" in capsys.readouterr().out
+    assert sum(source == "5/6 * x" for source, _ in calls) <= 4
