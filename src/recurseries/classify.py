@@ -8,7 +8,8 @@ stabilize, the signed-mode rules, and an empirical orbit cross-check.
 
 Every rule scan reads one sample table per analysis (`Samples`): f is
 compiled once, each grid generated once as a slice of one lattice, and f
-evaluated once per distinct point; the limit probes share its ln-values.
+evaluated once per distinct point; the limit probes and the exponent read
+share its ln-values.
 The rules take f as a FunctionDef or as that table, which carries its own
 precision. The table only avoids repeated work: every check is still
 sampling evidence on the grid, not a proof.
@@ -71,7 +72,7 @@ CROSS_CHECK_N = 10**4
 
 # exponent search
 SEARCH_RANGE = ("0.01", "4")
-BISECT_ITERATIONS = 40
+SNAP_TOLERANCE = "1e-5"  # relative; a tenth of EXPONENT_MARGIN, so no snap moves a verdict
 CONFIRM_REL_TOL = "1e-3"
 CANCELLATION_HEADROOM = 12
 
@@ -408,85 +409,81 @@ def _fit_from_probe(probe: LimitProbe, ctx) -> AsymptoticFit:
     return AsymptoticFit(a, k, residual, window)
 
 
+def _snap_to_fraction(a, ctx):
+    """The smallest-denominator p/q > 0 with q <= SNAP_MAX_DENOMINATOR within
+    a relative SNAP_TOLERANCE of a, or a itself when there is none."""
+    for q in range(1, SNAP_MAX_DENOMINATOR + 1):
+        p = int(ctx.nint(a * q))
+        if p > 0 and abs(ctx.mpf(p) / q - a) <= ctx.mpf(SNAP_TOLERANCE) * a:
+            return ctx.mpf(p) / q
+    return a
+
+
 def search_exponent(
     f: FunctionDef | Samples,
     a_range: Tuple[str, str] = SEARCH_RANGE,
     grid: Optional[GridSpec] = None,
     precision: int = DEFAULT_PRECISION,
 ) -> ExponentSearchResult:
-    """Bisect for the exponent where the quotient probe turns finite.
+    """Read off the exponent a where the quotient probe turns finite.
 
-    Below the true exponent the quotient tends to zero, above it to
-    infinity; the verdict-valued bisection narrows the transition and a
-    relaxed-tolerance probe confirms a finite nonzero limit there. The
-    returned fit carries a and k = L^(-1/a) with the probe attached; the
-    fit window refers to probe-grid indices. NotFound (found=False) means
-    no transition lies in range or the probe oscillates near it. Every
-    probe reads one table.
+    L_a = f^-a - x^-a is about a*x^-a*ln(x/f), so a is the limiting slope
+    of ln ln(x/f) against ln x, taken between consecutive points of the
+    probe grid's tail from the table's ln-values. The slope, snapped to a
+    small-denominator fraction when it lies within SNAP_TOLERANCE of one, is
+    confirmed by one relaxed-tolerance probe, which gives L. The fit carries
+    a and k = L^(-1/a) with the probe attached; its window refers to
+    probe-grid indices. NotFound (found=False) means f exceeds x in the
+    tail, the slopes do not settle or settle outside a_range, or the probe
+    is unstable.
     """
     table = Samples.of(f, precision)
     ctx = table.ctx
-    lo = ctx.mpf(a_range[0])
-    hi = ctx.mpf(a_range[1])
+    lo, hi = ctx.mpf(a_range[0]), ctx.mpf(a_range[1])
     if not 0 < lo < hi:
         raise ValueError("need 0 < a_lo < a_hi")
+    grid = grid or PROBE_GRID
 
-    def probe(a, tol=None):
-        return probe_limit(table, a, grid, rel_tol=tol)
+    def not_found(note, probe=None):
+        return ExponentSearchResult(False, None, probe, note)
 
-    def confirm(a):
-        p = probe(a, CONFIRM_REL_TOL)
-        if p.verdict == FINITE_NONZERO and p.stabilized:
-            return ExponentSearchResult(True, _fit_from_probe(p, ctx), p, "")
-        return ExponentSearchResult(
-            False, None, p,
-            f"confirmation probe did not stabilize at a = {mpmath.nstr(a, 12)}",
-        )
-
-    p_lo = probe(lo)
-    if p_lo.verdict == OSCILLATES:
-        return ExponentSearchResult(
-            False, None, p_lo, "quotient oscillates at the smallest exponent in range"
-        )
-    if p_lo.verdict == TENDS_TO_INFINITY:
-        return ExponentSearchResult(
-            False, None, p_lo,
-            "quotient blows up at every exponent in range;"
-            " the terms decay faster than any power law here",
-        )
-    if p_lo.verdict == FINITE_NONZERO:
-        return confirm(lo)
-
-    p_hi = probe(hi)
-    if p_hi.verdict == OSCILLATES:
-        return ExponentSearchResult(
-            False, None, p_hi, "quotient oscillates at the largest exponent in range"
-        )
-    if p_hi.verdict == TENDS_TO_ZERO:
-        return ExponentSearchResult(
-            False, None, p_hi,
-            "no transition in range; the decay exponent, if any, lies above it",
-        )
-    if p_hi.verdict == FINITE_NONZERO:
-        return confirm(hi)
-
-    mid = (lo + hi) / 2
-    for _ in range(BISECT_ITERATIONS):
-        mid = (lo + hi) / 2
-        p = probe(mid)
-        if p.verdict == TENDS_TO_ZERO:
-            lo = mid
-        elif p.verdict == TENDS_TO_INFINITY:
-            hi = mid
-        elif p.verdict == OSCILLATES:
-            return ExponentSearchResult(
-                False, None, p, "quotient oscillates near the transition exponent"
+    # f(x) carries ctx.dps digits, so d = ln(x/f) keeps about dps + log10(d)
+    # of them; the slopes need CANCELLATION_HEADROOM
+    limit = ctx.dps - CANCELLATION_HEADROOM
+    tiny = ctx.power(10, -limit)
+    points = []
+    # only the rows whose slopes the tail classification reads
+    for x, ln_x, ln_f in table.logs(grid)[-(2 * STABLE_WINDOW + 1):]:
+        d = ctx.fsub(ln_x, ln_f, exact=True)
+        if d <= -tiny:
+            return not_found(f"f(x) exceeds x at x = {mpmath.nstr(x, 12)}")
+        if d < tiny:
+            raise PrecisionGuardError(
+                f"x and f(x) agree in more than {limit} digits at x ="
+                f" {mpmath.nstr(x, 12)}; rerun with precision above {table.precision}"
             )
-        else:
-            if p.stabilized:
-                return ExponentSearchResult(True, _fit_from_probe(p, ctx), p, "")
-            break
-    return confirm((lo + hi) / 2)
+        points.append((ln_x, ctx.ln(d)))
+    slopes = [(v1 - v0) / (u1 - u0) for (u0, v0), (u1, v1) in zip(points, points[1:])]
+    kind, slope = _classify_tail(slopes, ctx, ctx.mpf(REL_TOL), ctx.mpf(ABS_TOL))
+    if kind == "oscillates":
+        return not_found("tail slopes of ln ln(x/f) do not settle")
+    below, above = kind == "to_zero", kind == "to_infinity"
+    if not (below or above):
+        a = _snap_to_fraction(slope, ctx)
+        below, above = a < lo, a > hi
+    if below:
+        return not_found(
+            "quotient blows up at every exponent in range;"
+            " the terms decay faster than any power law here"
+        )
+    if above:
+        return not_found("no transition in range; the decay exponent, if any, lies above it")
+    probe = probe_limit(table, a, grid, rel_tol=CONFIRM_REL_TOL)
+    if probe.stabilized:
+        return ExponentSearchResult(True, _fit_from_probe(probe, ctx), probe, "")
+    return not_found(
+        f"confirmation probe did not stabilize at a = {mpmath.nstr(a, 12)}", probe
+    )
 
 
 def limit_exponent_rule(fit: AsymptoticFit) -> Verdict:

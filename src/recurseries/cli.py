@@ -101,6 +101,11 @@ def _probe_grid(cfg: RunConfig) -> GridSpec:
     return GridSpec(cfg.grid_start or PROBE_GRID.start, cfg.grid_floor or PROBE_GRID.floor)
 
 
+def _analyzer_config(cfg: RunConfig) -> AnalyzerConfig:
+    return AnalyzerConfig(precision=cfg.precision, mode=cfg.mode, max_n=cfg.max_n,
+                          floor=cfg.floor, probe_grid=_probe_grid(cfg))
+
+
 def _expr_diagnostic(err: ExprError) -> str:
     """The message, then the text that failed to parse with a caret under
     the offending character."""
@@ -262,14 +267,7 @@ def _command(body):
 
 @_command
 def cmd_analyze(cfg: RunConfig, ctx, target, f, label) -> Tuple[int, str]:
-    acfg = AnalyzerConfig(
-        precision=cfg.precision,
-        mode=cfg.mode,
-        max_n=cfg.max_n,
-        floor=cfg.floor,
-        probe_grid=_probe_grid(cfg),
-    )
-    report = analyze(target, cfg.x0, acfg)
+    report = analyze(target, cfg.x0, _analyzer_config(cfg))
     if cfg.orbit_csv:
         with open(cfg.orbit_csv, "w") as out:
             write_csv(report.orbit_result, out, thin=cfg.thin)
@@ -337,10 +335,11 @@ def cmd_compare(cfg: RunConfig, ctx, target, f, label) -> Tuple[int, str]:
     p = cfg.precision
     lines = [f"function: {label}", f"majorant: {spec.label}"]
     certified = False
+    sub = None
     if spec.family == "user":
         # the majorant's own analysis is part of the report, not an error
         try:
-            sub = analyze(spec.fn, cfg.x0, AnalyzerConfig(precision=p))
+            sub = analyze(spec.fn, cfg.x0, _analyzer_config(cfg))
         except AnalysisError as err:
             lines.append(f"majorant series: analysis failed ({err}); cannot certify")
         else:
@@ -364,7 +363,9 @@ def cmd_compare(cfg: RunConfig, ctx, target, f, label) -> Tuple[int, str]:
     lines.extend(f"  - {note}" for note in verdict.notes)
     steps = min(cfg.max_n, CROSS_CHECK_N)
     g_orbit = iterate(f, cfg.x0, steps, cfg.floor, Mode.POSITIVE, p)
-    m_orbit = iterate(spec.fn, cfg.x0, steps, cfg.floor, Mode.POSITIVE, p)
+    # a positive-mode analysis of m iterated the same orbit already
+    m_orbit = (sub.orbit_result if sub is not None and sub.mode is Mode.POSITIVE
+               else iterate(spec.fn, cfg.x0, steps, cfg.floor, Mode.POSITIVE, p))
     common = min(g_orbit.last_index, m_orbit.last_index)
     dominated = all(m_orbit.terms[n] >= g_orbit.terms[n] for n in range(common + 1))
     lines.append("n,g_n,m_n")

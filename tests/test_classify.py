@@ -1,3 +1,5 @@
+import re
+
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -230,6 +232,92 @@ def test_search_exponent_not_found():
     )
     assert not result.found
     assert "no transition in range" in result.note
+
+    # ln(x/f) wobbles with sin(1/x), so its tail slopes never settle
+    result = search_exponent(parse("x - x^2*abs(sin(1/x))"))
+    assert not result.found
+    assert result.note == "tail slopes of ln ln(x/f) do not settle"
+
+    result = search_exponent(parse("2*x"))
+    assert not result.found
+    assert result.note.startswith("f(x) exceeds x at x = ")
+
+
+# a = p/q in [1/8, 3] with q <= 8
+EXPONENTS = st.integers(1, 8).flatmap(lambda q: st.tuples(st.integers(1, 3 * q), st.just(q)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(pq=EXPONENTS, c_text=st.sampled_from(["1/4", "1", "4"]))
+def test_search_reads_power_law_members_exactly(pq, c_text):
+    # x/(1+c*x^a)^(1/a) has ln(x/f) = ln(1 + c*x^a)/a, whose log-log slopes
+    # tend to a, and L_a identically c, so k = c^(-1/a)
+    p, q = pq
+    a_text = f"{p}/{q}"
+    # ln(x/f) is about c*x^a/a, 25*a digits below 1 at the probe floor 1e-25
+    precision = 64 + int(25 * p / q)
+    ctx = context(precision)
+    f = parse(f"x/(1+({c_text})*x^({a_text}))^(1/({a_text}))")
+    result = search_exponent(f, precision=precision)
+    assert result.found
+    a = ctx.mpf(p) / q
+    assert result.fit.a == a
+    k = ctx.power(parse_constant(c_text, ctx), -1 / a)
+    assert abs(result.fit.k / k - 1) < ctx.mpf("1e-6")
+
+
+@pytest.mark.parametrize(
+    "a_text, verdict",
+    [("1", DIVERGENT), ("0.9998", CONVERGENT), ("1.0008", DIVERGENT)],
+)
+def test_search_keeps_an_exponent_next_to_a_fraction(a_text, verdict):
+    # over the probe tail L_1 spreads by about 4*|a - 1|, so a probe at 1
+    # would pass the relaxed tolerance for a = 0.9998; the read must not
+    # snap such an a to 1, which would turn a convergent series divergent
+    ctx = CTX
+    f = parse(f"x/(1+x^({a_text}))^(1/({a_text}))")
+    result = search_exponent(f)
+    assert result.found
+    a = parse_constant(a_text, ctx)
+    assert abs(result.fit.a / a - 1) < ctx.mpf("1e-12")
+    assert abs(result.fit.k - 1) < ctx.mpf("1e-12")  # L_a is identically 1
+    assert limit_exponent_rule(result.fit).conclusion == verdict
+
+
+def test_search_reads_only_the_tail():
+    # f exceeds x at 0.01 and 0.0056, above the validated region, but the
+    # tail where the slopes are read has f'(0) = 1 and a = 1
+    result = analyze(parse("x - x^2 + 200*x^3"), "0.001")
+    assert result.verdict.conclusion == DIVERGENT
+    assert result.verdict.rule == LIMIT_EXPONENT_RULE
+    assert result.search.fit.a == 1
+    assert "validated region is smaller than the probe grid start" in " ".join(result.warnings)
+
+
+def test_search_refuses_a_tail_without_digits():
+    # x/(1+x^3)^(1/3) keeps ln(x/f) near x^3/3, 75 digits down at 1e-25
+    with pytest.raises(PrecisionGuardError, match="rerun with precision above 64"):
+        search_exponent(parse("x/(1+x^3)^(1/3)"))
+
+
+CONJUGATES = ["x/(1+x)", "sin(x)", "x/(1+x^(1/2))^2", "x - x^2"]
+
+
+@pytest.mark.parametrize("lam", ["1/10", "10"])
+@pytest.mark.parametrize("fn_text", CONJUGATES)
+def test_conjugate_scaling_keeps_the_exponent(fn_text, lam):
+    # g(x) = lam*f(x/lam) has the orbit lam*x_n from lam*x0: the same
+    # exponent and verdict, and k scaled by lam
+    scaled = "(" + lam + ")*(" + re.sub(r"\bx\b", f"(x/({lam}))", fn_text) + ")"
+    entry = next(e for e in DECISIVE if e.function == fn_text)
+    lam_value = parse_constant(lam, CTX)
+    config = AnalyzerConfig(mode="positive", max_n=200)
+    base = analyze(parse(fn_text), entry.x0, config)
+    conj = analyze(parse(scaled), lam_value * CTX.mpf(entry.x0), config)
+    assert conj.verdict.conclusion == base.verdict.conclusion == entry.verdict
+    assert conj.verdict.rule == base.verdict.rule == LIMIT_EXPONENT_RULE
+    assert conj.search.fit.a == base.search.fit.a
+    assert abs(conj.search.fit.k / (lam_value * base.search.fit.k) - 1) < CTX.mpf("1e-6")
 
 
 def test_search_exponent_range_validation():

@@ -319,7 +319,7 @@ def test_limit_grid_overrides():
 def test_limit_search():
     code, out = run(["limit", "--f", "x/(1+x)", "--a", "search"])
     assert code == 0
-    assert out.splitlines()[0].startswith("search: a = 1.000000")
+    assert out.splitlines()[0].startswith("search: a = 1.0  k = 1.0  residual = ")
 
     code, out = run(["limit", "--f", "x/2", "--a", "search"])
     assert code == 2
@@ -328,6 +328,19 @@ def test_limit_search():
     code, out = run(["limit", "--f", "x/2"])
     assert code == 1
     assert "--a" in out
+
+
+def test_limit_search_precision_guard():
+    # x - x^5 rounds to x below about 1e-16 at 64 digits: ln(x/f) has no
+    # digits left there, so the search refuses rather than reading noise
+    code, out = run(["limit", "--f=x-x^5", "--a", "search"])
+    assert code == 1
+    assert out.startswith("error: x and f(x) agree in more than")
+    assert out.endswith("rerun with precision above 64")
+
+    code, out = run(["limit", "--f=x-x^5", "--a", "search", "--precision", "200"])
+    assert code == 0
+    assert out.splitlines()[0].startswith("search: a = 4.0  k = ")
 
 
 def test_limit_precision_guard():

@@ -5,6 +5,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import recurseries.classify
 import recurseries.expr
 from recurseries.classify import (
     CANCELLATION_HEADROOM,
@@ -30,6 +31,7 @@ from recurseries.grids import (
     Samples,
     validation_grid,
 )
+from recurseries.orbit import iterate
 
 from corpus import ALL
 
@@ -205,13 +207,57 @@ def test_analyze_evaluates_f_once_per_grid_point(monkeypatch, name):
 
 
 def test_compare_compiles_a_user_majorant_at_most_four_times(monkeypatch, capsys):
-    # the majorant's own analysis (its table and its orbit), the comparison
-    # table that both the monotonicity and the domination scans read, and
-    # the comparison orbit; the printed scan is the one the verdict used
+    # the majorant's own analysis (its table and its orbit) and the
+    # comparison table that both the monotonicity and the domination scans
+    # read; the printed scan is the one the verdict used, and the printed
+    # orbit of m is the one its analysis iterated
     calls = count_evaluations(monkeypatch)
     with pytest.raises(SystemExit) as exc:
         main(["compare", "--f=x*(1/2 + 1/3*sin(1/x))", "--x0=0.3",
               "--majorant=fn:5/6 * x"])
     assert exc.value.code == 0
-    assert "monotone on grid: yes  delta = 1.0\n" in capsys.readouterr().out
-    assert sum(source == "5/6 * x" for source, _ in calls) <= 4
+    out = capsys.readouterr().out
+    assert "monotone on grid: yes  delta = 1.0\n" in out
+    lengths = sorted(len(args) for source, args in calls if source == "5/6 * x")
+    assert lengths == [121, 121, 499]  # two grid tables and one orbit
+    m_orbit = iterate(parse("5/6 * x"), "0.3")
+    rows = [line.split(",") for line in out.splitlines() if line[:1].isdigit()]
+    assert rows and all(m == mpmath.nstr(m_orbit.terms[int(n)], 64) for n, _, m in rows)
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name wherever the package binds it; returns the argument
+    tuples of its calls."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("recurseries") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+# (limit probes, evaluator compiles, f evaluations, majorant_rule calls) per
+# analysis; a later change that does more work has to update these
+WORK = {
+    "harmonic": (1, 2, 2121, 0),
+    "sine": (1, 2, 2121, 0),
+    "oscillatory": (0, 127, 487, 16),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORK))
+def test_analyze_work_counters(monkeypatch, capsys, name):
+    compiled = count_evaluations(monkeypatch)
+    probes = count_calls(monkeypatch, recurseries.classify, "probe_limit")
+    majorants = count_calls(monkeypatch, recurseries.classify, "majorant_rule")
+    with pytest.raises(SystemExit) as exc:
+        main(BY_NAME[name].cli_args())
+    assert exc.value.code == 0
+    evaluations = sum(len(args) for _, args in compiled)
+    assert (len(probes), len(compiled), evaluations, len(majorants)) == WORK[name]
+
