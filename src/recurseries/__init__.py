@@ -24,6 +24,7 @@ from .classify import (
     LIMIT_EXPONENT_RULE,
     LimitProbe,
     MAJORANT_RULE,
+    MINORANT_RULE,
     MajorantSpec,
     PrecisionGuardError,
     Verdict,

@@ -3,8 +3,8 @@
 Each criterion is an explicit rule producing a Verdict that names the rule
 and its numeric witnesses. The `analyze` pipeline wires them together:
 hypothesis validation, the derivative rule, the limit-exponent rule for the
-boundary derivative case, majorant comparison when the derivative does not
-stabilize, the signed-mode rules, and an empirical orbit cross-check.
+boundary derivative case, the comparison band when neither decides, the
+signed-mode rules, and an empirical orbit cross-check.
 
 Every rule scan reads one sample table per analysis (`Samples`): f is
 compiled once, each grid generated once as a slice of one lattice, and f
@@ -40,12 +40,12 @@ from .expr import (
     FunctionDef,
     TaylorDef,
     context,
-    evaluator,
+    evaluator,  # bench/tracer.py counts compiles through this binding too
     parse,
     parse_constant,
     taylor_polynomial,
 )
-from .grids import GridSpec, PROBE_GRID, Samples, validation_grid
+from .grids import PER_DECADE, GridSpec, PROBE_GRID, Samples, seed_grid, validation_grid
 from .orbit import (
     HYPOTHESIS_VIOLATION,
     HypothesisReport,
@@ -75,16 +75,15 @@ SEARCH_RANGE = ("0.01", "4")
 SNAP_TOLERANCE = "1e-5"  # relative; a tenth of EXPONENT_MARGIN, so no snap moves a verdict
 CONFIRM_REL_TOL = "1e-3"
 CANCELLATION_HEADROOM = 12
-
-# built-in majorant search grids
-LINEAR_C_GRID = [
-    "0.1", "0.15", "0.2", "0.25", "0.3", "0.35", "0.4", "0.45", "0.5",
-    "0.55", "0.6", "0.65", "0.7", "0.75", "0.8", "0.85", "0.9", "0.95",
-]
-POWERLAW_A_GRID = ["0.1", "0.2", "0.3", "0.4", "0.5", "0.6", "0.7", "0.8", "0.9"]
-POWERLAW_C_GRID = ["0.25", "0.5", "1", "2", "4"]
 SNAP_MAX_DENOMINATOR = 24
+
+# comparison band: by Bernoulli's inequality inf L_a > 0 on (0, x0 <= 1]
+# carries over to every larger a < 1, so one majorant exponent is enough;
+# the minorant sits as far above 1, leaving decay exponents near 1 open
+MAJORANT_A = "0.9"
+MINORANT_A = "1.1"
 SNAP_SLACK = "0.05"
+TREND_SLACK = "0.01"  # largest slope of ln(per-decade extreme) against ln x
 
 CONVERGENT = "convergent"
 DIVERGENT = "divergent"
@@ -94,6 +93,7 @@ DERIVATIVE_RULE = "DerivativeRule"
 LIMIT_EXPONENT_RULE = "LimitExponentRule"
 ANALYTIC_RULE = "AnalyticRule"
 MAJORANT_RULE = "MajorantRule"
+MINORANT_RULE = "MinorantRule"
 ALTERNATING_RULE = "AlternatingRule"
 ABSOLUTE_BOUND_RULE = "AbsoluteBoundRule"
 
@@ -171,7 +171,7 @@ class ExponentSearchResult:
 
 @dataclass(frozen=True)
 class MajorantSpec:
-    """A candidate dominating function m with a known-convergent series.
+    """A dominating function m whose series converges.
 
     family "linear" is c*x with 0 < c < 1; family "powerlaw" is
     x / (1 + c*x^a)^(1/a) with 0 < a < 1, c > 0; family "user" wraps an
@@ -208,11 +208,6 @@ class MajorantSpec:
     @staticmethod
     def user(fdef: FunctionDef) -> "MajorantSpec":
         return MajorantSpec("user", f"fn:{fdef.source_text}", fdef)
-
-    @property
-    def known_convergent(self) -> bool:
-        # linear is geometric; the powerlaw family converges for a < 1
-        return self.family in ("linear", "powerlaw")
 
 
 def _classify_tail(values, ctx, rel_tol, abs_tol, window=STABLE_WINDOW):
@@ -361,12 +356,27 @@ def probe_limit(
     when x^a and f(x)^a agree in more digits than the working precision can
     spare, the probe raises rather than classifying noise.
     """
-    grid = grid or PROBE_GRID
     table = Samples.of(f, precision)
     ctx = table.ctx
     a = ctx.convert(a)
     if not a > 0:
         raise ValueError("exponent a must be positive")
+    samples = _quotients(table, a, grid or PROBE_GRID)
+    values = [v for _, v in samples]
+    tol = ctx.mpf(REL_TOL if rel_tol is None else rel_tol)
+    kind, value = _classify_tail(values, ctx, tol, ctx.mpf(ABS_TOL))
+    if kind in ("stable", "finite") and value > 0:
+        return LimitProbe(a, samples, FINITE_NONZERO, value, kind == "stable")
+    if kind in ("stable_zero", "to_zero"):
+        return LimitProbe(a, samples, TENDS_TO_ZERO, None, False)
+    if kind == "to_infinity":
+        return LimitProbe(a, samples, TENDS_TO_INFINITY, None, False)
+    return LimitProbe(a, samples, OSCILLATES, None, False)
+
+
+def _quotients(table: Samples, a, grid: GridSpec) -> List[Tuple]:
+    """(x, L_a(x)) at each grid point as f(x)^-a - x^-a from the table's logs."""
+    ctx = table.ctx
     # evaluation runs at ctx.dps digits; the quotient must keep at least
     # CANCELLATION_HEADROOM trustworthy digits after the subtraction
     limit = ctx.dps - CANCELLATION_HEADROOM
@@ -384,18 +394,7 @@ def probe_limit(
                 f" rerun with precision above {table.precision}"
             )
         samples.append((x, value))
-    values = [v for _, v in samples]
-    tol = ctx.mpf(REL_TOL if rel_tol is None else rel_tol)
-    kind, value = _classify_tail(values, ctx, tol, ctx.mpf(ABS_TOL))
-    if kind == "stable" and value > 0:
-        return LimitProbe(a, samples, FINITE_NONZERO, value, True)
-    if kind == "finite" and value > 0:
-        return LimitProbe(a, samples, FINITE_NONZERO, value, False)
-    if kind in ("stable_zero", "to_zero"):
-        return LimitProbe(a, samples, TENDS_TO_ZERO, None, False)
-    if kind == "to_infinity":
-        return LimitProbe(a, samples, TENDS_TO_INFINITY, None, False)
-    return LimitProbe(a, samples, OSCILLATES, None, False)
+    return samples
 
 
 def _fit_from_probe(probe: LimitProbe, ctx) -> AsymptoticFit:
@@ -568,12 +567,106 @@ def check_monotone(
     if len(points) < 2:
         raise ValueError("grid holds fewer than two points")
     values = [table.f(p) for p in points]
-    delta = points[0]
     for i in range(len(points) - 1):
         if values[i + 1] < values[i]:
-            return False, delta
-        delta = points[i + 1]
-    return True, delta
+            return False, points[i]
+    return True, points[-1]
+
+
+def _snap_rational(band_hi, ctx):
+    """Smallest-denominator fraction p/q in [band_hi, band_hi + slack) with
+    p/q < 1; gives a clean linear ratio just above the observed band."""
+    slack = ctx.mpf(SNAP_SLACK)
+    for q in range(1, SNAP_MAX_DENOMINATOR + 1):
+        p = int(ctx.ceil(band_hi * q))
+        if p < 1 or p >= q:
+            continue
+        value = ctx.mpf(p) / q
+        if value <= band_hi + slack:
+            return p, q
+    return None
+
+
+def _compare(rows, c, upper: bool, name: str, label: str, ctx,
+             minorant: bool = False) -> Verdict:
+    """The bound 0 < v <= c (upper) or v >= c on every row (x, v) comparing f
+    with label's function, a majorant or a minorant. As any finite grid has a
+    finite sup and a positive inf, it counts only over at least STABLE_WINDOW
+    decades, from the floor up, whose maxima (minima) have a slope of ln v
+    against ln x >= -TREND_SLACK (<= TREND_SLACK)."""
+    for x, v in rows:
+        if not (0 < v <= c if upper else v >= c):
+            return Verdict(INCONCLUSIVE, None, {}, [
+                f"domination fails at x = {mpmath.nstr(x, 12)}: {name} = {mpmath.nstr(v, 12)}"
+                + (f" is not in (0, {mpmath.nstr(c, 12)}]" if upper
+                   else f" is below {mpmath.nstr(c, 12)}")
+            ])
+    pick = max if upper else min
+    extremes = [pick(rows[max(0, i - PER_DECADE):i], key=lambda row: row[1])
+                for i in range(len(rows), 0, -PER_DECADE)]
+    u = [ctx.ln(x) for x, _ in extremes]
+    mean = ctx.fsum(u) / len(u)
+    du = [v - mean for v in u]
+    slope = (ctx.fdot(du, [ctx.ln(v) for _, v in extremes]) / ctx.fdot(du, du)
+             if len(u) >= STABLE_WINDOW else None)
+    if slope is None or (-slope if upper else slope) > ctx.mpf(TREND_SLACK):
+        trend = (f"span {len(u)} decades, fewer than {STABLE_WINDOW}" if slope is None
+                 else f"trend toward {'infinity' if upper else '0'}"
+                 f" (slope {mpmath.nstr(slope, 3)}, beyond {TREND_SLACK})")
+        return Verdict(INCONCLUSIVE, None, {}, [
+            f"the per-decade {'maxima' if upper else 'minima'} of {name} {trend}"])
+    bound, top = pick(v for _, v in extremes), rows[0][0]
+    return Verdict(
+        DIVERGENT if minorant else CONVERGENT, MINORANT_RULE if minorant else MAJORANT_RULE,
+        {"minorant" if minorant else "majorant": label, "delta": top, "bound": bound},
+        [f"sampled on (0, {mpmath.nstr(top, 12)}]: {'sup' if upper else 'inf'} {name} ="
+         f" {mpmath.nstr(bound, 12)}, so f(x) {'>=' if minorant else '<='} m(x) for"
+         f" m = {label}, whose series {'diverges' if minorant else 'converges'}"],
+    )
+
+
+def comparison_band(
+    f: FunctionDef | Samples,
+    grid: Optional[GridSpec] = None,
+    precision: int = DEFAULT_PRECISION,
+) -> Verdict:
+    """The paper's comparison test both ways, on a grid where 0 < f(x) < x.
+
+    m(x) = x/(1 + C*x^a)^(1/a) is increasing with m^-a - x^-a = C; its orbit
+    (x0^-a + n*C)^(-1/a) converges for a < 1 and diverges for a >= 1. f <= m
+    on (0, x0] reads L_a >= C, f >= m reads L_a <= C. The first of sup f(x)/x
+    snapped to p/q < 1, inf L_a at a = MAJORANT_A and sup L_a at a = MINORANT_A
+    (MinorantRule) that counts in _compare decides. Sampled, not proven."""
+    table = Samples.of(f, precision)
+    ctx = table.ctx
+    grid = grid or validation_grid()
+    notes = [f"comparison band on (0, {mpmath.nstr(table.points(grid)[0], 12)}]:"
+             " no side counts"]
+    for a_text, upper in ((None, True), (MAJORANT_A, False), (MINORANT_A, True)):
+        if a_text is None:
+            name, rows = "f(x)/x", [(x, table.f(x) / x) for x in table.points(grid)]
+            snap = _snap_rational(max(v for _, v in rows), ctx)
+            if snap is None:
+                notes.append("sup f(x)/x has no ratio p/q < 1 near it")
+                continue
+            c, label = ctx.mpf(snap[0]) / snap[1], f"linear:{snap[0]}/{snap[1]}"
+        else:
+            name = f"L_{a_text}"
+            try:
+                rows = _quotients(table, ctx.mpf(a_text), grid)
+            except PrecisionGuardError as err:
+                notes.append(f"{name} does not count: {err}")
+                continue
+            # a plain decimal that compare reads back exactly; 3-digit rounding
+            # moves a value by under 0.5%, so C stays outside the samples
+            extreme = max(v for _, v in rows) * 101 if upper else min(v for _, v in rows) * 99
+            c_text = mpmath.nstr(extreme / 100, 3)
+            c, label = ctx.mpf(c_text), f"powerlaw:a={a_text},c={c_text}"
+        verdict = _compare(rows, c, upper, name, label, ctx, minorant=a_text == MINORANT_A)
+        if verdict.rule is not None:
+            return verdict
+        notes += verdict.notes
+    return Verdict(INCONCLUSIVE, None, {}, notes)
 
 
 def majorant_rule(
@@ -581,84 +674,53 @@ def majorant_rule(
     m: MajorantSpec,
     grid: Optional[GridSpec] = None,
     precision: int = DEFAULT_PRECISION,
-    x0=None,
-    user_certified: bool = False,
+    certificate: Optional["AnalysisReport"] = None,
 ) -> Verdict:
-    """Convergence by comparison: 0 < g(x) <= m(x) < x on the grid with m
-    monotone and m's own series convergent.
-
-    Built-in families are monotone by construction (delta is the top grid
-    point); a user majorant is scanned for monotonicity, every verdict
-    carries the scan as witnesses "monotone" and "delta" (which must cover
-    x0 when given), and it needs user_certified=True: its series was
-    analyzed separately. A domination failure yields Inconclusive with the
-    witness point, never Divergent: comparison gives one-sided information.
+    """Convergence by comparison, 0 < g(x) <= m(x) on the grid (seed_grid of
+    the seed), by the band's test on g's table: g(x)/x <= c for linear:c and
+    L_a >= c for powerlaw:a,c, whose m is never evaluated, and g(x)/m(x) <= 1
+    for a user majorant. That needs a monotone scan, carried as witnesses
+    "monotone" and "delta" by every verdict, and a certificate: m's own
+    convergent positive-mode analysis from the seed, whose table both read.
     """
     table = Samples.of(g, precision)
     ctx = table.ctx
     grid = grid or validation_grid()
     points = table.points(grid)
-    notes = []
     scan = {}
     if m.family == "user":
-        # one table of m for the monotonicity and the domination scans
-        m_table = Samples(m.fn, table.precision)
-        mf = m_table.f
+        m_table = Samples(m.fn, table.precision) if certificate is None else certificate.table
         monotone, delta = check_monotone(m_table, grid)
         scan = {"monotone": monotone, "delta": delta}
-        required = abs(ctx.convert(x0)) if x0 is not None else None
-        if not monotone and (required is None or delta < required):
-            return Verdict(
-                INCONCLUSIVE, None, scan,
-                [
-                    "majorant is not monotone on the required region;"
-                    f" certified only on (0, {mpmath.nstr(delta, 12)}]"
-                ],
-            )
-        if not user_certified:
-            return Verdict(
-                INCONCLUSIVE, None, scan,
-                [
-                    "the majorant's own series has no convergence certificate;"
-                    " analyze the majorant first"
-                ],
-            )
-        notes.append(
-            f"user majorant monotone on (0, {mpmath.nstr(delta, 12)}] by sampling"
-        )
-    else:
-        delta = points[0]  # grids descend from their start
-        # no monotonicity scan to share, so no table: its own context costs
-        # about 0.5 ms per candidate, and wide_band tries 63 candidates
-        mf = evaluator(m.fn, ctx)
-    margin = None
-    for x in points:
-        try:
-            gx = table.f(x)
-            mx = mf(x)
-        except EvalDomainError as err:
-            return Verdict(
-                INCONCLUSIVE, None, scan,
-                [f"evaluation failed during the comparison scan: {err}"],
-            )
-        if not (0 < gx <= mx < x):
-            return Verdict(
-                INCONCLUSIVE, None, scan,
-                [
-                    f"domination fails at x = {mpmath.nstr(x, 12)}:"
-                    f" g(x) = {mpmath.nstr(gx, 12)}, m(x) = {mpmath.nstr(mx, 12)}"
-                ],
-            )
-        gap = mx - gx
-        if margin is None or gap < margin:
-            margin = gap
-    witnesses = {**scan, "majorant": m.label, "delta": delta, "margin": margin}
-    if m.family == "linear":
-        notes.append("majorant series is geometric, hence convergent")
-    elif m.family == "powerlaw":
-        notes.append("majorant series converges (decay exponent below 1)")
-    notes.append(f"grid domination margin min(m - g) = {mpmath.nstr(margin, 12)}")
-    return Verdict(CONVERGENT, MAJORANT_RULE, witnesses, notes)
+        if not monotone:
+            return Verdict(INCONCLUSIVE, None, scan, [
+                "majorant is not monotone on the required region;"
+                f" certified only on (0, {mpmath.nstr(delta, 12)}]"
+            ])
+        if (certificate is None or certificate.mode is not Mode.POSITIVE
+                or certificate.verdict.conclusion != CONVERGENT):
+            return Verdict(INCONCLUSIVE, None, scan, [
+                "the majorant's own series has no convergence certificate;"
+                " analyze the majorant first"
+            ])
+    try:
+        if m.family == "user":
+            rows = [(x, table.f(x) / m_table.f(x)) for x in points]
+            c, upper, name = ctx.one, True, "g(x)/m(x)"
+        elif m.family == "linear":
+            rows = [(x, table.f(x) / x) for x in points]
+            c, upper, name = parse_constant(m.c_text, ctx), True, "g(x)/x"
+        else:  # the table's ln-values refuse g(x) <= 0
+            rows = _quotients(table, parse_constant(m.a_text, ctx), grid)
+            c, upper, name = parse_constant(m.c_text, ctx), False, f"L_{m.a_text}"
+    except (EvalDomainError, ValueError) as err:
+        return Verdict(INCONCLUSIVE, None, scan,
+                       [f"evaluation failed during the comparison scan: {err}"])
+    verdict = _compare(rows, c, upper, name, m.label, ctx)
+    if scan:
+        verdict.witnesses.update(scan)
+        verdict.notes.insert(0, f"user majorant monotone on (0, {mpmath.nstr(delta, 12)}]")
+    return verdict
 
 
 def signed_rule(
@@ -676,19 +738,10 @@ def signed_rule(
     table = Samples.of(f, precision)
     ctx = table.ctx
     margin = ctx.mpf(ABS_BOUND_MARGIN)
-    fn = table.f
-    points = []
-    for p in table.points(grid or validation_grid()):
-        points.extend((p, -p))
-    alternating = True
-    sup = None
-    for x in points:
-        y = fn(x)
-        if not x * y < 0:
-            alternating = False
-        ratio = abs(y) / abs(x)
-        if sup is None or ratio > sup:
-            sup = ratio
+    points = [s * p for p in table.points(grid or validation_grid()) for s in (1, -1)]
+    values = [table.f(x) for x in points]
+    alternating = all(x * y < 0 for x, y in zip(points, values))
+    sup = max(abs(y) / abs(x) for x, y in zip(points, values))
     if alternating:
         return Verdict(
             CONVERGENT,
@@ -714,39 +767,6 @@ def signed_rule(
     )
 
 
-def _snap_rational(band_hi, ctx):
-    """Smallest-denominator fraction p/q in [band_hi, band_hi + slack) with
-    p/q < 1; gives a clean linear ratio just above the observed band."""
-    slack = ctx.mpf(SNAP_SLACK)
-    for q in range(1, SNAP_MAX_DENOMINATOR + 1):
-        p = int(ctx.ceil(band_hi * q))
-        if p < 1 or p >= q:
-            continue
-        value = ctx.mpf(p) / q
-        if value <= band_hi + slack:
-            return p, q
-    return None
-
-
-def _majorant_candidates(ctx, band_hi=None):
-    linear = [(ctx.mpf(c), c) for c in LINEAR_C_GRID]
-    if band_hi is not None and band_hi < 1:
-        snap = _snap_rational(band_hi, ctx)
-        if snap is not None:
-            p, q = snap
-            text = f"{p}/{q}"
-            value = ctx.mpf(p) / q
-            if all(v != value for v, _ in linear):
-                linear.append((value, text))
-    specs = []
-    for _, text in sorted(linear, key=lambda item: item[0]):
-        specs.append(MajorantSpec.linear(text, ctx))
-    for c_text in POWERLAW_C_GRID:
-        for a_text in POWERLAW_A_GRID:
-            specs.append(MajorantSpec.powerlaw(a_text, c_text, ctx))
-    return specs
-
-
 @dataclass
 class AnalyzerConfig:
     precision: int = DEFAULT_PRECISION
@@ -759,10 +779,8 @@ class AnalyzerConfig:
 @dataclass
 class AnalysisReport:
     function: FunctionDef
-    source: str
     x0: object
     mode: Mode
-    precision: int
     verdict: Verdict
     derivative: Optional[DerivativeEstimate]
     search: Optional[ExponentSearchResult]
@@ -771,6 +789,7 @@ class AnalysisReport:
     sum: Optional[SumEstimate]
     hypothesis: HypothesisReport
     warnings: List[str]
+    table: Samples  # f's sample table, which every rule scan read
 
 
 def detect_mode(fn, points) -> Mode:
@@ -784,19 +803,14 @@ def detect_mode(fn, points) -> Mode:
     return Mode.POSITIVE
 
 
-def _violation_text(x, y) -> str:
-    shown = "not evaluable" if y is None else f"f(x) = {mpmath.nstr(y, 12)}"
-    return f"x = {mpmath.nstr(x, 12)}: {shown}"
-
-
 def analyze(f, x0, config: Optional[AnalyzerConfig] = None) -> AnalysisReport:
     """Run the full decision pipeline on a FunctionDef or TaylorDef.
 
-    Stages: hypothesis validation with mode detection, the signed rules or
-    the derivative rule, routing to the limit-exponent or majorant rules,
-    then an empirical orbit cross-check whose fit is compared against the
-    verdict. Raises AnalysisError when the seed lies outside the region
-    where the hypotheses hold.
+    Stages: hypothesis validation with mode detection from |x0| down, the
+    signed rules or the derivative rule, routing to the limit-exponent rule
+    and then the comparison band, then an empirical orbit cross-check whose
+    fit is compared against the verdict. Raises AnalysisError when the seed
+    lies outside the region where the hypotheses hold.
     """
     cfg = config or AnalyzerConfig()
     taylor = None
@@ -811,14 +825,11 @@ def analyze(f, x0, config: Optional[AnalyzerConfig] = None) -> AnalysisReport:
     if x0 == 0:
         raise AnalysisError("x0 must be nonzero")
 
-    start_text = "1" if abs(x0) <= 1 else mpmath.nstr(abs(x0), cfg.precision)
-    vgrid = validation_grid(start=start_text)
-    if cfg.mode == "positive":
-        mode = Mode.POSITIVE
-    elif cfg.mode == "signed":
-        mode = Mode.SIGNED
-    else:
+    vgrid = seed_grid(x0, ctx)
+    if cfg.mode == "auto":
         mode = detect_mode(table.f, table.points(vgrid))
+    else:
+        mode = Mode(cfg.mode)
     if mode is Mode.POSITIVE and not x0 > 0:
         raise AnalysisError(
             f"x0 = {mpmath.nstr(x0, 12)} must be positive in positive mode,"
@@ -828,7 +839,11 @@ def analyze(f, x0, config: Optional[AnalyzerConfig] = None) -> AnalysisReport:
     hypothesis = validate_hypotheses(table, mode, vgrid)
     region = validated_region(hypothesis)
     if region is None:
-        first = "; ".join(_violation_text(x, y) for x, y in hypothesis.violations[:3])
+        first = "; ".join(
+            f"x = {mpmath.nstr(x, 12)}: "
+            + ("not evaluable" if y is None else f"f(x) = {mpmath.nstr(y, 12)}")
+            for x, y in hypothesis.violations[:3]
+        )
         raise AnalysisError(
             f"the decay hypothesis fails at every sampled scale ({first})"
         )
@@ -838,17 +853,6 @@ def analyze(f, x0, config: Optional[AnalyzerConfig] = None) -> AnalysisReport:
             f" (0, {mpmath.nstr(region, 12)}]"
         )
     warnings = []
-    work_grid = vgrid
-    if not hypothesis.passed:
-        shown = "; ".join(_violation_text(x, y) for x, y in hypothesis.violations[:3])
-        more = len(hypothesis.violations) - 3
-        suffix = f" (+{more} more)" if more > 0 else ""
-        warnings.append(
-            "hypothesis violations above the validated region"
-            f" (0, {mpmath.nstr(region, 12)}]: {shown}{suffix}"
-        )
-        # rule scans must stay where the hypotheses hold
-        work_grid = validation_grid(start=mpmath.nstr(region, cfg.precision))
     if region < table.points(cfg.probe_grid)[0]:
         warnings.append(
             "validated region is smaller than the probe grid start;"
@@ -859,7 +863,7 @@ def analyze(f, x0, config: Optional[AnalyzerConfig] = None) -> AnalysisReport:
     search = None
     verdict = None
     if mode is Mode.SIGNED:
-        verdict = signed_rule(table, work_grid)
+        verdict = signed_rule(table, vgrid)
     else:
         if taylor is not None and ctx.convert(taylor.coefficients[0]) == 1:
             try:
@@ -876,26 +880,11 @@ def analyze(f, x0, config: Optional[AnalyzerConfig] = None) -> AnalysisReport:
                     search = search_exponent(table, grid=cfg.probe_grid)
                     if search.found:
                         verdict = limit_exponent_rule(search.fit)
-                        verdict.notes = routed + verdict.notes
                     else:
-                        verdict = Verdict(
-                            INCONCLUSIVE, None, {},
-                            routed + [f"exponent search: {search.note}"],
-                        )
-                elif derivative.kind == DNE:
-                    band_hi = derivative.band[1]
-                    for spec in _majorant_candidates(ctx, band_hi):
-                        attempt = majorant_rule(table, spec, work_grid, x0=x0)
-                        if attempt.conclusion == CONVERGENT:
-                            attempt.notes = routed + attempt.notes
-                            verdict = attempt
-                            break
-                    else:
-                        verdict = Verdict(
-                            INCONCLUSIVE, None, {},
-                            routed
-                            + ["no built-in majorant dominates on the sampled grid"],
-                        )
+                        routed = routed + [f"exponent search: {search.note}"]
+                if verdict.conclusion == INCONCLUSIVE:
+                    verdict = comparison_band(table, vgrid)
+                verdict.notes = routed + verdict.notes
 
     orbit_result = iterate(
         fdef, x0, min(cfg.max_n, CROSS_CHECK_N), cfg.floor, mode, cfg.precision
@@ -933,10 +922,8 @@ def analyze(f, x0, config: Optional[AnalyzerConfig] = None) -> AnalysisReport:
 
     return AnalysisReport(
         function=fdef,
-        source=fdef.source_text,
         x0=x0,
         mode=mode,
-        precision=cfg.precision,
         verdict=verdict,
         derivative=derivative,
         search=search,
@@ -945,4 +932,5 @@ def analyze(f, x0, config: Optional[AnalyzerConfig] = None) -> AnalysisReport:
         sum=sum_est,
         hypothesis=hypothesis,
         warnings=warnings,
+        table=table,
     )

@@ -48,7 +48,7 @@ from .expr import (
     parse_constant,
     taylor_polynomial,
 )
-from .grids import GridSpec, PROBE_GRID, validation_grid
+from .grids import GridSpec, PROBE_GRID, seed_grid
 from .orbit import Mode, iterate, write_csv
 
 COMPARE_TABLE_ROWS = 12
@@ -146,15 +146,16 @@ def parse_majorant_spec(text: str, ctx) -> MajorantSpec:
 
 
 def _witnesses_json(verdict, precision: int) -> dict:
-    # schema order: c, a, k, majorant, delta; other witness payloads are
-    # internal and stay out of the machine report
+    # schema order: c, a, k, majorant, minorant, delta; other witness
+    # payloads are internal and stay out of the machine report
     out = {}
     w = verdict.witnesses
     for key in ("c", "a", "k"):
         if key in w:
             out[key] = _num(w[key], precision)
-    if "majorant" in w:
-        out["majorant"] = w["majorant"]
+    for key in ("majorant", "minorant"):
+        if key in w:
+            out[key] = w[key]
     if "delta" in w and w["delta"] is not None:
         out["delta"] = _num(w["delta"], precision)
     return out
@@ -279,7 +280,7 @@ def cmd_analyze(cfg: RunConfig, ctx, target, f, label) -> Tuple[int, str]:
 @_command
 def cmd_iterate(cfg: RunConfig, ctx, target, f, label) -> Tuple[int, str]:
     if cfg.mode == "auto":
-        mode = detect_mode(evaluator(f, ctx), validation_grid().points(ctx))
+        mode = detect_mode(evaluator(f, ctx), seed_grid(cfg.x0, ctx).points(ctx))
     else:
         mode = Mode(cfg.mode)
     orbit = iterate(f, cfg.x0, cfg.max_n, cfg.floor, mode, cfg.precision)
@@ -334,7 +335,6 @@ def cmd_compare(cfg: RunConfig, ctx, target, f, label) -> Tuple[int, str]:
     spec = parse_majorant_spec(cfg.majorant, ctx)
     p = cfg.precision
     lines = [f"function: {label}", f"majorant: {spec.label}"]
-    certified = False
     sub = None
     if spec.family == "user":
         # the majorant's own analysis is part of the report, not an error
@@ -344,13 +344,12 @@ def cmd_compare(cfg: RunConfig, ctx, target, f, label) -> Tuple[int, str]:
             lines.append(f"majorant series: analysis failed ({err}); cannot certify")
         else:
             if sub.verdict.conclusion == "convergent":
-                certified = True
                 lines.append(f"majorant series: convergent ({sub.verdict.rule})")
             else:
                 lines.append(
                     f"majorant series: {sub.verdict.conclusion}; cannot certify"
                 )
-    verdict = majorant_rule(f, spec, precision=p, x0=cfg.x0, user_certified=certified)
+    verdict = majorant_rule(f, spec, seed_grid(cfg.x0, ctx), p, certificate=sub)
     scan = verdict.witnesses
     lines.append(
         f"monotone on grid: {'yes' if scan['monotone'] else 'no'}"

@@ -17,11 +17,12 @@ from .expr import DEFAULT_PRECISION, EvalDomainError, FunctionDef, context, eval
 
 # the most points a grid may hold; the default grids hold 93 and 121
 MAX_GRID_POINTS = 10_000
+PER_DECADE = 4  # lattice points per decade
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """The lattice points x_j = 10^(-j/4) in [floor, start], descending.
+    """The lattice points x_j = 10^(-j/PER_DECADE) in [floor, start], descending.
 
     A start between two lattice points is the grid's first point, followed
     by the lattice points below it: the grid never samples above its start,
@@ -37,13 +38,14 @@ class GridSpec:
         start = ctx.mpf(self.start)
         floor = ctx.mpf(self.floor)
         if not (start > floor > 0):
-            raise ValueError("grid requires start > floor > 0")
+            raise ValueError(
+                f"grid from {self.start} down to {self.floor} needs start > floor > 0")
         # lattice positions of start and floor; the slack absorbs the
         # rounding of log10 at a lattice point
         slack = ctx.mpf("1e-9")
-        top = -4 * ctx.log10(start)
+        top = -PER_DECADE * ctx.log10(start)
         first = ctx.ceil(top - slack)
-        last = ctx.floor(-4 * ctx.log10(floor) + slack)
+        last = ctx.floor(-PER_DECADE * ctx.log10(floor) + slack)
         off_lattice = first - top > slack
         # an absurd span is refused before any point is generated
         if not last - first + off_lattice < MAX_GRID_POINTS:
@@ -52,7 +54,7 @@ class GridSpec:
                 f" needs more than {MAX_GRID_POINTS} points"
             )
         indices = range(int(first), int(last) + 1)
-        lattice = [ctx.power(10, ctx.mpf(-j) / 4) for j in indices]
+        lattice = [ctx.power(10, ctx.mpf(-j) / PER_DECADE) for j in indices]
         return [start] + lattice if off_lattice else lattice
 
 
@@ -64,6 +66,15 @@ VALIDATION_FLOOR = "1e-30"
 def validation_grid(start: str = "1") -> GridSpec:
     """Hypothesis-checking grid; spans (0, start] down to a deep floor."""
     return GridSpec(start=start, floor=VALIDATION_FLOOR)
+
+
+def seed_grid(x0, ctx) -> GridSpec:
+    """The validation grid from |x0|, the most an orbit that decays can reach;
+    a seed at or below VALIDATION_FLOOR gets the decade below it instead."""
+    start = abs(ctx.convert(x0))
+    if start > ctx.mpf(VALIDATION_FLOOR):
+        return validation_grid(mpmath.nstr(start, ctx.dps))
+    return GridSpec(mpmath.nstr(start, ctx.dps), mpmath.nstr(start / 10, ctx.dps))
 
 
 # extra bits for ln x and ln f(x): a*ln(x) then stays exact to the working

@@ -51,13 +51,27 @@ DECISIVE = [
                 "divergent", "LimitExponentRule"),
     CorpusEntry("taylor_sine", None, "1,0,-1/6", "0.5", "positive",
                 "divergent", "AnalyticRule"),
+    # f <= 0.99*x: convergent, though no linear ratio p/q (q <= 24) lies near
+    CorpusEntry("wide_band", "x*(0.55 + 0.44*sin(1/x))", None, "0.3",
+                "positive", "convergent", "MajorantRule"),
+    # f >= x - x^(5/2): a decay exponent 3/2 that the slopes cannot read
+    CorpusEntry("abs_sine_minorant", "x - x^(5/2)*(1+abs(sin(1/x)))/2", None, "0.3",
+                "positive", "divergent", "MinorantRule"),
+    # f <= x - x^(3/2)/2: a decay exponent 1/2 that the slopes cannot read
+    CorpusEntry("abs_sine_majorant", "x - x^(3/2)*(1+abs(sin(1/x)))/2", None, "0.3",
+                "positive", "convergent", "MajorantRule"),
 ]
 
 INCONCLUSIVE = [
-    CorpusEntry("wide_band", "x*(0.55 + 0.44*sin(1/x))", None, "0.3",
-                "positive", "inconclusive", None),
     CorpusEntry("unit_bound", "x*sin(1/x)", None, "0.3", "signed",
                 "inconclusive", None),
+    # exponent 0.95: too close to 1 for the band's trend guard on either side
+    CorpusEntry("abs_sine_blind", "x - x^(1.95)*(1+abs(sin(1/x)))/2", None, "0.3",
+                "positive", "inconclusive", None),
+    # divergent (f >= x - x^2), but at exponent 1 no sampled trend tells a
+    # bounded L_1 from one growing like x^(b-1) with b just below 1
+    CorpusEntry("abs_sine_boundary", "x - x^2*abs(sin(1/x))", None, "0.3",
+                "positive", "inconclusive", None),
 ]
 
 ALL = DECISIVE + INCONCLUSIVE

@@ -21,6 +21,7 @@ from recurseries.classify import (
     INCONCLUSIVE,
     LIMIT_EXPONENT_RULE,
     MAJORANT_RULE,
+    MINORANT_RULE,
     MajorantSpec,
     OUT_OF_RANGE,
     PrecisionGuardError,
@@ -28,11 +29,11 @@ from recurseries.classify import (
     VALUE,
     Verdict,
     _classify_tail,
-    _majorant_candidates,
     _snap_rational,
     analytic_rule,
     analyze,
     check_monotone,
+    comparison_band,
     derivative_rule,
     detect_mode,
     estimate_derivative_at_zero,
@@ -44,7 +45,7 @@ from recurseries.classify import (
 )
 from recurseries.estimate import AsymptoticFit
 from recurseries.expr import TaylorDef, context, evaluator, parse, parse_constant
-from recurseries.grids import GridSpec, PROBE_GRID, validation_grid
+from recurseries.grids import GridSpec, PROBE_GRID, seed_grid, validation_grid
 from recurseries.orbit import Mode
 
 from corpus import ALL, DECISIVE
@@ -398,8 +399,9 @@ def test_majorant_rule_oscillatory():
     v = majorant_rule(g, m)
     assert (v.conclusion, v.rule) == (CONVERGENT, MAJORANT_RULE)
     assert v.witnesses["majorant"] == "linear:5/6"
-    assert v.witnesses["delta"] > 0
-    assert 0 < v.witnesses["margin"] < CTX.mpf("1e-30")
+    assert v.witnesses["delta"] == 1  # the grid's top without a seed
+    # the sampled sup of g(x)/x sits just below 5/6
+    assert 0 < CTX.mpf(5) / 6 - v.witnesses["bound"] < CTX.mpf("1e-3")
 
     # 0.8 < 5/6 cannot dominate; the witness point is reported
     v = majorant_rule(g, MajorantSpec.linear("0.8", CTX))
@@ -410,13 +412,13 @@ def test_majorant_rule_oscillatory():
 def test_majorant_rule_equality_is_allowed():
     v = majorant_rule(parse("x/2"), MajorantSpec.linear("0.5", CTX))
     assert v.conclusion == CONVERGENT
-    assert v.witnesses["margin"] == 0
+    assert v.witnesses["bound"] == CTX.mpf("0.5")
 
 
 def test_majorant_rule_positive_margin():
     v = majorant_rule(parse("x/3"), MajorantSpec.linear("0.5", CTX))
     assert v.conclusion == CONVERGENT
-    assert v.witnesses["margin"] > 0
+    assert v.witnesses["bound"] < CTX.mpf("0.5")
 
 
 def test_majorant_rule_powerlaw_cannot_cover_slower_decay():
@@ -443,15 +445,22 @@ def test_majorant_rule_rejects_faster_decay_claim():
 def test_majorant_rule_user_certification():
     g = parse(OSCILLATORY)
     m = MajorantSpec.user(parse("5/6 * x"))
-    v = majorant_rule(g, m, x0="0.3")
+    v = majorant_rule(g, m, seed_grid("0.3", CTX))
     assert v.conclusion == INCONCLUSIVE
     assert any("certificate" in n for n in v.notes)
-    # the monotonicity scan rides along in the witnesses of every verdict
-    assert v.witnesses == {"monotone": True, "delta": 1}
+    # the monotonicity scan rides along in the witnesses of every verdict;
+    # the grid runs down from the seed
+    assert v.witnesses == {"monotone": True, "delta": CTX.mpf("0.3")}
 
-    v = majorant_rule(g, m, x0="0.3", user_certified=True)
+    v = majorant_rule(g, m, seed_grid("0.3", CTX), certificate=analyze(m.fn, "0.3"))
     assert v.conclusion == CONVERGENT
     assert any("user majorant monotone" in n for n in v.notes)
+
+    # an analysis that does not converge certifies nothing
+    m = MajorantSpec.user(parse("x/(1+x)"))
+    v = majorant_rule(g, m, seed_grid("0.3", CTX), certificate=analyze(m.fn, "0.3"))
+    assert v.conclusion == INCONCLUSIVE
+    assert any("certificate" in n for n in v.notes)
 
 
 def test_majorant_rule_evaluation_failure():
@@ -465,16 +474,6 @@ def test_snap_rational():
     assert _snap_rational(CTX.mpf("0.83164396"), CTX) == (5, 6)
     assert _snap_rational(CTX.mpf("0.45"), CTX) == (1, 2)
     assert _snap_rational(CTX.mpf("0.99"), CTX) is None
-
-
-def test_majorant_candidates_ordering():
-    specs = _majorant_candidates(CTX, CTX.mpf("0.83164396"))
-    labels = [s.label for s in specs]
-    assert "linear:5/6" in labels
-    # linear candidates come first, sorted by ratio; 5/6 lands before 0.85
-    assert labels.index("linear:5/6") == labels.index("linear:0.85") - 1
-    first_powerlaw = next(i for i, s in enumerate(specs) if s.family == "powerlaw")
-    assert all(s.family == "linear" for s in specs[:first_powerlaw])
 
 
 def test_signed_rule_outcomes():
@@ -557,21 +556,25 @@ def test_analyze_error_paths():
 
 @pytest.mark.parametrize("mode", ["auto", "positive"])
 def test_analyze_never_samples_above_the_seed(mode):
-    # f < 0 only above x = 4: a grid reaching past the seed x0 = 3.9 would
+    # f < 0 only above x = 4 (x = 1/2): a grid reaching past the seed would
     # detect signed mode, or shrink the validated region below the seed
-    report = analyze(parse("x - x^2/4"), "3.9", AnalyzerConfig(mode=mode, max_n=2000))
-    assert report.mode is Mode.POSITIVE
-    assert max(report.hypothesis.checked_grid) == report.x0
-    assert report.hypothesis.passed
-    assert (report.verdict.conclusion, report.verdict.rule) == (
-        DIVERGENT, LIMIT_EXPONENT_RULE,
-    )
+    for fn_text, x0 in (("x - x^2/4", "3.9"), ("x - 2*x^2", "0.3")):
+        report = analyze(parse(fn_text), x0, AnalyzerConfig(mode=mode, max_n=2000))
+        assert report.mode is Mode.POSITIVE
+        assert max(report.hypothesis.checked_grid) == report.x0
+        assert report.hypothesis.passed
+        assert (report.verdict.conclusion, report.verdict.rule) == (
+            DIVERGENT, LIMIT_EXPONENT_RULE,
+        )
 
 
 def test_analyze_warnings():
+    # f(1) = 0 breaks the hypothesis above the seed, where nothing is sampled
     report = analyze(parse("x - x^2"), "0.5", AnalyzerConfig(max_n=2000))
-    assert any("hypothesis violations above the validated region" in w
-               for w in report.warnings)
+    assert report.warnings == []
+    # a seed below the probe grid's start leaves the probes outside (0, x0]
+    report = analyze(parse("x/(1+x)"), "0.005", AnalyzerConfig(max_n=200))
+    assert any("smaller than the probe grid start" in w for w in report.warnings)
 
     # geometric decay never fits a power law; the pipeline says so
     report = analyze(parse("0.9*(x/(1+x))"), 1, AnalyzerConfig(max_n=2000))
@@ -580,11 +583,15 @@ def test_analyze_warnings():
 
 
 def test_analyze_inconclusive_has_reasons():
-    report = analyze(parse("x*(0.55 + 0.44*sin(1/x))"), "0.3",
+    report = analyze(parse("x - x^(1.95)*(1+abs(sin(1/x)))/2"), "0.3",
                      AnalyzerConfig(max_n=2000))
     assert report.verdict.conclusion == INCONCLUSIVE
     assert report.verdict.rule is None
-    assert any("no built-in majorant dominates" in n for n in report.verdict.notes)
+    notes = report.verdict.notes
+    assert any("comparison band on (0, 0.3]: no side counts" in n for n in notes)
+    # each side of the band says why it does not count
+    assert any("minima of L_0.9 trend toward 0" in n for n in notes)
+    assert any("maxima of L_1.1 trend toward infinity" in n for n in notes)
 
 
 @pytest.mark.parametrize("fn_text", ["sin(x)", "x/(1+x)", "x/(1+x^(1/2))^2"])
@@ -617,3 +624,90 @@ def test_alternating_verdict_implies_alternating_orbit():
     assert report.verdict.rule == ALTERNATING_RULE
     terms = report.orbit_result.terms
     assert all(a * b < 0 for a, b in zip(terms, terms[1:]))
+
+
+def band_verdict(fn_text, x0):
+    v = comparison_band(parse(fn_text), seed_grid(x0, CTX))
+    return v.conclusion, v.rule
+
+
+BAND_ENTRIES = ["oscillatory", "wide_band", "abs_sine_minorant", "abs_sine_majorant",
+                "abs_sine_blind"]
+
+
+@pytest.mark.parametrize("name", BAND_ENTRIES)
+def test_band_verdict_survives_conjugate_scaling(name):
+    # g(x) = f(x/lam)*lam from lam*x0 has the orbit lam*x_n: f(x)/x and the
+    # trends of L_a are the same on a grid one decade shorter
+    entry = next(e for e in ALL if e.name == name)
+    scaled = "(1/10)*(" + re.sub(r"\bx\b", "(x/(1/10))", entry.function) + ")"
+    x0 = CTX.mpf(entry.x0) / 10
+    assert band_verdict(scaled, x0) == band_verdict(entry.function, entry.x0) == (
+        entry.verdict, entry.rule,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    b=st.floats(min_value=0.5, max_value=2),
+    c=st.sampled_from(["1/4", "1", "4"]),
+    eps=st.sampled_from([None, "0", "1/4", "1/2"]),
+)
+def test_band_never_contradicts_the_decay_exponent(b, c, eps):
+    # both families decay with exponent b: L_b tends to c (times the
+    # oscillating factor), so their series converge exactly when b < 1
+    if eps is None:
+        fn_text, x0 = f"x/(1+({c})*x^({b!r}))^(1/({b!r}))", CTX.mpf("0.3")
+    else:
+        fn_text = f"x - ({c})*x^(1+{b!r})*(1+({eps})*sin(1/x))"
+        # c*x^b*(1 + eps) <= 1/2 keeps 0 < f(x) < x on (0, x0]
+        x0 = min(CTX.mpf("0.3"), (3 * parse_constant(c, CTX)) ** (-1 / CTX.mpf(b)))
+    conclusion, rule = band_verdict(fn_text, x0)
+    if conclusion == CONVERGENT:
+        assert b < 1 and rule == MAJORANT_RULE
+    if conclusion == DIVERGENT:
+        assert b >= 1 and rule == MINORANT_RULE
+
+
+def test_band_reads_sampled_witnesses():
+    # the linear ratio snaps to p/q; a majorant C is the three-digit rounding
+    # of 0.99*inf L_0.9 and a minorant C that of 1.01*sup L_1.1, so the label
+    # itself passes the same test
+    v = comparison_band(parse(OSCILLATORY), seed_grid("0.3", CTX))
+    assert v.witnesses["majorant"] == "linear:5/6"
+    assert v.witnesses["delta"] == CTX.mpf("0.3")
+    v = comparison_band(parse("x - x^(3/2)*(1+abs(sin(1/x)))/2"), seed_grid("0.3", CTX))
+    assert v.witnesses["majorant"] == "powerlaw:a=0.9,c=1.25"
+    assert CTX.mpf("1.26") <= v.witnesses["bound"] < CTX.mpf("1.27")
+    v = comparison_band(parse("x - x^(5/2)*(1+abs(sin(1/x)))/2"), seed_grid("0.3", CTX))
+    assert (v.conclusion, v.rule) == (DIVERGENT, MINORANT_RULE)
+    assert v.witnesses["minorant"] == "powerlaw:a=1.1,c=0.479"
+    assert CTX.mpf("0.474") <= v.witnesses["bound"] < CTX.mpf("0.475")
+    assert any(n.startswith("sampled on (0, 0.3]") for n in v.notes)
+
+
+def test_band_leaves_the_exponents_next_to_1_open():
+    # x - x^2*abs(sin(1/x)) diverges, but its L_0.9 has a positive inf on
+    # any grid, and its bounded L_1 reads like x^(b-1) for b just below 1
+    v = comparison_band(parse("x - x^2*abs(sin(1/x))"), seed_grid("0.3", CTX))
+    assert v.conclusion == INCONCLUSIVE
+    assert any("minima of L_0.9 trend toward 0" in n for n in v.notes)
+    assert any("maxima of L_1.1 trend toward infinity" in n for n in v.notes)
+
+
+def test_band_side_without_digits_does_not_count():
+    # ln(x/f) ~ x^(9/4) keeps its digits down to the probe floor 1e-25, so
+    # the exponent search runs, but not down to 1e-30: both L_a sides are
+    # refused and analyze stays inconclusive instead of stopping
+    report = analyze(parse("x - x^(13/4)*(1+sin(1/x)/2)"), "0.3", AnalyzerConfig(max_n=200))
+    assert report.verdict.conclusion == INCONCLUSIVE
+    refused = [n for n in report.verdict.notes if "does not count" in n]
+    assert [n.split(" does not count")[0] for n in refused] == ["L_0.9", "L_1.1"]
+    assert all("rerun with precision above 64" in n for n in refused)
+
+
+def test_band_needs_enough_decades():
+    # two decades above the floor leave no trend to read
+    report = analyze(parse("x - x^2*abs(sin(1/x))"), "3e-29", AnalyzerConfig(max_n=200))
+    assert report.verdict.conclusion == INCONCLUSIVE
+    assert "the per-decade maxima of L_1.1 span 2 decades, fewer than 8" in report.verdict.notes

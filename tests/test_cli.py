@@ -81,7 +81,7 @@ def test_json_schema_with_fit():
 
 def test_json_rule_none_for_inconclusive():
     code, out = run([
-        "analyze", "--f", "x*(0.55 + 0.44*sin(1/x))", "--x0", "0.3",
+        "analyze", "--f", "x - x^(1.95)*(1+abs(sin(1/x)))/2", "--x0", "0.3",
         "--max-n", "2000", "--json",
     ])
     assert code == 2
@@ -387,6 +387,40 @@ def test_compare_user_majorant_certification():
     assert code == 2
     assert "monotone on grid: no  delta = 1.77827941" in out
     assert "majorant is not monotone on the required region" in out
+
+
+@pytest.mark.parametrize("name", ["oscillatory", "wide_band", "abs_sine_majorant"])
+def test_analyze_majorant_passes_compare(name):
+    # analyze and compare run one test: the label analyze prints is a
+    # majorant compare accepts on the same f and seed
+    entry = next(e for e in ALL if e.name == name)
+    code, out = run(entry.cli_args("--json"))
+    assert code == 0
+    label = json.loads(out)["witnesses"]["majorant"]
+    code, out = run(["compare", f"--f={entry.function}", f"--x0={entry.x0}",
+                     "--max-n=200", f"--majorant={label}"])
+    assert code == 0, out
+    assert "verdict: convergent (MajorantRule)" in out
+
+
+def test_json_minorant_witness():
+    code, out = run(["analyze", "--f=x - x^(5/2)*(1+abs(sin(1/x)))/2", "--x0=0.3",
+                     "--max-n=200", "--json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["verdict"], doc["rule"]) == ("divergent", "MinorantRule")
+    assert doc["witnesses"] == {"minorant": "powerlaw:a=1.1,c=0.479", "delta": "0.3"}
+
+
+def test_seed_at_the_validation_floor():
+    # a seed at or below 1e-30 is checked on the decade below it
+    code, out = run(["iterate", "--f=x/2", "--x0=1e-35"])
+    assert code == 0
+    assert out.splitlines()[-1].startswith("n = 17  ")
+    assert "status = reached_floor" in out
+    code, out = run(["analyze", "--f=x/2", "--x0=1e-35"])
+    assert code == 0
+    assert "verdict: convergent (DerivativeRule)" in out
 
 
 def test_compare_bad_majorant_spec():

@@ -29,6 +29,7 @@ from recurseries.grids import (
     MAX_GRID_POINTS,
     PROBE_GRID,
     Samples,
+    seed_grid,
     validation_grid,
 )
 from recurseries.orbit import iterate
@@ -99,6 +100,15 @@ def test_probe_grid_is_a_slice_of_the_validation_grid():
         points = validation_grid(start).points(CTX)
         assert points[0] == CTX.mpf(start)  # never above the start
         assert set(points) >= set(validation[below:])
+
+
+def test_seed_grid_reaches_below_a_seed_at_the_floor():
+    assert seed_grid("-0.3", CTX) == validation_grid("0.3")
+    # (0, x0] holds no point of the validation grid: the decade below it
+    for x0 in ("1e-30", "-1e-35"):
+        points = seed_grid(x0, CTX).points(CTX)
+        assert points[0] == abs(CTX.mpf(x0)) and len(points) == 5
+        assert abs(points[-1] * 10 / points[0] - 1) < CTX.mpf("1e-60")
 
 
 def test_table_reads_match_the_evaluator():
@@ -196,8 +206,8 @@ def test_analyze_evaluates_f_once_per_grid_point(monkeypatch, name):
     assert report.verdict.conclusion == entry.verdict
     f_calls = [args for source, args in calls if source == entry.function]
     assert len(f_calls) <= 2  # the table and the orbit
-    # the probe grid is a slice of the validation grid: 121 points in all
-    assert set(f_calls[0]) == set(validation_grid().points(CTX))
+    # the probe grid is a slice of the validation grid from the seed
+    assert set(f_calls[0]) == set(seed_grid(entry.x0, CTX).points(CTX))
     seen = Counter(x for args in f_calls for x in args)
     orbit = report.orbit_result
     # the orbit loop evaluates f at x_0 .. x_{step-1}
@@ -206,20 +216,21 @@ def test_analyze_evaluates_f_once_per_grid_point(monkeypatch, name):
     assert max(seen.values()) == 1
 
 
-def test_compare_compiles_a_user_majorant_at_most_four_times(monkeypatch, capsys):
-    # the majorant's own analysis (its table and its orbit) and the
-    # comparison table that both the monotonicity and the domination scans
-    # read; the printed scan is the one the verdict used, and the printed
-    # orbit of m is the one its analysis iterated
+def test_compare_evaluates_a_user_majorant_once_per_point(monkeypatch, capsys):
+    # the majorant's own analysis (its table and its orbit) is all: the
+    # monotonicity and the domination scans read that table, on the same
+    # grid from the seed, and the printed orbit of m is the one its analysis
+    # iterated
     calls = count_evaluations(monkeypatch)
     with pytest.raises(SystemExit) as exc:
         main(["compare", "--f=x*(1/2 + 1/3*sin(1/x))", "--x0=0.3",
               "--majorant=fn:5/6 * x"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    assert "monotone on grid: yes  delta = 1.0\n" in out
-    lengths = sorted(len(args) for source, args in calls if source == "5/6 * x")
-    assert lengths == [121, 121, 499]  # two grid tables and one orbit
+    assert "monotone on grid: yes  delta = 0.3\n" in out
+    lengths = [len(args) for source, args in calls if source == "5/6 * x"]
+    grid = seed_grid("0.3", CTX).points(CTX)
+    assert lengths == [len(grid), 499]  # one grid table and one orbit
     m_orbit = iterate(parse("5/6 * x"), "0.3")
     rows = [line.split(",") for line in out.splitlines() if line[:1].isdigit()]
     assert rows and all(m == mpmath.nstr(m_orbit.terms[int(n)], 64) for n, _, m in rows)
@@ -246,7 +257,8 @@ def count_calls(monkeypatch, module, name):
 WORK = {
     "harmonic": (1, 2, 2121, 0),
     "sine": (1, 2, 2121, 0),
-    "oscillatory": (0, 127, 487, 16),
+    "oscillatory": (0, 2, 239, 0),
+    "wide_band": (0, 2, 242, 0),
 }
 
 
