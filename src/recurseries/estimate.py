@@ -62,9 +62,11 @@ def fit_power_law(orbit: Orbit, window: Optional[Tuple[int, int]] = None) -> Asy
     """Least-squares line through (log n, log x_n); a = -1/slope, k = e^intercept.
 
     The window defaults to the last half of the orbit and must contain at
-    least 100 terms. The line is fitted on at most FIT_SAMPLES log-spaced
-    indices, each weighted by the window indices nearer to it than to its
-    neighbours; the monotone check and the residual read every index. The
+    least 100 terms. The terms must be positive and strictly decreasing,
+    which the fit does not check again: `iterate` in positive mode checks
+    0 < x_{n+1} < x_n at every step. The line is fitted on at most
+    FIT_SAMPLES log-spaced indices, each weighted by the window indices
+    nearer to it than to its neighbours; the residual reads every index. The
     fit is rejected ("no power law") when the residual exceeds 0.1 or the
     slope drifts more than 5% between the halves of the samples (in log n).
     """
@@ -82,9 +84,6 @@ def fit_power_law(orbit: Orbit, window: Optional[Tuple[int, int]] = None) -> Asy
     if count < MIN_WINDOW_TERMS:
         raise ValueError(f"window holds {count} terms, need {MIN_WINDOW_TERMS}")
     terms = orbit.terms[start : end + 1]
-    for a, b in zip(terms, terms[1:]):
-        if not b < a:
-            raise ValueError("orbit is not monotone decreasing over the window")
 
     samples = _sample_indices(start, end)
     us = [ctx.ln(n) for n in samples]

@@ -23,6 +23,10 @@ from typing import Callable, Optional, Tuple, Union
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import (
+    fzero, mpf_abs, mpf_add, mpf_cos, mpf_div, mpf_exp, mpf_le, mpf_log, mpf_lt,
+    mpf_mul, mpf_neg, mpf_pow, mpf_sin, mpf_sqrt, mpf_sub,
+)
 
 
 class ExprError(ValueError):
@@ -325,81 +329,110 @@ def context(precision: int = DEFAULT_PRECISION):
     return ctx
 
 
+# the libmp kernels behind ctx.sin, ctx.cos, ctx.exp and mpf's abs, +, -, *
+_UNARY = {"sin": mpf_sin, "cos": mpf_cos, "exp": mpf_exp, "abs": mpf_abs}
+_BINARY = {"+": mpf_add, "-": mpf_sub, "*": mpf_mul}
+
+
+class _DomainFault(Exception):
+    """A domain failure inside a compiled f; evaluator adds the input x."""
+
+
 def _compile(node: Node, ctx) -> Callable:
+    """A function from the raw value of x (an mpf's _mpf_ tuple) to the raw
+    value of node. Each operation is the libmp call that mpf arithmetic and
+    the context's functions make, at ctx's precision and rounding."""
+    prec, rnd = ctx._prec_rounding
     if isinstance(node, Number):
-        value = ctx.mpf(node.text)
+        value = ctx.mpf(node.text)._mpf_
         return lambda x: value
     if isinstance(node, Var):
         return lambda x: x
     if isinstance(node, Const):
-        value = +ctx.pi if node.name == "pi" else ctx.exp(1)
+        value = (+ctx.pi if node.name == "pi" else ctx.exp(1))._mpf_
         return lambda x: value
     if isinstance(node, Call):
         arg = _compile(node.arg, ctx)
         where = _render(node)
-        if node.func == "sin":
-            return lambda x: ctx.sin(arg(x))
-        if node.func == "cos":
-            return lambda x: ctx.cos(arg(x))
-        if node.func == "exp":
-            return lambda x: ctx.exp(arg(x))
-        if node.func == "abs":
-            return lambda x: abs(arg(x))
+        if node.func in _UNARY:
+            kernel = _UNARY[node.func]
+            return lambda x: kernel(arg(x), prec, rnd)
         if node.func == "ln":
 
             def _ln(x):
                 v = arg(x)
-                if v <= 0:
-                    raise EvalDomainError(where, x, "logarithm of a non-positive value")
-                return ctx.ln(v)
+                if mpf_le(v, fzero):
+                    raise _DomainFault(where, "logarithm of a non-positive value")
+                return mpf_log(v, prec, rnd)
 
             return _ln
 
         def _sqrt(x):
             v = arg(x)
-            if v < 0:
-                raise EvalDomainError(where, x, "square root of a negative value")
-            return ctx.sqrt(v)
+            if mpf_lt(v, fzero):
+                raise _DomainFault(where, "square root of a negative value")
+            return mpf_sqrt(v, prec, rnd)
 
         return _sqrt
     if isinstance(node, Neg):
         operand = _compile(node.operand, ctx)
-        return lambda x: -operand(x)
+        return lambda x: mpf_neg(operand(x), prec, rnd)
 
     left = _compile(node.left, ctx)
     right = _compile(node.right, ctx)
     where = _render(node)
-    if node.op == "+":
-        return lambda x: left(x) + right(x)
-    if node.op == "-":
-        return lambda x: left(x) - right(x)
-    if node.op == "*":
-        return lambda x: left(x) * right(x)
+    if node.op in _BINARY:
+        kernel = _BINARY[node.op]
+        return lambda x: kernel(left(x), right(x), prec, rnd)
     if node.op == "/":
 
         def _div(x):
             d = right(x)
-            if d == 0:
-                raise EvalDomainError(where, x, "division by zero")
-            return left(x) / d
+            if d == fzero:
+                raise _DomainFault(where, "division by zero")
+            return mpf_div(left(x), d, prec, rnd)
 
         return _div
 
     def _pow(x):
         b, e = left(x), right(x)
-        if b == 0 and e < 0:
-            raise EvalDomainError(where, x, "zero raised to a negative power")
-        if b < 0 and not ctx.isint(e):
-            raise EvalDomainError(where, x, "negative base with non-integer exponent")
-        return ctx.power(b, e)
+        if b == fzero and mpf_lt(e, fzero):
+            raise _DomainFault(where, "zero raised to a negative power")
+        # ctx.isint(e) on the raw value: a nonzero mantissa and no negative
+        # binary exponent, or e = 0
+        if mpf_lt(b, fzero) and not (e[1] and e[2] >= 0 or e == fzero):
+            raise _DomainFault(where, "negative base with non-integer exponent")
+        return mpf_pow(b, e, prec, rnd)
 
     return _pow
 
 
 def evaluator(f: FunctionDef, ctx) -> Callable:
     """Compile f once against a context; the returned callable is reusable
-    and side-effect free, so orbits and probes can call it in a tight loop."""
-    return _compile(f.root, ctx)
+    and side-effect free, so orbits and probes can call it in a tight loop.
+
+    The callable takes an mpf, or an int, float or string that it converts
+    with ctx.convert, and returns an mpf. f is compiled to mpmath's libmp
+    kernels at the precision and rounding ctx has at compile time, so the
+    values are those of mpf arithmetic at that precision; a later
+    ctx.extraprec or ctx.prec does not reach the compiled f.
+    """
+    raw = _compile(f.root, ctx)
+    make_mpf, convert = ctx.make_mpf, ctx.convert
+
+    def fn(x):
+        try:
+            v = x._mpf_
+        except AttributeError:
+            x = convert(x)
+            v = x._mpf_
+        try:
+            return make_mpf(raw(v))
+        except _DomainFault as fault:
+            where, reason = fault.args
+            raise EvalDomainError(where, x, reason) from None
+
+    return fn
 
 
 def evaluate(f: FunctionDef, x, precision: int = DEFAULT_PRECISION):

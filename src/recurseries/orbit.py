@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import List, Optional, TextIO, Tuple
 
 import mpmath
+from mpmath.libmp import fzero, mpf_abs, mpf_add, mpf_lt
 
 from .expr import DEFAULT_PRECISION, EvalDomainError, FunctionDef, context, evaluator
 from .grids import GridSpec, Samples, validation_grid
@@ -151,7 +153,18 @@ def iterate(
     if abs(x0) < floor:
         return Orbit(x0, terms, sums, OrbitStatus(REACHED_FLOOR, 0), mode, precision)
 
+    # The loop compares and sums the values inside the mpf numbers (their
+    # _mpf_ tuples) with the libmp calls the mpf operators make, so each
+    # decision and partial sum is the one mpf arithmetic gives. In positive
+    # mode 0 < y is checked and y is rounded to the working precision, so
+    # y is its own abs(y).
+    prec, rnd = ctx._prec_rounding
+    make_mpf = ctx.make_mpf
+    positive = mode is Mode.POSITIVE
+    floor = floor._mpf_
     x = x0
+    bound = x0._mpf_ if positive else mpf_abs(x0._mpf_, prec, rnd)
+    s = x0._mpf_
     status = None
     for step in range(1, max_n + 1):
         try:
@@ -159,10 +172,12 @@ def iterate(
         except EvalDomainError as err:
             status = OrbitStatus(HYPOTHESIS_VIOLATION, step, str(err))
             break
-        if y == 0:
+        v = y._mpf_
+        if v == fzero:
             status = OrbitStatus(UNDERFLOW, step, "f returned exactly 0")
             break
-        if not _check(mode, x, y):
+        size = v if positive else mpf_abs(v, prec, rnd)
+        if not (mpf_lt(fzero, size) and mpf_lt(size, bound)):
             detail = (
                 f"f(x) = {mpmath.nstr(y, 12)} breaks the decay bound"
                 f" at x = {mpmath.nstr(x, 12)}"
@@ -170,9 +185,10 @@ def iterate(
             status = OrbitStatus(HYPOTHESIS_VIOLATION, step, detail)
             break
         terms.append(y)
-        sums.append(sums[-1] + y)
-        x = y
-        if abs(y) < floor:
+        s = mpf_add(s, v, prec, rnd)
+        sums.append(make_mpf(s))
+        x, bound = y, size
+        if mpf_lt(size, floor):
             status = OrbitStatus(REACHED_FLOOR, step)
             break
     if status is None:
@@ -224,11 +240,9 @@ def write_csv(orbit: Orbit, out: TextIO, thin: int = 1) -> int:
         raise ValueError("thin must be at least 1")
     digits = orbit.precision
     last = orbit.last_index
+    rows = range(0, last, thin)
     out.write(CSV_HEADER + "\n")
-    rows = 0
-    for n, (x, s) in enumerate(zip(orbit.terms, orbit.partial_sums)):
-        if n % thin and n != last:
-            continue
+    for n in chain(rows, [last]):
+        x, s = orbit.terms[n], orbit.partial_sums[n]
         out.write(f"{n},{mpmath.nstr(x, digits)},{mpmath.nstr(s, digits)}\n")
-        rows += 1
-    return rows
+    return len(rows) + 1

@@ -172,6 +172,25 @@ def test_fit_recovers_exact_power_law(a, k, n):
     assert fit.residual < CTX.mpf("1e-50")
 
 
+# x/(1+c*x^b)^(1/b), a power-law decay of exponent b
+_POWER_LAW = st.tuples(
+    st.sampled_from(["1/4", "1", "4"]),
+    st.sampled_from(["0.5", "0.75", "1", "1.5", "2"]),
+).map(lambda cb: f"x/(1+{cb[0]}*x^{cb[1]})^(1/{cb[1]})")
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    text=st.one_of(st.sampled_from(["sin(x)", "x/(1+x)"]), _POWER_LAW),
+    x0=st.sampled_from(["1", "0.5", "0.25", "1e-20"]),
+)
+def test_positive_orbits_decrease_strictly(text, x0):
+    # fit_power_law relies on this and does not check it again
+    orbit = iterate(parse(text), x0, max_n=500)
+    assert orbit.mode is Mode.POSITIVE and orbit.last_index > 0
+    assert all(0 < b < a for a, b in zip(orbit.terms, orbit.terms[1:]))
+
+
 @given(start=st.integers(min_value=1, max_value=10**6),
        length=st.integers(min_value=1, max_value=10**5))
 def test_sample_indices(start, length):

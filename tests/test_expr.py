@@ -1,6 +1,6 @@
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from recurseries.expr import (
     ArityError,
@@ -9,6 +9,7 @@ from recurseries.expr import (
     Const,
     EvalDomainError,
     ExprSyntaxError,
+    FunctionDef,
     Neg,
     Number,
     TaylorDef,
@@ -16,11 +17,13 @@ from recurseries.expr import (
     Var,
     context,
     evaluate,
+    evaluator,
     parse,
     parse_constant,
     render,
     taylor_polynomial,
 )
+from recurseries.grids import validation_grid
 
 CTX = context(64)
 
@@ -136,6 +139,10 @@ def test_no_implicit_multiplication():
     ("1 / (x - x)", "3", "division by zero"),
     ("(x - x) ^ (-1)", "3", "zero raised to a negative power"),
     ("(-x) ^ 0.5", "2", "negative base"),
+    # both operands fail: a quotient reads its denominator first, a power
+    # its base
+    ("ln(x - 1) / sqrt(x - 2)", "0.5", "square root"),
+    ("sqrt(x - 2) ^ ln(x - 1)", "0.5", "square root"),
 ])
 def test_domain_errors_name_subexpression(text, x, fragment):
     with pytest.raises(EvalDomainError) as info:
@@ -198,7 +205,97 @@ def _node_strategy():
 
 @given(_node_strategy())
 def test_render_parse_fixed_point(root):
-    from recurseries.expr import FunctionDef
-
     text = render(FunctionDef(root, ""))
     assert parse(text).root == root
+
+
+def test_evaluator_converts_plain_numbers():
+    fn = evaluator(parse("x/2"), CTX)
+    assert fn(1) == CTX.mpf("0.5")
+    assert fn(0.5) == CTX.mpf("0.25")
+    assert fn("0.1")._mpf_ == (CTX.mpf("0.1") / 2)._mpf_
+    assert type(fn(1)) is CTX.mpf
+
+
+def test_evaluator_precision_is_fixed_when_compiled():
+    ctx = context(64)
+    fn = evaluator(parse("x/3"), ctx)
+    x = ctx.mpf(1)
+    want = fn(x)
+    with ctx.extraprec(100):
+        assert fn(x)._mpf_ == want._mpf_
+        assert (x / 3)._mpf_ != want._mpf_
+
+
+class _TooLarge(Exception):
+    """An argument so large that the libmp call would take minutes (for
+    example sin of 2^(10^9), which needs pi to 10^9 bits)."""
+
+
+def _by_mpf_operators(node, x):
+    """node at x by CTX's own mpf operators and functions, raising the
+    EvalDomainError evaluator documents."""
+    if isinstance(node, Number):
+        return CTX.mpf(node.text)
+    if isinstance(node, Var):
+        return x
+    if isinstance(node, Const):
+        return +CTX.pi if node.name == "pi" else CTX.exp(1)
+    where = render(FunctionDef(node, ""))
+    if isinstance(node, Neg):
+        return -_by_mpf_operators(node.operand, x)
+    if isinstance(node, Call):
+        v = _by_mpf_operators(node.arg, x)
+        if node.func == "abs":
+            return abs(v)
+        if node.func == "ln" and v <= 0:
+            raise EvalDomainError(where, x, "logarithm of a non-positive value")
+        if node.func == "sqrt" and v < 0:
+            raise EvalDomainError(where, x, "square root of a negative value")
+        if CTX.mag(v) > {"sin": 64, "cos": 64, "exp": 20}.get(node.func, CTX.inf):
+            raise _TooLarge
+        return getattr(CTX, node.func)(v)
+    if node.op == "/":
+        d = _by_mpf_operators(node.right, x)
+        if d == 0:
+            raise EvalDomainError(where, x, "division by zero")
+        return _by_mpf_operators(node.left, x) / d
+    a, b = _by_mpf_operators(node.left, x), _by_mpf_operators(node.right, x)
+    if node.op == "+":
+        return a + b
+    if node.op == "-":
+        return a - b
+    if node.op == "*":
+        return a * b
+    if a == 0 and b < 0:
+        raise EvalDomainError(where, x, "zero raised to a negative power")
+    if a < 0 and not CTX.isint(b):
+        raise EvalDomainError(where, x, "negative base with non-integer exponent")
+    if CTX.mag(b) > 20:
+        raise _TooLarge
+    return CTX.power(a, b)
+
+
+# x from the quarter-decade lattice, the corpus seeds and their negatives
+_LATTICE = validation_grid().points(CTX)
+_xs = st.one_of(
+    st.sampled_from(_LATTICE),
+    st.sampled_from(["1", "0.5", "0.25", "0.3", "0.9", "2"]).map(CTX.mpf),
+).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_node_strategy(), _xs)
+def test_evaluator_matches_mpf_operators_bit_for_bit(root, x):
+    fn = evaluator(FunctionDef(root, ""), CTX)
+    try:
+        want = _by_mpf_operators(root, x)
+    except _TooLarge:
+        reject()
+    except EvalDomainError as err:
+        with pytest.raises(EvalDomainError) as info:
+            fn(x)
+        assert str(info.value) == str(err)
+        assert info.value.x == x
+        return
+    assert fn(x)._mpf_ == want._mpf_

@@ -26,6 +26,7 @@ from recurseries.expr import (
 )
 from recurseries.grids import (
     GridSpec,
+    LOG_GUARD_BITS,
     MAX_GRID_POINTS,
     PROBE_GRID,
     Samples,
@@ -122,6 +123,25 @@ def test_table_reads_match_the_evaluator():
     for x in points[1:]:
         assert table.f(x) == fn(x)
         assert table.f(-x) == fn(-x)
+
+
+def test_logs_evaluate_f_before_the_guard_bits():
+    table = Samples(parse("x/(1+x)"))
+    working = table.ctx.prec
+    seen = []
+    compiled = table._fn
+
+    def spy(x):
+        seen.append(table.ctx.prec)
+        return compiled(x)
+
+    table._fn = spy
+    rows = table.logs(PROBE_GRID)
+    assert len(seen) == len(rows) and set(seen) == {working}
+    fn = evaluator(parse("x/(1+x)"), CTX)
+    values = [fn(x) for x, _, _ in rows]
+    with CTX.extraprec(LOG_GUARD_BITS):
+        assert all(ln_fx == CTX.ln(fx) for (_, _, ln_fx), fx in zip(rows, values))
 
 
 @pytest.mark.parametrize("text,error", [

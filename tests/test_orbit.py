@@ -4,7 +4,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recurseries.expr import context, parse
+from recurseries.expr import context, evaluator, parse
 from recurseries.grids import GridSpec, validation_grid
 from recurseries.orbit import (
     HYPOTHESIS_VIOLATION,
@@ -162,6 +162,67 @@ def test_write_csv_thin_keeps_last_row():
     # last row holds x_100 = 1/101
     x_last = mpmath.mpf(lines[-1].split(",")[1])
     assert abs(x_last - mpmath.mpf(1) / 101) < mpmath.mpf("1e-12")
+
+
+@pytest.mark.parametrize("text,x0,mode", [
+    ("x/(1+x)", "0.5", Mode.POSITIVE),
+    ("sin(x)", "1", Mode.POSITIVE),
+    ("-sin(x)", "1", Mode.SIGNED),
+    ("-x/2", "1", Mode.SIGNED),  # the corpus's alternating entry, to the floor
+])
+def test_iterate_is_the_plain_mpf_recurrence(text, x0, mode):
+    orbit = iterate(parse(text), x0, max_n=2000, mode=mode)
+    fn = evaluator(parse(text), CTX)
+    x = s = CTX.convert(x0)
+    terms, sums = [x], [s]
+    for _ in range(orbit.last_index):
+        x = fn(x)
+        s = s + x
+        terms.append(x)
+        sums.append(s)
+    assert orbit.last_index == (133 if text == "-x/2" else 2000)
+    assert [t._mpf_ for t in orbit.terms] == [t._mpf_ for t in terms]
+    assert [t._mpf_ for t in orbit.partial_sums] == [t._mpf_ for t in sums]
+    assert all(type(t) is type(orbit.x0) for t in orbit.terms + orbit.partial_sums)
+
+
+@pytest.mark.parametrize("text,mode,kind,step,detail", [
+    ("2*x", Mode.POSITIVE, HYPOTHESIS_VIOLATION, 1,
+     "f(x) = 2.0 breaks the decay bound at x = 1.0"),
+    ("x - 0.3", Mode.POSITIVE, HYPOTHESIS_VIOLATION, 4,
+     "f(x) = -0.2 breaks the decay bound at x = 0.1"),
+    ("x - 0.3", Mode.SIGNED, HYPOTHESIS_VIOLATION, 4,
+     "f(x) = -0.2 breaks the decay bound at x = 0.1"),
+    ("sqrt(x - 0.2)", Mode.POSITIVE, HYPOTHESIS_VIOLATION, 461,
+     "f(x) = 0.72360679775 breaks the decay bound at x = 0.72360679775"),
+    ("x - 0.25", Mode.POSITIVE, UNDERFLOW, 4, "f returned exactly 0"),
+    ("sqrt(x - 0.3)", Mode.POSITIVE, HYPOTHESIS_VIOLATION, 10,
+     "square root of a negative value in 'sqrt(x - 0.3)' at x = 0.27876411061"),
+])
+def test_iterate_status_details(text, mode, kind, step, detail):
+    orbit = iterate(parse(text), 1, mode=mode)
+    assert (orbit.status.kind, orbit.status.step, orbit.status.detail) == (kind, step, detail)
+    assert orbit.last_index == step - 1
+
+
+def _csv_by_definition(orbit, thin):
+    """Rows n with n % thin == 0, and the last row, from every index."""
+    lines = ["n,x_n,S_n"]
+    for n, (x, s) in enumerate(zip(orbit.terms, orbit.partial_sums)):
+        if n % thin == 0 or n == orbit.last_index:
+            lines.append(f"{n},{mpmath.nstr(x, 64)},{mpmath.nstr(s, 64)}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("max_n,thin", [
+    (100, 1), (100, 7), (100, 10), (70, 7), (3, 10), (1, 1),
+])
+def test_write_csv_rows_match_the_definition(max_n, thin):
+    orbit = iterate(parse("x/(1+x)"), 1, max_n=max_n)
+    buffer = io.StringIO()
+    rows = write_csv(orbit, buffer, thin=thin)
+    assert buffer.getvalue() == _csv_by_definition(orbit, thin)
+    assert rows == buffer.getvalue().count("\n") - 1
 
 
 def test_grid_spec_points():
