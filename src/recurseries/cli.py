@@ -283,7 +283,7 @@ def cmd_iterate(cfg: RunConfig, ctx, target, f, label) -> Tuple[int, str]:
         mode = detect_mode(evaluator(f, ctx), seed_grid(cfg.x0, ctx).points(ctx))
     else:
         mode = Mode(cfg.mode)
-    orbit = iterate(f, cfg.x0, cfg.max_n, cfg.floor, mode, cfg.precision)
+    orbit = iterate(f, cfg.x0, cfg.max_n, cfg.floor, mode, cfg.precision, cfg.thin)
     p = cfg.precision
     summary = (
         f"n = {orbit.last_index}  x_n = {_num(orbit.terms[-1], p)}"

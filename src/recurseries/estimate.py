@@ -72,6 +72,7 @@ def fit_power_law(orbit: Orbit, window: Optional[Tuple[int, int]] = None) -> Asy
     """
     if orbit.mode is not Mode.POSITIVE:
         raise ValueError("power-law fitting requires a positive-mode orbit")
+    orbit.require_every_index("power-law fitting")
     ctx = context(orbit.precision)
     last = orbit.last_index
     if window is None:
@@ -146,6 +147,7 @@ def verify_asymptotic(orbit: Orbit, a, k, tolerance) -> Verification:
     Passes when |r_n / k - 1| <= tolerance throughout; the trace holds the
     full r_n sequence for export.
     """
+    orbit.require_every_index("verify_asymptotic")
     ctx = context(orbit.precision)
     a = ctx.convert(a)
     k = ctx.convert(k)
@@ -181,6 +183,7 @@ def sum_estimate(orbit: Orbit, fit: Optional[AsymptoticFit] = None) -> SumEstima
     """
     if orbit.mode is not Mode.POSITIVE:
         raise ValueError("sum estimation requires a positive-mode orbit")
+    orbit.require_every_index("sum estimation")
     ctx = context(orbit.precision)
     s = partial_sum(orbit)
     if fit is not None and not fit.rejected:

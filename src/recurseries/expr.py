@@ -338,10 +338,45 @@ class _DomainFault(Exception):
     """A domain failure inside a compiled f; evaluator adds the input x."""
 
 
+def _has_var(node: Node) -> bool:
+    if isinstance(node, Var):
+        return True
+    if isinstance(node, Call):
+        return _has_var(node.arg)
+    if isinstance(node, Neg):
+        return _has_var(node.operand)
+    if isinstance(node, BinOp):
+        return _has_var(node.left) or _has_var(node.right)
+    return False
+
+
+def _fold(raw: Callable) -> Callable:
+    """raw for a subtree without x, evaluated once: the first call that
+    returns keeps its value for every later call. A call that raises keeps
+    nothing, so a constant outside the domain raises at each call, naming
+    that call's x."""
+    kept = []
+
+    def folded(x):
+        if not kept:
+            kept.append(raw(x))
+        return kept[0]
+
+    return folded
+
+
 def _compile(node: Node, ctx) -> Callable:
     """A function from the raw value of x (an mpf's _mpf_ tuple) to the raw
     value of node. Each operation is the libmp call that mpf arithmetic and
-    the context's functions make, at ctx's precision and rounding."""
+    the context's functions make, at ctx's precision and rounding; a subtree
+    without x runs its calls once (see _fold)."""
+    raw = _compile_node(node, ctx)
+    if isinstance(node, (Number, Var, Const)) or _has_var(node):
+        return raw
+    return _fold(raw)
+
+
+def _compile_node(node: Node, ctx) -> Callable:
     prec, rnd = ctx._prec_rounding
     if isinstance(node, Number):
         value = ctx.mpf(node.text)._mpf_
@@ -444,19 +479,7 @@ def evaluate(f: FunctionDef, x, precision: int = DEFAULT_PRECISION):
 def parse_constant(text: str, ctx):
     """Evaluate a constant expression (no x allowed), e.g. '-1/6' or 'pi'."""
     f = parse(text)
-
-    def has_var(node: Node) -> bool:
-        if isinstance(node, Var):
-            return True
-        if isinstance(node, Call):
-            return has_var(node.arg)
-        if isinstance(node, Neg):
-            return has_var(node.operand)
-        if isinstance(node, BinOp):
-            return has_var(node.left) or has_var(node.right)
-        return False
-
-    if has_var(f.root):
+    if _has_var(f.root):
         raise ExprSyntaxError("expected a constant, found the variable x", 0, text)
     return evaluator(f, ctx)(ctx.mpf(0))
 

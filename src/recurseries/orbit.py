@@ -13,7 +13,7 @@ from itertools import chain
 from typing import List, Optional, TextIO, Tuple
 
 import mpmath
-from mpmath.libmp import fzero, mpf_abs, mpf_add, mpf_lt
+from mpmath.libmp import fzero, mpf_abs, mpf_add
 
 from .expr import DEFAULT_PRECISION, EvalDomainError, FunctionDef, context, evaluator
 from .grids import GridSpec, Samples, validation_grid
@@ -51,7 +51,12 @@ class Orbit:
     """Trajectory x0, x1, ..., x_N with running partial sums.
 
     A term that violates the hypotheses (or is exactly zero) is never
-    recorded; the status carries the offending step instead.
+    recorded; the status carries the offending step instead. N is
+    `last_index`. With thin = 1, terms[n] is x_n and partial_sums[n] is S_n
+    for every n <= N. With thin = m > 1 only the indices 0, m, 2m, ... and N
+    are kept: terms[i] is x_{i*m} and partial_sums[i] is S_{i*m}, except that
+    the last entry is always x_N and S_N. last_index defaults to
+    len(terms) - 1, an orbit built with every index.
     """
 
     x0: object
@@ -60,10 +65,20 @@ class Orbit:
     status: OrbitStatus
     mode: Mode
     precision: int
+    last_index: Optional[int] = None
+    thin: int = 1
 
-    @property
-    def last_index(self) -> int:
-        return len(self.terms) - 1
+    def __post_init__(self):
+        if self.last_index is None:
+            self.last_index = len(self.terms) - 1
+
+    def require_every_index(self, reader: str) -> None:
+        """Refuse a thinned orbit in a reader that needs consecutive indices."""
+        if self.thin != 1:
+            raise ValueError(
+                f"{reader} needs every index, but the orbit keeps only every"
+                f" {self.thin}th"
+            )
 
 
 @dataclass
@@ -79,6 +94,31 @@ def _check(mode: Mode, x, y) -> bool:
     if mode is Mode.POSITIVE:
         return 0 < y < x
     return 0 < abs(y) < abs(x)
+
+
+def _below(a, b) -> bool:
+    """a < b for positive normalized raw values (sign 0, odd mantissa, bc its
+    bit count), exactly as mpf_lt decides it: the top binary exponents
+    exp + bc differ, or the mantissas aligned to the smaller exp decide.
+    mpf_lt subtracts the two whenever their exponents meet, which neighbouring
+    orbit terms do most of the time."""
+    _, ma, ea, ba = a
+    _, mb, eb, bb = b
+    if ea + ba != eb + bb:
+        return ea + ba < eb + bb
+    if ea >= eb:
+        return ma << (ea - eb) < mb
+    return ma < mb << (eb - ea)
+
+
+def _decays(size, bound) -> bool:
+    """0 < size < bound for raw values, bound normalized and nonzero.
+
+    Zero, inf and nan have mantissa 0 and a negative value has sign 1, so
+    each of them fails here, as it fails mpf_lt(fzero, size) and
+    mpf_lt(size, bound) (inf is above every finite bound). A negative bound
+    (a negative seed in positive mode) fails every size."""
+    return not size[0] and size[1] != 0 and not bound[0] and _below(size, bound)
 
 
 def validate_hypotheses(
@@ -134,9 +174,14 @@ def iterate(
     floor="1e-40",
     mode: Mode = Mode.POSITIVE,
     precision: int = DEFAULT_PRECISION,
+    thin: int = 1,
 ) -> Orbit:
     """Iterate x_{n+1} = f(x_n) until the floor, the step limit, a zero
-    value (underflow), or a per-step hypothesis violation."""
+    value (underflow), or a per-step hypothesis violation.
+
+    With thin = m the orbit keeps x_n and S_n only at n = 0, m, 2m, ... and
+    at the last index, so its memory is O(max_n / m); every step is still
+    computed and checked."""
     ctx = context(precision)
     fn = evaluator(f, ctx)
     x0 = ctx.convert(x0)
@@ -147,17 +192,20 @@ def iterate(
         raise ValueError("max_n must be at least 1")
     if not floor > 0:
         raise ValueError("floor must be positive")
+    if thin < 1:
+        raise ValueError("thin must be at least 1")
 
     terms = [x0]
     sums = [x0]
     if abs(x0) < floor:
-        return Orbit(x0, terms, sums, OrbitStatus(REACHED_FLOOR, 0), mode, precision)
+        status = OrbitStatus(REACHED_FLOOR, 0)
+        return Orbit(x0, terms, sums, status, mode, precision, 0, thin)
 
     # The loop compares and sums the values inside the mpf numbers (their
-    # _mpf_ tuples) with the libmp calls the mpf operators make, so each
-    # decision and partial sum is the one mpf arithmetic gives. In positive
-    # mode 0 < y is checked and y is rounded to the working precision, so
-    # y is its own abs(y).
+    # _mpf_ tuples): the sum with mpf_add, the call mpf addition makes, and
+    # the comparisons with _decays and _below, which decide as mpf_lt does.
+    # In positive mode 0 < y is checked and y is rounded to the working
+    # precision, so y is its own abs(y).
     prec, rnd = ctx._prec_rounding
     make_mpf = ctx.make_mpf
     positive = mode is Mode.POSITIVE
@@ -165,6 +213,7 @@ def iterate(
     x = x0
     bound = x0._mpf_ if positive else mpf_abs(x0._mpf_, prec, rnd)
     s = x0._mpf_
+    last = 0
     status = None
     for step in range(1, max_n + 1):
         try:
@@ -177,23 +226,27 @@ def iterate(
             status = OrbitStatus(UNDERFLOW, step, "f returned exactly 0")
             break
         size = v if positive else mpf_abs(v, prec, rnd)
-        if not (mpf_lt(fzero, size) and mpf_lt(size, bound)):
+        if not _decays(size, bound):
             detail = (
                 f"f(x) = {mpmath.nstr(y, 12)} breaks the decay bound"
                 f" at x = {mpmath.nstr(x, 12)}"
             )
             status = OrbitStatus(HYPOTHESIS_VIOLATION, step, detail)
             break
-        terms.append(y)
         s = mpf_add(s, v, prec, rnd)
-        sums.append(make_mpf(s))
-        x, bound = y, size
-        if mpf_lt(size, floor):
+        x, bound, last = y, size, step
+        if not step % thin:
+            terms.append(y)
+            sums.append(make_mpf(s))
+        if _below(size, floor):
             status = OrbitStatus(REACHED_FLOOR, step)
             break
     if status is None:
         status = OrbitStatus(MAX_ITERATIONS, max_n)
-    return Orbit(x0, terms, sums, status, mode, precision)
+    if last % thin:
+        terms.append(x)
+        sums.append(make_mpf(s))
+    return Orbit(x0, terms, sums, status, mode, precision, last, thin)
 
 
 def partial_sum(orbit: Orbit):
@@ -210,6 +263,7 @@ def tail_bound_geometric(orbit: Orbit, c, window: int = 8):
     steps to be at most c. The bound assumes the ratio stays below c, so it
     is a heuristic, not a certificate.
     """
+    orbit.require_every_index("the geometric tail bound")
     ctx = context(orbit.precision)
     c = ctx.convert(c)
     if not 0 < c < 1:
@@ -233,16 +287,21 @@ def write_csv(orbit: Orbit, out: TextIO, thin: int = 1) -> int:
     """Write `n,x_n,S_n` rows at full working precision.
 
     With thin = m only every m-th row is written; the final row is always
-    kept so the summary line can be checked against the file. Returns the
+    kept so the summary line can be checked against the file. An orbit
+    thinned to every k-th index writes with any multiple m of k. Returns the
     number of data rows written.
     """
     if thin < 1:
         raise ValueError("thin must be at least 1")
+    if thin % orbit.thin:
+        raise ValueError(
+            f"thin {thin} is not a multiple of the orbit's kept stride {orbit.thin}"
+        )
     digits = orbit.precision
     last = orbit.last_index
     rows = range(0, last, thin)
     out.write(CSV_HEADER + "\n")
-    for n in chain(rows, [last]):
-        x, s = orbit.terms[n], orbit.partial_sums[n]
+    for n, i in chain(((n, n // orbit.thin) for n in rows), [(last, -1)]):
+        x, s = orbit.terms[i], orbit.partial_sums[i]
         out.write(f"{n},{mpmath.nstr(x, digits)},{mpmath.nstr(s, digits)}\n")
     return len(rows) + 1

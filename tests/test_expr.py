@@ -2,6 +2,7 @@ import mpmath
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
+from recurseries import expr
 from recurseries.expr import (
     ArityError,
     BinOp,
@@ -299,3 +300,29 @@ def test_evaluator_matches_mpf_operators_bit_for_bit(root, x):
         assert info.value.x == x
         return
     assert fn(x)._mpf_ == want._mpf_
+
+
+def test_constant_subtree_runs_its_libmp_calls_once(monkeypatch):
+    calls = []
+
+    def counted_sin(*args):
+        calls.append(args[0])
+        return mpmath.libmp.mpf_sin(*args)
+
+    monkeypatch.setitem(expr._UNARY, "sin", counted_sin)
+    fn = evaluator(parse("x + sin(1/3)"), CTX)
+    xs = [CTX.mpf(n) / 7 for n in range(50)]
+    got = [fn(x) for x in xs]
+    assert len(calls) == 1
+    assert [v._mpf_ for v in got] == [(x + CTX.sin(CTX.mpf(1) / 3))._mpf_ for x in xs]
+
+
+def test_constant_outside_the_domain_raises_at_each_call():
+    fn = evaluator(parse("x + ln(0)"), CTX)
+    for x in ("0.5", "0.25"):
+        with pytest.raises(EvalDomainError) as info:
+            fn(CTX.mpf(x))
+        assert info.value.x == CTX.mpf(x)
+        assert str(info.value) == (
+            f"logarithm of a non-positive value in 'ln(0)' at x = {x}"
+        )

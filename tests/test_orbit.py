@@ -1,9 +1,12 @@
 import io
+import tracemalloc
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath.libmp import finf, fnan, fninf, from_man_exp, fzero, mpf_lt
 
+from recurseries.estimate import fit_power_law, sum_estimate, verify_asymptotic
 from recurseries.expr import context, evaluator, parse
 from recurseries.grids import GridSpec, validation_grid
 from recurseries.orbit import (
@@ -12,6 +15,8 @@ from recurseries.orbit import (
     Mode,
     REACHED_FLOOR,
     UNDERFLOW,
+    _below,
+    _decays,
     iterate,
     partial_sum,
     tail_bound_geometric,
@@ -223,6 +228,104 @@ def test_write_csv_rows_match_the_definition(max_n, thin):
     rows = write_csv(orbit, buffer, thin=thin)
     assert buffer.getvalue() == _csv_by_definition(orbit, thin)
     assert rows == buffer.getvalue().count("\n") - 1
+
+
+# every stop status: floor, step limit, violations at steps 1, 4 and 461,
+# underflow, and a signed orbit to the floor
+_STOPS = [
+    ("x/2", 1000, Mode.POSITIVE, REACHED_FLOOR, 133),
+    ("x/(1+x)", 500, Mode.POSITIVE, MAX_ITERATIONS, 500),
+    ("2*x", 1000, Mode.POSITIVE, HYPOTHESIS_VIOLATION, 1),
+    ("x - 0.3", 1000, Mode.POSITIVE, HYPOTHESIS_VIOLATION, 4),
+    ("sqrt(x - 0.2)", 1000, Mode.POSITIVE, HYPOTHESIS_VIOLATION, 461),
+    ("x - 0.25", 1000, Mode.POSITIVE, UNDERFLOW, 4),
+    ("-x/2", 1000, Mode.SIGNED, REACHED_FLOOR, 133),
+]
+
+
+@pytest.mark.parametrize("thin", [1, 3, 7, 10])
+@pytest.mark.parametrize("text,max_n,mode,kind,step", _STOPS)
+def test_thinned_orbit_is_the_full_orbit_at_the_kept_rows(text, max_n, mode, kind, step, thin):
+    full = iterate(parse(text), 1, max_n=max_n, mode=mode)
+    orbit = iterate(parse(text), 1, max_n=max_n, mode=mode, thin=thin)
+    last = step if kind in (REACHED_FLOOR, MAX_ITERATIONS) else step - 1
+    assert (orbit.status, orbit.last_index, orbit.thin) == (full.status, last, thin)
+    assert orbit.status.kind == kind and orbit.status.step == step
+    assert len(orbit.terms) == len(orbit.partial_sums) == last // thin + 1 + (last % thin != 0)
+    kept = sorted(set(range(0, last + 1, thin)) | {last})
+    assert [t._mpf_ for t in orbit.terms] == [full.terms[n]._mpf_ for n in kept]
+    assert [s._mpf_ for s in orbit.partial_sums] == [full.partial_sums[n]._mpf_ for n in kept]
+    for every in (thin, 2 * thin):
+        want, got = io.StringIO(), io.StringIO()
+        assert write_csv(orbit, got, thin=every) == write_csv(full, want, thin=every)
+        assert got.getvalue() == want.getvalue()
+
+
+def test_thinned_orbit_is_refused_where_indices_must_be_consecutive():
+    orbit = iterate(parse("x/(1+x^(1/2))^2"), 1, max_n=2000, thin=10)
+    for reader in (fit_power_law, sum_estimate, lambda o: verify_asymptotic(o, "0.5", 1, "1e-3"),
+                   lambda o: tail_bound_geometric(o, "0.5")):
+        with pytest.raises(ValueError, match="needs every index"):
+            reader(orbit)
+    with pytest.raises(ValueError, match="not a multiple"):
+        write_csv(orbit, io.StringIO(), thin=15)
+    with pytest.raises(ValueError):
+        iterate(parse("x/2"), 1, thin=0)
+
+
+def _iterate_peak(max_n):
+    f = parse("x/(1+x)")
+    tracemalloc.start()
+    try:
+        iterate(f, 1, max_n=max_n, thin=10000)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_thinned_iterate_memory_is_flat_in_max_n():
+    iterate(parse("x/(1+x)"), 1, max_n=10)  # imports and caches outside the count
+    assert _iterate_peak(40000) <= 1.5 * _iterate_peak(10000)
+
+
+_MANTISSAS = st.integers(min_value=1, max_value=2**130)
+_EXPONENTS = st.integers(min_value=-300, max_value=300)
+
+
+@st.composite
+def _positive_raw_pairs(draw):
+    """Two positive normalized raw values: unrelated, with the same top
+    exponent exp + bc but mantissas of other lengths, or equal."""
+    a = from_man_exp(draw(_MANTISSAS), draw(_EXPONENTS))
+    kind = draw(st.sampled_from(["any", "same_top", "equal"]))
+    if kind == "equal":
+        shift = draw(st.integers(min_value=0, max_value=64))
+        return a, from_man_exp(a[1] << shift, a[2] - shift)
+    man = draw(_MANTISSAS)
+    exp = a[2] + a[3] - man.bit_length() if kind == "same_top" else draw(_EXPONENTS)
+    return a, from_man_exp(man, exp)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_positive_raw_pairs())
+def test_raw_comparison_is_mpf_lt(pair):
+    a, b = pair
+    assert _below(a, b) == mpf_lt(a, b)
+    assert _below(b, a) == mpf_lt(b, a)
+    assert _decays(a, b) == (mpf_lt(fzero, a) and mpf_lt(a, b))
+
+
+_NOT_POSITIVE = [fzero, finf, fnan, fninf, from_man_exp(-1, 0), from_man_exp(-3, -70)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_NOT_POSITIVE), _MANTISSAS, _EXPONENTS)
+def test_decay_test_stops_where_mpf_lt_stops(value, man, exp):
+    bound = from_man_exp(man, exp)
+    assert _decays(value, bound) == (mpf_lt(fzero, value) and mpf_lt(value, bound))
+    assert not _decays(value, bound)
+    # a negative bound, the seed of a negative orbit in positive mode
+    assert not _decays(bound, from_man_exp(-man, exp))
 
 
 def test_grid_spec_points():
