@@ -65,6 +65,7 @@ from .expr import (
 )
 from .grids import GridSpec, PROBE_GRID, validation_grid
 from .orbit import (
+    CsvRows,
     HypothesisReport,
     Mode,
     Orbit,

@@ -49,7 +49,7 @@ from .expr import (
     taylor_polynomial,
 )
 from .grids import GridSpec, PROBE_GRID, seed_grid
-from .orbit import Mode, iterate, write_csv
+from .orbit import CsvRows, Mode, iterate, write_csv
 
 COMPARE_TABLE_ROWS = 12
 
@@ -91,6 +91,11 @@ class RunConfig:
                 raise ValueError(f"{name} must be a number, got {text!r}") from None
             if not mpmath.isfinite(value):
                 raise ValueError(f"{name} must be a finite number, got {text!r}")
+        # checked before iterate opens its --orbit-csv file
+        if mpmath.mpf(self.x0) == 0:
+            raise ValueError("x0 must be nonzero")
+        if not mpmath.mpf(self.floor) > 0:
+            raise ValueError("floor must be positive")
 
 
 def _num(value, precision: int) -> str:
@@ -283,20 +288,19 @@ def cmd_iterate(cfg: RunConfig, ctx, target, f, label) -> Tuple[int, str]:
         mode = detect_mode(evaluator(f, ctx), seed_grid(cfg.x0, ctx).points(ctx))
     else:
         mode = Mode(cfg.mode)
-    orbit = iterate(f, cfg.x0, cfg.max_n, cfg.floor, mode, cfg.precision, cfg.thin)
     p = cfg.precision
-    summary = (
+    # each row goes to the output as the orbit computes it, so the orbit
+    # holds only its last row
+    with (open(cfg.orbit_csv, "w") if cfg.orbit_csv else io.StringIO()) as out:
+        rows = CsvRows(out, p)
+        orbit = iterate(f, cfg.x0, cfg.max_n, cfg.floor, mode, p, cfg.thin, rows)
+        head = (f"wrote {rows.count} rows to {cfg.orbit_csv}\n" if cfg.orbit_csv
+                else out.getvalue())
+    return 0, head + (
         f"n = {orbit.last_index}  x_n = {_num(orbit.terms[-1], p)}"
         f"  S_n = {_num(orbit.partial_sums[-1], p)}"
         f"  status = {orbit.status.describe()}"
     )
-    if cfg.orbit_csv:
-        with open(cfg.orbit_csv, "w") as out:
-            rows = write_csv(orbit, out, thin=cfg.thin)
-        return 0, f"wrote {rows} rows to {cfg.orbit_csv}\n{summary}"
-    buffer = io.StringIO()
-    write_csv(orbit, buffer, thin=cfg.thin)
-    return 0, buffer.getvalue() + summary
 
 
 @_command

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import List, Optional, TextIO, Tuple
+from typing import Callable, List, Optional, TextIO, Tuple
 
 import mpmath
-from mpmath.libmp import fzero, mpf_abs, mpf_add
+from mpmath.libmp import fzero, mpf_abs, mpf_add, to_str
 
 from .expr import DEFAULT_PRECISION, EvalDomainError, FunctionDef, context, evaluator
 from .grids import GridSpec, Samples, validation_grid
@@ -57,6 +56,10 @@ class Orbit:
     are kept: terms[i] is x_{i*m} and partial_sums[i] is S_{i*m}, except that
     the last entry is always x_N and S_N. last_index defaults to
     len(terms) - 1, an orbit built with every index.
+
+    A streamed orbit handed its kept rows to a consumer as they were computed
+    (see iterate) and keeps only the last one: terms is [x_N] and
+    partial_sums is [S_N].
     """
 
     x0: object
@@ -67,17 +70,19 @@ class Orbit:
     precision: int
     last_index: Optional[int] = None
     thin: int = 1
+    streamed: bool = False
 
     def __post_init__(self):
         if self.last_index is None:
             self.last_index = len(self.terms) - 1
 
     def require_every_index(self, reader: str) -> None:
-        """Refuse a thinned orbit in a reader that needs consecutive indices."""
-        if self.thin != 1:
+        """Refuse a thinned or streamed orbit in a reader that needs
+        consecutive indices."""
+        if self.streamed or self.thin != 1:
+            kept = "its last row" if self.streamed else f"every {self.thin}th"
             raise ValueError(
-                f"{reader} needs every index, but the orbit keeps only every"
-                f" {self.thin}th"
+                f"{reader} needs every index, but the orbit keeps only {kept}"
             )
 
 
@@ -175,13 +180,17 @@ def iterate(
     mode: Mode = Mode.POSITIVE,
     precision: int = DEFAULT_PRECISION,
     thin: int = 1,
+    rows: Optional[Callable] = None,
 ) -> Orbit:
     """Iterate x_{n+1} = f(x_n) until the floor, the step limit, a zero
     value (underflow), or a per-step hypothesis violation.
 
-    With thin = m the orbit keeps x_n and S_n only at n = 0, m, 2m, ... and
-    at the last index, so its memory is O(max_n / m); every step is still
-    computed and checked."""
+    The kept rows (n, x_n, S_n) are those at n = 0, thin, 2·thin, ... and at
+    the last index; every step is still computed and checked. The orbit
+    stores them, so its memory is O(max_n / thin). With rows, each kept row
+    goes instead to rows(n, x_n, S_n), as mpf values, at the step that
+    computes it, and the orbit is streamed: it keeps only its last row, so
+    memory stays O(1) for any max_n and thin."""
     ctx = context(precision)
     fn = evaluator(f, ctx)
     x0 = ctx.convert(x0)
@@ -195,11 +204,18 @@ def iterate(
     if thin < 1:
         raise ValueError("thin must be at least 1")
 
-    terms = [x0]
-    sums = [x0]
+    streamed = rows is not None
+    if not streamed:
+        terms, sums = [], []
+
+        def rows(n, x, s):
+            terms.append(x)
+            sums.append(s)
+
+    rows(0, x0, x0)
     if abs(x0) < floor:
         status = OrbitStatus(REACHED_FLOOR, 0)
-        return Orbit(x0, terms, sums, status, mode, precision, 0, thin)
+        return Orbit(x0, [x0], [x0], status, mode, precision, 0, thin, streamed)
 
     # The loop compares and sums the values inside the mpf numbers (their
     # _mpf_ tuples): the sum with mpf_add, the call mpf addition makes, and
@@ -236,17 +252,18 @@ def iterate(
         s = mpf_add(s, v, prec, rnd)
         x, bound, last = y, size, step
         if not step % thin:
-            terms.append(y)
-            sums.append(make_mpf(s))
+            rows(step, y, make_mpf(s))
         if _below(size, floor):
             status = OrbitStatus(REACHED_FLOOR, step)
             break
     if status is None:
         status = OrbitStatus(MAX_ITERATIONS, max_n)
+    s = make_mpf(s)
     if last % thin:
-        terms.append(x)
-        sums.append(make_mpf(s))
-    return Orbit(x0, terms, sums, status, mode, precision, last, thin)
+        rows(last, x, s)
+    if streamed:
+        terms, sums = [x], [s]
+    return Orbit(x0, terms, sums, status, mode, precision, last, thin, streamed)
 
 
 def partial_sum(orbit: Orbit):
@@ -283,25 +300,45 @@ def tail_bound_geometric(orbit: Orbit, c, window: int = 8):
 CSV_HEADER = "n,x_n,S_n"
 
 
+class CsvRows:
+    """Writes an orbit's `n,x_n,S_n` CSV to out at full working precision:
+    the header when made, then one row per call with mpf values, so an
+    instance is a row consumer for iterate. `count` is the number of data
+    rows written."""
+
+    def __init__(self, out: TextIO, precision: int):
+        out.write(CSV_HEADER + "\n")
+        self._write = out.write
+        self._digits = precision
+        self.count = 0
+
+    def __call__(self, n: int, x, s) -> None:
+        # to_str is what mpmath.nstr calls for an mpf
+        digits = self._digits
+        self._write(f"{n},{to_str(x._mpf_, digits)},{to_str(s._mpf_, digits)}\n")
+        self.count += 1
+
+
 def write_csv(orbit: Orbit, out: TextIO, thin: int = 1) -> int:
     """Write `n,x_n,S_n` rows at full working precision.
 
     With thin = m only every m-th row is written; the final row is always
     kept so the summary line can be checked against the file. An orbit
-    thinned to every k-th index writes with any multiple m of k. Returns the
-    number of data rows written.
+    thinned to every k-th index writes with any multiple m of k; a streamed
+    orbit has no rows to write. Returns the number of data rows written.
     """
     if thin < 1:
         raise ValueError("thin must be at least 1")
+    if orbit.streamed:
+        raise ValueError("a streamed orbit keeps only its last row; its rows went"
+                         " to the consumer iterate was given")
     if thin % orbit.thin:
         raise ValueError(
             f"thin {thin} is not a multiple of the orbit's kept stride {orbit.thin}"
         )
-    digits = orbit.precision
-    last = orbit.last_index
-    rows = range(0, last, thin)
-    out.write(CSV_HEADER + "\n")
-    for n, i in chain(((n, n // orbit.thin) for n in rows), [(last, -1)]):
-        x, s = orbit.terms[i], orbit.partial_sums[i]
-        out.write(f"{n},{mpmath.nstr(x, digits)},{mpmath.nstr(s, digits)}\n")
-    return len(rows) + 1
+    row = CsvRows(out, orbit.precision)
+    for n in range(0, orbit.last_index, thin):
+        i = n // orbit.thin
+        row(n, orbit.terms[i], orbit.partial_sums[i])
+    row(orbit.last_index, orbit.terms[-1], orbit.partial_sums[-1])
+    return row.count

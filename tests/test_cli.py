@@ -1,9 +1,14 @@
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from recurseries.cli import (
     RunConfig,
@@ -16,9 +21,11 @@ from recurseries.cli import (
     main,
     parse_majorant_spec,
 )
-from recurseries.expr import context
+from recurseries.expr import context, parse
+from recurseries.orbit import iterate, write_csv
 
 from corpus import ALL, DECISIVE
+from test_orbit import _STOPS  # every stop status of an orbit
 
 CTX = context(64)
 OSCILLATORY = "x*(1/2 + 1/3*sin(1/x))"
@@ -194,6 +201,18 @@ def test_non_numeric_seed_is_an_error_message(command):
     assert out == "error: x0 must be a number, got 'abc'"
 
 
+@pytest.mark.parametrize("command", SEEDED)
+@pytest.mark.parametrize("flag,message", [
+    ("--x0=0", "error: x0 must be nonzero"),
+    ("--floor=0", "error: floor must be positive"),
+])
+def test_zero_seed_or_floor_is_refused_before_any_output(tmp_path, command, flag, message):
+    path = tmp_path / "o.csv"
+    output = [] if command == "compare" else ["--orbit-csv", str(path)]
+    assert run([command, "--f=x/2", flag] + output + SUBCOMMAND_ARGS[command]) == (1, message)
+    assert not path.exists()
+
+
 # the grid flags steer the probe grid of analyze and limit; --orbit-csv is
 # written by analyze and iterate
 FAILURES = {
@@ -271,6 +290,62 @@ def test_iterate_writes_file(tmp_path):
     assert lines[0] == "n,x_n,S_n"
     assert out.startswith(f"wrote {len(lines) - 1} rows to {path}")
     assert [int(l.split(",")[0]) for l in lines[1:]] == list(range(0, 101, 10))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_STOPS), st.integers(min_value=1, max_value=12))
+def test_streamed_iterate_prints_what_write_csv_prints_of_the_stored_orbit(stop, thin):
+    text, max_n, mode = stop[:3]
+    stored = iterate(parse(text), 1, max_n=max_n, mode=mode)
+    csv = io.StringIO()
+    rows = write_csv(stored, csv, thin=thin)
+    summary = (
+        f"n = {stored.last_index}  x_n = {mpmath.nstr(stored.terms[-1], 64)}"
+        f"  S_n = {mpmath.nstr(stored.partial_sums[-1], 64)}"
+        f"  status = {stored.status.describe()}"
+    )
+    argv = ["iterate", f"--f={text}", f"--max-n={max_n}", f"--mode={mode.value}", f"--thin={thin}"]
+    assert run(argv) == (0, csv.getvalue() + summary)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "orbit.csv")
+        wrote = f"wrote {rows} rows to {path}\n"
+        assert run(argv + ["--orbit-csv", path]) == (0, wrote + summary)
+        with open(path) as written:
+            assert written.read() == csv.getvalue()
+
+
+def _iterate_csv_peak(path, max_n):
+    tracemalloc.start()
+    try:
+        code, _ = run(["iterate", "--f=x/(1+x)", f"--max-n={max_n}",
+                       "--orbit-csv", str(path), "--thin", "1"])
+        assert code == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_iterate_to_a_csv_file_holds_flat_memory(tmp_path):
+    path = tmp_path / "orbit.csv"
+    _iterate_csv_peak(path, 10)  # imports and caches outside the count
+    assert _iterate_csv_peak(path, 40000) <= 1.5 * _iterate_csv_peak(path, 10000)
+
+
+@pytest.mark.parametrize("call,where,cap", [
+    ("sin(2^65536)", "sin(2 ^ 65536)", "argument reaches the magnitude cap 2^65536"),
+    ("exp(2^65536)", "exp(2 ^ 65536)", "argument reaches the magnitude cap 2^65536"),
+    ("10^2^1024", "10 ^ 2 ^ 1024", "exponent reaches the magnitude cap 2^1024"),
+])
+def test_constant_past_the_magnitude_cap_stops_at_once(call, where, cap):
+    text = f"x/2 + 0*{call}"
+    code, out = run(["analyze", f"--f={text}", "--x0=0.5"])
+    assert code == 1 and out.startswith("error: the decay hypothesis fails")
+    code, out = run(["iterate", f"--f={text}", "--x0=0.5", "--max-n=5"])
+    assert code == 0
+    assert out.splitlines()[-1] == (
+        "n = 0  x_n = 0.5  S_n = 0.5  status = hypothesis_violation at step 1:"
+        f" {cap} in '{where}' at x = 0.5"
+    )
 
 
 def test_iterate_signed_autodetect():

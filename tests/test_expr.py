@@ -326,3 +326,39 @@ def test_constant_outside_the_domain_raises_at_each_call():
         assert str(info.value) == (
             f"logarithm of a non-positive value in 'ln(0)' at x = {x}"
         )
+
+
+def _past_and_at(cap):
+    """2^cap, of binary magnitude exp + bc one past the cap, and
+    2^cap - 2^(cap - 200), of magnitude cap."""
+    past = CTX.ldexp(1, cap)
+    return past, past - CTX.ldexp(1, cap - 200)
+
+
+@pytest.mark.parametrize("text,where,what,by_mpf", [
+    ("sin(x)", "sin(x)", "argument", CTX.sin),
+    ("cos(x)", "cos(x)", "argument", CTX.cos),
+    ("exp(-x)", "exp(-x)", "argument", lambda v: CTX.exp(-v)),
+    ("3^x", "3 ^ x", "exponent", lambda v: CTX.power(3, v)),
+    ("3^(-x)", "3 ^ -x", "exponent", lambda v: CTX.power(3, -v)),
+])
+def test_arguments_past_the_magnitude_cap_are_refused(text, where, what, by_mpf):
+    cap = expr.ARGUMENT_CAP if what == "argument" else expr.EXPONENT_CAP
+    assert (expr.ARGUMENT_CAP, expr.EXPONENT_CAP) == (2**16, 2**10)
+    past, at = _past_and_at(cap)
+    fn = evaluator(parse(text), CTX)
+    assert fn(at)._mpf_ == by_mpf(at)._mpf_
+    with pytest.raises(EvalDomainError) as info:
+        fn(past)
+    assert info.value.subexpression == where
+    assert info.value.reason == f"{what} reaches the magnitude cap 2^{cap}"
+
+
+def test_constant_past_the_magnitude_cap_raises_at_each_call():
+    fn = evaluator(parse("x/2 + 0*sin(10^(2^1024))"), CTX)
+    for x in ("0.5", "0.25"):
+        with pytest.raises(EvalDomainError) as info:
+            fn(CTX.mpf(x))
+        assert str(info.value) == (
+            f"exponent reaches the magnitude cap 2^1024 in '10 ^ 2 ^ 1024' at x = {x}"
+        )

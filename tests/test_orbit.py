@@ -10,6 +10,7 @@ from recurseries.estimate import fit_power_law, sum_estimate, verify_asymptotic
 from recurseries.expr import context, evaluator, parse
 from recurseries.grids import GridSpec, validation_grid
 from recurseries.orbit import (
+    CsvRows,
     HYPOTHESIS_VIOLATION,
     MAX_ITERATIONS,
     Mode,
@@ -271,6 +272,26 @@ def test_thinned_orbit_is_refused_where_indices_must_be_consecutive():
         write_csv(orbit, io.StringIO(), thin=15)
     with pytest.raises(ValueError):
         iterate(parse("x/2"), 1, thin=0)
+
+
+@pytest.mark.parametrize("thin", [1, 7])
+def test_streamed_orbit_keeps_its_last_row_and_is_refused_by_readers(thin):
+    f = parse("x/(1+x^(1/2))^2")
+    stored = iterate(f, 1, max_n=2000)
+    out = io.StringIO()
+    rows = CsvRows(out, 64)
+    orbit = iterate(f, 1, max_n=2000, thin=thin, rows=rows)
+    assert orbit.streamed and (orbit.thin, orbit.last_index) == (thin, 2000)
+    assert [t._mpf_ for t in orbit.terms] == [stored.terms[-1]._mpf_]
+    assert [s._mpf_ for s in orbit.partial_sums] == [stored.partial_sums[-1]._mpf_]
+    assert partial_sum(orbit) == partial_sum(stored)
+    assert rows.count == len(range(0, 2000, thin)) + 1
+    for reader in (fit_power_law, sum_estimate, lambda o: verify_asymptotic(o, "0.5", 1, "1e-3"),
+                   lambda o: tail_bound_geometric(o, "0.5")):
+        with pytest.raises(ValueError, match="the orbit keeps only its last row"):
+            reader(orbit)
+    with pytest.raises(ValueError, match="streamed orbit keeps only its last row"):
+        write_csv(orbit, io.StringIO(), thin=thin)
 
 
 def _iterate_peak(max_n):
