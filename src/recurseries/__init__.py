@@ -42,10 +42,8 @@ from .classify import (
 from .estimate import (
     AsymptoticFit,
     SumEstimate,
-    Verification,
     fit_power_law,
     sum_estimate,
-    verify_asymptotic,
 )
 from .expr import (
     DEFAULT_PRECISION,
@@ -56,14 +54,13 @@ from .expr import (
     MIN_PRECISION,
     TaylorDef,
     context,
-    evaluate,
     evaluator,
     parse,
     parse_constant,
     render,
     taylor_polynomial,
 )
-from .grids import GridSpec, PROBE_GRID, validation_grid
+from .grids import GridSpec, PROBE_GRID, Samples, validation_grid
 from .orbit import (
     CsvRows,
     HypothesisReport,
@@ -71,8 +68,6 @@ from .orbit import (
     Orbit,
     OrbitStatus,
     iterate,
-    partial_sum,
-    tail_bound_geometric,
     validate_hypotheses,
     validated_region,
     write_csv,

@@ -6,13 +6,12 @@ hypothesis validation, the derivative rule, the limit-exponent rule for the
 boundary derivative case, the comparison band when neither decides, the
 signed-mode rules, and an empirical orbit cross-check.
 
-Every rule scan reads one sample table per analysis (`Samples`): f is
-compiled once, each grid generated once as a slice of one lattice, and f
-evaluated once per distinct point; the limit probes and the exponent read
-share its ln-values.
-The rules take f as a FunctionDef or as that table, which carries its own
-precision. The table only avoids repeated work: every check is still
-sampling evidence on the grid, not a proof.
+Every stage reads f from one sample table per analysis (`Samples`), which
+also fixes the working precision and its one context: f is compiled once,
+each grid generated once as a slice of one lattice, and f evaluated once per
+distinct point; the limit probes and the exponent read share its ln-values,
+and the orbit runs the table's compiled f. The table only avoids repeated
+work: every check is still sampling evidence on the grid, not a proof.
 
 Numeric limits are declared by a fixed-window stabilization rule: the tail
 of a sample sequence on the geometric grid counts as a limit when its
@@ -245,10 +244,9 @@ def _classify_tail(values, ctx, rel_tol, abs_tol, window=STABLE_WINDOW):
 
 
 def estimate_derivative_at_zero(
-    f: FunctionDef | Samples,
+    table: Samples,
     grid: Optional[GridSpec] = None,
     mode: Mode = Mode.POSITIVE,
-    precision: int = DEFAULT_PRECISION,
 ) -> DerivativeEstimate:
     """Sample f(x)/x on a geometric grid descending toward zero.
 
@@ -258,7 +256,6 @@ def estimate_derivative_at_zero(
     up to margin) is flagged out_of_range.
     """
     grid = grid or PROBE_GRID
-    table = Samples.of(f, precision)
     ctx = table.ctx
     margin = ctx.mpf(DERIVATIVE_MARGIN)
     samples = [(x, table.f(x) / x) for x in table.points(grid)]
@@ -343,10 +340,9 @@ def derivative_rule(est: DerivativeEstimate) -> Verdict:
 
 
 def probe_limit(
-    f: FunctionDef | Samples,
+    table: Samples,
     a,
     grid: Optional[GridSpec] = None,
-    precision: int = DEFAULT_PRECISION,
     rel_tol: Optional[str] = None,
 ) -> LimitProbe:
     """Sample L_a(x) = (x^a - f(x)^a) / (x^a * f(x)^a) toward zero.
@@ -356,7 +352,6 @@ def probe_limit(
     when x^a and f(x)^a agree in more digits than the working precision can
     spare, the probe raises rather than classifying noise.
     """
-    table = Samples.of(f, precision)
     ctx = table.ctx
     a = ctx.convert(a)
     if not a > 0:
@@ -419,10 +414,9 @@ def _snap_to_fraction(a, ctx):
 
 
 def search_exponent(
-    f: FunctionDef | Samples,
+    table: Samples,
     a_range: Tuple[str, str] = SEARCH_RANGE,
     grid: Optional[GridSpec] = None,
-    precision: int = DEFAULT_PRECISION,
 ) -> ExponentSearchResult:
     """Read off the exponent a where the quotient probe turns finite.
 
@@ -436,7 +430,6 @@ def search_exponent(
     tail, the slopes do not settle or settle outside a_range, or the probe
     is unstable.
     """
-    table = Samples.of(f, precision)
     ctx = table.ctx
     lo, hi = ctx.mpf(a_range[0]), ctx.mpf(a_range[1])
     if not 0 < lo < hi:
@@ -551,18 +544,13 @@ def analytic_rule(t: TaylorDef, precision: int = DEFAULT_PRECISION) -> Verdict:
     )
 
 
-def check_monotone(
-    f: FunctionDef | Samples,
-    grid: Optional[GridSpec] = None,
-    precision: int = DEFAULT_PRECISION,
-) -> Tuple[bool, object]:
+def check_monotone(table: Samples, grid: Optional[GridSpec] = None) -> Tuple[bool, object]:
     """Sample consecutive grid pairs for monotonicity near zero.
 
     Returns (monotone, delta) where delta is the largest sampled point
     below every violation, so f is grid-certified nondecreasing on
     (0, delta]. Sampling only; a pass is evidence, not proof.
     """
-    table = Samples.of(f, precision)
     points = sorted(table.points(grid or validation_grid()))
     if len(points) < 2:
         raise ValueError("grid holds fewer than two points")
@@ -625,11 +613,7 @@ def _compare(rows, c, upper: bool, name: str, label: str, ctx,
     )
 
 
-def comparison_band(
-    f: FunctionDef | Samples,
-    grid: Optional[GridSpec] = None,
-    precision: int = DEFAULT_PRECISION,
-) -> Verdict:
+def comparison_band(table: Samples, grid: Optional[GridSpec] = None) -> Verdict:
     """The paper's comparison test both ways, on a grid where 0 < f(x) < x.
 
     m(x) = x/(1 + C*x^a)^(1/a) is increasing with m^-a - x^-a = C; its orbit
@@ -637,7 +621,6 @@ def comparison_band(
     on (0, x0] reads L_a >= C, f >= m reads L_a <= C. The first of sup f(x)/x
     snapped to p/q < 1, inf L_a at a = MAJORANT_A and sup L_a at a = MINORANT_A
     (MinorantRule) that counts in _compare decides. Sampled, not proven."""
-    table = Samples.of(f, precision)
     ctx = table.ctx
     grid = grid or validation_grid()
     notes = [f"comparison band on (0, {mpmath.nstr(table.points(grid)[0], 12)}]:"
@@ -670,10 +653,9 @@ def comparison_band(
 
 
 def majorant_rule(
-    g: FunctionDef | Samples,
+    table: Samples,
     m: MajorantSpec,
     grid: Optional[GridSpec] = None,
-    precision: int = DEFAULT_PRECISION,
     certificate: Optional["AnalysisReport"] = None,
 ) -> Verdict:
     """Convergence by comparison, 0 < g(x) <= m(x) on the grid (seed_grid of
@@ -683,7 +665,6 @@ def majorant_rule(
     "monotone" and "delta" by every verdict, and a certificate: m's own
     convergent positive-mode analysis from the seed, whose table both read.
     """
-    table = Samples.of(g, precision)
     ctx = table.ctx
     grid = grid or validation_grid()
     points = table.points(grid)
@@ -723,11 +704,7 @@ def majorant_rule(
     return verdict
 
 
-def signed_rule(
-    f: FunctionDef | Samples,
-    grid: Optional[GridSpec] = None,
-    precision: int = DEFAULT_PRECISION,
-) -> Verdict:
+def signed_rule(table: Samples, grid: Optional[GridSpec] = None) -> Verdict:
     """Signed-mode criteria under 0 < |f(x)| < |x|.
 
     x * f(x) < 0 at every sampled point (both signs) forces alternating
@@ -735,7 +712,6 @@ def signed_rule(
     sup |f(x)| / |x| <= c < 1 gives absolute convergence. Anything else is
     inconclusive; nothing general holds in the open signed regime.
     """
-    table = Samples.of(f, precision)
     ctx = table.ctx
     margin = ctx.mpf(ABS_BOUND_MARGIN)
     points = [s * p for p in table.points(grid or validation_grid()) for s in (1, -1)]
@@ -841,7 +817,8 @@ def analyze(f, x0, config: Optional[AnalyzerConfig] = None) -> AnalysisReport:
     if region is None:
         first = "; ".join(
             f"x = {mpmath.nstr(x, 12)}: "
-            + ("not evaluable" if y is None else f"f(x) = {mpmath.nstr(y, 12)}")
+            + (f"{y.reason} in '{y.subexpression}'" if isinstance(y, EvalDomainError)
+               else f"f(x) = {mpmath.nstr(y, 12)}")
             for x, y in hypothesis.violations[:3]
         )
         raise AnalysisError(
@@ -886,9 +863,7 @@ def analyze(f, x0, config: Optional[AnalyzerConfig] = None) -> AnalysisReport:
                     verdict = comparison_band(table, vgrid)
                 verdict.notes = routed + verdict.notes
 
-    orbit_result = iterate(
-        fdef, x0, min(cfg.max_n, CROSS_CHECK_N), cfg.floor, mode, cfg.precision
-    )
+    orbit_result = iterate(table, x0, min(cfg.max_n, CROSS_CHECK_N), cfg.floor, mode)
     if orbit_result.status.kind == HYPOTHESIS_VIOLATION:
         warnings.append(f"orbit cross-check: {orbit_result.status.describe()}")
     fit = None

@@ -43,12 +43,12 @@ from .expr import (
     MIN_PRECISION,
     TaylorDef,
     context,
-    evaluator,
+    evaluator,  # unused here; bench/test_bench.py checks the tracer rebinds it
     parse,
     parse_constant,
     taylor_polynomial,
 )
-from .grids import GridSpec, PROBE_GRID, seed_grid
+from .grids import GridSpec, PROBE_GRID, Samples, seed_grid
 from .orbit import CsvRows, Mode, iterate, write_csv
 
 COMPARE_TABLE_ROWS = 12
@@ -284,16 +284,17 @@ def cmd_analyze(cfg: RunConfig, ctx, target, f, label) -> Tuple[int, str]:
 
 @_command
 def cmd_iterate(cfg: RunConfig, ctx, target, f, label) -> Tuple[int, str]:
+    p = cfg.precision
+    table = Samples(f, p)
     if cfg.mode == "auto":
-        mode = detect_mode(evaluator(f, ctx), seed_grid(cfg.x0, ctx).points(ctx))
+        mode = detect_mode(table.f, table.points(seed_grid(cfg.x0, ctx)))
     else:
         mode = Mode(cfg.mode)
-    p = cfg.precision
     # each row goes to the output as the orbit computes it, so the orbit
     # holds only its last row
     with (open(cfg.orbit_csv, "w") if cfg.orbit_csv else io.StringIO()) as out:
         rows = CsvRows(out, p)
-        orbit = iterate(f, cfg.x0, cfg.max_n, cfg.floor, mode, p, cfg.thin, rows)
+        orbit = iterate(table, cfg.x0, cfg.max_n, cfg.floor, mode, cfg.thin, rows)
         head = (f"wrote {rows.count} rows to {cfg.orbit_csv}\n" if cfg.orbit_csv
                 else out.getvalue())
     return 0, head + (
@@ -309,8 +310,9 @@ def cmd_limit(cfg: RunConfig, ctx, target, f, label) -> Tuple[int, str]:
         raise ValueError('give an exponent with --a <value> or --a search')
     grid = _probe_grid(cfg)
     p = cfg.precision
+    table = Samples(f, p)
     if cfg.a == "search":
-        result = search_exponent(f, grid=grid, precision=p)
+        result = search_exponent(table, grid=grid)
         if not result.found:
             return 2, f"search: NotFound - {result.note}"
         fit = result.fit
@@ -321,7 +323,7 @@ def cmd_limit(cfg: RunConfig, ctx, target, f, label) -> Tuple[int, str]:
         ]
         lines.extend(f"{_num(x, p)},{_num(v, p)}" for x, v in result.probe.samples)
         return 0, "\n".join(lines)
-    probe = probe_limit(f, parse_constant(cfg.a, ctx), grid, p)
+    probe = probe_limit(table, parse_constant(cfg.a, ctx), grid)
     lines = [f"probe: a = {_num(probe.a, p)}  verdict = {probe.verdict}"]
     if probe.verdict == FINITE_NONZERO:
         k = ctx.power(probe.L, -1 / probe.a)
@@ -353,7 +355,8 @@ def cmd_compare(cfg: RunConfig, ctx, target, f, label) -> Tuple[int, str]:
                 lines.append(
                     f"majorant series: {sub.verdict.conclusion}; cannot certify"
                 )
-    verdict = majorant_rule(f, spec, seed_grid(cfg.x0, ctx), p, certificate=sub)
+    g_table = Samples(f, p)
+    verdict = majorant_rule(g_table, spec, seed_grid(cfg.x0, ctx), certificate=sub)
     scan = verdict.witnesses
     lines.append(
         f"monotone on grid: {'yes' if scan['monotone'] else 'no'}"
@@ -365,10 +368,10 @@ def cmd_compare(cfg: RunConfig, ctx, target, f, label) -> Tuple[int, str]:
     )
     lines.extend(f"  - {note}" for note in verdict.notes)
     steps = min(cfg.max_n, CROSS_CHECK_N)
-    g_orbit = iterate(f, cfg.x0, steps, cfg.floor, Mode.POSITIVE, p)
+    g_orbit = iterate(g_table, cfg.x0, steps, cfg.floor, Mode.POSITIVE)
     # a positive-mode analysis of m iterated the same orbit already
     m_orbit = (sub.orbit_result if sub is not None and sub.mode is Mode.POSITIVE
-               else iterate(spec.fn, cfg.x0, steps, cfg.floor, Mode.POSITIVE, p))
+               else iterate(Samples(spec.fn, p), cfg.x0, steps, cfg.floor, Mode.POSITIVE))
     common = min(g_orbit.last_index, m_orbit.last_index)
     dominated = all(m_orbit.terms[n] >= g_orbit.terms[n] for n in range(common + 1))
     lines.append("n,g_n,m_n")

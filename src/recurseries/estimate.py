@@ -1,8 +1,8 @@
 """Empirical asymptotics from computed orbits.
 
-Fits the power law x_n ~ k * n^(-1/a) by least squares in log-log space,
-verifies a claimed (a, k) pair against the orbit, and combines partial
-sums with model-based tail estimates.
+Fits the power law x_n ~ k * n^(-1/a) by least squares in log-log space
+and combines partial sums with model-based tail estimates. Both compute on
+the context of the orbit's own values.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from typing import List, Optional, Tuple
 
 import mpmath
 
-from .expr import context
-from .orbit import Mode, Orbit, partial_sum, tail_bound_geometric
+from .orbit import Mode, Orbit
 
 RESIDUAL_LIMIT = "0.1"
 DRIFT_LIMIT = "0.05"
@@ -73,7 +72,7 @@ def fit_power_law(orbit: Orbit, window: Optional[Tuple[int, int]] = None) -> Asy
     if orbit.mode is not Mode.POSITIVE:
         raise ValueError("power-law fitting requires a positive-mode orbit")
     orbit.require_every_index("power-law fitting")
-    ctx = context(orbit.precision)
+    ctx = orbit.x0.context
     last = orbit.last_index
     if window is None:
         window = (max(1, last // 2), last)
@@ -133,39 +132,6 @@ def fit_power_law(orbit: Orbit, window: Optional[Tuple[int, int]] = None) -> Asy
 
 
 @dataclass
-class Verification:
-    passed: bool
-    trace: List[Tuple]  # (n, x_n, r_n)
-    a: object
-    k: object
-    tolerance: object
-
-
-def verify_asymptotic(orbit: Orbit, a, k, tolerance) -> Verification:
-    """Check r_n = n^(1/a) * x_n against k over the last decade of indices.
-
-    Passes when |r_n / k - 1| <= tolerance throughout; the trace holds the
-    full r_n sequence for export.
-    """
-    orbit.require_every_index("verify_asymptotic")
-    ctx = context(orbit.precision)
-    a = ctx.convert(a)
-    k = ctx.convert(k)
-    tolerance = ctx.convert(tolerance)
-    last = orbit.last_index
-    start = max(1, last // 10)
-    inv_a = 1 / a
-    trace = []
-    passed = True
-    for n in range(start, last + 1):
-        r = ctx.power(n, inv_a) * orbit.terms[n]
-        trace.append((n, orbit.terms[n], r))
-        if abs(r / k - 1) > tolerance:
-            passed = False
-    return Verification(passed, trace, a, k, tolerance)
-
-
-@dataclass
 class SumEstimate:
     total: object
     partial: object
@@ -178,14 +144,15 @@ def sum_estimate(orbit: Orbit, fit: Optional[AsymptoticFit] = None) -> SumEstima
     """S_N plus a tail estimate; the tail is model-based, not rigorous.
 
     With an accepted power-law fit and a < 1 the tail integrates the fitted
-    law beyond N. Without a fit, a sustained contraction ratio over the last
-    recorded steps gives a geometric bound. Otherwise only S_N is reported.
+    law beyond N. Without a fit, the largest ratio c < 1 over the last
+    RATIO_WINDOW steps gives the geometric tail x_N * c / (1 - c), which
+    assumes the ratio stays below c. Otherwise only S_N is reported.
     """
     if orbit.mode is not Mode.POSITIVE:
         raise ValueError("sum estimation requires a positive-mode orbit")
     orbit.require_every_index("sum estimation")
-    ctx = context(orbit.precision)
-    s = partial_sum(orbit)
+    ctx = orbit.x0.context
+    s = orbit.partial_sums[-1]
     if fit is not None and not fit.rejected:
         if fit.a >= 1:
             raise ValueError("tail divergent: fitted exponent a >= 1")
@@ -198,10 +165,9 @@ def sum_estimate(orbit: Orbit, fit: Optional[AsymptoticFit] = None) -> SumEstima
         )
     tail_terms = orbit.terms[-(RATIO_WINDOW + 1):]
     if len(tail_terms) >= 2:
-        ratios = [abs(b) / abs(a) for a, b in zip(tail_terms, tail_terms[1:])]
-        c = max(ratios)
+        c = max(b / a for a, b in zip(tail_terms, tail_terms[1:]))
         if c < 1:
-            tail = tail_bound_geometric(orbit, c, window=RATIO_WINDOW)
+            tail = tail_terms[-1] * c / (1 - c)
             return SumEstimate(
                 s + tail, s, tail, "geometric tail",
                 f"tail bounded by a sustained ratio c = {mpmath.nstr(c, 12)};"

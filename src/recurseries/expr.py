@@ -497,12 +497,6 @@ def evaluator(f: FunctionDef, ctx) -> Callable:
     return fn
 
 
-def evaluate(f: FunctionDef, x, precision: int = DEFAULT_PRECISION):
-    """Evaluate f at x with the given significant-digit precision."""
-    ctx = context(precision)
-    return evaluator(f, ctx)(ctx.convert(x))
-
-
 def parse_constant(text: str, ctx):
     """Evaluate a constant expression (no x allowed), e.g. '-1/6' or 'pi'."""
     f = parse(text)

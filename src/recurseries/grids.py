@@ -84,27 +84,24 @@ LOG_GUARD_BITS = 32
 
 
 class Samples:
-    """The sample table of one analysis: f compiled once, each grid generated
-    once, and f evaluated once per distinct point.
+    """The sample table of one analysis: f and the working precision as every
+    stage reads them. f is compiled once, on the table's one context; each
+    grid is generated once, and f evaluated once per distinct grid point.
 
     A point's entry is f(x) or the EvalDomainError f raised there; reading
     it raises that error again. ln x and ln f(x) are computed on first use
-    per grid, for the limit probes. The table belongs to one analysis and is
-    not shared between calls.
+    per grid, for the limit probes. `compiled` is f itself, without the
+    table: the orbit calls it, so that its points are not kept. The table
+    belongs to one analysis and is not shared between calls.
     """
 
     def __init__(self, f: FunctionDef, precision: int = DEFAULT_PRECISION):
         self.precision = precision
         self.ctx = context(precision)
-        self._fn = evaluator(f, self.ctx)
+        self.compiled = evaluator(f, self.ctx)
         self._values: Dict = {}  # x -> f(x) or EvalDomainError
         self._points: Dict[GridSpec, List] = {}
         self._logs: Dict[GridSpec, List] = {}
-
-    @staticmethod
-    def of(f, precision: int = DEFAULT_PRECISION) -> "Samples":
-        """f itself when it is already a table, else a new table for f."""
-        return f if isinstance(f, Samples) else Samples(f, precision)
 
     def points(self, grid: GridSpec) -> List:
         """The grid's points, generated once; callers must not modify them."""
@@ -118,7 +115,7 @@ class Samples:
         y = self._values.get(x)
         if y is None:
             try:
-                y = self._fn(x)
+                y = self.compiled(x)
             except EvalDomainError as err:
                 y = err
             self._values[x] = y

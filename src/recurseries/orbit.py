@@ -8,13 +8,13 @@ on a grid beforehand. Sampling is evidence, not proof; reports say so.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, TextIO, Tuple
 
 import mpmath
 from mpmath.libmp import fzero, mpf_abs, mpf_add, to_str
 
-from .expr import DEFAULT_PRECISION, EvalDomainError, FunctionDef, context, evaluator
+from .expr import EvalDomainError
 from .grids import GridSpec, Samples, validation_grid
 
 SAMPLING_CAVEAT = "grid sampling is evidence, not a proof"
@@ -51,13 +51,10 @@ class Orbit:
 
     A term that violates the hypotheses (or is exactly zero) is never
     recorded; the status carries the offending step instead. N is
-    `last_index`. With thin = 1, terms[n] is x_n and partial_sums[n] is S_n
-    for every n <= N. With thin = m > 1 only the indices 0, m, 2m, ... and N
-    are kept: terms[i] is x_{i*m} and partial_sums[i] is S_{i*m}, except that
-    the last entry is always x_N and S_N. last_index defaults to
-    len(terms) - 1, an orbit built with every index.
+    `last_index`, and terms[n] is x_n and partial_sums[n] is S_n for every
+    n <= N. last_index defaults to len(terms) - 1.
 
-    A streamed orbit handed its kept rows to a consumer as they were computed
+    A streamed orbit handed its rows to a consumer as they were computed
     (see iterate) and keeps only the last one: terms is [x_N] and
     partial_sums is [S_N].
     """
@@ -69,7 +66,6 @@ class Orbit:
     mode: Mode
     precision: int
     last_index: Optional[int] = None
-    thin: int = 1
     streamed: bool = False
 
     def __post_init__(self):
@@ -77,12 +73,10 @@ class Orbit:
             self.last_index = len(self.terms) - 1
 
     def require_every_index(self, reader: str) -> None:
-        """Refuse a thinned or streamed orbit in a reader that needs
-        consecutive indices."""
-        if self.streamed or self.thin != 1:
-            kept = "its last row" if self.streamed else f"every {self.thin}th"
+        """Refuse a streamed orbit in a reader that needs every index."""
+        if self.streamed:
             raise ValueError(
-                f"{reader} needs every index, but the orbit keeps only {kept}"
+                f"{reader} needs every index, but the orbit keeps only its last row"
             )
 
 
@@ -90,7 +84,7 @@ class Orbit:
 class HypothesisReport:
     mode: Mode
     checked_grid: List
-    violations: List[Tuple]  # (x, f(x) or None on evaluation error)
+    violations: List[Tuple]  # (x, f(x) or the EvalDomainError f raised at x)
     passed: bool
     caveat: str = SAMPLING_CAVEAT
 
@@ -127,18 +121,15 @@ def _decays(size, bound) -> bool:
 
 
 def validate_hypotheses(
-    f: FunctionDef | Samples,
+    table: Samples,
     mode: Mode = Mode.POSITIVE,
     grid: Optional[GridSpec] = None,
-    precision: int = DEFAULT_PRECISION,
 ) -> HypothesisReport:
-    """Sample the decay hypothesis on a geometric grid.
+    """Sample the decay hypothesis on a geometric grid from f's table.
 
-    f is a FunctionDef or an analysis's sample table, which carries its own
-    precision. In signed mode every magnitude is checked at both signs.
-    Evaluation domain errors count as violations (recorded with value None).
+    In signed mode every magnitude is checked at both signs. Evaluation
+    domain errors count as violations, recorded with the error.
     """
-    table = Samples.of(f, precision)
     fn = table.f
     points = table.points(grid or validation_grid())
     if mode is Mode.SIGNED:
@@ -150,8 +141,8 @@ def validate_hypotheses(
     for p in points:
         try:
             y = fn(p)
-        except EvalDomainError:
-            violations.append((p, None))
+        except EvalDomainError as err:
+            violations.append((p, err))
             continue
         if not _check(mode, p, y):
             violations.append((p, y))
@@ -173,26 +164,26 @@ def validated_region(report: HypothesisReport):
 
 
 def iterate(
-    f: FunctionDef,
+    table: Samples,
     x0,
     max_n: int = 10**6,
     floor="1e-40",
     mode: Mode = Mode.POSITIVE,
-    precision: int = DEFAULT_PRECISION,
     thin: int = 1,
     rows: Optional[Callable] = None,
 ) -> Orbit:
-    """Iterate x_{n+1} = f(x_n) until the floor, the step limit, a zero
-    value (underflow), or a per-step hypothesis violation.
+    """Iterate x_{n+1} = f(x_n), with f as compiled in table, on its context,
+    until the floor, the step limit, a zero value (underflow), or a per-step
+    hypothesis violation.
 
-    The kept rows (n, x_n, S_n) are those at n = 0, thin, 2·thin, ... and at
-    the last index; every step is still computed and checked. The orbit
-    stores them, so its memory is O(max_n / thin). With rows, each kept row
-    goes instead to rows(n, x_n, S_n), as mpf values, at the step that
-    computes it, and the orbit is streamed: it keeps only its last row, so
-    memory stays O(1) for any max_n and thin."""
-    ctx = context(precision)
-    fn = evaluator(f, ctx)
+    Without rows the orbit stores every row (n, x_n, S_n), so its memory is
+    O(max_n). With rows, the rows at n = 0, thin, 2·thin, ... and at the
+    last index go instead to rows(n, x_n, S_n), as mpf values, at the step
+    that computes them; every step is still computed and checked. The orbit
+    is then streamed: it keeps only its last row, so memory stays O(1) for
+    any max_n and thin. thin > 1 needs rows."""
+    ctx = table.ctx
+    fn = table.compiled
     x0 = ctx.convert(x0)
     floor = ctx.convert(floor)
     if x0 == 0:
@@ -203,6 +194,8 @@ def iterate(
         raise ValueError("floor must be positive")
     if thin < 1:
         raise ValueError("thin must be at least 1")
+    if thin > 1 and rows is None:
+        raise ValueError("a thinned orbit must be streamed: give rows")
 
     streamed = rows is not None
     if not streamed:
@@ -215,7 +208,7 @@ def iterate(
     rows(0, x0, x0)
     if abs(x0) < floor:
         status = OrbitStatus(REACHED_FLOOR, 0)
-        return Orbit(x0, [x0], [x0], status, mode, precision, 0, thin, streamed)
+        return Orbit(x0, [x0], [x0], status, mode, table.precision, 0, streamed)
 
     # The loop compares and sums the values inside the mpf numbers (their
     # _mpf_ tuples): the sum with mpf_add, the call mpf addition makes, and
@@ -263,38 +256,7 @@ def iterate(
         rows(last, x, s)
     if streamed:
         terms, sums = [x], [s]
-    return Orbit(x0, terms, sums, status, mode, precision, last, thin, streamed)
-
-
-def partial_sum(orbit: Orbit):
-    """S_N, the last partial sum; summation order is index-ascending."""
-    if not orbit.partial_sums:
-        raise ValueError("orbit is empty")
-    return orbit.partial_sums[-1]
-
-
-def tail_bound_geometric(orbit: Orbit, c, window: int = 8):
-    """Upper bound x_N * c / (1 - c) for the tail beyond the last term.
-
-    Requires every ratio |x_{n+1}| / |x_n| over the last `window` recorded
-    steps to be at most c. The bound assumes the ratio stays below c, so it
-    is a heuristic, not a certificate.
-    """
-    orbit.require_every_index("the geometric tail bound")
-    ctx = context(orbit.precision)
-    c = ctx.convert(c)
-    if not 0 < c < 1:
-        raise ValueError("ratio c must lie in (0, 1)")
-    if len(orbit.terms) < 2:
-        raise ValueError("need at least two terms to check ratios")
-    tail = orbit.terms[-(window + 1):]
-    for a, b in zip(tail, tail[1:]):
-        ratio = abs(b) / abs(a)
-        if ratio > c:
-            raise ValueError(
-                f"recent ratio {mpmath.nstr(ratio, 12)} exceeds c = {mpmath.nstr(c, 12)}"
-            )
-    return abs(orbit.terms[-1]) * c / (1 - c)
+    return Orbit(x0, terms, sums, status, mode, table.precision, last, streamed)
 
 
 CSV_HEADER = "n,x_n,S_n"
@@ -323,8 +285,7 @@ def write_csv(orbit: Orbit, out: TextIO, thin: int = 1) -> int:
     """Write `n,x_n,S_n` rows at full working precision.
 
     With thin = m only every m-th row is written; the final row is always
-    kept so the summary line can be checked against the file. An orbit
-    thinned to every k-th index writes with any multiple m of k; a streamed
+    kept so the summary line can be checked against the file. A streamed
     orbit has no rows to write. Returns the number of data rows written.
     """
     if thin < 1:
@@ -332,13 +293,8 @@ def write_csv(orbit: Orbit, out: TextIO, thin: int = 1) -> int:
     if orbit.streamed:
         raise ValueError("a streamed orbit keeps only its last row; its rows went"
                          " to the consumer iterate was given")
-    if thin % orbit.thin:
-        raise ValueError(
-            f"thin {thin} is not a multiple of the orbit's kept stride {orbit.thin}"
-        )
     row = CsvRows(out, orbit.precision)
     for n in range(0, orbit.last_index, thin):
-        i = n // orbit.thin
-        row(n, orbit.terms[i], orbit.partial_sums[i])
+        row(n, orbit.terms[n], orbit.partial_sums[n])
     row(orbit.last_index, orbit.terms[-1], orbit.partial_sums[-1])
     return row.count

@@ -45,7 +45,7 @@ from recurseries.classify import (
 )
 from recurseries.estimate import AsymptoticFit
 from recurseries.expr import TaylorDef, context, evaluator, parse, parse_constant
-from recurseries.grids import GridSpec, PROBE_GRID, seed_grid, validation_grid
+from recurseries.grids import GridSpec, PROBE_GRID, Samples, seed_grid, validation_grid
 from recurseries.orbit import Mode
 
 from corpus import ALL, DECISIVE
@@ -75,21 +75,21 @@ def test_classify_tail_extrapolates_exact_model():
 
 
 def test_derivative_estimate_stable_values():
-    est = estimate_derivative_at_zero(parse("x/2"))
+    est = estimate_derivative_at_zero(Samples(parse("x/2")))
     assert est.kind == VALUE
     assert est.c == CTX.mpf("0.5")
 
-    est = estimate_derivative_at_zero(parse("x/(1+x)"))
+    est = estimate_derivative_at_zero(Samples(parse("x/(1+x)")))
     assert est.kind == VALUE
     assert abs(est.c - 1) < CTX.mpf("1e-8")
 
-    est = estimate_derivative_at_zero(parse("0.9*(x/(1+x))"))
+    est = estimate_derivative_at_zero(Samples(parse("0.9*(x/(1+x))")))
     assert est.kind == VALUE
     assert abs(est.c - CTX.mpf("0.9")) < CTX.mpf("1e-8")
 
 
 def test_derivative_estimate_band():
-    est = estimate_derivative_at_zero(parse(OSCILLATORY))
+    est = estimate_derivative_at_zero(Samples(parse(OSCILLATORY)))
     assert est.kind == DNE
     lo, hi = est.band
     assert abs(lo - CTX.mpf(1) / 6) < CTX.mpf("0.02")
@@ -97,14 +97,14 @@ def test_derivative_estimate_band():
 
 
 def test_derivative_estimate_out_of_range():
-    est = estimate_derivative_at_zero(parse("2*x"))
+    est = estimate_derivative_at_zero(Samples(parse("2*x")))
     assert est.kind == OUT_OF_RANGE
     assert est.c == 2
 
     # a stable negative quotient is out of range in positive mode only
-    est = estimate_derivative_at_zero(parse("-x/2"))
+    est = estimate_derivative_at_zero(Samples(parse("-x/2")))
     assert est.kind == OUT_OF_RANGE
-    est = estimate_derivative_at_zero(parse("-x/2"), mode=Mode.SIGNED)
+    est = estimate_derivative_at_zero(Samples(parse("-x/2")), mode=Mode.SIGNED)
     assert est.kind == VALUE
     assert est.c == CTX.mpf("-0.5")
 
@@ -156,7 +156,7 @@ IDENTITY_PAIRS = [(a, c) for a in ("0.25", "0.5", "0.75") for c in ("0.5", "1", 
 def test_probe_limit_exact_on_family_members(a_text, c_text):
     # f = x/(1+c*x^a)^(1/a) makes the probed quotient identically c
     spec = MajorantSpec.powerlaw(a_text, c_text, CTX) if CTX.mpf(c_text) > 0 else None
-    probe = probe_limit(spec.fn, a_text)
+    probe = probe_limit(Samples(spec.fn), a_text)
     c = CTX.mpf(c_text)
     assert probe.verdict == "finite_nonzero"
     assert probe.stabilized
@@ -167,31 +167,31 @@ def test_probe_limit_exact_on_family_members(a_text, c_text):
 
 def test_probe_limit_verdicts():
     # x/(1+x) probes exactly 1 at the true exponent, up to rounding
-    probe = probe_limit(parse("x/(1+x)"), 1)
+    probe = probe_limit(Samples(parse("x/(1+x)")), 1)
     assert probe.verdict == "finite_nonzero"
     assert probe.stabilized
     # the subtraction loses up to 30 digits at the grid bottom (x = 1e-30)
     assert all(abs(v - 1) < CTX.mpf("1e-40") for _, v in probe.samples)
-    assert probe_limit(parse("x/(1+x)"), "0.5").verdict == "tends_to_zero"
-    assert probe_limit(parse("x/(1+x)"), 2).verdict == "tends_to_infinity"
-    assert probe_limit(parse("x/2"), 1).verdict == "tends_to_infinity"
+    assert probe_limit(Samples(parse("x/(1+x)")), "0.5").verdict == "tends_to_zero"
+    assert probe_limit(Samples(parse("x/(1+x)")), 2).verdict == "tends_to_infinity"
+    assert probe_limit(Samples(parse("x/2")), 1).verdict == "tends_to_infinity"
 
 
 def test_probe_limit_validation():
     with pytest.raises(ValueError):
-        probe_limit(parse("x/(1+x)"), 0)
+        probe_limit(Samples(parse("x/(1+x)")), 0)
     with pytest.raises(ValueError):
-        probe_limit(parse("-x/2"), 1)  # not positive on the grid
+        probe_limit(Samples(parse("-x/2")), 1)  # not positive on the grid
 
 
 def test_probe_limit_cancellation_guard():
     # x - x^9 leaves x^a and f^a agreeing in far more digits than 64 can spare
     with pytest.raises(PrecisionGuardError, match="rerun with precision"):
-        probe_limit(parse("x - x^9"), 1)
+        probe_limit(Samples(parse("x - x^9")), 1)
 
 
 def test_search_exponent_sine():
-    result = search_exponent(parse("sin(x)"))
+    result = search_exponent(Samples(parse("sin(x)")))
     assert result.found
     assert abs(result.fit.a - 2) <= CTX.mpf("0.01")
     root3 = CTX.sqrt(3)
@@ -199,7 +199,7 @@ def test_search_exponent_sine():
 
 
 def test_search_exponent_harmonic_boundary():
-    result = search_exponent(parse("x/(1+x)"))
+    result = search_exponent(Samples(parse("x/(1+x)")))
     assert result.found
     assert abs(result.fit.a - 1) < CTX.mpf("1e-6")
     assert abs(result.fit.k - 1) < CTX.mpf("1e-4")
@@ -209,7 +209,7 @@ def test_search_exponent_harmonic_boundary():
 
 
 def test_search_exponent_below_one():
-    result = search_exponent(parse("x/(1+x^(1/2))^2"))
+    result = search_exponent(Samples(parse("x/(1+x^(1/2))^2")))
     assert result.found
     assert abs(result.fit.a - CTX.mpf("0.5")) < CTX.mpf("1e-6")
     verdict = limit_exponent_rule(result.fit)
@@ -218,28 +218,28 @@ def test_search_exponent_below_one():
 
 def test_search_exponent_not_found():
     # geometric decay beats every power law: quotient blows up everywhere
-    result = search_exponent(parse("x/2"))
+    result = search_exponent(Samples(parse("x/2")))
     assert not result.found
     assert "blows up at every exponent" in result.note
 
-    result = search_exponent(parse("0.9*(x/(1+x))"))
+    result = search_exponent(Samples(parse("0.9*(x/(1+x))")))
     assert not result.found
     assert "blows up at every exponent" in result.note
 
     # true exponent 5 sits above the scanned range
     shallow = GridSpec(start="1e-1", floor="1e-8")
     result = search_exponent(
-        parse("x/(1+x^5)^(1/5)"), a_range=("1", "4"), grid=shallow
+        Samples(parse("x/(1+x^5)^(1/5)")), a_range=("1", "4"), grid=shallow
     )
     assert not result.found
     assert "no transition in range" in result.note
 
     # ln(x/f) wobbles with sin(1/x), so its tail slopes never settle
-    result = search_exponent(parse("x - x^2*abs(sin(1/x))"))
+    result = search_exponent(Samples(parse("x - x^2*abs(sin(1/x))")))
     assert not result.found
     assert result.note == "tail slopes of ln ln(x/f) do not settle"
 
-    result = search_exponent(parse("2*x"))
+    result = search_exponent(Samples(parse("2*x")))
     assert not result.found
     assert result.note.startswith("f(x) exceeds x at x = ")
 
@@ -259,7 +259,7 @@ def test_search_reads_power_law_members_exactly(pq, c_text):
     precision = 64 + int(25 * p / q)
     ctx = context(precision)
     f = parse(f"x/(1+({c_text})*x^({a_text}))^(1/({a_text}))")
-    result = search_exponent(f, precision=precision)
+    result = search_exponent(Samples(f, precision))
     assert result.found
     a = ctx.mpf(p) / q
     assert result.fit.a == a
@@ -277,7 +277,7 @@ def test_search_keeps_an_exponent_next_to_a_fraction(a_text, verdict):
     # snap such an a to 1, which would turn a convergent series divergent
     ctx = CTX
     f = parse(f"x/(1+x^({a_text}))^(1/({a_text}))")
-    result = search_exponent(f)
+    result = search_exponent(Samples(f))
     assert result.found
     a = parse_constant(a_text, ctx)
     assert abs(result.fit.a / a - 1) < ctx.mpf("1e-12")
@@ -298,7 +298,7 @@ def test_search_reads_only_the_tail():
 def test_search_refuses_a_tail_without_digits():
     # x/(1+x^3)^(1/3) keeps ln(x/f) near x^3/3, 75 digits down at 1e-25
     with pytest.raises(PrecisionGuardError, match="rerun with precision above 64"):
-        search_exponent(parse("x/(1+x^3)^(1/3)"))
+        search_exponent(Samples(parse("x/(1+x^3)^(1/3)")))
 
 
 CONJUGATES = ["x/(1+x)", "sin(x)", "x/(1+x^(1/2))^2", "x - x^2"]
@@ -323,7 +323,7 @@ def test_conjugate_scaling_keeps_the_exponent(fn_text, lam):
 
 def test_search_exponent_range_validation():
     with pytest.raises(ValueError):
-        search_exponent(parse("sin(x)"), a_range=("2", "1"))
+        search_exponent(Samples(parse("sin(x)")), a_range=("2", "1"))
 
 
 def synth_fit(a_text):
@@ -375,28 +375,28 @@ def test_analytic_rule_rejections():
 
 
 def test_check_monotone():
-    monotone, delta = check_monotone(parse("x/2"))
+    monotone, delta = check_monotone(Samples(parse("x/2")))
     assert monotone
     assert delta == 1
 
-    monotone, delta = check_monotone(parse(OSCILLATORY))
+    monotone, delta = check_monotone(Samples(parse(OSCILLATORY)))
     assert not monotone
     assert delta < CTX.mpf("1e-6")  # no useful certified region
 
     # x - x^2 increases only below 1/2; this grid descends from 10^-0.5
-    monotone, _ = check_monotone(parse("x - x^2"), grid=GridSpec("0.3", "1e-6"))
+    monotone, _ = check_monotone(Samples(parse("x - x^2")), grid=GridSpec("0.3", "1e-6"))
     assert monotone
-    monotone, _ = check_monotone(parse("x - x^2"))
+    monotone, _ = check_monotone(Samples(parse("x - x^2")))
     assert not monotone
 
     with pytest.raises(ValueError, match="fewer than two points"):
-        check_monotone(parse("x/2"), grid=GridSpec("0.3", "0.29"))
+        check_monotone(Samples(parse("x/2")), grid=GridSpec("0.3", "0.29"))
 
 
 def test_majorant_rule_oscillatory():
     g = parse(OSCILLATORY)
     m = MajorantSpec.linear("5/6", CTX)
-    v = majorant_rule(g, m)
+    v = majorant_rule(Samples(g), m)
     assert (v.conclusion, v.rule) == (CONVERGENT, MAJORANT_RULE)
     assert v.witnesses["majorant"] == "linear:5/6"
     assert v.witnesses["delta"] == 1  # the grid's top without a seed
@@ -404,19 +404,19 @@ def test_majorant_rule_oscillatory():
     assert 0 < CTX.mpf(5) / 6 - v.witnesses["bound"] < CTX.mpf("1e-3")
 
     # 0.8 < 5/6 cannot dominate; the witness point is reported
-    v = majorant_rule(g, MajorantSpec.linear("0.8", CTX))
+    v = majorant_rule(Samples(g), MajorantSpec.linear("0.8", CTX))
     assert v.conclusion == INCONCLUSIVE
     assert "domination fails at x = 0.56234132519" in v.notes[0]
 
 
 def test_majorant_rule_equality_is_allowed():
-    v = majorant_rule(parse("x/2"), MajorantSpec.linear("0.5", CTX))
+    v = majorant_rule(Samples(parse("x/2")), MajorantSpec.linear("0.5", CTX))
     assert v.conclusion == CONVERGENT
     assert v.witnesses["bound"] == CTX.mpf("0.5")
 
 
 def test_majorant_rule_positive_margin():
-    v = majorant_rule(parse("x/3"), MajorantSpec.linear("0.5", CTX))
+    v = majorant_rule(Samples(parse("x/3")), MajorantSpec.linear("0.5", CTX))
     assert v.conclusion == CONVERGENT
     assert v.witnesses["bound"] < CTX.mpf("0.5")
 
@@ -424,20 +424,20 @@ def test_majorant_rule_positive_margin():
 def test_majorant_rule_powerlaw_cannot_cover_slower_decay():
     # near zero f/x -> 1, so every strict linear contraction fails
     g = parse("x/(1+x^(1/2))^2")
-    v = majorant_rule(g, MajorantSpec.linear("0.9", CTX))
+    v = majorant_rule(Samples(g), MajorantSpec.linear("0.9", CTX))
     assert v.conclusion == INCONCLUSIVE
     assert "domination fails" in v.notes[0]
 
     # a powerlaw family member dominates it (itself, slightly lifted)
     m = MajorantSpec.powerlaw("0.5", "0.5", CTX)
-    v = majorant_rule(g, m)
+    v = majorant_rule(Samples(g), m)
     assert v.conclusion == CONVERGENT
     assert v.witnesses["majorant"] == "powerlaw:a=0.5,c=0.5"
 
 
 def test_majorant_rule_rejects_faster_decay_claim():
     # m = powerlaw decays like a power, g = x/2 geometrically: m < g near 1
-    v = majorant_rule(parse("x/2"), MajorantSpec.powerlaw("0.5", "1", CTX))
+    v = majorant_rule(Samples(parse("x/2")), MajorantSpec.powerlaw("0.5", "1", CTX))
     assert v.conclusion == INCONCLUSIVE
     assert "domination fails at x = 1.0" in v.notes[0]
 
@@ -445,27 +445,27 @@ def test_majorant_rule_rejects_faster_decay_claim():
 def test_majorant_rule_user_certification():
     g = parse(OSCILLATORY)
     m = MajorantSpec.user(parse("5/6 * x"))
-    v = majorant_rule(g, m, seed_grid("0.3", CTX))
+    v = majorant_rule(Samples(g), m, seed_grid("0.3", CTX))
     assert v.conclusion == INCONCLUSIVE
     assert any("certificate" in n for n in v.notes)
     # the monotonicity scan rides along in the witnesses of every verdict;
     # the grid runs down from the seed
     assert v.witnesses == {"monotone": True, "delta": CTX.mpf("0.3")}
 
-    v = majorant_rule(g, m, seed_grid("0.3", CTX), certificate=analyze(m.fn, "0.3"))
+    v = majorant_rule(Samples(g), m, seed_grid("0.3", CTX), certificate=analyze(m.fn, "0.3"))
     assert v.conclusion == CONVERGENT
     assert any("user majorant monotone" in n for n in v.notes)
 
     # an analysis that does not converge certifies nothing
     m = MajorantSpec.user(parse("x/(1+x)"))
-    v = majorant_rule(g, m, seed_grid("0.3", CTX), certificate=analyze(m.fn, "0.3"))
+    v = majorant_rule(Samples(g), m, seed_grid("0.3", CTX), certificate=analyze(m.fn, "0.3"))
     assert v.conclusion == INCONCLUSIVE
     assert any("certificate" in n for n in v.notes)
 
 
 def test_majorant_rule_evaluation_failure():
     # ln(1) = 0 turns the first comparison point into a division by zero
-    v = majorant_rule(parse("x / ln(x)"), MajorantSpec.linear("0.5", CTX))
+    v = majorant_rule(Samples(parse("x / ln(x)")), MajorantSpec.linear("0.5", CTX))
     assert v.conclusion == INCONCLUSIVE
     assert any("evaluation failed" in n for n in v.notes)
 
@@ -477,15 +477,15 @@ def test_snap_rational():
 
 
 def test_signed_rule_outcomes():
-    v = signed_rule(parse("-x/2"))
+    v = signed_rule(Samples(parse("-x/2")))
     assert (v.conclusion, v.rule) == (CONVERGENT, ALTERNATING_RULE)
     assert "sign_pattern" in v.witnesses
 
-    v = signed_rule(parse("x*sin(1/x)*(1/2)"))
+    v = signed_rule(Samples(parse("x*sin(1/x)*(1/2)")))
     assert (v.conclusion, v.rule) == (CONVERGENT, ABSOLUTE_BOUND_RULE)
     assert abs(v.witnesses["c"] - CTX.mpf("0.5")) < CTX.mpf("0.01")
 
-    v = signed_rule(parse("x*sin(1/x)"))
+    v = signed_rule(Samples(parse("x*sin(1/x)")))
     assert v.conclusion == INCONCLUSIVE
     assert any("sup" in n for n in v.notes)
 
@@ -598,9 +598,9 @@ def test_analyze_inconclusive_has_reasons():
 def test_search_success_implies_unit_derivative(fn_text):
     # a finite quotient limit at some exponent forces f'(0) = 1
     f = parse(fn_text)
-    result = search_exponent(f)
+    result = search_exponent(Samples(f))
     assert result.found
-    est = estimate_derivative_at_zero(f)
+    est = estimate_derivative_at_zero(Samples(f))
     assert est.kind == VALUE
     assert abs(est.c - 1) <= MARGIN
 
@@ -611,8 +611,8 @@ def test_majorant_verdict_implies_orbit_domination():
 
     report = analyze(parse(OSCILLATORY), "0.3")
     assert report.verdict.rule == MAJORANT_RULE
-    g_orbit = iterate(parse(OSCILLATORY), "0.3")
-    m_orbit = iterate(parse("5/6 * x"), "0.3")
+    g_orbit = iterate(Samples(parse(OSCILLATORY)), "0.3")
+    m_orbit = iterate(Samples(parse("5/6 * x")), "0.3")
     common = min(g_orbit.last_index, m_orbit.last_index)
     assert common > 100
     for n in range(common + 1):
@@ -627,7 +627,7 @@ def test_alternating_verdict_implies_alternating_orbit():
 
 
 def band_verdict(fn_text, x0):
-    v = comparison_band(parse(fn_text), seed_grid(x0, CTX))
+    v = comparison_band(Samples(parse(fn_text)), seed_grid(x0, CTX))
     return v.conclusion, v.rule
 
 
@@ -673,13 +673,13 @@ def test_band_reads_sampled_witnesses():
     # the linear ratio snaps to p/q; a majorant C is the three-digit rounding
     # of 0.99*inf L_0.9 and a minorant C that of 1.01*sup L_1.1, so the label
     # itself passes the same test
-    v = comparison_band(parse(OSCILLATORY), seed_grid("0.3", CTX))
+    v = comparison_band(Samples(parse(OSCILLATORY)), seed_grid("0.3", CTX))
     assert v.witnesses["majorant"] == "linear:5/6"
     assert v.witnesses["delta"] == CTX.mpf("0.3")
-    v = comparison_band(parse("x - x^(3/2)*(1+abs(sin(1/x)))/2"), seed_grid("0.3", CTX))
+    v = comparison_band(Samples(parse("x - x^(3/2)*(1+abs(sin(1/x)))/2")), seed_grid("0.3", CTX))
     assert v.witnesses["majorant"] == "powerlaw:a=0.9,c=1.25"
     assert CTX.mpf("1.26") <= v.witnesses["bound"] < CTX.mpf("1.27")
-    v = comparison_band(parse("x - x^(5/2)*(1+abs(sin(1/x)))/2"), seed_grid("0.3", CTX))
+    v = comparison_band(Samples(parse("x - x^(5/2)*(1+abs(sin(1/x)))/2")), seed_grid("0.3", CTX))
     assert (v.conclusion, v.rule) == (DIVERGENT, MINORANT_RULE)
     assert v.witnesses["minorant"] == "powerlaw:a=1.1,c=0.479"
     assert CTX.mpf("0.474") <= v.witnesses["bound"] < CTX.mpf("0.475")
@@ -689,7 +689,7 @@ def test_band_reads_sampled_witnesses():
 def test_band_leaves_the_exponents_next_to_1_open():
     # x - x^2*abs(sin(1/x)) diverges, but its L_0.9 has a positive inf on
     # any grid, and its bounded L_1 reads like x^(b-1) for b just below 1
-    v = comparison_band(parse("x - x^2*abs(sin(1/x))"), seed_grid("0.3", CTX))
+    v = comparison_band(Samples(parse("x - x^2*abs(sin(1/x))")), seed_grid("0.3", CTX))
     assert v.conclusion == INCONCLUSIVE
     assert any("minima of L_0.9 trend toward 0" in n for n in v.notes)
     assert any("maxima of L_1.1 trend toward infinity" in n for n in v.notes)

@@ -22,6 +22,7 @@ from recurseries.cli import (
     parse_majorant_spec,
 )
 from recurseries.expr import context, parse
+from recurseries.grids import Samples
 from recurseries.orbit import iterate, write_csv
 
 from corpus import ALL, DECISIVE
@@ -296,7 +297,7 @@ def test_iterate_writes_file(tmp_path):
 @given(st.sampled_from(_STOPS), st.integers(min_value=1, max_value=12))
 def test_streamed_iterate_prints_what_write_csv_prints_of_the_stored_orbit(stop, thin):
     text, max_n, mode = stop[:3]
-    stored = iterate(parse(text), 1, max_n=max_n, mode=mode)
+    stored = iterate(Samples(parse(text)), 1, max_n=max_n, mode=mode)
     csv = io.StringIO()
     rows = write_csv(stored, csv, thin=thin)
     summary = (
@@ -340,6 +341,8 @@ def test_constant_past_the_magnitude_cap_stops_at_once(call, where, cap):
     text = f"x/2 + 0*{call}"
     code, out = run(["analyze", f"--f={text}", "--x0=0.5"])
     assert code == 1 and out.startswith("error: the decay hypothesis fails")
+    # the reason is named, as in iterate's status
+    assert f"(x = 0.5: {cap} in '{where}'; " in out
     code, out = run(["iterate", f"--f={text}", "--x0=0.5", "--max-n=5"])
     assert code == 0
     assert out.splitlines()[-1] == (

@@ -7,7 +7,6 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import recurseries.estimate
 from recurseries.cli import _build_parser, cmd_analyze, config_from_args
 from recurseries.estimate import (
     FIT_SAMPLES,
@@ -15,9 +14,9 @@ from recurseries.estimate import (
     _sample_indices,
     fit_power_law,
     sum_estimate,
-    verify_asymptotic,
 )
 from recurseries.expr import context, parse
+from recurseries.grids import Samples
 from recurseries.orbit import Mode, Orbit, OrbitStatus, iterate
 
 from corpus import ALL
@@ -49,7 +48,7 @@ def test_fit_exact_power_law():
 
 def test_fit_on_computed_orbit():
     # x_{n+1} = x_n/(1+x_n) from 1 is exactly 1/(n+1): a = 1, k ~ 1
-    orbit = iterate(parse("x/(1+x)"), 1, max_n=2000)
+    orbit = iterate(Samples(parse("x/(1+x)")), 1, max_n=2000)
     fit = fit_power_law(orbit)
     assert not fit.rejected
     assert abs(fit.a - 1) < CTX.mpf("1e-3")
@@ -69,7 +68,7 @@ def test_fit_scale_covariance(scale):
 
 
 def test_fit_rejects_geometric_decay():
-    orbit = iterate(parse("x/2"), 1, floor="1e-80")
+    orbit = iterate(Samples(parse("x/2")), 1, floor="1e-80")
     assert orbit.last_index == 266
     fit = fit_power_law(orbit)
     assert fit.rejected
@@ -77,14 +76,21 @@ def test_fit_rejects_geometric_decay():
 
 
 def test_fit_window_validation():
-    orbit = iterate(parse("x/(1+x)"), 1, max_n=300)
+    orbit = iterate(Samples(parse("x/(1+x)")), 1, max_n=300)
     with pytest.raises(ValueError):
         fit_power_law(orbit, window=(1, 50))  # too few terms
     with pytest.raises(ValueError):
         fit_power_law(orbit, window=(1, 1000))  # beyond orbit
-    signed = iterate(parse("-x/2"), 1, mode=Mode.SIGNED)
+    signed = iterate(Samples(parse("-x/2")), 1, mode=Mode.SIGNED)
     with pytest.raises(ValueError):
         fit_power_law(signed)
+
+
+def last_decade_mismatch(orbit, a, k):
+    """The worst |n^(1/a) * x_n / k - 1| over the last decade of indices."""
+    last = orbit.last_index
+    return max(abs(CTX.power(n, 1 / CTX.convert(a)) * orbit.terms[n] / k - 1)
+               for n in range(max(1, last // 10), last + 1))
 
 
 def test_verify_accepted_fit_exact_data():
@@ -93,40 +99,36 @@ def test_verify_accepted_fit_exact_data():
     orbit = synthetic_orbit(terms)
     fit = fit_power_law(orbit)
     assert not fit.rejected
-    check = verify_asymptotic(orbit, fit.a, fit.k, 3 * fit.residual + CTX.mpf("1e-30"))
-    assert check.passed
+    assert last_decade_mismatch(orbit, fit.a, fit.k) <= 3 * fit.residual + CTX.mpf("1e-30")
 
 
 def test_verify_accepted_fit_computed_orbit():
     # real orbits carry 1/n corrections below the fit window, so the
-    # floor absorbs them at the scale the verification step works at
-    orbit = iterate(parse("x/(1+x)"), 1, max_n=20000)
+    # floor absorbs them over the last decade, indices 2000 to 20000
+    orbit = iterate(Samples(parse("x/(1+x)")), 1, max_n=20000)
     fit = fit_power_law(orbit)
     assert not fit.rejected
-    check = verify_asymptotic(orbit, fit.a, fit.k, 3 * fit.residual + CTX.mpf("1e-3"))
-    assert check.passed
-    # trace covers the last decade of indices
-    assert check.trace[0][0] == 2000
-    assert check.trace[-1][0] == 20000
+    assert last_decade_mismatch(orbit, fit.a, fit.k) <= 3 * fit.residual + CTX.mpf("1e-3")
 
 
 def test_verify_rejects_wrong_exponent():
-    orbit = iterate(parse("x/(1+x)"), 1, max_n=1000)
-    check = verify_asymptotic(orbit, 2, 1, "1e-3")
-    assert not check.passed
+    orbit = iterate(Samples(parse("x/(1+x)")), 1, max_n=1000)
+    assert last_decade_mismatch(orbit, 2, 1) > CTX.mpf("1e-3")
 
 
 def test_sum_estimate_geometric():
-    orbit = iterate(parse("x/2"), 1)
+    orbit = iterate(Samples(parse("x/2")), 1)
     est = sum_estimate(orbit)
     assert est.method == "geometric tail"
+    # every ratio is c = 1/2, so the tail x_N * c/(1-c) is x_N exactly
+    assert est.tail == orbit.terms[-1]
     assert abs(est.total - 2) < CTX.mpf("1e-38")
     assert "not rigorous" in est.note
 
 
 def test_sum_estimate_power_law_tail():
     # x_{n+1} = x_n/(1+sqrt(x_n))^2 from 1 is exactly 1/(n+1)^2, total pi^2/6
-    orbit = iterate(parse("x/(1+x^(1/2))^2"), 1, max_n=2000)
+    orbit = iterate(Samples(parse("x/(1+x^(1/2))^2")), 1, max_n=2000)
     fit = fit_power_law(orbit)
     assert not fit.rejected
     est = sum_estimate(orbit, fit)
@@ -135,20 +137,20 @@ def test_sum_estimate_power_law_tail():
 
 
 def test_sum_estimate_divergent_tail_raises():
-    orbit = iterate(parse("x/(1+x)"), 1, max_n=1000)
+    orbit = iterate(Samples(parse("x/(1+x)")), 1, max_n=1000)
     fit = fit_power_law(orbit)
     with pytest.raises(ValueError, match="tail divergent"):
         sum_estimate(orbit, fit)
 
 
 def test_sum_estimate_signed_orbit_raises():
-    orbit = iterate(parse("-x/2"), 1, mode=Mode.SIGNED)
+    orbit = iterate(Samples(parse("-x/2")), 1, mode=Mode.SIGNED)
     with pytest.raises(ValueError):
         sum_estimate(orbit)
 
 
 def test_sum_estimate_rejected_fit_falls_back():
-    orbit = iterate(parse("x/2"), 1, floor="1e-80")
+    orbit = iterate(Samples(parse("x/2")), 1, floor="1e-80")
     fit = fit_power_law(orbit)
     assert fit.rejected
     est = sum_estimate(orbit, fit)
@@ -186,7 +188,7 @@ _POWER_LAW = st.tuples(
 )
 def test_positive_orbits_decrease_strictly(text, x0):
     # fit_power_law relies on this and does not check it again
-    orbit = iterate(parse(text), x0, max_n=500)
+    orbit = iterate(Samples(parse(text)), x0, max_n=500)
     assert orbit.mode is Mode.POSITIVE and orbit.last_index > 0
     assert all(0 < b < a for a, b in zip(orbit.terms, orbit.terms[1:]))
 
@@ -206,7 +208,7 @@ def test_sample_indices(start, length):
 @functools.lru_cache(maxsize=None)
 def corpus_orbit(name):
     entry = BY_NAME[name]
-    return iterate(parse(entry.function), entry.x0, max_n=entry.max_n)
+    return iterate(Samples(parse(entry.function)), entry.x0, max_n=entry.max_n)
 
 
 @pytest.mark.parametrize("name", [
@@ -236,21 +238,16 @@ def test_fit_work_is_bounded_by_the_samples(monkeypatch):
     # working-precision ln/exp/power calls: about 15,000 when every window
     # index is fitted, a few per sample when only the samples are
     calls = []
+    orbit = iterate(Samples(parse("x/(1+x)")), 1, max_n=10000)
+    ctx = orbit.x0.context  # the table's context, which the fit computes on
+    for name in ("ln", "exp", "power"):
+        original = getattr(ctx, name)
 
-    def counting_context(precision):
-        ctx = context(precision)
-        for name in ("ln", "exp", "power"):
-            original = getattr(ctx, name)
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
 
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls.append(_name)
-                return _original(*args, **kwargs)
-
-            setattr(ctx, name, counted)
-        return ctx
-
-    orbit = iterate(parse("x/(1+x)"), 1, max_n=10000)
-    monkeypatch.setattr(recurseries.estimate, "context", counting_context)
+        monkeypatch.setattr(ctx, name, counted)
     fit = fit_power_law(orbit)
     assert not fit.rejected
     assert len(calls) <= 3 * FIT_SAMPLES + 16

@@ -17,7 +17,6 @@ from recurseries.expr import (
     UnknownIdentifierError,
     Var,
     context,
-    evaluate,
     evaluator,
     parse,
     parse_constant,
@@ -74,7 +73,7 @@ def test_parse_render_round_trip(text):
     ("(-2)^3", -8),
 ])
 def test_precedence(text, expected):
-    assert evaluate(parse(text), 1) == expected
+    assert evaluator(parse(text), CTX)(1) == expected
 
 
 def test_eval_against_direct_mpmath():
@@ -91,23 +90,23 @@ def test_eval_against_direct_mpmath():
         "x ^ 2.5": CTX.power(x, CTX.mpf("2.5")),
     }
     for text, want in cases.items():
-        got = evaluate(parse(text), x)
+        got = evaluator(parse(text), CTX)(x)
         assert abs(got - want) <= abs(want) * CTX.mpf("1e-70"), text
 
 
 def test_number_literals_reread_per_precision():
     # "0.1" must be re-interpreted at the working precision, not cached
     # as a binary double
-    residue = evaluate(parse("0.1 * 3 - 0.3"), 1, precision=64)
+    residue = evaluator(parse("0.1 * 3 - 0.3"), context(64))(1)
     assert abs(residue) < mpmath.mpf("1e-70")
-    lo = evaluate(parse("1/3"), 1, precision=16)
-    hi = evaluate(parse("1/3"), 1, precision=64)
+    lo = evaluator(parse("1/3"), context(16))(1)
+    hi = evaluator(parse("1/3"), context(64))(1)
     assert lo != hi  # more digits at higher precision
 
 
 def test_scientific_notation_literals():
-    assert abs(evaluate(parse("1e-3 + 2.5E2"), 1) - CTX.mpf("250.001")) < CTX.mpf("1e-70")
-    assert evaluate(parse(".5 + 2."), 1) == CTX.mpf("2.5")
+    assert abs(evaluator(parse("1e-3 + 2.5E2"), CTX)(1) - CTX.mpf("250.001")) < CTX.mpf("1e-70")
+    assert evaluator(parse(".5 + 2."), CTX)(1) == CTX.mpf("2.5")
 
 
 @pytest.mark.parametrize("text,err,offset", [
@@ -147,7 +146,7 @@ def test_no_implicit_multiplication():
 ])
 def test_domain_errors_name_subexpression(text, x, fragment):
     with pytest.raises(EvalDomainError) as info:
-        evaluate(parse(text), x)
+        evaluator(parse(text), CTX)(x)
     assert fragment in str(info.value)
     assert info.value.x == CTX.convert(x)
 
@@ -165,13 +164,13 @@ def test_taylor_polynomial_matches_hand_sum():
     for xt in ("0.5", "0.1", "0.03"):
         x = CTX.mpf(xt)
         want = x - x**3 / 6
-        assert abs(evaluate(f, x) - want) < mpmath.mpf("1e-70")
+        assert abs(evaluator(f, CTX)(x) - want) < mpmath.mpf("1e-70")
 
 
 def test_taylor_polynomial_edge_cases():
     assert render(taylor_polynomial(TaylorDef((1,)), CTX)) == "x"
     f = taylor_polynomial(TaylorDef((1, -1)), CTX)
-    assert evaluate(f, "0.5") == mpmath.mpf("0.25")
+    assert evaluator(f, CTX)("0.5") == mpmath.mpf("0.25")
     with pytest.raises(ValueError):
         taylor_polynomial(TaylorDef((0, 0)), CTX)
     with pytest.raises(ValueError):
@@ -362,3 +361,59 @@ def test_constant_past_the_magnitude_cap_raises_at_each_call():
         assert str(info.value) == (
             f"exponent reaches the magnitude cap 2^1024 in '10 ^ 2 ^ 1024' at x = {x}"
         )
+
+
+def _positive_nodes():
+    """Trees over x, positive constants, +, *, /, sqrt and exp: every value
+    is positive, so no operation cancels digits."""
+    leaves = st.one_of(
+        st.just(Var()),
+        st.sampled_from([Const("pi"), Const("e")]),
+        st.decimals(min_value="0.01", max_value="10", places=3).map(
+            lambda d: Number(str(d))),
+    )
+    return st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.tuples(st.sampled_from("+*/"), children, children).map(
+                lambda t: BinOp(*t)),
+            st.tuples(st.sampled_from(["sqrt", "exp"]), children).map(
+                lambda t: Call(*t)),
+        ),
+        max_leaves=12,
+    )
+
+
+def _exp_arguments(node):
+    if isinstance(node, Call):
+        if node.func == "exp":
+            yield node.arg
+        yield from _exp_arguments(node.arg)
+    elif isinstance(node, BinOp):
+        yield from _exp_arguments(node.left)
+        yield from _exp_arguments(node.right)
+
+
+# exp(u) turns a relative error r of u into the relative error |u|*r, so an
+# argument past this bound would lose digits to the function itself, not to
+# the evaluator; below it the guard digits absorb the amplification
+EXP_ARGUMENT_BOUND = 1000
+
+
+@settings(max_examples=200, deadline=None)
+@given(_positive_nodes(), st.floats(min_value=0, max_value=1, exclude_min=True),
+       st.integers(min_value=16, max_value=80))
+def test_evaluator_at_p_digits_agrees_with_2p_digits(root, x, p):
+    # x is a double, so both contexts read the same number; a literal is
+    # read at each working precision
+    fine = context(2 * p)
+    try:
+        if any(evaluator(FunctionDef(u, ""), fine)(x) > EXP_ARGUMENT_BOUND
+               for u in _exp_arguments(root)):
+            reject()
+    except EvalDomainError:  # an exp argument past the magnitude cap
+        reject()
+    f = FunctionDef(root, "")
+    coarse = evaluator(f, context(p))(x)
+    want = evaluator(f, fine)(x)
+    assert abs(fine.convert(coarse) - want) <= fine.mpf(10) ** -p * want

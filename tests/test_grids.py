@@ -129,13 +129,13 @@ def test_logs_evaluate_f_before_the_guard_bits():
     table = Samples(parse("x/(1+x)"))
     working = table.ctx.prec
     seen = []
-    compiled = table._fn
+    compiled = table.compiled
 
     def spy(x):
         seen.append(table.ctx.prec)
         return compiled(x)
 
-    table._fn = spy
+    table.compiled = spy
     rows = table.logs(PROBE_GRID)
     assert len(seen) == len(rows) and set(seen) == {working}
     fn = evaluator(parse("x/(1+x)"), CTX)
@@ -184,7 +184,7 @@ def test_probe_samples_match_direct_power_form(entry, a):
     floor = CTX.mpf(10) ** -(CTX.dps - CANCELLATION_HEADROOM)
     guarded = any(share < floor for _, _, share in direct)
     try:
-        probe = probe_limit(f, a)
+        probe = probe_limit(Samples(f), a)
     except PrecisionGuardError:
         assert guarded
         return
@@ -225,9 +225,11 @@ def test_analyze_evaluates_f_once_per_grid_point(monkeypatch, name):
     report = analyze(parse(entry.function), entry.x0, AnalyzerConfig(max_n=entry.max_n))
     assert report.verdict.conclusion == entry.verdict
     f_calls = [args for source, args in calls if source == entry.function]
-    assert len(f_calls) <= 2  # the table and the orbit
-    # the probe grid is a slice of the validation grid from the seed
-    assert set(f_calls[0]) == set(seed_grid(entry.x0, CTX).points(CTX))
+    assert len(f_calls) == 1  # the table's compile, which the orbit runs too
+    # the probe grid is a slice of the validation grid from the seed, which
+    # the table reads before the orbit starts
+    grid = seed_grid(entry.x0, CTX).points(CTX)
+    assert set(f_calls[0][:len(grid)]) == set(grid)
     seen = Counter(x for args in f_calls for x in args)
     orbit = report.orbit_result
     # the orbit loop evaluates f at x_0 .. x_{step-1}
@@ -237,10 +239,10 @@ def test_analyze_evaluates_f_once_per_grid_point(monkeypatch, name):
 
 
 def test_compare_evaluates_a_user_majorant_once_per_point(monkeypatch, capsys):
-    # the majorant's own analysis (its table and its orbit) is all: the
-    # monotonicity and the domination scans read that table, on the same
-    # grid from the seed, and the printed orbit of m is the one its analysis
-    # iterated
+    # the majorant's own analysis (its table, whose compiled f its orbit
+    # runs) is all: the monotonicity and the domination scans read that
+    # table, on the same grid from the seed, and the printed orbit of m is
+    # the one its analysis iterated
     calls = count_evaluations(monkeypatch)
     with pytest.raises(SystemExit) as exc:
         main(["compare", "--f=x*(1/2 + 1/3*sin(1/x))", "--x0=0.3",
@@ -250,8 +252,8 @@ def test_compare_evaluates_a_user_majorant_once_per_point(monkeypatch, capsys):
     assert "monotone on grid: yes  delta = 0.3\n" in out
     lengths = [len(args) for source, args in calls if source == "5/6 * x"]
     grid = seed_grid("0.3", CTX).points(CTX)
-    assert lengths == [len(grid), 499]  # one grid table and one orbit
-    m_orbit = iterate(parse("5/6 * x"), "0.3")
+    assert lengths == [len(grid) + 499]  # one compile: the grid, then the orbit
+    m_orbit = iterate(Samples(parse("5/6 * x")), "0.3")
     rows = [line.split(",") for line in out.splitlines() if line[:1].isdigit()]
     assert rows and all(m == mpmath.nstr(m_orbit.terms[int(n)], 64) for n, _, m in rows)
 
@@ -275,10 +277,10 @@ def count_calls(monkeypatch, module, name):
 # (limit probes, evaluator compiles, f evaluations, majorant_rule calls) per
 # analysis; a later change that does more work has to update these
 WORK = {
-    "harmonic": (1, 2, 2121, 0),
-    "sine": (1, 2, 2121, 0),
-    "oscillatory": (0, 2, 239, 0),
-    "wide_band": (0, 2, 242, 0),
+    "harmonic": (1, 1, 2121, 0),
+    "sine": (1, 1, 2121, 0),
+    "oscillatory": (0, 1, 239, 0),
+    "wide_band": (0, 1, 242, 0),
 }
 
 
@@ -293,3 +295,23 @@ def test_analyze_work_counters(monkeypatch, capsys, name):
     evaluations = sum(len(args) for _, args in compiled)
     assert (len(probes), len(compiled), evaluations, len(majorants)) == WORK[name]
 
+
+
+@pytest.mark.parametrize("entry", [e for e in ALL if e.taylor is None], ids=lambda e: e.name)
+def test_analyze_makes_one_context(monkeypatch, entry):
+    # the table's: every stage, the orbit, the fit and the sum run on it
+    contexts = count_calls(monkeypatch, recurseries.expr, "context")
+    analyze(parse(entry.function), entry.x0, AnalyzerConfig(max_n=entry.max_n))
+    assert len(contexts) == 1
+
+
+@pytest.mark.parametrize("mode", ["auto", "positive"])
+def test_iterate_compiles_f_once(monkeypatch, capsys, mode):
+    # mode detection reads the table on the grid from the seed; the orbit
+    # runs the same compiled f
+    compiled = count_evaluations(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(["iterate", "--f=x/(1+x)", "--x0=0.5", "--max-n=50", f"--mode={mode}"])
+    assert exc.value.code == 0
+    detected = len(seed_grid("0.5", CTX).points(CTX)) if mode == "auto" else 0
+    assert [(source, len(args)) for source, args in compiled] == [("x/(1+x)", detected + 50)]

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath.libmp import finf, fnan, fninf, from_man_exp, fzero, mpf_lt
 
-from recurseries.estimate import fit_power_law, sum_estimate, verify_asymptotic
+from recurseries.estimate import fit_power_law, sum_estimate
 from recurseries.expr import context, evaluator, parse
-from recurseries.grids import GridSpec, validation_grid
+from recurseries.grids import GridSpec, Samples, validation_grid
 from recurseries.orbit import (
     CsvRows,
     HYPOTHESIS_VIOLATION,
@@ -19,8 +19,6 @@ from recurseries.orbit import (
     _below,
     _decays,
     iterate,
-    partial_sum,
-    tail_bound_geometric,
     validate_hypotheses,
     validated_region,
     write_csv,
@@ -30,7 +28,7 @@ CTX = context(64)
 
 
 def test_geometric_orbit_exact():
-    orbit = iterate(parse("x/2"), 1)
+    orbit = iterate(Samples(parse("x/2")), 1)
     # 2^-n drops below 1e-40 at n = 133
     assert orbit.status.kind == REACHED_FLOOR
     assert orbit.status.step == 133
@@ -42,7 +40,7 @@ def test_geometric_orbit_exact():
 
 
 def test_harmonic_orbit_closed_form():
-    orbit = iterate(parse("x/(1+x)"), 1, max_n=1000)
+    orbit = iterate(Samples(parse("x/(1+x)")), 1, max_n=1000)
     assert orbit.status.kind == MAX_ITERATIONS
     worst = max(
         abs(term - CTX.mpf(1) / (n + 1))
@@ -50,7 +48,7 @@ def test_harmonic_orbit_closed_form():
     )
     assert worst < CTX.mpf("1e-70")
     # S_N is the harmonic number H_{N+1}
-    assert abs(partial_sum(orbit) - CTX.harmonic(1001)) < CTX.mpf("1e-68")
+    assert abs(orbit.partial_sums[-1] - CTX.harmonic(1001)) < CTX.mpf("1e-68")
 
 
 @settings(max_examples=25, deadline=None)
@@ -61,47 +59,47 @@ def test_harmonic_orbit_closed_form():
 def test_linear_orbit_matches_closed_form(c, x0):
     ctx = context(64)
     cm, x0m = ctx.mpf(repr(c)), ctx.mpf(repr(x0))
-    orbit = iterate(parse(f"({c!r}) * x"), x0m, max_n=200, floor="1e-35")
+    orbit = iterate(Samples(parse(f"({c!r}) * x")), x0m, max_n=200, floor="1e-35")
     for n, term in enumerate(orbit.terms):
         want = x0m * ctx.power(cm, n)
         assert abs(term - want) <= abs(want) * ctx.mpf("1e-69")
 
 
 def test_alternating_orbit():
-    orbit = iterate(parse("-x/2"), 1, mode=Mode.SIGNED)
+    orbit = iterate(Samples(parse("-x/2")), 1, mode=Mode.SIGNED)
     assert orbit.status.kind == REACHED_FLOOR
     signs = [mpmath.sign(t) for t in orbit.terms]
     assert all(a * b < 0 for a, b in zip(signs, signs[1:]))
-    assert abs(partial_sum(orbit) - CTX.mpf(2) / 3) < CTX.mpf("1e-40")
+    assert abs(orbit.partial_sums[-1] - CTX.mpf(2) / 3) < CTX.mpf("1e-40")
 
 
 def test_violation_stops_orbit():
-    orbit = iterate(parse("2*x"), 1)
+    orbit = iterate(Samples(parse("2*x")), 1)
     assert orbit.status.kind == HYPOTHESIS_VIOLATION
     assert orbit.status.step == 1
     assert orbit.terms == [CTX.mpf(1)]  # offending value never recorded
 
     # the identity breaks the strict decrease requirement
-    orbit = iterate(parse("x"), 1)
+    orbit = iterate(Samples(parse("x")), 1)
     assert orbit.status.kind == HYPOTHESIS_VIOLATION
 
     # negative values violate positive mode
-    orbit = iterate(parse("-x/2"), 1, mode=Mode.POSITIVE)
+    orbit = iterate(Samples(parse("-x/2")), 1, mode=Mode.POSITIVE)
     assert orbit.status.kind == HYPOTHESIS_VIOLATION
 
 
 def test_underflow_and_domain_error():
-    orbit = iterate(parse("x - 1"), 1)
+    orbit = iterate(Samples(parse("x - 1")), 1)
     assert orbit.status.kind == UNDERFLOW
 
     # a domain error mid-orbit is reported as a violation with the cause
-    orbit = iterate(parse("ln(x - 1)"), "0.5")
+    orbit = iterate(Samples(parse("ln(x - 1)")), "0.5")
     assert orbit.status.kind == HYPOTHESIS_VIOLATION
     assert "ln" in orbit.status.detail
 
 
 def test_immediate_floor():
-    orbit = iterate(parse("x/2"), "1e-50")
+    orbit = iterate(Samples(parse("x/2")), "1e-50")
     assert orbit.status.kind == REACHED_FLOOR
     assert orbit.status.step == 0
     assert orbit.terms == [CTX.mpf("1e-50")]
@@ -109,15 +107,15 @@ def test_immediate_floor():
 
 def test_iterate_argument_validation():
     with pytest.raises(ValueError):
-        iterate(parse("x/2"), 0)
+        iterate(Samples(parse("x/2")), 0)
     with pytest.raises(ValueError):
-        iterate(parse("x/2"), 1, max_n=0)
+        iterate(Samples(parse("x/2")), 1, max_n=0)
     with pytest.raises(ValueError):
-        iterate(parse("x/2"), 1, floor="0")
+        iterate(Samples(parse("x/2")), 1, floor="0")
 
 
 def test_validate_hypotheses_clean():
-    report = validate_hypotheses(parse("x/(1+x)"))
+    report = validate_hypotheses(Samples(parse("x/(1+x)")))
     assert report.passed
     assert report.violations == []
     assert validated_region(report) == CTX.mpf(1)
@@ -125,7 +123,7 @@ def test_validate_hypotheses_clean():
 
 
 def test_validate_hypotheses_partial():
-    report = validate_hypotheses(parse("x - x^2"))
+    report = validate_hypotheses(Samples(parse("x - x^2")))
     assert not report.passed
     assert [x for x, _ in report.violations] == [CTX.mpf(1)]
     region = validated_region(report)
@@ -133,32 +131,20 @@ def test_validate_hypotheses_partial():
 
 
 def test_validate_hypotheses_total_failure():
-    report = validate_hypotheses(parse("2*x"))
+    report = validate_hypotheses(Samples(parse("2*x")))
     assert validated_region(report) is None
 
 
 def test_validate_hypotheses_signed_interleaves():
-    report = validate_hypotheses(parse("-x/2"), mode=Mode.SIGNED)
+    report = validate_hypotheses(Samples(parse("-x/2")), mode=Mode.SIGNED)
     assert report.passed
     grid_len = len(validation_grid().points(CTX))
     assert len(report.checked_grid) == 2 * grid_len
     assert any(p < 0 for p in report.checked_grid)
 
 
-def test_tail_bound_geometric():
-    orbit = iterate(parse("x/2"), 1)
-    c = CTX.mpf("0.5")
-    bound = tail_bound_geometric(orbit, c)
-    # exact geometric tail: x_N * c/(1-c) = x_N for c = 1/2
-    assert bound == orbit.terms[-1]
-    with pytest.raises(ValueError):
-        tail_bound_geometric(orbit, "0.4")  # observed ratio 0.5 exceeds c
-    with pytest.raises(ValueError):
-        tail_bound_geometric(orbit, 1)
-
-
 def test_write_csv_thin_keeps_last_row():
-    orbit = iterate(parse("x/(1+x)"), 1, max_n=100)
+    orbit = iterate(Samples(parse("x/(1+x)")), 1, max_n=100)
     buffer = io.StringIO()
     rows = write_csv(orbit, buffer, thin=30)
     lines = buffer.getvalue().strip().splitlines()
@@ -177,7 +163,7 @@ def test_write_csv_thin_keeps_last_row():
     ("-x/2", "1", Mode.SIGNED),  # the corpus's alternating entry, to the floor
 ])
 def test_iterate_is_the_plain_mpf_recurrence(text, x0, mode):
-    orbit = iterate(parse(text), x0, max_n=2000, mode=mode)
+    orbit = iterate(Samples(parse(text)), x0, max_n=2000, mode=mode)
     fn = evaluator(parse(text), CTX)
     x = s = CTX.convert(x0)
     terms, sums = [x], [s]
@@ -206,7 +192,7 @@ def test_iterate_is_the_plain_mpf_recurrence(text, x0, mode):
      "square root of a negative value in 'sqrt(x - 0.3)' at x = 0.27876411061"),
 ])
 def test_iterate_status_details(text, mode, kind, step, detail):
-    orbit = iterate(parse(text), 1, mode=mode)
+    orbit = iterate(Samples(parse(text)), 1, mode=mode)
     assert (orbit.status.kind, orbit.status.step, orbit.status.detail) == (kind, step, detail)
     assert orbit.last_index == step - 1
 
@@ -224,7 +210,7 @@ def _csv_by_definition(orbit, thin):
     (100, 1), (100, 7), (100, 10), (70, 7), (3, 10), (1, 1),
 ])
 def test_write_csv_rows_match_the_definition(max_n, thin):
-    orbit = iterate(parse("x/(1+x)"), 1, max_n=max_n)
+    orbit = iterate(Samples(parse("x/(1+x)")), 1, max_n=max_n)
     buffer = io.StringIO()
     rows = write_csv(orbit, buffer, thin=thin)
     assert buffer.getvalue() == _csv_by_definition(orbit, thin)
@@ -247,47 +233,43 @@ _STOPS = [
 @pytest.mark.parametrize("thin", [1, 3, 7, 10])
 @pytest.mark.parametrize("text,max_n,mode,kind,step", _STOPS)
 def test_thinned_orbit_is_the_full_orbit_at_the_kept_rows(text, max_n, mode, kind, step, thin):
-    full = iterate(parse(text), 1, max_n=max_n, mode=mode)
-    orbit = iterate(parse(text), 1, max_n=max_n, mode=mode, thin=thin)
+    full = iterate(Samples(parse(text)), 1, max_n=max_n, mode=mode)
+    kept_rows = []
+    orbit = iterate(Samples(parse(text)), 1, max_n=max_n, mode=mode, thin=thin,
+                    rows=lambda n, x, s: kept_rows.append((n, x._mpf_, s._mpf_)))
     last = step if kind in (REACHED_FLOOR, MAX_ITERATIONS) else step - 1
-    assert (orbit.status, orbit.last_index, orbit.thin) == (full.status, last, thin)
+    assert (orbit.status, orbit.last_index) == (full.status, last)
     assert orbit.status.kind == kind and orbit.status.step == step
-    assert len(orbit.terms) == len(orbit.partial_sums) == last // thin + 1 + (last % thin != 0)
     kept = sorted(set(range(0, last + 1, thin)) | {last})
-    assert [t._mpf_ for t in orbit.terms] == [full.terms[n]._mpf_ for n in kept]
-    assert [s._mpf_ for s in orbit.partial_sums] == [full.partial_sums[n]._mpf_ for n in kept]
-    for every in (thin, 2 * thin):
-        want, got = io.StringIO(), io.StringIO()
-        assert write_csv(orbit, got, thin=every) == write_csv(full, want, thin=every)
-        assert got.getvalue() == want.getvalue()
+    assert kept_rows == [(n, full.terms[n]._mpf_, full.partial_sums[n]._mpf_) for n in kept]
+    assert (orbit.terms[-1]._mpf_, orbit.partial_sums[-1]._mpf_) == kept_rows[-1][1:]
+    want, got = io.StringIO(), io.StringIO()
+    rows = CsvRows(got, 64)
+    iterate(Samples(parse(text)), 1, max_n=max_n, mode=mode, thin=thin, rows=rows)
+    assert rows.count == write_csv(full, want, thin=thin)
+    assert got.getvalue() == want.getvalue()
 
 
-def test_thinned_orbit_is_refused_where_indices_must_be_consecutive():
-    orbit = iterate(parse("x/(1+x^(1/2))^2"), 1, max_n=2000, thin=10)
-    for reader in (fit_power_law, sum_estimate, lambda o: verify_asymptotic(o, "0.5", 1, "1e-3"),
-                   lambda o: tail_bound_geometric(o, "0.5")):
-        with pytest.raises(ValueError, match="needs every index"):
-            reader(orbit)
-    with pytest.raises(ValueError, match="not a multiple"):
-        write_csv(orbit, io.StringIO(), thin=15)
+def test_thinned_orbit_needs_a_row_consumer():
+    table = Samples(parse("x/(1+x^(1/2))^2"))
+    with pytest.raises(ValueError, match="thinned orbit must be streamed"):
+        iterate(table, 1, max_n=2000, thin=10)
     with pytest.raises(ValueError):
-        iterate(parse("x/2"), 1, thin=0)
+        iterate(Samples(parse("x/2")), 1, thin=0)
 
 
 @pytest.mark.parametrize("thin", [1, 7])
 def test_streamed_orbit_keeps_its_last_row_and_is_refused_by_readers(thin):
     f = parse("x/(1+x^(1/2))^2")
-    stored = iterate(f, 1, max_n=2000)
+    stored = iterate(Samples(f), 1, max_n=2000)
     out = io.StringIO()
     rows = CsvRows(out, 64)
-    orbit = iterate(f, 1, max_n=2000, thin=thin, rows=rows)
-    assert orbit.streamed and (orbit.thin, orbit.last_index) == (thin, 2000)
+    orbit = iterate(Samples(f), 1, max_n=2000, thin=thin, rows=rows)
+    assert orbit.streamed and orbit.last_index == 2000
     assert [t._mpf_ for t in orbit.terms] == [stored.terms[-1]._mpf_]
     assert [s._mpf_ for s in orbit.partial_sums] == [stored.partial_sums[-1]._mpf_]
-    assert partial_sum(orbit) == partial_sum(stored)
     assert rows.count == len(range(0, 2000, thin)) + 1
-    for reader in (fit_power_law, sum_estimate, lambda o: verify_asymptotic(o, "0.5", 1, "1e-3"),
-                   lambda o: tail_bound_geometric(o, "0.5")):
+    for reader in (fit_power_law, sum_estimate):
         with pytest.raises(ValueError, match="the orbit keeps only its last row"):
             reader(orbit)
     with pytest.raises(ValueError, match="streamed orbit keeps only its last row"):
@@ -298,14 +280,14 @@ def _iterate_peak(max_n):
     f = parse("x/(1+x)")
     tracemalloc.start()
     try:
-        iterate(f, 1, max_n=max_n, thin=10000)
+        iterate(Samples(f), 1, max_n=max_n, thin=10000, rows=lambda n, x, s: None)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 def test_thinned_iterate_memory_is_flat_in_max_n():
-    iterate(parse("x/(1+x)"), 1, max_n=10)  # imports and caches outside the count
+    iterate(Samples(parse("x/(1+x)")), 1, max_n=10)  # imports and caches outside the count
     assert _iterate_peak(40000) <= 1.5 * _iterate_peak(10000)
 
 
