@@ -38,8 +38,10 @@ from .classify import (
 )
 from .expr import (
     DEFAULT_PRECISION,
+    EXPONENT_CAP,
     EvalDomainError,
     ExprError,
+    FunctionDef,
     MIN_PRECISION,
     TaylorDef,
     context,
@@ -121,14 +123,24 @@ def _expr_diagnostic(err: ExprError) -> str:
     return "\n".join(lines)
 
 
-def _parse_target(cfg: RunConfig, ctx):
-    """Return (FunctionDef or TaylorDef, display label)."""
+def _parse_target(cfg: RunConfig):
+    """Return (FunctionDef or TaylorDef, display label). Only --taylor
+    coefficients need a context to be read at the working precision."""
     if cfg.taylor is not None:
+        ctx = context(cfg.precision)
         coeffs = tuple(
             parse_constant(part.strip(), ctx) for part in cfg.taylor.split(",")
         )
         return TaylorDef(coeffs), f"taylor:{cfg.taylor}"
     return parse(cfg.function_text), cfg.function_text
+
+
+def _function(target) -> FunctionDef:
+    """f itself: for --taylor, the polynomial, built on the context its
+    coefficients were read on."""
+    if isinstance(target, TaylorDef):
+        return taylor_polynomial(target, target.coefficients[0].context)
+    return target
 
 
 def parse_majorant_spec(text: str, ctx) -> MajorantSpec:
@@ -245,24 +257,20 @@ def _report_text(report, cfg: RunConfig, label: str) -> str:
 
 
 def _command(body):
-    """Turn body(cfg, ctx, target, f, label) into a (RunConfig) -> (exit code,
-    output) subcommand: the configuration is validated and the target read
-    once here, and every error leaves by the one exit-1 path below.
+    """Turn body(cfg, target, label) into a (RunConfig) -> (exit code, output)
+    subcommand: the configuration is validated and the target read once
+    here, and every error leaves by the one exit-1 path below.
 
-    target is what the user gave (a FunctionDef or TaylorDef), f the function
-    itself (the Taylor polynomial for --taylor).
+    target is what the user gave, a FunctionDef or a TaylorDef (see
+    _function). Each body works on the context of the table it builds.
     """
 
     @functools.wraps(body)
     def run(cfg: RunConfig) -> Tuple[int, str]:
         try:
             cfg.validate()
-            ctx = context(cfg.precision)
-            target, label = _parse_target(cfg, ctx)
-            f = target
-            if isinstance(target, TaylorDef):
-                f = taylor_polynomial(target, ctx)
-            return body(cfg, ctx, target, f, label)
+            target, label = _parse_target(cfg)
+            return body(cfg, target, label)
         except ExprError as err:
             return 1, _expr_diagnostic(err)
         except (ValueError, PrecisionGuardError, EvalDomainError, OSError) as err:
@@ -272,7 +280,7 @@ def _command(body):
 
 
 @_command
-def cmd_analyze(cfg: RunConfig, ctx, target, f, label) -> Tuple[int, str]:
+def cmd_analyze(cfg: RunConfig, target, label) -> Tuple[int, str]:
     report = analyze(target, cfg.x0, _analyzer_config(cfg))
     if cfg.orbit_csv:
         with open(cfg.orbit_csv, "w") as out:
@@ -283,11 +291,11 @@ def cmd_analyze(cfg: RunConfig, ctx, target, f, label) -> Tuple[int, str]:
 
 
 @_command
-def cmd_iterate(cfg: RunConfig, ctx, target, f, label) -> Tuple[int, str]:
+def cmd_iterate(cfg: RunConfig, target, label) -> Tuple[int, str]:
     p = cfg.precision
-    table = Samples(f, p)
+    table = Samples(_function(target), p)
     if cfg.mode == "auto":
-        mode = detect_mode(table.f, table.points(seed_grid(cfg.x0, ctx)))
+        mode = detect_mode(table.f, table.points(seed_grid(cfg.x0, table.ctx)))
     else:
         mode = Mode(cfg.mode)
     # each row goes to the output as the orbit computes it, so the orbit
@@ -305,12 +313,13 @@ def cmd_iterate(cfg: RunConfig, ctx, target, f, label) -> Tuple[int, str]:
 
 
 @_command
-def cmd_limit(cfg: RunConfig, ctx, target, f, label) -> Tuple[int, str]:
+def cmd_limit(cfg: RunConfig, target, label) -> Tuple[int, str]:
     if cfg.a is None:
         raise ValueError('give an exponent with --a <value> or --a search')
     grid = _probe_grid(cfg)
     p = cfg.precision
-    table = Samples(f, p)
+    table = Samples(_function(target), p)
+    ctx = table.ctx
     if cfg.a == "search":
         result = search_exponent(table, grid=grid)
         if not result.found:
@@ -323,7 +332,11 @@ def cmd_limit(cfg: RunConfig, ctx, target, f, label) -> Tuple[int, str]:
         ]
         lines.extend(f"{_num(x, p)},{_num(v, p)}" for x, v in result.probe.samples)
         return 0, "\n".join(lines)
-    probe = probe_limit(table, parse_constant(cfg.a, ctx), grid)
+    a = parse_constant(cfg.a, ctx)
+    # the samples L grow like x^-a: printing them at a = 1e2000 takes minutes
+    if a._mpf_[2] + a._mpf_[3] > EXPONENT_CAP:
+        raise ValueError(f"--a reaches the magnitude cap 2^{EXPONENT_CAP}")
+    probe = probe_limit(table, a, grid)
     lines = [f"probe: a = {_num(probe.a, p)}  verdict = {probe.verdict}"]
     if probe.verdict == FINITE_NONZERO:
         k = ctx.power(probe.L, -1 / probe.a)
@@ -335,11 +348,13 @@ def cmd_limit(cfg: RunConfig, ctx, target, f, label) -> Tuple[int, str]:
 
 
 @_command
-def cmd_compare(cfg: RunConfig, ctx, target, f, label) -> Tuple[int, str]:
+def cmd_compare(cfg: RunConfig, target, label) -> Tuple[int, str]:
     if cfg.majorant is None:
         raise ValueError("give a majorant with --majorant")
-    spec = parse_majorant_spec(cfg.majorant, ctx)
     p = cfg.precision
+    g_table = Samples(_function(target), p)
+    ctx = g_table.ctx
+    spec = parse_majorant_spec(cfg.majorant, ctx)
     lines = [f"function: {label}", f"majorant: {spec.label}"]
     sub = None
     if spec.family == "user":
@@ -355,7 +370,6 @@ def cmd_compare(cfg: RunConfig, ctx, target, f, label) -> Tuple[int, str]:
                 lines.append(
                     f"majorant series: {sub.verdict.conclusion}; cannot certify"
                 )
-    g_table = Samples(f, p)
     verdict = majorant_rule(g_table, spec, seed_grid(cfg.x0, ctx), certificate=sub)
     scan = verdict.witnesses
     lines.append(

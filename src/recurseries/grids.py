@@ -53,14 +53,35 @@ class GridSpec:
                 f"grid from {self.start} down to {self.floor}"
                 f" needs more than {MAX_GRID_POINTS} points"
             )
-        indices = range(int(first), int(last) + 1)
-        lattice = [ctx.power(10, ctx.mpf(-j) / PER_DECADE) for j in indices]
+        lattice = _lattice_points(ctx, range(int(first), int(last) + 1))
         return [start] + lattice if off_lattice else lattice
 
 
 PROBE_GRID = GridSpec()
 
 VALIDATION_FLOOR = "1e-30"
+LATTICE_DEPTH = 30 * PER_DECADE  # the index of VALIDATION_FLOOR
+
+# {binary precision: {j: raw value (_mpf_) of x_j}} for 0 <= j <= LATTICE_DEPTH,
+# filled on first use and at one precision at a time: every grid at that
+# precision, in every analysis, is cut from it
+_lattice: Dict[int, Dict[int, tuple]] = {}
+
+
+def _lattice_points(ctx, indices: range) -> List:
+    """x_j for j in indices as ctx's own mpf numbers, bit for bit
+    ctx.power(10, ctx.mpf(-j) / PER_DECADE)."""
+    raws = _lattice.get(ctx.prec)
+    if raws is None:
+        _lattice.clear()
+        raws = _lattice[ctx.prec] = {}
+    points = []
+    for j in indices:
+        raw = raws.get(j) or ctx.power(10, ctx.mpf(-j) / PER_DECADE)._mpf_
+        if 0 <= j <= LATTICE_DEPTH:
+            raws[j] = raw
+        points.append(ctx.make_mpf(raw))
+    return points
 
 
 def validation_grid(start: str = "1") -> GridSpec:
@@ -99,7 +120,8 @@ class Samples:
         self.precision = precision
         self.ctx = context(precision)
         self.compiled = evaluator(f, self.ctx)
-        self._values: Dict = {}  # x -> f(x) or EvalDomainError
+        # x._mpf_ (which hashes faster than x) -> f(x) or EvalDomainError
+        self._values: Dict = {}
         self._points: Dict[GridSpec, List] = {}
         self._logs: Dict[GridSpec, List] = {}
 
@@ -111,14 +133,15 @@ class Samples:
         return points
 
     def f(self, x):
-        """f(x) from the table, evaluated on first use."""
-        y = self._values.get(x)
+        """f(x) from the table for an mpf x, evaluated on first use."""
+        key = x._mpf_
+        y = self._values.get(key)
         if y is None:
             try:
                 y = self.compiled(x)
             except EvalDomainError as err:
                 y = err
-            self._values[x] = y
+            self._values[key] = y
         if isinstance(y, EvalDomainError):
             raise y
         return y

@@ -152,15 +152,17 @@ def validate_hypotheses(
 def validated_region(report: HypothesisReport):
     """Largest magnitude M such that all sampled points with |x| <= M pass.
 
-    Returns None when even the smallest sampled magnitude fails.
+    Returns None when even the smallest sampled magnitude fails. The checked
+    grid descends in magnitude (in signed mode as pairs p, -p), and the
+    violations follow it, so the last one is the deepest.
     """
-    bad = {abs(x) for x, _ in report.violations}
-    top = None
-    for m in sorted({abs(p) for p in report.checked_grid}):
-        if m in bad:
-            break
-        top = m
-    return top
+    if not report.violations:
+        return abs(report.checked_grid[0])
+    deepest = abs(report.violations[-1][0])
+    for p in report.checked_grid:
+        if abs(p) < deepest:
+            return abs(p)
+    return None
 
 
 def iterate(

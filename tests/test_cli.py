@@ -8,9 +8,10 @@ import tracemalloc
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from recurseries.cli import (
+    _SUBCOMMANDS,
     RunConfig,
     _build_parser,
     cmd_analyze,
@@ -421,6 +422,19 @@ def test_limit_search_precision_guard():
     assert out.splitlines()[0].startswith("search: a = 4.0  k = ")
 
 
+def test_limit_exponent_past_the_magnitude_cap_is_refused():
+    # 2^1024 lies between the two: the samples L grow like x^-a, and printing
+    # the 93 of a = 1e2000 did not end within 100 s
+    for a in ("1.8e308", "1e2000", "-1e2000"):
+        assert run(["limit", "--f=x/2", f"--a={a}"]) == (
+            1, "error: --a reaches the magnitude cap 2^1024")
+    # just below the cap the probe runs and prints its samples, in about 3 s
+    code, out = run(["limit", "--f=x/2", "--a=1.7e308"])
+    assert code == 2
+    assert out.startswith("probe: a = 1.7e+308  verdict = tends_to_infinity\nx,L\n")
+    assert len(out.splitlines()) == 2 + 93
+
+
 def test_limit_precision_guard():
     code, out = run(["limit", "--f", "x - x^9", "--a", "1"])
     assert code == 1
@@ -544,6 +558,80 @@ def test_parser_errors_exit_1(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+# pools of option values for the argv fuzz, (well-formed, malformed): plain
+# and extreme decimals, the empty string, in-grammar and broken expressions.
+# --precision and --max-n size the requested work, so their well-formed
+# values stay at most 200 and 2000.
+NUMBERS = (["1", "0.5", "0.3", "1/2", "-0.3", "3e-29", "1e-2000", "1e2000", "-1e2000",
+            "1.7e308"],
+           ["nan", "inf", "-inf", "-0", "0", "pi", "", "abc"])
+POOLS = {
+    "--f": (["x/2", "x/(1+x)", "sin(x)", "x - x^2", OSCILLATORY, "-x/2", "ln(1+x)",
+             "x - x^2*abs(sin(1/x))", "x^x", "sqrt(x)", "1/x", "2*x", "x", "0*x",
+             "x/2 + 0*sin(2^65536)", "x^1e2000", "x*1e-2000"],
+            ["x +", "(x", ")", "", "tan(x)", "x ^^ 2"]),
+    "--taylor": (["1,-1", "0.5", "1,0,-1/6", "1e2000,1"], ["0", "", ",", "nan", "abc"]),
+    "--precision": (["16", "64", "200"], ["0", "-5", "15", "", "abc"]),
+    "--x0": NUMBERS,
+    "--max-n": (["1", "10", "2000"], ["0", "-5", "", "abc"]),
+    "--floor": NUMBERS,
+    "--mode": (["auto", "positive", "signed"], ["complex", ""]),
+    "--orbit-csv": (["{dir}/o.csv"], ["{dir}/missing/o.csv", ""]),
+    "--thin": (["1", "3"], ["0", "-1", "", "abc"]),
+    "--grid-start": NUMBERS,
+    "--grid-floor": NUMBERS,
+    "--json": ([None], []),
+    # 1.7e308, just below the cap, takes seconds to print (see above)
+    "--a": (["1", "0.5", "2", "1/2", "pi", "1e-2000", "1e2000", "1.8e308", "search"],
+            ["-0.3", "nan", "inf", "-0", "0", "", "abc"]),
+    "--majorant": (["linear:0.5", "linear:2", "linear:1e2000", "powerlaw:a=0.5,c=1",
+                    "powerlaw:a=1e2000,c=1", "fn:x/2", "fn:2*x", "fn:5/6 * x"],
+                   ["linear:nan", "powerlaw:a=0,c=1", "powerlaw:", "fn:x +", "fn:",
+                    "quadratic:1", ""]),
+    "--bogus": NUMBERS,
+    "--grid-step": NUMBERS,
+}
+# what each subcommand cannot run without
+NEEDS = {"limit": "--a", "compare": "--majorant"}
+
+
+def option(name):
+    well_formed, malformed = POOLS[name]
+    values = st.sampled_from(well_formed + malformed)
+    if well_formed:  # mostly well-formed, so that most commands run
+        values = st.one_of(st.sampled_from(well_formed), values)
+    return st.tuples(st.just(name), values)
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand and options: mostly its own, sometimes another
+    subcommand's or an unknown one. Each command that iterates gets --max-n."""
+    command = draw(st.one_of(*[st.sampled_from(sorted(_SUBCOMMANDS))] * 4, st.just("integrate")))
+    own = _SUBCOMMANDS.get(command, (None, None, ()))[2]
+    names = st.sampled_from(sorted(POOLS))
+    if own:
+        names = st.one_of(*[st.sampled_from(own)] * 5, names)
+    wanted = [draw(st.sampled_from(["--f", "--f", "--taylor"]))] if own else []
+    wanted += [name for name in ("--max-n", NEEDS.get(command)) if name in own]
+    options = [draw(option(name)) for name in wanted]
+    options += draw(st.lists(names.flatmap(option), max_size=4))
+    return [command] + [name if value is None else f"{name}={value}"
+                        for name, value in draw(st.permutations(options))]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=argvs())
+def test_fuzzed_argv_never_ends_in_a_traceback(capsys, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        with pytest.raises(SystemExit) as exc:
+            main([arg.replace("{dir}", tmp) for arg in argv])
+    assert exc.value.code in (0, 1, 2)
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
 
 
 @pytest.mark.parametrize("command", [None] + sorted(SUBCOMMAND_ARGS))

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import recurseries.classify
 import recurseries.expr
+import recurseries.grids
 from recurseries.classify import (
     CANCELLATION_HEADROOM,
     AnalyzerConfig,
@@ -26,6 +27,7 @@ from recurseries.expr import (
 )
 from recurseries.grids import (
     GridSpec,
+    LATTICE_DEPTH,
     LOG_GUARD_BITS,
     MAX_GRID_POINTS,
     PROBE_GRID,
@@ -76,22 +78,68 @@ def test_default_grids_fit_the_point_limit():
         GridSpec(start="1", floor="1e-2500").points(CTX)
 
 
-def lattice(j):
+def lattice(j, ctx=CTX):
     """The lattice point x_j = 10^(-j/4) every grid is cut from."""
-    return CTX.power(10, CTX.mpf(-j) / 4)
+    return ctx.power(10, ctx.mpf(-j) / 4)
 
 
-@settings(max_examples=60, deadline=None)
-@given(i=st.integers(-40, 200), span=st.integers(1, 200))
-def test_grids_are_slices_of_one_lattice(i, span):
+def same_bits(points, ctx, expected):
+    """points are ctx's own mpf numbers, bit for bit the expected ones."""
+    assert all(type(p) is ctx.mpf for p in points)
+    assert [p._mpf_ for p in points] == [e._mpf_ for e in expected]
+
+
+def lattice_size():
+    return sum(len(raws) for raws in recurseries.grids._lattice.values())
+
+
+CONTEXTS = {p: context(p) for p in (16, 64, 200)}
+
+
+# the precision changes from one example to the next, so the one lattice a
+# process keeps is read, refilled and replaced in every order
+@settings(max_examples=80, deadline=None)
+@given(i=st.integers(-40, 200), span=st.integers(1, 200),
+       precision=st.sampled_from(sorted(CONTEXTS)))
+def test_grids_are_slices_of_one_lattice(i, span, precision):
+    ctx = CONTEXTS[precision]
     k = i + span
-    spec = GridSpec(start=mpmath.nstr(lattice(i), 20), floor=mpmath.nstr(lattice(k), 20))
-    assert spec.points(CTX) == [lattice(j) for j in range(i, k + 1)]
+    spec = GridSpec(start=mpmath.nstr(lattice(i, ctx), 20),
+                    floor=mpmath.nstr(lattice(k, ctx), 20))
+    same_bits(spec.points(ctx), ctx, [lattice(j, ctx) for j in range(i, k + 1)])
     # a start between two lattice points comes first, then the lattice below
-    between = mpmath.nstr(lattice(i) * CTX.mpf("0.9"), 20)
-    assert GridSpec(start=between, floor=spec.floor).points(CTX) == (
-        [CTX.mpf(between)] + [lattice(j) for j in range(i + 1, k + 1)]
-    )
+    between = mpmath.nstr(lattice(i, ctx) * ctx.mpf("0.9"), 20)
+    same_bits(GridSpec(start=between, floor=spec.floor).points(ctx), ctx,
+              [ctx.mpf(between)] + [lattice(j, ctx) for j in range(i + 1, k + 1)])
+    assert lattice_size() <= LATTICE_DEPTH + 1 == 121
+
+
+def test_a_grid_never_returns_another_precisions_points():
+    ctx30 = context(30)
+    for ctx in (CTX, ctx30, CTX, ctx30):
+        same_bits(validation_grid().points(ctx), ctx,
+                  [lattice(j, ctx) for j in range(LATTICE_DEPTH + 1)])
+    assert list(recurseries.grids._lattice) == [ctx30.prec]
+    assert lattice_size() == LATTICE_DEPTH + 1
+
+
+def test_second_analysis_computes_no_lattice_power(monkeypatch):
+    monkeypatch.setattr(recurseries.grids, "_lattice", {})
+    mpc = type(CTX)
+    original = mpc.power
+    powers = []
+
+    def counted(ctx, x, y):
+        if x == 10 and hasattr(y, "_mpf_"):  # the lattice's 10^(-j/4)
+            powers.append(y)
+        return original(ctx, x, y)
+
+    monkeypatch.setattr(mpc, "power", counted)
+    analyze(parse("sin(x)"), "1", AnalyzerConfig(max_n=2000))
+    assert len(powers) == LATTICE_DEPTH + 1
+    del powers[:]
+    analyze(parse("x/(1+x)"), "0.5", AnalyzerConfig(max_n=2000))
+    assert powers == []
 
 
 def test_probe_grid_is_a_slice_of_the_validation_grid():
@@ -302,6 +350,15 @@ def test_analyze_makes_one_context(monkeypatch, entry):
     # the table's: every stage, the orbit, the fit and the sum run on it
     contexts = count_calls(monkeypatch, recurseries.expr, "context")
     analyze(parse(entry.function), entry.x0, AnalyzerConfig(max_n=entry.max_n))
+    assert len(contexts) == 1
+
+
+def test_analyze_command_makes_one_context(monkeypatch, capsys):
+    # the command reads --f without a context; analyze's table makes the one
+    contexts = count_calls(monkeypatch, recurseries.expr, "context")
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--f=x/2", "--x0=1"])
+    assert exc.value.code == 0
     assert len(contexts) == 1
 
 

@@ -12,6 +12,7 @@ from recurseries.grids import GridSpec, Samples, validation_grid
 from recurseries.orbit import (
     CsvRows,
     HYPOTHESIS_VIOLATION,
+    HypothesisReport,
     MAX_ITERATIONS,
     Mode,
     REACHED_FLOOR,
@@ -141,6 +142,32 @@ def test_validate_hypotheses_signed_interleaves():
     grid_len = len(validation_grid().points(CTX))
     assert len(report.checked_grid) == 2 * grid_len
     assert any(p < 0 for p in report.checked_grid)
+
+
+def sorted_region(report):
+    """validated_region by its definition: the largest sampled magnitude
+    below which every sampled magnitude passes."""
+    bad = {abs(x) for x, _ in report.violations}
+    top = None
+    for m in sorted({abs(p) for p in report.checked_grid}):
+        if m in bad:
+            break
+        top = m
+    return top
+
+
+@settings(max_examples=200, deadline=None)
+@given(mode=st.sampled_from(list(Mode)), start=st.sampled_from(["1", "0.3", "1e-3"]),
+       data=st.data())
+def test_validated_region_reads_the_grid_order(mode, start, data):
+    points = validation_grid(start).points(CTX)
+    if mode is Mode.SIGNED:
+        points = [q for p in points for q in (p, -p)]
+    # violations in grid order, as validate_hypotheses records them
+    failed = data.draw(st.sets(st.integers(0, len(points) - 1)))
+    violations = [(p, CTX.zero) for i, p in enumerate(points) if i in failed]
+    report = HypothesisReport(mode, points, violations, passed=not violations)
+    assert validated_region(report) == sorted_region(report)
 
 
 def test_write_csv_thin_keeps_last_row():
