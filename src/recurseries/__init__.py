@@ -60,7 +60,7 @@ from .expr import (
     render,
     taylor_polynomial,
 )
-from .grids import GridSpec, PROBE_GRID, Samples, validation_grid
+from .grids import GridSpec, PROBE_GRID, Samples, seed_grid
 from .orbit import (
     CsvRows,
     HypothesisReport,

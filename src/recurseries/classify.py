@@ -21,7 +21,7 @@ single Richardson-style step; anything else counts as oscillation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import mpmath
@@ -44,7 +44,7 @@ from .expr import (
     parse_constant,
     taylor_polynomial,
 )
-from .grids import PER_DECADE, GridSpec, PROBE_GRID, Samples, seed_grid, validation_grid
+from .grids import PER_DECADE, GridSpec, PROBE_GRID, Samples
 from .orbit import (
     HYPOTHESIS_VIOLATION,
     HypothesisReport,
@@ -143,7 +143,6 @@ class DerivativeEstimate:
     c: Optional[object]
     band: Optional[Tuple]
     samples: List[Tuple]
-    grid: GridSpec
 
 
 @dataclass
@@ -243,22 +242,17 @@ def _classify_tail(values, ctx, rel_tol, abs_tol, window=STABLE_WINDOW):
     return "finite", limit
 
 
-def estimate_derivative_at_zero(
-    table: Samples,
-    grid: Optional[GridSpec] = None,
-    mode: Mode = Mode.POSITIVE,
-) -> DerivativeEstimate:
-    """Sample f(x)/x on a geometric grid descending toward zero.
+def estimate_derivative_at_zero(table: Samples, mode: Mode = Mode.POSITIVE) -> DerivativeEstimate:
+    """Sample f(x)/x on the table's probe grid, descending toward zero.
 
     A stable tail gives Value(c); anything else gives the observed band
     over all samples, which is always reportable. A stable c outside the
     admissible range (0 <= c < 1 in positive mode, |c| < 1 in signed mode,
     up to margin) is flagged out_of_range.
     """
-    grid = grid or PROBE_GRID
     ctx = table.ctx
     margin = ctx.mpf(DERIVATIVE_MARGIN)
-    samples = [(x, table.f(x) / x) for x in table.points(grid)]
+    samples = [(x, table.f(x) / x) for x in table.points(table.probe)]
     values = [v for _, v in samples]
     kind, value = _classify_tail(values, ctx, ctx.mpf(REL_TOL), ctx.mpf(ABS_TOL))
     if kind in ("stable", "stable_zero"):
@@ -268,9 +262,9 @@ def estimate_derivative_at_zero(
         else:
             bad = abs(c) > 1 + margin
         if bad:
-            return DerivativeEstimate(OUT_OF_RANGE, c, None, samples, grid)
-        return DerivativeEstimate(VALUE, c, None, samples, grid)
-    return DerivativeEstimate(DNE, None, (min(values), max(values)), samples, grid)
+            return DerivativeEstimate(OUT_OF_RANGE, c, None, samples)
+        return DerivativeEstimate(VALUE, c, None, samples)
+    return DerivativeEstimate(DNE, None, (min(values), max(values)), samples)
 
 
 def derivative_rule(est: DerivativeEstimate) -> Verdict:
@@ -339,13 +333,8 @@ def derivative_rule(est: DerivativeEstimate) -> Verdict:
     )
 
 
-def probe_limit(
-    table: Samples,
-    a,
-    grid: Optional[GridSpec] = None,
-    rel_tol: Optional[str] = None,
-) -> LimitProbe:
-    """Sample L_a(x) = (x^a - f(x)^a) / (x^a * f(x)^a) toward zero.
+def probe_limit(table: Samples, a, rel_tol: Optional[str] = None) -> LimitProbe:
+    """Sample L_a(x) = (x^a - f(x)^a) / (x^a * f(x)^a) on the table's probe grid.
 
     Each sample is computed as f(x)^-a - x^-a from the table's ln-values,
     two exponentials per point. Guards against catastrophic cancellation:
@@ -356,7 +345,7 @@ def probe_limit(
     a = ctx.convert(a)
     if not a > 0:
         raise ValueError("exponent a must be positive")
-    samples = _quotients(table, a, grid or PROBE_GRID)
+    samples = _quotients(table, a, table.logs(table.probe))
     values = [v for _, v in samples]
     tol = ctx.mpf(REL_TOL if rel_tol is None else rel_tol)
     kind, value = _classify_tail(values, ctx, tol, ctx.mpf(ABS_TOL))
@@ -369,27 +358,53 @@ def probe_limit(
     return LimitProbe(a, samples, OSCILLATES, None, False)
 
 
-def _quotients(table: Samples, a, grid: GridSpec) -> List[Tuple]:
-    """(x, L_a(x)) at each grid point as f(x)^-a - x^-a from the table's logs."""
+def _quotients(table: Samples, a, rows) -> List[Tuple]:
+    """(x, L_a(x)) at each of a grid's rows (x, ln x, ln f(x)) from the
+    table's logs, as f(x)^-a - x^-a."""
     ctx = table.ctx
-    # evaluation runs at ctx.dps digits; the quotient must keep at least
-    # CANCELLATION_HEADROOM trustworthy digits after the subtraction
-    limit = ctx.dps - CANCELLATION_HEADROOM
     # |x^a - f^a| / x^a, the share of digits left, equals |L| / f^-a
-    tiny = ctx.power(10, -limit)
+    tiny = _headroom(ctx)
     neg_a = -a
     samples = []
-    for x, ln_x, ln_f in table.logs(grid):
+    for x, ln_x, ln_f in rows:
         fa = ctx.exp(ctx.fmul(neg_a, ln_f, exact=True))  # f(x)^-a
         value = fa - ctx.exp(ctx.fmul(neg_a, ln_x, exact=True))
         if abs(value) < fa * tiny:
-            raise PrecisionGuardError(
-                f"x^a and f(x)^a agree in more than {limit} digits at"
-                f" x = {mpmath.nstr(x, 12)}, a = {mpmath.nstr(a, 12)};"
-                f" rerun with precision above {table.precision}"
-            )
+            raise _cancellation(table, x, rows[-1][0], a)
         samples.append((x, value))
     return samples
+
+
+def _headroom(ctx):
+    """The least relative gap between two values at ctx's precision whose
+    difference keeps CANCELLATION_HEADROOM trustworthy digits."""
+    return ctx.power(10, CANCELLATION_HEADROOM - ctx.dps)
+
+
+def _cancellation(table: Samples, x, deepest, a=None) -> PrecisionGuardError:
+    """The error for x^a and f(x)^a (x and f(x) without a) agreeing at x in
+    more digits than leave CANCELLATION_HEADROOM of the working ones. It
+    names the least precision at which they do not at deepest, the last row
+    the probe reads, with one digit to spare; that is read from f at deepest
+    at twice, four times, ... the working precision, up to 16 times."""
+    what = "x and f(x)" if a is None else "x^a and f(x)^a"
+    at = f"x = {mpmath.nstr(x, 12)}" + ("" if a is None else f", a = {mpmath.nstr(a, 12)}")
+    advice = (f"they still agree at x = {mpmath.nstr(deepest, 12)}"
+              f" at precision {table.precision << 4}")
+    for doubling in range(1, 5):
+        ctx = context(table.precision << doubling)
+        x_deep = ctx.convert(deepest)
+        d = ctx.ln(x_deep) - ctx.ln(evaluator(table.function, ctx)(x_deep))  # ln(x/f)
+        if abs(d) >= _headroom(ctx):
+            # the digits (f/x)^a shares with 1 and the headroom, less the
+            # context's guard digits, with one to spare
+            shared = -ctx.log10(abs(ctx.expm1(-ctx.convert(a or 1) * d)))
+            needed = (int(ctx.ceil(shared)) + CANCELLATION_HEADROOM + 1
+                      - (table.ctx.dps - table.precision))
+            advice = f"rerun with precision {max(needed, table.precision + 1)} or more"
+            break
+    return PrecisionGuardError(f"{what} agree in more than {table.ctx.dps - CANCELLATION_HEADROOM}"
+                               f" digits at {at}; {advice}")
 
 
 def _fit_from_probe(probe: LimitProbe, ctx) -> AsymptoticFit:
@@ -413,16 +428,12 @@ def _snap_to_fraction(a, ctx):
     return a
 
 
-def search_exponent(
-    table: Samples,
-    a_range: Tuple[str, str] = SEARCH_RANGE,
-    grid: Optional[GridSpec] = None,
-) -> ExponentSearchResult:
+def search_exponent(table: Samples, a_range: Tuple[str, str] = SEARCH_RANGE) -> ExponentSearchResult:
     """Read off the exponent a where the quotient probe turns finite.
 
     L_a = f^-a - x^-a is about a*x^-a*ln(x/f), so a is the limiting slope
     of ln ln(x/f) against ln x, taken between consecutive points of the
-    probe grid's tail from the table's ln-values. The slope, snapped to a
+    tail of the table's probe grid from its ln-values. The slope, snapped to a
     small-denominator fraction when it lies within SNAP_TOLERANCE of one, is
     confirmed by one relaxed-tolerance probe, which gives L. The fit carries
     a and k = L^(-1/a) with the probe attached; its window refers to
@@ -434,26 +445,22 @@ def search_exponent(
     lo, hi = ctx.mpf(a_range[0]), ctx.mpf(a_range[1])
     if not 0 < lo < hi:
         raise ValueError("need 0 < a_lo < a_hi")
-    grid = grid or PROBE_GRID
 
     def not_found(note, probe=None):
         return ExponentSearchResult(False, None, probe, note)
 
     # f(x) carries ctx.dps digits, so d = ln(x/f) keeps about dps + log10(d)
     # of them; the slopes need CANCELLATION_HEADROOM
-    limit = ctx.dps - CANCELLATION_HEADROOM
-    tiny = ctx.power(10, -limit)
+    tiny = _headroom(ctx)
+    rows = table.logs(table.probe)
     points = []
     # only the rows whose slopes the tail classification reads
-    for x, ln_x, ln_f in table.logs(grid)[-(2 * STABLE_WINDOW + 1):]:
+    for x, ln_x, ln_f in rows[-(2 * STABLE_WINDOW + 1):]:
         d = ctx.fsub(ln_x, ln_f, exact=True)
         if d <= -tiny:
             return not_found(f"f(x) exceeds x at x = {mpmath.nstr(x, 12)}")
         if d < tiny:
-            raise PrecisionGuardError(
-                f"x and f(x) agree in more than {limit} digits at x ="
-                f" {mpmath.nstr(x, 12)}; rerun with precision above {table.precision}"
-            )
+            raise _cancellation(table, x, rows[-1][0])
         points.append((ln_x, ctx.ln(d)))
     slopes = [(v1 - v0) / (u1 - u0) for (u0, v0), (u1, v1) in zip(points, points[1:])]
     kind, slope = _classify_tail(slopes, ctx, ctx.mpf(REL_TOL), ctx.mpf(ABS_TOL))
@@ -470,7 +477,7 @@ def search_exponent(
         )
     if above:
         return not_found("no transition in range; the decay exponent, if any, lies above it")
-    probe = probe_limit(table, a, grid, rel_tol=CONFIRM_REL_TOL)
+    probe = probe_limit(table, a, rel_tol=CONFIRM_REL_TOL)
     if probe.stabilized:
         return ExponentSearchResult(True, _fit_from_probe(probe, ctx), probe, "")
     return not_found(
@@ -544,14 +551,14 @@ def analytic_rule(t: TaylorDef, precision: int = DEFAULT_PRECISION) -> Verdict:
     )
 
 
-def check_monotone(table: Samples, grid: Optional[GridSpec] = None) -> Tuple[bool, object]:
-    """Sample consecutive grid pairs for monotonicity near zero.
+def check_monotone(table: Samples) -> Tuple[bool, object]:
+    """Sample consecutive pairs of the table's seed grid for monotonicity.
 
     Returns (monotone, delta) where delta is the largest sampled point
     below every violation, so f is grid-certified nondecreasing on
     (0, delta]. Sampling only; a pass is evidence, not proof.
     """
-    points = sorted(table.points(grid or validation_grid()))
+    points = sorted(table.points(table.seed))
     if len(points) < 2:
         raise ValueError("grid holds fewer than two points")
     values = [table.f(p) for p in points]
@@ -613,8 +620,9 @@ def _compare(rows, c, upper: bool, name: str, label: str, ctx,
     )
 
 
-def comparison_band(table: Samples, grid: Optional[GridSpec] = None) -> Verdict:
-    """The paper's comparison test both ways, on a grid where 0 < f(x) < x.
+def comparison_band(table: Samples) -> Verdict:
+    """The paper's comparison test both ways, on the table's seed grid, where
+    0 < f(x) < x.
 
     m(x) = x/(1 + C*x^a)^(1/a) is increasing with m^-a - x^-a = C; its orbit
     (x0^-a + n*C)^(-1/a) converges for a < 1 and diverges for a >= 1. f <= m
@@ -622,12 +630,11 @@ def comparison_band(table: Samples, grid: Optional[GridSpec] = None) -> Verdict:
     snapped to p/q < 1, inf L_a at a = MAJORANT_A and sup L_a at a = MINORANT_A
     (MinorantRule) that counts in _compare decides. Sampled, not proven."""
     ctx = table.ctx
-    grid = grid or validation_grid()
-    notes = [f"comparison band on (0, {mpmath.nstr(table.points(grid)[0], 12)}]:"
-             " no side counts"]
+    points = table.points(table.seed)
+    notes = [f"comparison band on (0, {mpmath.nstr(points[0], 12)}]: no side counts"]
     for a_text, upper in ((None, True), (MAJORANT_A, False), (MINORANT_A, True)):
         if a_text is None:
-            name, rows = "f(x)/x", [(x, table.f(x) / x) for x in table.points(grid)]
+            name, rows = "f(x)/x", [(x, table.f(x) / x) for x in points]
             snap = _snap_rational(max(v for _, v in rows), ctx)
             if snap is None:
                 notes.append("sup f(x)/x has no ratio p/q < 1 near it")
@@ -636,7 +643,7 @@ def comparison_band(table: Samples, grid: Optional[GridSpec] = None) -> Verdict:
         else:
             name = f"L_{a_text}"
             try:
-                rows = _quotients(table, ctx.mpf(a_text), grid)
+                rows = _quotients(table, ctx.mpf(a_text), table.logs(table.seed))
             except PrecisionGuardError as err:
                 notes.append(f"{name} does not count: {err}")
                 continue
@@ -653,25 +660,22 @@ def comparison_band(table: Samples, grid: Optional[GridSpec] = None) -> Verdict:
 
 
 def majorant_rule(
-    table: Samples,
-    m: MajorantSpec,
-    grid: Optional[GridSpec] = None,
-    certificate: Optional["AnalysisReport"] = None,
+    table: Samples, m: MajorantSpec, certificate: Optional["AnalysisReport"] = None,
 ) -> Verdict:
-    """Convergence by comparison, 0 < g(x) <= m(x) on the grid (seed_grid of
-    the seed), by the band's test on g's table: g(x)/x <= c for linear:c and
-    L_a >= c for powerlaw:a,c, whose m is never evaluated, and g(x)/m(x) <= 1
-    for a user majorant. That needs a monotone scan, carried as witnesses
-    "monotone" and "delta" by every verdict, and a certificate: m's own
-    convergent positive-mode analysis from the seed, whose table both read.
+    """Convergence by comparison, 0 < g(x) <= m(x) on the seed grid of g's
+    table, by the band's test: g(x)/x <= c for linear:c and L_a >= c for
+    powerlaw:a,c, whose m is never evaluated, and g(x)/m(x) <= 1 for a user
+    majorant. That needs a monotone scan, carried as witnesses "monotone" and
+    "delta" by every verdict, and a certificate: m's own convergent
+    positive-mode analysis from the same seed, whose table both read.
     """
     ctx = table.ctx
-    grid = grid or validation_grid()
-    points = table.points(grid)
+    points = table.points(table.seed)
     scan = {}
     if m.family == "user":
-        m_table = Samples(m.fn, table.precision) if certificate is None else certificate.table
-        monotone, delta = check_monotone(m_table, grid)
+        m_table = (Samples(m.fn, table.precision, table.x0) if certificate is None
+                   else certificate.table)
+        monotone, delta = check_monotone(m_table)
         scan = {"monotone": monotone, "delta": delta}
         if not monotone:
             return Verdict(INCONCLUSIVE, None, scan, [
@@ -692,7 +696,7 @@ def majorant_rule(
             rows = [(x, table.f(x) / x) for x in points]
             c, upper, name = parse_constant(m.c_text, ctx), True, "g(x)/x"
         else:  # the table's ln-values refuse g(x) <= 0
-            rows = _quotients(table, parse_constant(m.a_text, ctx), grid)
+            rows = _quotients(table, parse_constant(m.a_text, ctx), table.logs(table.seed))
             c, upper, name = parse_constant(m.c_text, ctx), False, f"L_{m.a_text}"
     except (EvalDomainError, ValueError) as err:
         return Verdict(INCONCLUSIVE, None, scan,
@@ -704,8 +708,8 @@ def majorant_rule(
     return verdict
 
 
-def signed_rule(table: Samples, grid: Optional[GridSpec] = None) -> Verdict:
-    """Signed-mode criteria under 0 < |f(x)| < |x|.
+def signed_rule(table: Samples) -> Verdict:
+    """Signed-mode criteria under 0 < |f(x)| < |x|, on the table's seed grid.
 
     x * f(x) < 0 at every sampled point (both signs) forces alternating
     terms with decreasing magnitudes: convergent. Otherwise a uniform bound
@@ -714,7 +718,7 @@ def signed_rule(table: Samples, grid: Optional[GridSpec] = None) -> Verdict:
     """
     ctx = table.ctx
     margin = ctx.mpf(ABS_BOUND_MARGIN)
-    points = [s * p for p in table.points(grid or validation_grid()) for s in (1, -1)]
+    points = [s * p for p in table.points(table.seed) for s in (1, -1)]
     values = [table.f(x) for x in points]
     alternating = all(x * y < 0 for x, y in zip(points, values))
     sup = max(abs(y) / abs(x) for x, y in zip(points, values))
@@ -749,7 +753,7 @@ class AnalyzerConfig:
     mode: str = "auto"  # auto | positive | signed
     max_n: int = 10**6
     floor: str = "1e-40"
-    probe_grid: GridSpec = field(default_factory=GridSpec)
+    probe_grid: GridSpec = PROBE_GRID
 
 
 @dataclass
@@ -768,11 +772,11 @@ class AnalysisReport:
     table: Samples  # f's sample table, which every rule scan read
 
 
-def detect_mode(fn, points) -> Mode:
-    """Signed when f goes negative anywhere on the sampled positive points."""
-    for p in points:
+def detect_mode(table: Samples) -> Mode:
+    """Signed when f goes negative anywhere on the table's seed grid."""
+    for p in table.points(table.seed):
         try:
-            if fn(p) < 0:
+            if table.f(p) < 0:
                 return Mode.SIGNED
         except EvalDomainError:
             continue
@@ -795,15 +799,14 @@ def analyze(f, x0, config: Optional[AnalyzerConfig] = None) -> AnalysisReport:
         fdef = taylor_polynomial(f, context(cfg.precision))
     else:
         fdef = f
-    table = Samples(fdef, cfg.precision)
+    table = Samples(fdef, cfg.precision, x0, cfg.probe_grid)
     ctx = table.ctx
-    x0 = ctx.convert(x0)
+    x0 = table.x0
     if x0 == 0:
         raise AnalysisError("x0 must be nonzero")
 
-    vgrid = seed_grid(x0, ctx)
     if cfg.mode == "auto":
-        mode = detect_mode(table.f, table.points(vgrid))
+        mode = detect_mode(table)
     else:
         mode = Mode(cfg.mode)
     if mode is Mode.POSITIVE and not x0 > 0:
@@ -812,7 +815,7 @@ def analyze(f, x0, config: Optional[AnalyzerConfig] = None) -> AnalysisReport:
             " where the orbit keeps 0 < f(x) < x"
         )
 
-    hypothesis = validate_hypotheses(table, mode, vgrid)
+    hypothesis = validate_hypotheses(table, mode)
     region = validated_region(hypothesis)
     if region is None:
         first = "; ".join(
@@ -830,17 +833,17 @@ def analyze(f, x0, config: Optional[AnalyzerConfig] = None) -> AnalysisReport:
             f" (0, {mpmath.nstr(region, 12)}]"
         )
     warnings = []
-    if region < table.points(cfg.probe_grid)[0]:
+    if region < table.points(table.probe)[0]:
         warnings.append(
             "validated region is smaller than the probe grid start;"
             " derivative and limit probes may sample outside it"
         )
 
-    derivative = estimate_derivative_at_zero(table, cfg.probe_grid, mode=mode)
+    derivative = estimate_derivative_at_zero(table, mode)
     search = None
     verdict = None
     if mode is Mode.SIGNED:
-        verdict = signed_rule(table, vgrid)
+        verdict = signed_rule(table)
     else:
         if taylor is not None and ctx.convert(taylor.coefficients[0]) == 1:
             try:
@@ -854,13 +857,13 @@ def analyze(f, x0, config: Optional[AnalyzerConfig] = None) -> AnalysisReport:
                 if derivative.kind == VALUE and abs(derivative.c - 1) <= ctx.mpf(
                     DERIVATIVE_MARGIN
                 ):
-                    search = search_exponent(table, grid=cfg.probe_grid)
+                    search = search_exponent(table)
                     if search.found:
                         verdict = limit_exponent_rule(search.fit)
                     else:
                         routed = routed + [f"exponent search: {search.note}"]
                 if verdict.conclusion == INCONCLUSIVE:
-                    verdict = comparison_band(table, vgrid)
+                    verdict = comparison_band(table)
                 verdict.notes = routed + verdict.notes
 
     orbit_result = iterate(table, x0, min(cfg.max_n, CROSS_CHECK_N), cfg.floor, mode)

@@ -12,13 +12,13 @@ same configuration produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
-import io
 import json
 import os
 import sys
 from dataclasses import dataclass, fields
-from typing import List, Optional, Tuple
+from typing import List, Optional, TextIO
 
 import mpmath
 
@@ -50,7 +50,7 @@ from .expr import (
     parse_constant,
     taylor_polynomial,
 )
-from .grids import GridSpec, PROBE_GRID, Samples, seed_grid
+from .grids import GridSpec, PROBE_GRID, Samples
 from .orbit import CsvRows, Mode, iterate, write_csv
 
 COMPARE_TABLE_ROWS = 12
@@ -104,13 +104,10 @@ def _num(value, precision: int) -> str:
     return mpmath.nstr(value, precision)
 
 
-def _probe_grid(cfg: RunConfig) -> GridSpec:
-    return GridSpec(cfg.grid_start or PROBE_GRID.start, cfg.grid_floor or PROBE_GRID.floor)
-
-
 def _analyzer_config(cfg: RunConfig) -> AnalyzerConfig:
+    probe = GridSpec(cfg.grid_start or PROBE_GRID.start, cfg.grid_floor or PROBE_GRID.floor)
     return AnalyzerConfig(precision=cfg.precision, mode=cfg.mode, max_n=cfg.max_n,
-                          floor=cfg.floor, probe_grid=_probe_grid(cfg))
+                          floor=cfg.floor, probe_grid=probe)
 
 
 def _expr_diagnostic(err: ExprError) -> str:
@@ -257,102 +254,102 @@ def _report_text(report, cfg: RunConfig, label: str) -> str:
 
 
 def _command(body):
-    """Turn body(cfg, target, label) into a (RunConfig) -> (exit code, output)
+    """Turn body(cfg, target, label, out) into a (RunConfig, out) -> exit code
     subcommand: the configuration is validated and the target read once
     here, and every error leaves by the one exit-1 path below.
 
     target is what the user gave, a FunctionDef or a TaylorDef (see
-    _function). Each body works on the context of the table it builds.
+    _function). Each body works on the context of the table it builds. It
+    writes to out after its last call that can raise, except for the rows
+    iterate streams as it computes them, so an error is all that a failed
+    run writes. A reader that goes away is not an error here: main ends
+    the run.
     """
 
     @functools.wraps(body)
-    def run(cfg: RunConfig) -> Tuple[int, str]:
+    def run(cfg: RunConfig, out: TextIO) -> int:
         try:
             cfg.validate()
             target, label = _parse_target(cfg)
-            return body(cfg, target, label)
+            return body(cfg, target, label, out)
+        except BrokenPipeError:
+            raise
         except ExprError as err:
-            return 1, _expr_diagnostic(err)
+            out.write(_expr_diagnostic(err) + "\n")
         except (ValueError, PrecisionGuardError, EvalDomainError, OSError) as err:
-            return 1, f"error: {err}"
+            out.write(f"error: {err}\n")
+        return 1
 
     return run
 
 
 @_command
-def cmd_analyze(cfg: RunConfig, target, label) -> Tuple[int, str]:
+def cmd_analyze(cfg: RunConfig, target, label, out: TextIO) -> int:
     report = analyze(target, cfg.x0, _analyzer_config(cfg))
     if cfg.orbit_csv:
-        with open(cfg.orbit_csv, "w") as out:
-            write_csv(report.orbit_result, out, thin=cfg.thin)
+        with open(cfg.orbit_csv, "w") as csv:
+            write_csv(report.orbit_result, csv, thin=cfg.thin)
     render = _report_json if cfg.output == "json" else _report_text
-    code = 2 if report.verdict.conclusion == INCONCLUSIVE else 0
-    return code, render(report, cfg, label)
+    out.write(render(report, cfg, label) + "\n")
+    return 2 if report.verdict.conclusion == INCONCLUSIVE else 0
 
 
 @_command
-def cmd_iterate(cfg: RunConfig, target, label) -> Tuple[int, str]:
+def cmd_iterate(cfg: RunConfig, target, label, out: TextIO) -> int:
     p = cfg.precision
-    table = Samples(_function(target), p)
-    if cfg.mode == "auto":
-        mode = detect_mode(table.f, table.points(seed_grid(cfg.x0, table.ctx)))
-    else:
-        mode = Mode(cfg.mode)
-    # each row goes to the output as the orbit computes it, so the orbit
-    # holds only its last row
-    with (open(cfg.orbit_csv, "w") if cfg.orbit_csv else io.StringIO()) as out:
-        rows = CsvRows(out, p)
+    table = Samples(_function(target), p, cfg.x0)
+    mode = detect_mode(table) if cfg.mode == "auto" else Mode(cfg.mode)
+    # each row goes to the CSV as the orbit computes it, so the orbit holds
+    # only its last row; without --orbit-csv the CSV is the output itself
+    with open(cfg.orbit_csv, "w") if cfg.orbit_csv else contextlib.nullcontext(out) as csv:
+        rows = CsvRows(csv, p)
         orbit = iterate(table, cfg.x0, cfg.max_n, cfg.floor, mode, cfg.thin, rows)
-        head = (f"wrote {rows.count} rows to {cfg.orbit_csv}\n" if cfg.orbit_csv
-                else out.getvalue())
-    return 0, head + (
+    if cfg.orbit_csv:
+        out.write(f"wrote {rows.count} rows to {cfg.orbit_csv}\n")
+    out.write(
         f"n = {orbit.last_index}  x_n = {_num(orbit.terms[-1], p)}"
         f"  S_n = {_num(orbit.partial_sums[-1], p)}"
-        f"  status = {orbit.status.describe()}"
+        f"  status = {orbit.status.describe()}\n"
     )
+    return 0
 
 
 @_command
-def cmd_limit(cfg: RunConfig, target, label) -> Tuple[int, str]:
+def cmd_limit(cfg: RunConfig, target, label, out: TextIO) -> int:
     if cfg.a is None:
         raise ValueError('give an exponent with --a <value> or --a search')
-    grid = _probe_grid(cfg)
     p = cfg.precision
-    table = Samples(_function(target), p)
-    ctx = table.ctx
+    table = Samples(_function(target), p, probe=_analyzer_config(cfg).probe_grid)
     if cfg.a == "search":
-        result = search_exponent(table, grid=grid)
+        result = search_exponent(table)
         if not result.found:
-            return 2, f"search: NotFound - {result.note}"
-        fit = result.fit
-        lines = [
-            f"search: a = {_num(fit.a, p)}  k = {_num(fit.k, p)}"
-            f"  residual = {_num(fit.residual, p)}",
-            "x,L",
-        ]
-        lines.extend(f"{_num(x, p)},{_num(v, p)}" for x, v in result.probe.samples)
-        return 0, "\n".join(lines)
-    a = parse_constant(cfg.a, ctx)
-    # the samples L grow like x^-a: printing them at a = 1e2000 takes minutes
-    if a._mpf_[2] + a._mpf_[3] > EXPONENT_CAP:
-        raise ValueError(f"--a reaches the magnitude cap 2^{EXPONENT_CAP}")
-    probe = probe_limit(table, a, grid)
-    lines = [f"probe: a = {_num(probe.a, p)}  verdict = {probe.verdict}"]
-    if probe.verdict == FINITE_NONZERO:
-        k = ctx.power(probe.L, -1 / probe.a)
-        lines[0] += f"  L = {_num(probe.L, p)}  k = {_num(k, p)}"
-    lines.append("x,L")
-    lines.extend(f"{_num(x, p)},{_num(v, p)}" for x, v in probe.samples)
-    code = 0 if probe.verdict == FINITE_NONZERO else 2
-    return code, "\n".join(lines)
+            out.write(f"search: NotFound - {result.note}\n")
+            return 2
+        fit, probe, code = result.fit, result.probe, 0
+        head = (f"search: a = {_num(fit.a, p)}  k = {_num(fit.k, p)}"
+                f"  residual = {_num(fit.residual, p)}")
+    else:
+        a = parse_constant(cfg.a, table.ctx)
+        # the samples L grow like x^-a: printing them at a = 1e2000 takes minutes
+        if a._mpf_[2] + a._mpf_[3] > EXPONENT_CAP:
+            raise ValueError(f"--a reaches the magnitude cap 2^{EXPONENT_CAP}")
+        probe = probe_limit(table, a)
+        code = 0 if probe.verdict == FINITE_NONZERO else 2
+        head = f"probe: a = {_num(probe.a, p)}  verdict = {probe.verdict}"
+        if not code:
+            k = table.ctx.power(probe.L, -1 / probe.a)
+            head += f"  L = {_num(probe.L, p)}  k = {_num(k, p)}"
+    rows = "".join(f"{_num(x, p)},{_num(v, p)}\n" for x, v in probe.samples)
+    out.write(f"{head}\nx,L\n{rows}")
+    return code
 
 
 @_command
-def cmd_compare(cfg: RunConfig, target, label) -> Tuple[int, str]:
+def cmd_compare(cfg: RunConfig, target, label, out: TextIO) -> int:
     if cfg.majorant is None:
         raise ValueError("give a majorant with --majorant")
     p = cfg.precision
-    g_table = Samples(_function(target), p)
+    g_table = Samples(_function(target), p, cfg.x0)
     ctx = g_table.ctx
     spec = parse_majorant_spec(cfg.majorant, ctx)
     lines = [f"function: {label}", f"majorant: {spec.label}"]
@@ -370,7 +367,7 @@ def cmd_compare(cfg: RunConfig, target, label) -> Tuple[int, str]:
                 lines.append(
                     f"majorant series: {sub.verdict.conclusion}; cannot certify"
                 )
-    verdict = majorant_rule(g_table, spec, seed_grid(cfg.x0, ctx), certificate=sub)
+    verdict = majorant_rule(g_table, spec, certificate=sub)
     scan = verdict.witnesses
     lines.append(
         f"monotone on grid: {'yes' if scan['monotone'] else 'no'}"
@@ -399,8 +396,8 @@ def cmd_compare(cfg: RunConfig, target, label) -> Tuple[int, str]:
         f"orbit domination m_n >= g_n for all n <= {common}:"
         f" {'yes' if dominated else 'no'}"
     )
-    code = 0 if verdict.conclusion == "convergent" else 2
-    return code, "\n".join(lines)
+    out.write("\n".join(lines) + "\n")
+    return 0 if verdict.conclusion == "convergent" else 2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -468,14 +465,14 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def main(argv: Optional[List[str]] = None) -> None:
     args = _build_parser().parse_args(argv)
-    code, output = _SUBCOMMANDS[args.command][0](config_from_args(args))
-    if output:
-        try:
-            print(output)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # reader (e.g. head) went away; suppress the shutdown complaint
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    code = 1  # unless the command is done before a reader goes away
+    try:
+        code = _SUBCOMMANDS[args.command][0](config_from_args(args), sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader (e.g. head) went away: stop, and keep the flush at
+        # interpreter shutdown from complaining on stderr
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)
 
 

@@ -84,17 +84,12 @@ def _lattice_points(ctx, indices: range) -> List:
     return points
 
 
-def validation_grid(start: str = "1") -> GridSpec:
-    """Hypothesis-checking grid; spans (0, start] down to a deep floor."""
-    return GridSpec(start=start, floor=VALIDATION_FLOOR)
-
-
 def seed_grid(x0, ctx) -> GridSpec:
-    """The validation grid from |x0|, the most an orbit that decays can reach;
-    a seed at or below VALIDATION_FLOOR gets the decade below it instead."""
+    """The grid from |x0|, the most an orbit that decays can reach, down to
+    VALIDATION_FLOOR; a seed at or below it gets the decade below it instead."""
     start = abs(ctx.convert(x0))
     if start > ctx.mpf(VALIDATION_FLOOR):
-        return validation_grid(mpmath.nstr(start, ctx.dps))
+        return GridSpec(mpmath.nstr(start, ctx.dps), VALIDATION_FLOOR)
     return GridSpec(mpmath.nstr(start, ctx.dps), mpmath.nstr(start / 10, ctx.dps))
 
 
@@ -105,9 +100,11 @@ LOG_GUARD_BITS = 32
 
 
 class Samples:
-    """The sample table of one analysis: f and the working precision as every
-    stage reads them. f is compiled once, on the table's one context; each
-    grid is generated once, and f evaluated once per distinct grid point.
+    """The sample table of one analysis: f, the working precision and the two
+    grids as every stage reads them. `seed` (seed_grid of x0) is where the
+    hypotheses and the comparison rules sample, `probe` where the derivative
+    and the limit probes do. f is compiled once, on the table's one context;
+    each grid is generated once, and f evaluated once per distinct point.
 
     A point's entry is f(x) or the EvalDomainError f raised there; reading
     it raises that error again. ln x and ln f(x) are computed on first use
@@ -116,10 +113,15 @@ class Samples:
     belongs to one analysis and is not shared between calls.
     """
 
-    def __init__(self, f: FunctionDef, precision: int = DEFAULT_PRECISION):
+    def __init__(self, f: FunctionDef, precision: int = DEFAULT_PRECISION,
+                 x0="1", probe: GridSpec = PROBE_GRID):
+        self.function = f
         self.precision = precision
         self.ctx = context(precision)
         self.compiled = evaluator(f, self.ctx)
+        self.x0 = self.ctx.convert(x0)
+        self.seed = seed_grid(self.x0, self.ctx)
+        self.probe = probe
         # x._mpf_ (which hashes faster than x) -> f(x) or EvalDomainError
         self._values: Dict = {}
         self._points: Dict[GridSpec, List] = {}

@@ -15,7 +15,7 @@ import mpmath
 from mpmath.libmp import fzero, mpf_abs, mpf_add, to_str
 
 from .expr import EvalDomainError
-from .grids import GridSpec, Samples, validation_grid
+from .grids import Samples
 
 SAMPLING_CAVEAT = "grid sampling is evidence, not a proof"
 
@@ -120,18 +120,14 @@ def _decays(size, bound) -> bool:
     return not size[0] and size[1] != 0 and not bound[0] and _below(size, bound)
 
 
-def validate_hypotheses(
-    table: Samples,
-    mode: Mode = Mode.POSITIVE,
-    grid: Optional[GridSpec] = None,
-) -> HypothesisReport:
-    """Sample the decay hypothesis on a geometric grid from f's table.
+def validate_hypotheses(table: Samples, mode: Mode = Mode.POSITIVE) -> HypothesisReport:
+    """Sample the decay hypothesis on the table's seed grid.
 
     In signed mode every magnitude is checked at both signs. Evaluation
     domain errors count as violations, recorded with the error.
     """
     fn = table.f
-    points = table.points(grid or validation_grid())
+    points = table.points(table.seed)
     if mode is Mode.SIGNED:
         signed_points = []
         for p in points:

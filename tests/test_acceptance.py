@@ -4,6 +4,7 @@ Each test prints one [PASS] line; assertion messages carry the [FAIL]
 context. Stated runtime budgets are asserted where they exist.
 """
 
+import io
 import time
 
 import mpmath
@@ -31,7 +32,9 @@ OSCILLATORY = "x*(1/2 + 1/3*sin(1/x))"
 def run_cli(argv):
     args = _build_parser().parse_args(argv)
     cfg = config_from_args(args)
-    return cmd_analyze(cfg) if args.command == "analyze" else cmd_limit(cfg)
+    out = io.StringIO()
+    code = (cmd_analyze if args.command == "analyze" else cmd_limit)(cfg, out)
+    return code, out.getvalue()
 
 
 def test_criterion_1_exact_identity_probe():

@@ -44,8 +44,8 @@ from recurseries.classify import (
     signed_rule,
 )
 from recurseries.estimate import AsymptoticFit
-from recurseries.expr import TaylorDef, context, evaluator, parse, parse_constant
-from recurseries.grids import GridSpec, PROBE_GRID, Samples, seed_grid, validation_grid
+from recurseries.expr import TaylorDef, context, parse, parse_constant
+from recurseries.grids import GridSpec, Samples
 from recurseries.orbit import Mode
 
 from corpus import ALL, DECISIVE
@@ -110,7 +110,7 @@ def test_derivative_estimate_out_of_range():
 
 
 def synth_estimate(kind, c=None, band=None):
-    return DerivativeEstimate(kind, c, band, [], PROBE_GRID)
+    return DerivativeEstimate(kind, c, band, [])
 
 
 def test_derivative_rule_branches():
@@ -184,10 +184,16 @@ def test_probe_limit_validation():
         probe_limit(Samples(parse("-x/2")), 1)  # not positive on the grid
 
 
+def advised_precision(message):
+    """The precision a cancellation guard's message advises a rerun at."""
+    return int(re.search(r"rerun with precision (\d+) or more", message).group(1))
+
+
 def test_probe_limit_cancellation_guard():
     # x - x^9 leaves x^a and f^a agreeing in far more digits than 64 can spare
-    with pytest.raises(PrecisionGuardError, match="rerun with precision"):
+    with pytest.raises(PrecisionGuardError, match="rerun with precision") as refused:
         probe_limit(Samples(parse("x - x^9")), 1)
+    probe_limit(Samples(parse("x - x^9"), advised_precision(str(refused.value))), 1)
 
 
 def test_search_exponent_sine():
@@ -229,7 +235,7 @@ def test_search_exponent_not_found():
     # true exponent 5 sits above the scanned range
     shallow = GridSpec(start="1e-1", floor="1e-8")
     result = search_exponent(
-        Samples(parse("x/(1+x^5)^(1/5)")), a_range=("1", "4"), grid=shallow
+        Samples(parse("x/(1+x^5)^(1/5)"), probe=shallow), a_range=("1", "4")
     )
     assert not result.found
     assert "no transition in range" in result.note
@@ -296,9 +302,12 @@ def test_search_reads_only_the_tail():
 
 
 def test_search_refuses_a_tail_without_digits():
-    # x/(1+x^3)^(1/3) keeps ln(x/f) near x^3/3, 75 digits down at 1e-25
-    with pytest.raises(PrecisionGuardError, match="rerun with precision above 64"):
-        search_exponent(Samples(parse("x/(1+x^3)^(1/3)")))
+    # x/(1+x^3)^(1/3) keeps ln(x/f) near x^3/3, 75 digits down at 1e-25;
+    # the advice is a precision that keeps CANCELLATION_HEADROOM of them
+    f = parse("x/(1+x^3)^(1/3)")
+    with pytest.raises(PrecisionGuardError, match="rerun with precision") as refused:
+        search_exponent(Samples(f))
+    assert search_exponent(Samples(f, advised_precision(str(refused.value)))).found
 
 
 CONJUGATES = ["x/(1+x)", "sin(x)", "x/(1+x^(1/2))^2", "x - x^2"]
@@ -383,14 +392,17 @@ def test_check_monotone():
     assert not monotone
     assert delta < CTX.mpf("1e-6")  # no useful certified region
 
-    # x - x^2 increases only below 1/2; this grid descends from 10^-0.5
-    monotone, _ = check_monotone(Samples(parse("x - x^2")), grid=GridSpec("0.3", "1e-6"))
+    # x - x^2 increases only below 1/2: the grid from the seed 0.3 lies
+    # below it, the one from 1 does not
+    monotone, _ = check_monotone(Samples(parse("x - x^2"), x0="0.3"))
     assert monotone
     monotone, _ = check_monotone(Samples(parse("x - x^2")))
     assert not monotone
 
+    # a seed within the lattice's slack above the validation floor leaves
+    # the floor as its grid's one point
     with pytest.raises(ValueError, match="fewer than two points"):
-        check_monotone(Samples(parse("x/2")), grid=GridSpec("0.3", "0.29"))
+        check_monotone(Samples(parse("x/2"), x0="1.000000000001e-30"))
 
 
 def test_majorant_rule_oscillatory():
@@ -445,20 +457,20 @@ def test_majorant_rule_rejects_faster_decay_claim():
 def test_majorant_rule_user_certification():
     g = parse(OSCILLATORY)
     m = MajorantSpec.user(parse("5/6 * x"))
-    v = majorant_rule(Samples(g), m, seed_grid("0.3", CTX))
+    v = majorant_rule(Samples(g, x0="0.3"), m)
     assert v.conclusion == INCONCLUSIVE
     assert any("certificate" in n for n in v.notes)
     # the monotonicity scan rides along in the witnesses of every verdict;
     # the grid runs down from the seed
     assert v.witnesses == {"monotone": True, "delta": CTX.mpf("0.3")}
 
-    v = majorant_rule(Samples(g), m, seed_grid("0.3", CTX), certificate=analyze(m.fn, "0.3"))
+    v = majorant_rule(Samples(g, x0="0.3"), m, certificate=analyze(m.fn, "0.3"))
     assert v.conclusion == CONVERGENT
     assert any("user majorant monotone" in n for n in v.notes)
 
     # an analysis that does not converge certifies nothing
     m = MajorantSpec.user(parse("x/(1+x)"))
-    v = majorant_rule(Samples(g), m, seed_grid("0.3", CTX), certificate=analyze(m.fn, "0.3"))
+    v = majorant_rule(Samples(g, x0="0.3"), m, certificate=analyze(m.fn, "0.3"))
     assert v.conclusion == INCONCLUSIVE
     assert any("certificate" in n for n in v.notes)
 
@@ -491,11 +503,10 @@ def test_signed_rule_outcomes():
 
 
 def test_detect_mode():
-    points = validation_grid().points(CTX)
-    assert detect_mode(evaluator(parse("sin(x)"), CTX), points) is Mode.POSITIVE
-    assert detect_mode(evaluator(parse("-x/2"), CTX), points) is Mode.SIGNED
+    assert detect_mode(Samples(parse("sin(x)"))) is Mode.POSITIVE
+    assert detect_mode(Samples(parse("-x/2"))) is Mode.SIGNED
     # evaluation errors at some points do not flip the mode
-    assert detect_mode(evaluator(parse("ln(x - 1)"), CTX), points) is Mode.POSITIVE
+    assert detect_mode(Samples(parse("ln(x - 1)"))) is Mode.POSITIVE
 
 
 def corpus_target(entry):
@@ -627,7 +638,7 @@ def test_alternating_verdict_implies_alternating_orbit():
 
 
 def band_verdict(fn_text, x0):
-    v = comparison_band(Samples(parse(fn_text)), seed_grid(x0, CTX))
+    v = comparison_band(Samples(parse(fn_text), x0=x0))
     return v.conclusion, v.rule
 
 
@@ -673,13 +684,13 @@ def test_band_reads_sampled_witnesses():
     # the linear ratio snaps to p/q; a majorant C is the three-digit rounding
     # of 0.99*inf L_0.9 and a minorant C that of 1.01*sup L_1.1, so the label
     # itself passes the same test
-    v = comparison_band(Samples(parse(OSCILLATORY)), seed_grid("0.3", CTX))
+    v = comparison_band(Samples(parse(OSCILLATORY), x0="0.3"))
     assert v.witnesses["majorant"] == "linear:5/6"
     assert v.witnesses["delta"] == CTX.mpf("0.3")
-    v = comparison_band(Samples(parse("x - x^(3/2)*(1+abs(sin(1/x)))/2")), seed_grid("0.3", CTX))
+    v = comparison_band(Samples(parse("x - x^(3/2)*(1+abs(sin(1/x)))/2"), x0="0.3"))
     assert v.witnesses["majorant"] == "powerlaw:a=0.9,c=1.25"
     assert CTX.mpf("1.26") <= v.witnesses["bound"] < CTX.mpf("1.27")
-    v = comparison_band(Samples(parse("x - x^(5/2)*(1+abs(sin(1/x)))/2")), seed_grid("0.3", CTX))
+    v = comparison_band(Samples(parse("x - x^(5/2)*(1+abs(sin(1/x)))/2"), x0="0.3"))
     assert (v.conclusion, v.rule) == (DIVERGENT, MINORANT_RULE)
     assert v.witnesses["minorant"] == "powerlaw:a=1.1,c=0.479"
     assert CTX.mpf("0.474") <= v.witnesses["bound"] < CTX.mpf("0.475")
@@ -689,7 +700,7 @@ def test_band_reads_sampled_witnesses():
 def test_band_leaves_the_exponents_next_to_1_open():
     # x - x^2*abs(sin(1/x)) diverges, but its L_0.9 has a positive inf on
     # any grid, and its bounded L_1 reads like x^(b-1) for b just below 1
-    v = comparison_band(Samples(parse("x - x^2*abs(sin(1/x))")), seed_grid("0.3", CTX))
+    v = comparison_band(Samples(parse("x - x^2*abs(sin(1/x))"), x0="0.3"))
     assert v.conclusion == INCONCLUSIVE
     assert any("minima of L_0.9 trend toward 0" in n for n in v.notes)
     assert any("maxima of L_1.1 trend toward infinity" in n for n in v.notes)
@@ -703,7 +714,13 @@ def test_band_side_without_digits_does_not_count():
     assert report.verdict.conclusion == INCONCLUSIVE
     refused = [n for n in report.verdict.notes if "does not count" in n]
     assert [n.split(" does not count")[0] for n in refused] == ["L_0.9", "L_1.1"]
-    assert all("rerun with precision above 64" in n for n in refused)
+    # at the precision the notes advise, both sides are read (the minorant
+    # side then decides: the decay exponent is 9/4)
+    precision = max(advised_precision(n) for n in refused)
+    report = analyze(parse("x - x^(13/4)*(1+sin(1/x)/2)"), "0.3",
+                     AnalyzerConfig(precision=precision, max_n=200))
+    assert not any("does not count" in n for n in report.verdict.notes)
+    assert (report.verdict.conclusion, report.verdict.rule) == (DIVERGENT, MINORANT_RULE)
 
 
 def test_band_needs_enough_decades():

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -27,6 +28,7 @@ from recurseries.grids import Samples
 from recurseries.orbit import iterate, write_csv
 
 from corpus import ALL, DECISIVE
+from test_classify import advised_precision
 from test_orbit import _STOPS  # every stop status of an orbit
 
 CTX = context(64)
@@ -41,8 +43,13 @@ COMMANDS = {
 
 
 def run(argv):
+    """(exit code, output without the newline that ends it) of a command."""
     args = _build_parser().parse_args(argv)
-    return COMMANDS[args.command](config_from_args(args))
+    out = io.StringIO()
+    code = COMMANDS[args.command](config_from_args(args), out)
+    text = out.getvalue()
+    assert text.endswith("\n")
+    return code, text[:-1]
 
 
 @pytest.mark.parametrize("entry", ALL, ids=lambda e: e.name)
@@ -333,6 +340,37 @@ def test_iterate_to_a_csv_file_holds_flat_memory(tmp_path):
     assert _iterate_csv_peak(path, 40000) <= 1.5 * _iterate_csv_peak(path, 10000)
 
 
+def _iterate_stdout_peak(max_n):
+    with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SystemExit) as exc:
+                main(["iterate", "--f=x/(1+x)", f"--max-n={max_n}", "--thin=1"])
+            assert exc.value.code == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_iterate_to_stdout_holds_flat_memory():
+    # through main, as the console script runs it: the rows go to stdout as
+    # they are computed
+    _iterate_stdout_peak(10)  # imports and caches outside the count
+    assert _iterate_stdout_peak(40000) <= 1.5 * _iterate_stdout_peak(10000)
+
+
+def test_iterate_to_a_reader_that_goes_away_leaves_stderr_empty():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "recurseries", "iterate", "--f=x/(1+x)", "--max-n=100000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"n,x_n,S_n\n"
+    proc.stdout.close()  # like head -1
+    _, err = proc.communicate(timeout=120)
+    assert err == b""
+    assert proc.returncode == 1  # the run ended before its last row
+
+
 @pytest.mark.parametrize("call,where,cap", [
     ("sin(2^65536)", "sin(2 ^ 65536)", "argument reaches the magnitude cap 2^65536"),
     ("exp(2^65536)", "exp(2 ^ 65536)", "argument reaches the magnitude cap 2^65536"),
@@ -415,7 +453,8 @@ def test_limit_search_precision_guard():
     code, out = run(["limit", "--f=x-x^5", "--a", "search"])
     assert code == 1
     assert out.startswith("error: x and f(x) agree in more than")
-    assert out.endswith("rerun with precision above 64")
+    # ln(x/f) is 1e-100 at the probe floor 1e-25
+    assert advised_precision(out) == 103
 
     code, out = run(["limit", "--f=x-x^5", "--a", "search", "--precision", "200"])
     assert code == 0
@@ -439,6 +478,21 @@ def test_limit_precision_guard():
     code, out = run(["limit", "--f", "x - x^9", "--a", "1"])
     assert code == 1
     assert "rerun with precision" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["limit", "--f=x/2", "--a=1e-80"],  # x^a and f^a agree in 80 digits everywhere
+    ["limit", "--f=x-x^5", "--a=search"],  # x and f agree in 4·25 digits at the floor
+    ["limit", "--f=x - x^9", "--a=1"],
+])
+def test_cancellation_advice_is_a_precision_that_passes(argv):
+    # the advice names the precision the deepest row of the probe needs, not
+    # one the next row down refuses again
+    code, out = run(argv)
+    assert code == 1
+    precision = advised_precision(out)
+    code, out = run(argv + [f"--precision={precision}"])
+    assert code != 1 and "agree in more than" not in out, out
 
 
 def test_compare_convergent():

@@ -1,4 +1,5 @@
 import functools
+import io
 import json
 import os
 import re
@@ -268,7 +269,9 @@ def test_analyze_fit_moves_only_the_fit():
     tol = mpmath.mpf("2e-4")
     for want in reference:
         args = _build_parser().parse_args(want["argv"])
-        code, out = cmd_analyze(config_from_args(args))
+        buf = io.StringIO()
+        code = cmd_analyze(config_from_args(args), buf)
+        out = buf.getvalue()
         got = json.loads(out)
         assert code == want["code"], want["argv"]
         for key in ("mode", "verdict", "rule", "witnesses", "orbit"):

@@ -23,7 +23,7 @@ from recurseries.expr import (
     render,
     taylor_polynomial,
 )
-from recurseries.grids import validation_grid
+from recurseries.grids import seed_grid
 
 CTX = context(64)
 
@@ -277,7 +277,7 @@ def _by_mpf_operators(node, x):
 
 
 # x from the quarter-decade lattice, the corpus seeds and their negatives
-_LATTICE = validation_grid().points(CTX)
+_LATTICE = seed_grid("1", CTX).points(CTX)
 _xs = st.one_of(
     st.sampled_from(_LATTICE),
     st.sampled_from(["1", "0.5", "0.25", "0.3", "0.9", "2"]).map(CTX.mpf),

@@ -33,7 +33,6 @@ from recurseries.grids import (
     PROBE_GRID,
     Samples,
     seed_grid,
-    validation_grid,
 )
 from recurseries.orbit import iterate
 
@@ -53,7 +52,7 @@ def corpus_function(entry):
 
 def test_table_points_are_the_grid_points():
     table = Samples(parse("sin(x)"))
-    for grid in (PROBE_GRID, validation_grid(), validation_grid(start="0.3")):
+    for grid in (PROBE_GRID, seed_grid("1", CTX), seed_grid("0.3", CTX)):
         assert table.points(grid) == grid.points(table.ctx)
         assert table.points(grid) is table.points(grid)
 
@@ -70,7 +69,7 @@ def test_oversized_grid_is_refused_before_generation(spec):
 
 def test_default_grids_fit_the_point_limit():
     assert len(PROBE_GRID.points(CTX)) == 93
-    assert len(validation_grid().points(CTX)) == 121
+    assert len(seed_grid("1", CTX).points(CTX)) == 121
     # x_9999 = 10^-2499.75 is the last point above 1.5e-2500
     edge = GridSpec(start="1", floor="1.5e-2500")
     assert len(edge.points(CTX)) == MAX_GRID_POINTS
@@ -117,7 +116,7 @@ def test_grids_are_slices_of_one_lattice(i, span, precision):
 def test_a_grid_never_returns_another_precisions_points():
     ctx30 = context(30)
     for ctx in (CTX, ctx30, CTX, ctx30):
-        same_bits(validation_grid().points(ctx), ctx,
+        same_bits(seed_grid("1", ctx).points(ctx), ctx,
                   [lattice(j, ctx) for j in range(LATTICE_DEPTH + 1)])
     assert list(recurseries.grids._lattice) == [ctx30.prec]
     assert lattice_size() == LATTICE_DEPTH + 1
@@ -143,16 +142,16 @@ def test_second_analysis_computes_no_lattice_power(monkeypatch):
 
 
 def test_probe_grid_is_a_slice_of_the_validation_grid():
-    validation = validation_grid().points(CTX)
+    validation = seed_grid("1", CTX).points(CTX)
     assert PROBE_GRID.points(CTX) == validation[8:101]
     for start, below in (("3", 0), ("0.3", 3)):
-        points = validation_grid(start).points(CTX)
+        points = seed_grid(start, CTX).points(CTX)
         assert points[0] == CTX.mpf(start)  # never above the start
         assert set(points) >= set(validation[below:])
 
 
 def test_seed_grid_reaches_below_a_seed_at_the_floor():
-    assert seed_grid("-0.3", CTX) == validation_grid("0.3")
+    assert seed_grid("-0.3", CTX) == seed_grid("0.3", CTX) == GridSpec("0.3", "1e-30")
     # (0, x0] holds no point of the validation grid: the decade below it
     for x0 in ("1e-30", "-1e-35"):
         points = seed_grid(x0, CTX).points(CTX)
@@ -164,7 +163,7 @@ def test_table_reads_match_the_evaluator():
     f = parse("x / ln(x^2)")  # ln(1) = 0: a domain error at x = 1 and -1
     table = Samples(f)
     fn = evaluator(f, table.ctx)
-    points = table.points(validation_grid())
+    points = table.points(table.seed)
     for x in (points[0], -points[0], points[0]):
         with pytest.raises(EvalDomainError, match="division by zero"):
             table.f(x)
@@ -372,3 +371,52 @@ def test_iterate_compiles_f_once(monkeypatch, capsys, mode):
     assert exc.value.code == 0
     detected = len(seed_grid("0.5", CTX).points(CTX)) if mode == "auto" else 0
     assert [(source, len(args)) for source, args in compiled] == [("x/(1+x)", detected + 50)]
+
+
+# x0 on the lattice (to 60 digits at every precision here), off it, at or
+# below the validation floor, and each of them negated
+SEEDS = st.one_of(
+    st.integers(-8, 130).map(lambda j: mpmath.nstr(lattice(j, CONTEXTS[200]), 60)),
+    st.builds(lambda m, e: f"{m}e{e}", st.integers(1, 10**30), st.integers(-70, -20)),
+    st.sampled_from(["1e-30", "1.000000000001e-30", "9.99e-31", "3e-35", "1e-40"]),
+).flatmap(lambda x0: st.sampled_from([x0, "-" + x0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(x0=SEEDS, precision=st.sampled_from(sorted(CONTEXTS)))
+def test_table_seed_grid_is_the_seed_grid_of_its_x0(x0, precision):
+    table = Samples(parse("x/2"), precision, x0)
+    ctx = CONTEXTS[precision]
+    same_bits(table.points(table.seed), table.ctx, seed_grid(x0, ctx).points(ctx))
+
+
+def spy_grids(monkeypatch):
+    """Record, for every grid a stage asks a table for, whether it is the
+    table's seed or probe grid."""
+    asked = []
+    for name in ("points", "logs"):
+        original = getattr(Samples, name)
+
+        def spy(table, grid, original=original):
+            asked.append(grid is table.seed or grid is table.probe)
+            return original(table, grid)
+
+        monkeypatch.setattr(Samples, name, spy)
+    return asked
+
+
+@pytest.mark.parametrize("argv", [e.cli_args() for e in ALL] + [
+    ["limit", "--f=x/(1+x)", "--a=1", "--grid-start=0.05", "--grid-floor=1e-20"],
+    ["limit", "--f=sin(x)", "--a=search"],
+    ["compare", "--f=x*(1/2 + 1/3*sin(1/x))", "--x0=0.3", "--majorant=linear:5/6"],
+    ["compare", "--f=x - x^(3/2)*(1+abs(sin(1/x)))/2", "--x0=0.3",
+     "--majorant=powerlaw:a=0.9,c=1.25"],
+    ["compare", "--f=x*(1/2 + 1/3*sin(1/x))", "--x0=0.3", "--majorant=fn:5/6 * x"],
+    ["iterate", "--f=-x/2", "--x0=0.5", "--max-n=50"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_stages_read_only_the_tables_two_grids(monkeypatch, capsys, argv):
+    asked = spy_grids(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code in (0, 2), capsys.readouterr().out
+    assert asked and all(asked)

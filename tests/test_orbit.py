@@ -8,7 +8,7 @@ from mpmath.libmp import finf, fnan, fninf, from_man_exp, fzero, mpf_lt
 
 from recurseries.estimate import fit_power_law, sum_estimate
 from recurseries.expr import context, evaluator, parse
-from recurseries.grids import GridSpec, Samples, validation_grid
+from recurseries.grids import GridSpec, Samples, seed_grid
 from recurseries.orbit import (
     CsvRows,
     HYPOTHESIS_VIOLATION,
@@ -139,7 +139,7 @@ def test_validate_hypotheses_total_failure():
 def test_validate_hypotheses_signed_interleaves():
     report = validate_hypotheses(Samples(parse("-x/2")), mode=Mode.SIGNED)
     assert report.passed
-    grid_len = len(validation_grid().points(CTX))
+    grid_len = len(seed_grid("1", CTX).points(CTX))
     assert len(report.checked_grid) == 2 * grid_len
     assert any(p < 0 for p in report.checked_grid)
 
@@ -160,7 +160,7 @@ def sorted_region(report):
 @given(mode=st.sampled_from(list(Mode)), start=st.sampled_from(["1", "0.3", "1e-3"]),
        data=st.data())
 def test_validated_region_reads_the_grid_order(mode, start, data):
-    points = validation_grid(start).points(CTX)
+    points = seed_grid(start, CTX).points(CTX)
     if mode is Mode.SIGNED:
         points = [q for p in points for q in (p, -p)]
     # violations in grid order, as validate_hypotheses records them
