@@ -14,7 +14,6 @@ from .classify import (
     AnalysisError,
     AnalysisReport,
     AnalyticRuleError,
-    AnalyzerConfig,
     CONVERGENT,
     DERIVATIVE_RULE,
     DIVERGENT,
@@ -52,7 +51,6 @@ from .expr import (
     ExprSyntaxError,
     FunctionDef,
     MIN_PRECISION,
-    TaylorDef,
     context,
     evaluator,
     parse,

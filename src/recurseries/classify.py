@@ -34,17 +34,14 @@ from .estimate import (
     sum_estimate,
 )
 from .expr import (
-    DEFAULT_PRECISION,
     EvalDomainError,
     FunctionDef,
-    TaylorDef,
     context,
     evaluator,  # bench/tracer.py counts compiles through this binding too
     parse,
     parse_constant,
-    taylor_polynomial,
 )
-from .grids import PER_DECADE, GridSpec, PROBE_GRID, Samples
+from .grids import PER_DECADE, Samples
 from .orbit import (
     HYPOTHESIS_VIOLATION,
     HypothesisReport,
@@ -513,16 +510,14 @@ def limit_exponent_rule(fit: AsymptoticFit) -> Verdict:
     )
 
 
-def analytic_rule(t: TaylorDef, precision: int = DEFAULT_PRECISION) -> Verdict:
+def analytic_rule(coeffs) -> Verdict:
     """Divergence from Taylor data a1 = 1 with the first nonzero higher
     coefficient negative (so that f(x) < x holds near zero).
 
-    Raises AnalyticRuleError when a hypothesis fails; a1 != 1 routes to the
-    derivative rule with c = a1 instead. Coefficients given as text are
-    read at the given precision.
+    coeffs are the numbers a1, a2, ..., read at the working precision, as a
+    polynomial f carries them. Raises AnalyticRuleError when a hypothesis
+    fails; a1 != 1 routes to the derivative rule with c = a1 instead.
     """
-    ctx = context(precision)
-    coeffs = [c if hasattr(c, "_mpf_") else ctx.convert(c) for c in t.coefficients]
     a1 = coeffs[0]
     if a1 != 1:
         raise AnalyticRuleError(
@@ -748,18 +743,7 @@ def signed_rule(table: Samples) -> Verdict:
 
 
 @dataclass
-class AnalyzerConfig:
-    precision: int = DEFAULT_PRECISION
-    mode: str = "auto"  # auto | positive | signed
-    max_n: int = 10**6
-    floor: str = "1e-40"
-    probe_grid: GridSpec = PROBE_GRID
-
-
-@dataclass
 class AnalysisReport:
-    function: FunctionDef
-    x0: object
     mode: Mode
     verdict: Verdict
     derivative: Optional[DerivativeEstimate]
@@ -783,32 +767,25 @@ def detect_mode(table: Samples) -> Mode:
     return Mode.POSITIVE
 
 
-def analyze(f, x0, config: Optional[AnalyzerConfig] = None) -> AnalysisReport:
-    """Run the full decision pipeline on a FunctionDef or TaylorDef.
+def analyze(table: Samples, mode: str = "auto", max_n: int = 10**6,
+            floor: str = "1e-40") -> AnalysisReport:
+    """Run the full decision pipeline on the table's f from its seed x0.
 
-    Stages: hypothesis validation with mode detection from |x0| down, the
-    signed rules or the derivative rule, routing to the limit-exponent rule
-    and then the comparison band, then an empirical orbit cross-check whose
-    fit is compared against the verdict. Raises AnalysisError when the seed
-    lies outside the region where the hypotheses hold.
+    mode is "auto", "positive" or "signed"; the orbit cross-check runs to
+    min(max_n, CROSS_CHECK_N) steps or until |x_n| < floor. Stages:
+    hypothesis validation with mode detection from |x0| down, the signed
+    rules or the derivative rule (after the analytic rule, for a polynomial
+    f that carries its Taylor coefficients), routing to the limit-exponent
+    rule and then the comparison band, then an empirical orbit cross-check
+    whose fit is compared against the verdict. Raises AnalysisError when
+    the seed lies outside the region where the hypotheses hold.
     """
-    cfg = config or AnalyzerConfig()
-    taylor = None
-    if isinstance(f, TaylorDef):
-        taylor = f
-        fdef = taylor_polynomial(f, context(cfg.precision))
-    else:
-        fdef = f
-    table = Samples(fdef, cfg.precision, x0, cfg.probe_grid)
     ctx = table.ctx
     x0 = table.x0
     if x0 == 0:
         raise AnalysisError("x0 must be nonzero")
 
-    if cfg.mode == "auto":
-        mode = detect_mode(table)
-    else:
-        mode = Mode(cfg.mode)
+    mode = detect_mode(table) if mode == "auto" else Mode(mode)
     if mode is Mode.POSITIVE and not x0 > 0:
         raise AnalysisError(
             f"x0 = {mpmath.nstr(x0, 12)} must be positive in positive mode,"
@@ -845,9 +822,10 @@ def analyze(f, x0, config: Optional[AnalyzerConfig] = None) -> AnalysisReport:
     if mode is Mode.SIGNED:
         verdict = signed_rule(table)
     else:
-        if taylor is not None and ctx.convert(taylor.coefficients[0]) == 1:
+        coeffs = table.function.coefficients
+        if coeffs is not None and coeffs[0] == 1:
             try:
-                verdict = analytic_rule(taylor, cfg.precision)
+                verdict = analytic_rule(coeffs)
             except AnalyticRuleError as err:
                 warnings.append(f"analytic rule inapplicable: {err}")
         if verdict is None:
@@ -866,7 +844,7 @@ def analyze(f, x0, config: Optional[AnalyzerConfig] = None) -> AnalysisReport:
                     verdict = comparison_band(table)
                 verdict.notes = routed + verdict.notes
 
-    orbit_result = iterate(table, x0, min(cfg.max_n, CROSS_CHECK_N), cfg.floor, mode)
+    orbit_result = iterate(table, x0, min(max_n, CROSS_CHECK_N), floor, mode)
     if orbit_result.status.kind == HYPOTHESIS_VIOLATION:
         warnings.append(f"orbit cross-check: {orbit_result.status.describe()}")
     fit = None
@@ -899,8 +877,6 @@ def analyze(f, x0, config: Optional[AnalyzerConfig] = None) -> AnalysisReport:
             sum_est = None
 
     return AnalysisReport(
-        function=fdef,
-        x0=x0,
         mode=mode,
         verdict=verdict,
         derivative=derivative,

@@ -24,7 +24,6 @@ import mpmath
 
 from .classify import (
     AnalysisError,
-    AnalyzerConfig,
     CROSS_CHECK_N,
     FINITE_NONZERO,
     INCONCLUSIVE,
@@ -43,7 +42,6 @@ from .expr import (
     ExprError,
     FunctionDef,
     MIN_PRECISION,
-    TaylorDef,
     context,
     evaluator,  # unused here; bench/test_bench.py checks the tracer rebinds it
     parse,
@@ -104,10 +102,10 @@ def _num(value, precision: int) -> str:
     return mpmath.nstr(value, precision)
 
 
-def _analyzer_config(cfg: RunConfig) -> AnalyzerConfig:
+def _table(cfg: RunConfig, f: FunctionDef) -> Samples:
+    """f's sample table at the configured precision, seed and probe grid."""
     probe = GridSpec(cfg.grid_start or PROBE_GRID.start, cfg.grid_floor or PROBE_GRID.floor)
-    return AnalyzerConfig(precision=cfg.precision, mode=cfg.mode, max_n=cfg.max_n,
-                          floor=cfg.floor, probe_grid=probe)
+    return Samples(f, cfg.precision, cfg.x0, probe)
 
 
 def _expr_diagnostic(err: ExprError) -> str:
@@ -121,23 +119,14 @@ def _expr_diagnostic(err: ExprError) -> str:
 
 
 def _parse_target(cfg: RunConfig):
-    """Return (FunctionDef or TaylorDef, display label). Only --taylor
-    coefficients need a context to be read at the working precision."""
+    """Return (f, display label). --taylor coefficients are read at the
+    working precision, on one context, and become the polynomial f, which
+    carries them for the analytic rule."""
     if cfg.taylor is not None:
         ctx = context(cfg.precision)
-        coeffs = tuple(
-            parse_constant(part.strip(), ctx) for part in cfg.taylor.split(",")
-        )
-        return TaylorDef(coeffs), f"taylor:{cfg.taylor}"
+        coeffs = [parse_constant(part.strip(), ctx) for part in cfg.taylor.split(",")]
+        return taylor_polynomial(coeffs, ctx), f"taylor:{cfg.taylor}"
     return parse(cfg.function_text), cfg.function_text
-
-
-def _function(target) -> FunctionDef:
-    """f itself: for --taylor, the polynomial, built on the context its
-    coefficients were read on."""
-    if isinstance(target, TaylorDef):
-        return taylor_polynomial(target, target.coefficients[0].context)
-    return target
 
 
 def parse_majorant_spec(text: str, ctx) -> MajorantSpec:
@@ -254,26 +243,24 @@ def _report_text(report, cfg: RunConfig, label: str) -> str:
 
 
 def _command(body):
-    """Turn body(cfg, target, label, out) into a (RunConfig, out) -> exit code
-    subcommand: the configuration is validated and the target read once
-    here, and every error leaves by the one exit-1 path below.
+    """Turn body(cfg, f, label, out) into a (RunConfig, out) -> exit code
+    subcommand: the configuration is validated and f read once here, and
+    every error leaves by the one exit-1 path below.
 
-    target is what the user gave, a FunctionDef or a TaylorDef (see
-    _function). Each body works on the context of the table it builds. It
+    Each body works on the context of the table it builds (see _table). It
     writes to out after its last call that can raise, except for the rows
     iterate streams as it computes them, so an error is all that a failed
-    run writes. A reader that goes away is not an error here: main ends
-    the run.
+    run writes. When out itself fails, so does writing the message to it,
+    here or at main's flush: that error reaches main, which reports it on
+    stderr.
     """
 
     @functools.wraps(body)
     def run(cfg: RunConfig, out: TextIO) -> int:
         try:
             cfg.validate()
-            target, label = _parse_target(cfg)
-            return body(cfg, target, label, out)
-        except BrokenPipeError:
-            raise
+            f, label = _parse_target(cfg)
+            return body(cfg, f, label, out)
         except ExprError as err:
             out.write(_expr_diagnostic(err) + "\n")
         except (ValueError, PrecisionGuardError, EvalDomainError, OSError) as err:
@@ -284,8 +271,8 @@ def _command(body):
 
 
 @_command
-def cmd_analyze(cfg: RunConfig, target, label, out: TextIO) -> int:
-    report = analyze(target, cfg.x0, _analyzer_config(cfg))
+def cmd_analyze(cfg: RunConfig, f: FunctionDef, label, out: TextIO) -> int:
+    report = analyze(_table(cfg, f), cfg.mode, cfg.max_n, cfg.floor)
     if cfg.orbit_csv:
         with open(cfg.orbit_csv, "w") as csv:
             write_csv(report.orbit_result, csv, thin=cfg.thin)
@@ -295,9 +282,9 @@ def cmd_analyze(cfg: RunConfig, target, label, out: TextIO) -> int:
 
 
 @_command
-def cmd_iterate(cfg: RunConfig, target, label, out: TextIO) -> int:
+def cmd_iterate(cfg: RunConfig, f: FunctionDef, label, out: TextIO) -> int:
     p = cfg.precision
-    table = Samples(_function(target), p, cfg.x0)
+    table = _table(cfg, f)
     mode = detect_mode(table) if cfg.mode == "auto" else Mode(cfg.mode)
     # each row goes to the CSV as the orbit computes it, so the orbit holds
     # only its last row; without --orbit-csv the CSV is the output itself
@@ -315,11 +302,11 @@ def cmd_iterate(cfg: RunConfig, target, label, out: TextIO) -> int:
 
 
 @_command
-def cmd_limit(cfg: RunConfig, target, label, out: TextIO) -> int:
+def cmd_limit(cfg: RunConfig, f: FunctionDef, label, out: TextIO) -> int:
     if cfg.a is None:
         raise ValueError('give an exponent with --a <value> or --a search')
     p = cfg.precision
-    table = Samples(_function(target), p, probe=_analyzer_config(cfg).probe_grid)
+    table = _table(cfg, f)
     if cfg.a == "search":
         result = search_exponent(table)
         if not result.found:
@@ -345,19 +332,20 @@ def cmd_limit(cfg: RunConfig, target, label, out: TextIO) -> int:
 
 
 @_command
-def cmd_compare(cfg: RunConfig, target, label, out: TextIO) -> int:
+def cmd_compare(cfg: RunConfig, f: FunctionDef, label, out: TextIO) -> int:
     if cfg.majorant is None:
         raise ValueError("give a majorant with --majorant")
     p = cfg.precision
-    g_table = Samples(_function(target), p, cfg.x0)
-    ctx = g_table.ctx
-    spec = parse_majorant_spec(cfg.majorant, ctx)
+    g_table = _table(cfg, f)
+    spec = parse_majorant_spec(cfg.majorant, g_table.ctx)
+    # m's analysis, when it has one, and its printed orbit read one table
+    m_table = _table(cfg, spec.fn)
     lines = [f"function: {label}", f"majorant: {spec.label}"]
     sub = None
     if spec.family == "user":
         # the majorant's own analysis is part of the report, not an error
         try:
-            sub = analyze(spec.fn, cfg.x0, _analyzer_config(cfg))
+            sub = analyze(m_table, cfg.mode, cfg.max_n, cfg.floor)
         except AnalysisError as err:
             lines.append(f"majorant series: analysis failed ({err}); cannot certify")
         else:
@@ -382,7 +370,7 @@ def cmd_compare(cfg: RunConfig, target, label, out: TextIO) -> int:
     g_orbit = iterate(g_table, cfg.x0, steps, cfg.floor, Mode.POSITIVE)
     # a positive-mode analysis of m iterated the same orbit already
     m_orbit = (sub.orbit_result if sub is not None and sub.mode is Mode.POSITIVE
-               else iterate(Samples(spec.fn, p), cfg.x0, steps, cfg.floor, Mode.POSITIVE))
+               else iterate(m_table, cfg.x0, steps, cfg.floor, Mode.POSITIVE))
     common = min(g_orbit.last_index, m_orbit.last_index)
     dominated = all(m_orbit.terms[n] >= g_orbit.terms[n] for n in range(common + 1))
     lines.append("n,g_n,m_n")
@@ -469,9 +457,14 @@ def main(argv: Optional[List[str]] = None) -> None:
     try:
         code = _SUBCOMMANDS[args.command][0](config_from_args(args), sys.stdout)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader (e.g. head) went away: stop, and keep the flush at
-        # interpreter shutdown from complaining on stderr
+    except OSError as err:
+        # stdout failed. A reader that went away (e.g. head) ends the run
+        # quietly; any other failure, such as a full device, with one line
+        # on stderr. Either way the flush at interpreter shutdown must not
+        # fail again.
+        if not isinstance(err, BrokenPipeError):
+            sys.stderr.write(f"error: writing the output failed: {err}\n")
+            code = 1
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)
 

@@ -111,24 +111,13 @@ _ADD, _MUL, _NEG, _POW, _ATOM = 1, 2, 3, 4, 5
 
 @dataclass(frozen=True)
 class FunctionDef:
-    """A parsed defining function f of the single variable x."""
+    """A parsed defining function f of the single variable x. A polynomial
+    built from Taylor data carries its coefficients a1, a2, ..., am (see
+    taylor_polynomial); any other f carries None."""
 
     root: Node
     source_text: str
-
-
-@dataclass(frozen=True)
-class TaylorDef:
-    """Truncated Taylor data at 0: coefficients a1, a2, ..., am.
-
-    The leading coefficient a1 is stored explicitly, never assumed to be 1.
-    """
-
-    coefficients: Tuple
-
-    def __post_init__(self):
-        if not self.coefficients:
-            raise ValueError("Taylor coefficient list must be nonempty")
+    coefficients: Optional[Tuple] = None
 
 
 _TOKEN_RE = re.compile(
@@ -505,15 +494,16 @@ def parse_constant(text: str, ctx):
     return evaluator(f, ctx)(ctx.mpf(0))
 
 
-def taylor_polynomial(t: TaylorDef, ctx) -> FunctionDef:
-    """Build the polynomial a1*x + a2*x^2 + ... as a FunctionDef.
+def taylor_polynomial(coefficients, ctx) -> FunctionDef:
+    """The polynomial a1*x + a2*x^2 + ... as a FunctionDef that carries the
+    coefficients, read on ctx; the leading a1 is kept, never assumed to be 1.
 
     Zero coefficients are skipped; coefficient values are rendered at the
     context precision, which is exact for the short decimal inputs used here.
     """
+    coefficients = tuple(ctx.convert(c) for c in coefficients)
     pieces = []
-    for k, coeff in enumerate(t.coefficients, start=1):
-        c = ctx.convert(coeff)
+    for k, c in enumerate(coefficients, start=1):
         if c == 0:
             continue
         mag = abs(c)
@@ -531,4 +521,4 @@ def taylor_polynomial(t: TaylorDef, ctx) -> FunctionDef:
     source = f"-{body}" if sign == "-" else body
     for sign, body in pieces[1:]:
         source += f" {sign} {body}"
-    return parse(source)
+    return FunctionDef(parse(source).root, source, coefficients)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 import mpmath
+from mpmath.libmp import repr_dps
 
 from .expr import DEFAULT_PRECISION, EvalDomainError, FunctionDef, context, evaluator
 
@@ -40,21 +41,26 @@ class GridSpec:
         if not (start > floor > 0):
             raise ValueError(
                 f"grid from {self.start} down to {self.floor} needs start > floor > 0")
-        # lattice positions of start and floor; the slack absorbs the
-        # rounding of log10 at a lattice point
-        slack = ctx.mpf("1e-9")
-        top = -PER_DECADE * ctx.log10(start)
-        first = ctx.ceil(top - slack)
-        last = ctx.floor(-PER_DECADE * ctx.log10(floor) + slack)
-        off_lattice = first - top > slack
+        # lattice positions of start and floor, up to the rounding of log10;
         # an absurd span is refused before any point is generated
-        if not last - first + off_lattice < MAX_GRID_POINTS:
-            raise ValueError(
-                f"grid from {self.start} down to {self.floor}"
-                f" needs more than {MAX_GRID_POINTS} points"
-            )
-        lattice = _lattice_points(ctx, range(int(first), int(last) + 1))
-        return [start] + lattice if off_lattice else lattice
+        top = -PER_DECADE * ctx.log10(start)
+        bottom = -PER_DECADE * ctx.log10(floor)
+        if bottom - top < MAX_GRID_POINTS + 1:
+            # the slack absorbs that rounding at a lattice point; a start
+            # (floor) within it below (above) the point is settled by
+            # comparing with the point's value
+            slack = ctx.mpf("1e-9")
+            first, last = int(ctx.ceil(top - slack)), int(ctx.floor(bottom + slack))
+            first += _lattice_point(ctx, first) > start
+            last -= _lattice_point(ctx, last) < floor
+            off_lattice = _lattice_point(ctx, first) != start
+            if last - first + off_lattice < MAX_GRID_POINTS:
+                lattice = [_lattice_point(ctx, j) for j in range(first, last + 1)]
+                return [start] + lattice if off_lattice else lattice
+        raise ValueError(
+            f"grid from {self.start} down to {self.floor}"
+            f" needs more than {MAX_GRID_POINTS} points"
+        )
 
 
 PROBE_GRID = GridSpec()
@@ -68,29 +74,31 @@ LATTICE_DEPTH = 30 * PER_DECADE  # the index of VALIDATION_FLOOR
 _lattice: Dict[int, Dict[int, tuple]] = {}
 
 
-def _lattice_points(ctx, indices: range) -> List:
-    """x_j for j in indices as ctx's own mpf numbers, bit for bit
-    ctx.power(10, ctx.mpf(-j) / PER_DECADE)."""
+def _lattice_point(ctx, j: int):
+    """x_j as ctx's own mpf number, bit for bit ctx.power(10, ctx.mpf(-j) / PER_DECADE)."""
     raws = _lattice.get(ctx.prec)
     if raws is None:
         _lattice.clear()
         raws = _lattice[ctx.prec] = {}
-    points = []
-    for j in indices:
-        raw = raws.get(j) or ctx.power(10, ctx.mpf(-j) / PER_DECADE)._mpf_
+    raw = raws.get(j)
+    if raw is None:
+        raw = ctx.power(10, ctx.mpf(-j) / PER_DECADE)._mpf_
         if 0 <= j <= LATTICE_DEPTH:
             raws[j] = raw
-        points.append(ctx.make_mpf(raw))
-    return points
+    return ctx.make_mpf(raw)
 
 
 def seed_grid(x0, ctx) -> GridSpec:
     """The grid from |x0|, the most an orbit that decays can reach, down to
-    VALIDATION_FLOOR; a seed at or below it gets the decade below it instead."""
+    VALIDATION_FLOOR; a seed at or below it gets the decade below it instead.
+    Its start is |x0| in digits that read back as |x0| bit for bit."""
     start = abs(ctx.convert(x0))
+    text = mpmath.nstr(start, ctx.dps)
+    if ctx.mpf(text) != start:  # x0 has more digits than the working ones
+        text = mpmath.nstr(start, repr_dps(ctx.prec))
     if start > ctx.mpf(VALIDATION_FLOOR):
-        return GridSpec(mpmath.nstr(start, ctx.dps), VALIDATION_FLOOR)
-    return GridSpec(mpmath.nstr(start, ctx.dps), mpmath.nstr(start / 10, ctx.dps))
+        return GridSpec(text, VALIDATION_FLOOR)
+    return GridSpec(text, mpmath.nstr(start / 10, ctx.dps))
 
 
 # extra bits for ln x and ln f(x): a*ln(x) then stays exact to the working
@@ -161,8 +169,8 @@ class Samples:
             fx = self.f(x)
             if not fx > 0:
                 raise ValueError(
-                    f"f must be positive on the probe grid; f({mpmath.nstr(x, 12)})"
-                    f" = {mpmath.nstr(fx, 12)}"
+                    f"f must be positive on the {'probe' if grid == self.probe else 'seed'}"
+                    f" grid; f({mpmath.nstr(x, 12)}) = {mpmath.nstr(fx, 12)}"
                 )
             values.append(fx)
         ctx = self.ctx

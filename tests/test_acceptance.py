@@ -10,7 +10,6 @@ import time
 import mpmath
 
 from recurseries.classify import (
-    AnalyzerConfig,
     MajorantSpec,
     analyze,
     estimate_derivative_at_zero,
@@ -19,7 +18,7 @@ from recurseries.classify import (
     search_exponent,
 )
 from recurseries.cli import cmd_analyze, cmd_limit, _build_parser, config_from_args
-from recurseries.expr import TaylorDef, context, parse
+from recurseries.expr import context, parse, taylor_polynomial
 from recurseries.grids import Samples
 from recurseries.orbit import iterate
 
@@ -91,7 +90,7 @@ def test_criterion_3_sine_exponent_search():
 
 def test_criterion_4_geometric_regime():
     start = time.monotonic()
-    report = analyze(parse("x/2"), 1)
+    report = analyze(Samples(parse("x/2"), x0=1))
     assert (report.verdict.conclusion, report.verdict.rule) == (
         "convergent", "DerivativeRule",
     ), f"[FAIL] criterion 4: verdict {report.verdict.conclusion}"
@@ -119,7 +118,7 @@ def test_criterion_5_oscillatory_majorant():
     assert abs(hi - CTX.mpf(5) / 6) < CTX.mpf("0.02"), (
         f"[FAIL] criterion 5: band high {mpmath.nstr(hi, 12)} not near 5/6"
     )
-    report = analyze(parse(OSCILLATORY), "0.3")
+    report = analyze(Samples(parse(OSCILLATORY), x0="0.3"))
     assert (report.verdict.conclusion, report.verdict.rule) == (
         "convergent", "MajorantRule",
     ), f"[FAIL] criterion 5: verdict {report.verdict.conclusion}"
@@ -157,7 +156,7 @@ def test_criterion_6_comparison_induction():
 
 
 def test_criterion_7_alternating_mode():
-    report = analyze(parse("-x/2"), 1)
+    report = analyze(Samples(parse("-x/2"), x0=1))
     assert (report.verdict.conclusion, report.verdict.rule) == (
         "convergent", "AlternatingRule",
     ), f"[FAIL] criterion 7: verdict {report.verdict.conclusion}"
@@ -170,7 +169,7 @@ def test_criterion_7_alternating_mode():
 
 
 def test_criterion_8_analytic_rule():
-    report = analyze(TaylorDef((1, -1)), "0.5", AnalyzerConfig(max_n=2000))
+    report = analyze(Samples(taylor_polynomial((1, -1), CTX), x0="0.5"), max_n=2000)
     assert (report.verdict.conclusion, report.verdict.rule) == (
         "divergent", "AnalyticRule",
     ), f"[FAIL] criterion 8: verdict {report.verdict.conclusion}"
@@ -185,7 +184,7 @@ def test_criterion_8_analytic_rule():
 
 
 def test_criterion_9_derivative_rule_precedence():
-    report = analyze(parse("0.9*(x/(1+x))"), 1, AnalyzerConfig(max_n=2000))
+    report = analyze(Samples(parse("0.9*(x/(1+x))"), x0=1), max_n=2000)
     assert (report.verdict.conclusion, report.verdict.rule) == (
         "convergent", "DerivativeRule",
     ), f"[FAIL] criterion 9: verdict {report.verdict.conclusion}"

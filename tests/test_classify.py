@@ -11,7 +11,6 @@ from recurseries.classify import (
     ANALYTIC_RULE,
     AnalysisError,
     AnalyticRuleError,
-    AnalyzerConfig,
     CONVERGENT,
     DERIVATIVE_MARGIN,
     DERIVATIVE_RULE,
@@ -44,7 +43,7 @@ from recurseries.classify import (
     signed_rule,
 )
 from recurseries.estimate import AsymptoticFit
-from recurseries.expr import TaylorDef, context, parse, parse_constant
+from recurseries.expr import context, parse, parse_constant, taylor_polynomial
 from recurseries.grids import GridSpec, Samples
 from recurseries.orbit import Mode
 
@@ -294,7 +293,7 @@ def test_search_keeps_an_exponent_next_to_a_fraction(a_text, verdict):
 def test_search_reads_only_the_tail():
     # f exceeds x at 0.01 and 0.0056, above the validated region, but the
     # tail where the slopes are read has f'(0) = 1 and a = 1
-    result = analyze(parse("x - x^2 + 200*x^3"), "0.001")
+    result = analyze(Samples(parse("x - x^2 + 200*x^3"), x0="0.001"))
     assert result.verdict.conclusion == DIVERGENT
     assert result.verdict.rule == LIMIT_EXPONENT_RULE
     assert result.search.fit.a == 1
@@ -321,9 +320,9 @@ def test_conjugate_scaling_keeps_the_exponent(fn_text, lam):
     scaled = "(" + lam + ")*(" + re.sub(r"\bx\b", f"(x/({lam}))", fn_text) + ")"
     entry = next(e for e in DECISIVE if e.function == fn_text)
     lam_value = parse_constant(lam, CTX)
-    config = AnalyzerConfig(mode="positive", max_n=200)
-    base = analyze(parse(fn_text), entry.x0, config)
-    conj = analyze(parse(scaled), lam_value * CTX.mpf(entry.x0), config)
+    base = analyze(Samples(parse(fn_text), x0=entry.x0), mode="positive", max_n=200)
+    conj = analyze(Samples(parse(scaled), x0=lam_value * CTX.mpf(entry.x0)),
+                   mode="positive", max_n=200)
     assert conj.verdict.conclusion == base.verdict.conclusion == entry.verdict
     assert conj.verdict.rule == base.verdict.rule == LIMIT_EXPONENT_RULE
     assert conj.search.fit.a == base.search.fit.a
@@ -352,14 +351,19 @@ def test_limit_exponent_rule_branches():
     assert any("boundary" in n for n in v.notes)
 
 
+def taylor(*coefficients, precision=64):
+    """The coefficients as the polynomial f read at the precision carries them."""
+    return taylor_polynomial(coefficients, context(precision)).coefficients
+
+
 def test_analytic_rule_divergent():
-    v = analytic_rule(TaylorDef((1, -1)))
+    v = analytic_rule(taylor(1, -1))
     assert (v.conclusion, v.rule) == (DIVERGENT, ANALYTIC_RULE)
     assert v.witnesses["coefficient_index"] == 2
     assert v.witnesses["coefficient_value"] == -1
 
     coeffs = tuple(parse_constant(t, CTX) for t in ("1", "0", "-1/6"))
-    v = analytic_rule(TaylorDef(coeffs))
+    v = analytic_rule(taylor(*coeffs))
     assert v.conclusion == DIVERGENT
     assert v.witnesses["coefficient_index"] == 3
     assert abs(v.witnesses["coefficient_value"] + CTX.mpf(1) / 6) < CTX.mpf("1e-60")
@@ -367,20 +371,20 @@ def test_analytic_rule_divergent():
 
 def test_analytic_rule_rejections():
     with pytest.raises(AnalyticRuleError, match="derivative rule"):
-        analytic_rule(TaylorDef(("0.5", "-1")))
+        analytic_rule(taylor("0.5", "-1"))
     with pytest.raises(AnalyticRuleError, match="positive"):
-        analytic_rule(TaylorDef((1, 1)))
+        analytic_rule(taylor(1, 1))
     with pytest.raises(AnalyticRuleError, match="identity"):
-        analytic_rule(TaylorDef((1,)))
+        analytic_rule(taylor(1))
     with pytest.raises(AnalyticRuleError, match="identity"):
-        analytic_rule(TaylorDef((1, 0, 0)))
+        analytic_rule(taylor(1, 0, 0))
 
     # a1 differs from 1 only in the 81st digit: 1 at the default precision,
     # not 1 at precision 100
-    near_one = TaylorDef(("1." + "0" * 79 + "1", "-0.1"))
-    assert analytic_rule(near_one).conclusion == DIVERGENT
+    near_one = ("1." + "0" * 79 + "1", "-0.1")
+    assert analytic_rule(taylor(*near_one)).conclusion == DIVERGENT
     with pytest.raises(AnalyticRuleError, match="is not 1"):
-        analytic_rule(near_one, precision=100)
+        analytic_rule(taylor(*near_one, precision=100))
 
 
 def test_check_monotone():
@@ -399,10 +403,12 @@ def test_check_monotone():
     monotone, _ = check_monotone(Samples(parse("x - x^2")))
     assert not monotone
 
-    # a seed within the lattice's slack above the validation floor leaves
-    # the floor as its grid's one point
+    # a table whose seed grid holds one point: no lattice point lies in
+    # [0.29, 0.3]
+    table = Samples(parse("x/2"), x0="0.3")
+    table.seed = GridSpec("0.3", "0.29")
     with pytest.raises(ValueError, match="fewer than two points"):
-        check_monotone(Samples(parse("x/2"), x0="1.000000000001e-30"))
+        check_monotone(table)
 
 
 def test_majorant_rule_oscillatory():
@@ -464,13 +470,13 @@ def test_majorant_rule_user_certification():
     # the grid runs down from the seed
     assert v.witnesses == {"monotone": True, "delta": CTX.mpf("0.3")}
 
-    v = majorant_rule(Samples(g, x0="0.3"), m, certificate=analyze(m.fn, "0.3"))
+    v = majorant_rule(Samples(g, x0="0.3"), m, certificate=analyze(Samples(m.fn, x0="0.3")))
     assert v.conclusion == CONVERGENT
     assert any("user majorant monotone" in n for n in v.notes)
 
     # an analysis that does not converge certifies nothing
     m = MajorantSpec.user(parse("x/(1+x)"))
-    v = majorant_rule(Samples(g, x0="0.3"), m, certificate=analyze(m.fn, "0.3"))
+    v = majorant_rule(Samples(g, x0="0.3"), m, certificate=analyze(Samples(m.fn, x0="0.3")))
     assert v.conclusion == INCONCLUSIVE
     assert any("certificate" in n for n in v.notes)
 
@@ -512,20 +518,20 @@ def test_detect_mode():
 def corpus_target(entry):
     if entry.taylor is not None:
         parts = entry.taylor.split(",")
-        return TaylorDef(tuple(parse_constant(p, CTX) for p in parts))
+        return taylor_polynomial([parse_constant(p, CTX) for p in parts], CTX)
     return parse(entry.function)
 
 
 @pytest.mark.parametrize("entry", ALL, ids=lambda e: e.name)
 def test_analyze_corpus(entry):
-    report = analyze(corpus_target(entry), entry.x0, AnalyzerConfig(max_n=entry.max_n))
+    report = analyze(Samples(corpus_target(entry), x0=entry.x0), max_n=entry.max_n)
     assert report.verdict.conclusion == entry.verdict
     assert report.verdict.rule == entry.rule
     assert report.mode.value == entry.mode
 
 
 def test_analyze_geometric_report_details():
-    report = analyze(parse("x/2"), 1)
+    report = analyze(Samples(parse("x/2"), x0=1))
     assert report.verdict.witnesses["c"] == CTX.mpf("0.5")
     assert report.orbit_result.status.kind == "reached_floor"
     assert report.sum is not None
@@ -534,14 +540,14 @@ def test_analyze_geometric_report_details():
 
 
 def test_analyze_oscillatory_uses_snapped_majorant():
-    report = analyze(parse(OSCILLATORY), "0.3")
+    report = analyze(Samples(parse(OSCILLATORY), x0="0.3"))
     assert report.verdict.rule == MAJORANT_RULE
     assert report.verdict.witnesses["majorant"] == "linear:5/6"
     assert any("route: majorant comparison" in n for n in report.verdict.notes)
 
 
 def test_analyze_routing_notes_are_preserved():
-    report = analyze(parse("x/(1+x)"), 1, AnalyzerConfig(max_n=2000))
+    report = analyze(Samples(parse("x/(1+x)"), x0=1), max_n=2000)
     assert report.verdict.conclusion == DIVERGENT
     assert any("route: limit-exponent rule" in n for n in report.verdict.notes)
     assert report.search is not None and report.search.found
@@ -549,20 +555,20 @@ def test_analyze_routing_notes_are_preserved():
 
 def test_analyze_error_paths():
     with pytest.raises(AnalysisError, match="nonzero"):
-        analyze(parse("x/2"), 0)
+        analyze(Samples(parse("x/2"), x0=0))
     # f(2) < 0 would auto-detect signed mode, where every scale fails;
     # in positive mode the seed simply lies outside the validated region
     with pytest.raises(AnalysisError, match="outside the validated region"):
-        analyze(parse("x - x^2"), 2, AnalyzerConfig(mode="positive"))
+        analyze(Samples(parse("x - x^2"), x0=2), mode="positive")
     with pytest.raises(AnalysisError, match="every sampled scale"):
-        analyze(parse("x - x^2"), 2)
+        analyze(Samples(parse("x - x^2"), x0=2))
     with pytest.raises(AnalysisError, match="every sampled scale"):
-        analyze(parse("2*x"), 1)
+        analyze(Samples(parse("2*x"), x0=1))
     # positive mode, detected or forced, needs a positive seed
     with pytest.raises(AnalysisError, match="must be positive"):
-        analyze(parse("x/(1+x)"), -1)
+        analyze(Samples(parse("x/(1+x)"), x0=-1))
     with pytest.raises(AnalysisError, match="must be positive"):
-        analyze(parse("-x/2"), "-0.5", AnalyzerConfig(mode="positive"))
+        analyze(Samples(parse("-x/2"), x0="-0.5"), mode="positive")
 
 
 @pytest.mark.parametrize("mode", ["auto", "positive"])
@@ -570,9 +576,9 @@ def test_analyze_never_samples_above_the_seed(mode):
     # f < 0 only above x = 4 (x = 1/2): a grid reaching past the seed would
     # detect signed mode, or shrink the validated region below the seed
     for fn_text, x0 in (("x - x^2/4", "3.9"), ("x - 2*x^2", "0.3")):
-        report = analyze(parse(fn_text), x0, AnalyzerConfig(mode=mode, max_n=2000))
+        report = analyze(Samples(parse(fn_text), x0=x0), mode=mode, max_n=2000)
         assert report.mode is Mode.POSITIVE
-        assert max(report.hypothesis.checked_grid) == report.x0
+        assert max(report.hypothesis.checked_grid) == report.table.x0
         assert report.hypothesis.passed
         assert (report.verdict.conclusion, report.verdict.rule) == (
             DIVERGENT, LIMIT_EXPONENT_RULE,
@@ -581,21 +587,21 @@ def test_analyze_never_samples_above_the_seed(mode):
 
 def test_analyze_warnings():
     # f(1) = 0 breaks the hypothesis above the seed, where nothing is sampled
-    report = analyze(parse("x - x^2"), "0.5", AnalyzerConfig(max_n=2000))
+    report = analyze(Samples(parse("x - x^2"), x0="0.5"), max_n=2000)
     assert report.warnings == []
     # a seed below the probe grid's start leaves the probes outside (0, x0]
-    report = analyze(parse("x/(1+x)"), "0.005", AnalyzerConfig(max_n=200))
+    report = analyze(Samples(parse("x/(1+x)"), x0="0.005"), max_n=200)
     assert any("smaller than the probe grid start" in w for w in report.warnings)
 
     # geometric decay never fits a power law; the pipeline says so
-    report = analyze(parse("0.9*(x/(1+x))"), 1, AnalyzerConfig(max_n=2000))
+    report = analyze(Samples(parse("0.9*(x/(1+x))"), x0=1), max_n=2000)
     assert report.verdict.conclusion == CONVERGENT
     assert any(w.startswith("empirical fit: no power law") for w in report.warnings)
 
 
 def test_analyze_inconclusive_has_reasons():
-    report = analyze(parse("x - x^(1.95)*(1+abs(sin(1/x)))/2"), "0.3",
-                     AnalyzerConfig(max_n=2000))
+    report = analyze(Samples(parse("x - x^(1.95)*(1+abs(sin(1/x)))/2"), x0="0.3"),
+                     max_n=2000)
     assert report.verdict.conclusion == INCONCLUSIVE
     assert report.verdict.rule is None
     notes = report.verdict.notes
@@ -620,7 +626,7 @@ def test_majorant_verdict_implies_orbit_domination():
     # the comparison argument must hold on the actual computed orbits
     from recurseries.orbit import iterate
 
-    report = analyze(parse(OSCILLATORY), "0.3")
+    report = analyze(Samples(parse(OSCILLATORY), x0="0.3"))
     assert report.verdict.rule == MAJORANT_RULE
     g_orbit = iterate(Samples(parse(OSCILLATORY)), "0.3")
     m_orbit = iterate(Samples(parse("5/6 * x")), "0.3")
@@ -631,7 +637,7 @@ def test_majorant_verdict_implies_orbit_domination():
 
 
 def test_alternating_verdict_implies_alternating_orbit():
-    report = analyze(parse("-x/2"), 1)
+    report = analyze(Samples(parse("-x/2"), x0=1))
     assert report.verdict.rule == ALTERNATING_RULE
     terms = report.orbit_result.terms
     assert all(a * b < 0 for a, b in zip(terms, terms[1:]))
@@ -710,21 +716,21 @@ def test_band_side_without_digits_does_not_count():
     # ln(x/f) ~ x^(9/4) keeps its digits down to the probe floor 1e-25, so
     # the exponent search runs, but not down to 1e-30: both L_a sides are
     # refused and analyze stays inconclusive instead of stopping
-    report = analyze(parse("x - x^(13/4)*(1+sin(1/x)/2)"), "0.3", AnalyzerConfig(max_n=200))
+    report = analyze(Samples(parse("x - x^(13/4)*(1+sin(1/x)/2)"), x0="0.3"), max_n=200)
     assert report.verdict.conclusion == INCONCLUSIVE
     refused = [n for n in report.verdict.notes if "does not count" in n]
     assert [n.split(" does not count")[0] for n in refused] == ["L_0.9", "L_1.1"]
     # at the precision the notes advise, both sides are read (the minorant
     # side then decides: the decay exponent is 9/4)
     precision = max(advised_precision(n) for n in refused)
-    report = analyze(parse("x - x^(13/4)*(1+sin(1/x)/2)"), "0.3",
-                     AnalyzerConfig(precision=precision, max_n=200))
+    report = analyze(Samples(parse("x - x^(13/4)*(1+sin(1/x)/2)"), precision, x0="0.3"),
+                     max_n=200)
     assert not any("does not count" in n for n in report.verdict.notes)
     assert (report.verdict.conclusion, report.verdict.rule) == (DIVERGENT, MINORANT_RULE)
 
 
 def test_band_needs_enough_decades():
     # two decades above the floor leave no trend to read
-    report = analyze(parse("x - x^2*abs(sin(1/x))"), "3e-29", AnalyzerConfig(max_n=200))
+    report = analyze(Samples(parse("x - x^2*abs(sin(1/x))"), x0="3e-29"), max_n=200)
     assert report.verdict.conclusion == INCONCLUSIVE
     assert "the per-decade maxima of L_1.1 span 2 decades, fewer than 8" in report.verdict.notes

@@ -23,7 +23,7 @@ from recurseries.cli import (
     main,
     parse_majorant_spec,
 )
-from recurseries.expr import context, parse
+from recurseries.expr import context, parse, parse_constant, taylor_polynomial
 from recurseries.grids import Samples
 from recurseries.orbit import iterate, write_csv
 
@@ -369,6 +369,69 @@ def test_iterate_to_a_reader_that_goes_away_leaves_stderr_empty():
     _, err = proc.communicate(timeout=120)
     assert err == b""
     assert proc.returncode == 1  # the run ended before its last row
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--f=x/2"],  # the output fits the buffer: main's flush fails
+    ["iterate", "--f=x/(1+x)", "--max-n=20000"],  # the streamed rows fail first
+], ids=lambda argv: argv[0])
+def test_a_full_stdout_is_one_error_line_on_stderr(argv):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "recurseries", *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: writing the output failed:")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+    assert "Traceback" not in proc.stderr
+
+
+def test_a_positivity_failure_names_the_grid_it_read():
+    # 1e-20 lies on both grids: compare reads the seed grid, limit the probe grid
+    code, out = run(["compare", "--f=x - 1e-20", "--x0=0.3",
+                     "--majorant=powerlaw:a=0.5,c=1"])
+    assert code == 2
+    assert ("  - evaluation failed during the comparison scan: f must be positive"
+            " on the seed grid; f(1.0e-20) = 0.0\n") in out
+    code, out = run(["limit", "--f=x - 1e-20", "--a=1"])
+    assert (code, out) == (1, "error: f must be positive on the probe grid; f(1.0e-20) = 0.0")
+
+
+@pytest.mark.parametrize("x0", ["0.10000000001", "0.99999999999", "1.000000000001e-30"])
+def test_a_seed_next_to_a_lattice_point_is_analyzed(x0):
+    code, out = run(["analyze", "--f=x/2", f"--x0={x0}", "--max-n=50"])
+    assert code == 0
+    assert "verdict: convergent (DerivativeRule)" in out
+    # f jumps past x only above the seed: a grid that sampled 1 would see it
+    step = "(x-0.999999999995+abs(x-0.999999999995))*1e12"
+    code, out = run(["analyze", f"--f=x/2 + {step}", "--x0=0.99999999999", "--max-n=50"])
+    assert code == 0
+    code, out = run(["compare", "--f=x/3", f"--x0={x0}", "--majorant=fn:x/2"])
+    assert code in (0, 2) and "monotone on grid: yes" in out
+
+
+RATIONAL = st.builds(lambda p, q: f"{p}/{q}", st.integers(-9, 9), st.integers(1, 9))
+REPORTED = ("derivative at zero:", "empirical fit:", "orbit:", "sum estimate:")
+
+
+@settings(max_examples=12, deadline=None)
+@given(coefficients=st.tuples(st.sampled_from(["1", "1", "1/2", "9/10"]))
+       .flatmap(lambda a1: st.lists(RATIONAL, max_size=3).map(lambda rest: [*a1, *rest])),
+       x0=st.sampled_from(["0.5", "0.05"]))
+def test_taylor_coefficients_analyze_as_their_polynomial(coefficients, x0):
+    # --taylor is the polynomial f; only the analytic rule reads the coefficients
+    f = taylor_polynomial([parse_constant(c, CTX) for c in coefficients], CTX)
+    t_code, t_out = run(["analyze", f"--taylor={','.join(coefficients)}", f"--x0={x0}",
+                         "--max-n=500"])
+    f_code, f_out = run(["analyze", f"--f={f.source_text}", f"--x0={x0}", "--max-n=500"])
+    if f_code == 1:
+        assert (t_code, t_out) == (f_code, f_out)
+        return
+    t_lines, f_lines = t_out.splitlines(), f_out.splitlines()
+    assert [line for line in t_lines if line.startswith(REPORTED)] == [
+        line for line in f_lines if line.startswith(REPORTED)]
+    t_verdict, f_verdict = t_lines[2], f_lines[2]
+    assert t_verdict == f_verdict or t_verdict == "verdict: divergent (AnalyticRule)"
 
 
 @pytest.mark.parametrize("call,where,cap", [

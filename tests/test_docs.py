@@ -1,6 +1,8 @@
 """README drift: what the README documents must exist in the package."""
 
 import argparse
+import contextlib
+import io
 import pathlib
 import re
 
@@ -24,6 +26,16 @@ def test_library_names_import():
     assert names
     missing = [name for name in names if not hasattr(recurseries, name)]
     assert missing == []
+
+
+def test_library_example_prints_what_its_comments_say():
+    block = re.search(r"^```python\n(.*?)^```", README, re.M | re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    expected = [line.split("# ")[1].strip() for line in block.splitlines()
+                if line.startswith("print(")]
+    assert out.getvalue().splitlines() == expected
 
 
 FLAG = r"--[a-z][a-z0-9-]*"

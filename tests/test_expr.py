@@ -13,7 +13,6 @@ from recurseries.expr import (
     FunctionDef,
     Neg,
     Number,
-    TaylorDef,
     UnknownIdentifierError,
     Var,
     context,
@@ -159,8 +158,9 @@ def test_parse_constant():
 
 
 def test_taylor_polynomial_matches_hand_sum():
-    t = TaylorDef((CTX.mpf(1), CTX.mpf(0), CTX.mpf(-1) / 6))
-    f = taylor_polynomial(t, CTX)
+    coeffs = (CTX.mpf(1), CTX.mpf(0), CTX.mpf(-1) / 6)
+    f = taylor_polynomial(coeffs, CTX)
+    assert f.coefficients == coeffs
     for xt in ("0.5", "0.1", "0.03"):
         x = CTX.mpf(xt)
         want = x - x**3 / 6
@@ -168,13 +168,13 @@ def test_taylor_polynomial_matches_hand_sum():
 
 
 def test_taylor_polynomial_edge_cases():
-    assert render(taylor_polynomial(TaylorDef((1,)), CTX)) == "x"
-    f = taylor_polynomial(TaylorDef((1, -1)), CTX)
+    assert render(taylor_polynomial((1,), CTX)) == "x"
+    f = taylor_polynomial((1, -1), CTX)
     assert evaluator(f, CTX)("0.5") == mpmath.mpf("0.25")
     with pytest.raises(ValueError):
-        taylor_polynomial(TaylorDef((0, 0)), CTX)
+        taylor_polynomial((0, 0), CTX)
     with pytest.raises(ValueError):
-        TaylorDef(())
+        taylor_polynomial((), CTX)
 
 
 # random expression trees: render then parse must reproduce the tree

@@ -2,6 +2,7 @@ import sys
 from collections import Counter
 
 import mpmath
+from mpmath.libmp import repr_dps
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,7 +11,6 @@ import recurseries.expr
 import recurseries.grids
 from recurseries.classify import (
     CANCELLATION_HEADROOM,
-    AnalyzerConfig,
     PrecisionGuardError,
     analyze,
     probe_limit,
@@ -18,7 +18,6 @@ from recurseries.classify import (
 from recurseries.cli import main
 from recurseries.expr import (
     EvalDomainError,
-    TaylorDef,
     context,
     evaluator,
     parse,
@@ -47,7 +46,7 @@ def corpus_function(entry):
     if entry.taylor is None:
         return parse(entry.function)
     coeffs = tuple(parse_constant(p, CTX) for p in entry.taylor.split(","))
-    return taylor_polynomial(TaylorDef(coeffs), CTX)
+    return taylor_polynomial(coeffs, CTX)
 
 
 def test_table_points_are_the_grid_points():
@@ -82,6 +81,11 @@ def lattice(j, ctx=CTX):
     return ctx.power(10, ctx.mpf(-j) / 4)
 
 
+def exact_text(x):
+    """Decimal digits of x that read back as x bit for bit."""
+    return mpmath.nstr(x, repr_dps(x.context.prec))
+
+
 def same_bits(points, ctx, expected):
     """points are ctx's own mpf numbers, bit for bit the expected ones."""
     assert all(type(p) is ctx.mpf for p in points)
@@ -103,8 +107,7 @@ CONTEXTS = {p: context(p) for p in (16, 64, 200)}
 def test_grids_are_slices_of_one_lattice(i, span, precision):
     ctx = CONTEXTS[precision]
     k = i + span
-    spec = GridSpec(start=mpmath.nstr(lattice(i, ctx), 20),
-                    floor=mpmath.nstr(lattice(k, ctx), 20))
+    spec = GridSpec(start=exact_text(lattice(i, ctx)), floor=exact_text(lattice(k, ctx)))
     same_bits(spec.points(ctx), ctx, [lattice(j, ctx) for j in range(i, k + 1)])
     # a start between two lattice points comes first, then the lattice below
     between = mpmath.nstr(lattice(i, ctx) * ctx.mpf("0.9"), 20)
@@ -134,10 +137,10 @@ def test_second_analysis_computes_no_lattice_power(monkeypatch):
         return original(ctx, x, y)
 
     monkeypatch.setattr(mpc, "power", counted)
-    analyze(parse("sin(x)"), "1", AnalyzerConfig(max_n=2000))
+    analyze(Samples(parse("sin(x)"), x0="1"), max_n=2000)
     assert len(powers) == LATTICE_DEPTH + 1
     del powers[:]
-    analyze(parse("x/(1+x)"), "0.5", AnalyzerConfig(max_n=2000))
+    analyze(Samples(parse("x/(1+x)"), x0="0.5"), max_n=2000)
     assert powers == []
 
 
@@ -269,7 +272,7 @@ def count_evaluations(monkeypatch):
 def test_analyze_evaluates_f_once_per_grid_point(monkeypatch, name):
     entry = BY_NAME[name]
     calls = count_evaluations(monkeypatch)
-    report = analyze(parse(entry.function), entry.x0, AnalyzerConfig(max_n=entry.max_n))
+    report = analyze(Samples(parse(entry.function), x0=entry.x0), max_n=entry.max_n)
     assert report.verdict.conclusion == entry.verdict
     f_calls = [args for source, args in calls if source == entry.function]
     assert len(f_calls) == 1  # the table's compile, which the orbit runs too
@@ -348,7 +351,7 @@ def test_analyze_work_counters(monkeypatch, capsys, name):
 def test_analyze_makes_one_context(monkeypatch, entry):
     # the table's: every stage, the orbit, the fit and the sum run on it
     contexts = count_calls(monkeypatch, recurseries.expr, "context")
-    analyze(parse(entry.function), entry.x0, AnalyzerConfig(max_n=entry.max_n))
+    analyze(Samples(parse(entry.function), x0=entry.x0), max_n=entry.max_n)
     assert len(contexts) == 1
 
 
@@ -359,6 +362,27 @@ def test_analyze_command_makes_one_context(monkeypatch, capsys):
         main(["analyze", "--f=x/2", "--x0=1"])
     assert exc.value.code == 0
     assert len(contexts) == 1
+
+
+def test_taylor_analysis_makes_two_contexts(monkeypatch, capsys):
+    # the one --taylor's coefficients are read on, and the table's
+    contexts = count_calls(monkeypatch, recurseries.expr, "context")
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--taylor=1,0,-1/6", "--x0=0.5", "--max-n=2000"])
+    assert exc.value.code == 0
+    assert "verdict: divergent (AnalyticRule)" in capsys.readouterr().out
+    assert len(contexts) == 2
+
+
+def test_compare_compiles_a_user_majorant_at_most_twice(monkeypatch, capsys):
+    # m's table, which its analysis and its printed orbit read, and the one
+    # majorant_rule builds when m's analysis gives it no certificate
+    compiled = count_evaluations(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--f=x/3", "--x0=0.3", "--majorant=fn:2*x"])
+    assert exc.value.code == 2
+    assert "majorant series: analysis failed" in capsys.readouterr().out
+    assert len([source for source, _ in compiled if source == "2*x"]) <= 2
 
 
 @pytest.mark.parametrize("mode", ["auto", "positive"])
@@ -388,6 +412,29 @@ def test_table_seed_grid_is_the_seed_grid_of_its_x0(x0, precision):
     table = Samples(parse("x/2"), precision, x0)
     ctx = CONTEXTS[precision]
     same_bits(table.points(table.seed), table.ctx, seed_grid(x0, ctx).points(ctx))
+
+
+def near_lattice(j, sign, e):
+    """x_j * (1 + sign * 10^-e) in 30 digits."""
+    ctx = CONTEXTS[200]
+    return mpmath.nstr(lattice(j, ctx) * (1 + sign * ctx.power(10, -e)), 30)
+
+
+# seeds just above and just below a lattice point, and decimal lattice points
+NEAR_LATTICE = st.one_of(
+    st.builds(near_lattice, st.integers(-8, 130), st.sampled_from([1, -1]),
+              st.integers(4, 25)),
+    st.integers(-2, 32).map(lambda k: f"1e{-k}"),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(x0=NEAR_LATTICE, precision=st.sampled_from(sorted(CONTEXTS)))
+def test_a_seed_next_to_a_lattice_point_is_its_own_grid_start(x0, precision):
+    table = Samples(parse("x/2"), precision, x0)
+    points = table.points(table.seed)
+    assert points[0] == table.x0
+    assert len(points) >= 2 and all(a > b for a, b in zip(points, points[1:]))
 
 
 def spy_grids(monkeypatch):
