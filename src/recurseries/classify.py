@@ -757,7 +757,10 @@ class AnalysisReport:
 
 
 def detect_mode(table: Samples) -> Mode:
-    """Signed when f goes negative anywhere on the table's seed grid."""
+    """Signed when the seed x0 is negative or f goes negative anywhere on
+    the table's seed grid."""
+    if table.x0 < 0:
+        return Mode.SIGNED
     for p in table.points(table.seed):
         try:
             if table.f(p) < 0:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import mpmath
+from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_log, mpf_mul, mpf_sub, mpf_sum
 
 from .orbit import Mode, Orbit
 
@@ -41,11 +42,19 @@ class AsymptoticFit:
 
 
 def _line_fit(ctx, us, vs, ws):
-    total = ctx.fsum(ws)
-    ubar, vbar = ctx.fdot(ws, us) / total, ctx.fdot(ws, vs) / total
-    wdu = [w * (u - ubar) for w, u in zip(ws, us)]
-    slope = ctx.fdot(wdu, [v - vbar for v in vs]) / ctx.fdot(wdu, [u - ubar for u in us])
-    return slope, vbar - slope * ubar
+    """mpf slope and intercept of the weighted least-squares line through raw
+    (u, v), with the libmp calls of ctx.fsum, ctx.fdot and mpf -, *, /."""
+    prec, rnd = ctx._prec_rounding
+    total = mpf_sum(ws, prec, rnd)
+    ubar = mpf_div(mpf_sum(map(mpf_mul, ws, us), prec, rnd), total, prec, rnd)
+    vbar = mpf_div(mpf_sum(map(mpf_mul, ws, vs), prec, rnd), total, prec, rnd)
+    dus = [mpf_sub(u, ubar, prec, rnd) for u in us]
+    wdu = [mpf_mul(w, du, prec, rnd) for w, du in zip(ws, dus)]
+    num = mpf_sum([mpf_mul(a, mpf_sub(v, vbar, prec, rnd)) for a, v in zip(wdu, vs)],
+                  prec, rnd)
+    slope = mpf_div(num, mpf_sum(map(mpf_mul, wdu, dus), prec, rnd), prec, rnd)
+    intercept = mpf_sub(vbar, mpf_mul(slope, ubar, prec, rnd), prec, rnd)
+    return ctx.make_mpf(slope), ctx.make_mpf(intercept)
 
 
 def _sample_indices(start: int, end: int) -> List[int]:
@@ -85,11 +94,14 @@ def fit_power_law(orbit: Orbit, window: Optional[Tuple[int, int]] = None) -> Asy
         raise ValueError(f"window holds {count} terms, need {MIN_WINDOW_TERMS}")
     terms = orbit.terms[start : end + 1]
 
+    # raw samples with the bits of ctx.ln and mpf arithmetic: the log of the
+    # exact integer n, and (q - p) / 2 rounded once
+    prec, rnd = ctx._prec_rounding
     samples = _sample_indices(start, end)
-    us = [ctx.ln(n) for n in samples]
-    vs = [ctx.ln(orbit.terms[n]) for n in samples]
+    us = [mpf_log(from_int(n), prec, rnd) for n in samples]
+    vs = [mpf_log(orbit.terms[n]._mpf_, prec, rnd) for n in samples]
     padded = [start - 1] + samples + [end + 1]
-    ws = [ctx.mpf(q - p) / 2 for p, q in zip(padded, padded[2:])]
+    ws = [from_man_exp(q - p, -1, prec, rnd) for p, q in zip(padded, padded[2:])]
     slope, intercept = _line_fit(ctx, us, vs, ws)
     if not slope < 0:
         raise ValueError("orbit does not decay over the window")

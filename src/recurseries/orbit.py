@@ -2,7 +2,9 @@
 
 The decay hypotheses (0 < f(x) < x in positive mode, 0 < |f(x)| < |x| in
 signed mode) are checked per step during iteration and can also be sampled
-on a grid beforehand. Sampling is evidence, not proof; reports say so.
+on a grid beforehand, both with the raw comparison _decays. Sampling is
+evidence, not proof; reports say so. Partial sums add in fixed point, with
+the bits of mpf addition.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, TextIO, Tuple
 
 import mpmath
-from mpmath.libmp import fzero, mpf_abs, mpf_add, to_str
+from mpmath.libmp import fzero, mpf_abs, mpf_add, normalize, round_nearest, to_str
 
 from .expr import EvalDomainError
 from .grids import Samples
@@ -89,12 +91,6 @@ class HypothesisReport:
     caveat: str = SAMPLING_CAVEAT
 
 
-def _check(mode: Mode, x, y) -> bool:
-    if mode is Mode.POSITIVE:
-        return 0 < y < x
-    return 0 < abs(y) < abs(x)
-
-
 def _below(a, b) -> bool:
     """a < b for positive normalized raw values (sign 0, odd mantissa, bc its
     bit count), exactly as mpf_lt decides it: the top binary exponents
@@ -120,8 +116,23 @@ def _decays(size, bound) -> bool:
     return not size[0] and size[1] != 0 and not bound[0] and _below(size, bound)
 
 
+def _fixed(s, prec):
+    """(acc, e) with s = acc * 2^e and 2^(prec-1) <= acc < 2^prec for a
+    positive raw value s of at most prec bits; (None, None) for any other."""
+    sign, man, exp, bc = s
+    if sign or not man or bc > prec:
+        return None, None
+    return man << (prec - bc), exp - (prec - bc)
+
+
+def _sum(s, acc, e, prec):
+    """The raw partial sum: acc * 2^e while acc holds it, else s."""
+    return s if acc is None else normalize(0, acc, e, prec, prec, round_nearest)
+
+
 def validate_hypotheses(table: Samples, mode: Mode = Mode.POSITIVE) -> HypothesisReport:
-    """Sample the decay hypothesis on the table's seed grid.
+    """Sample the decay hypothesis on the table's seed grid, with the raw
+    comparison _decays that iterate makes.
 
     In signed mode every magnitude is checked at both signs. Evaluation
     domain errors count as violations, recorded with the error.
@@ -133,6 +144,7 @@ def validate_hypotheses(table: Samples, mode: Mode = Mode.POSITIVE) -> Hypothesi
         for p in points:
             signed_points.extend((p, -p))
         points = signed_points
+    prec, rnd = table.ctx._prec_rounding
     violations = []
     for p in points:
         try:
@@ -140,7 +152,10 @@ def validate_hypotheses(table: Samples, mode: Mode = Mode.POSITIVE) -> Hypothesi
         except EvalDomainError as err:
             violations.append((p, err))
             continue
-        if not _check(mode, p, y):
+        size, bound = y._mpf_, p._mpf_
+        if mode is Mode.SIGNED:
+            size, bound = mpf_abs(size, prec, rnd), mpf_abs(bound, prec, rnd)
+        if not _decays(size, bound):
             violations.append((p, y))
     return HypothesisReport(mode, points, violations, passed=not violations)
 
@@ -179,7 +194,9 @@ def iterate(
     last index go instead to rows(n, x_n, S_n), as mpf values, at the step
     that computes them; every step is still computed and checked. The orbit
     is then streamed: it keeps only its last row, so memory stays O(1) for
-    any max_n and thin. thin > 1 needs rows."""
+    any max_n and thin. thin > 1 needs rows. S_n is summed in fixed point
+    while positive, with the bits of mpf addition, and becomes an mpf only
+    for a row and at the end."""
     ctx = table.ctx
     fn = table.compiled
     x0 = ctx.convert(x0)
@@ -208,11 +225,18 @@ def iterate(
         status = OrbitStatus(REACHED_FLOOR, 0)
         return Orbit(x0, [x0], [x0], status, mode, table.precision, 0, streamed)
 
-    # The loop compares and sums the values inside the mpf numbers (their
-    # _mpf_ tuples): the sum with mpf_add, the call mpf addition makes, and
-    # the comparisons with _decays and _below, which decide as mpf_lt does.
-    # In positive mode 0 < y is checked and y is rounded to the working
+    # The loop compares the values inside the mpf numbers (their _mpf_
+    # tuples) with _decays and _below, which decide as mpf_lt does. In
+    # positive mode 0 < y is checked and y is rounded to the working
     # precision, so y is its own abs(y).
+    #
+    # A positive S_n is acc * 2^e with 2^(prec-1) <= acc < 2^prec, 2^e its
+    # ulp. A positive x_n is added rounded to nearest-even at 2^e; a total
+    # below 2^prec keeps that ulp, so it is the correctly rounded sum that
+    # mpf_add (mpf addition) returns at round-nearest, every context()'s
+    # rounding. A carry, a negative x_n or a sum not positive takes mpf_add.
+    # A left shift stays under 2·prec bits: S_n is a nonzero multiple of the
+    # ulp of an earlier term, above x_n and of at most prec bits.
     prec, rnd = ctx._prec_rounding
     make_mpf = ctx.make_mpf
     positive = mode is Mode.POSITIVE
@@ -220,6 +244,8 @@ def iterate(
     x = x0
     bound = x0._mpf_ if positive else mpf_abs(x0._mpf_, prec, rnd)
     s = x0._mpf_
+    acc, e = _fixed(s, prec)
+    top = 1 << prec
     last = 0
     status = None
     for step in range(1, max_n + 1):
@@ -240,16 +266,33 @@ def iterate(
             )
             status = OrbitStatus(HYPOTHESIS_VIOLATION, step, detail)
             break
-        s = mpf_add(s, v, prec, rnd)
+        total = top
+        if acc is not None and not v[0]:
+            _, man, exp, bc = v
+            shift = e - exp
+            if shift <= 0:
+                total = acc + (man << -shift)
+            elif shift <= bc:
+                total = acc + (man >> shift)
+                rest, half = man & ((1 << shift) - 1), 1 << (shift - 1)
+                if rest > half or rest == half and total & 1:
+                    total += 1
+            else:  # x_n is below half an ulp
+                total = acc
+        if total < top:
+            acc = total
+        else:
+            s = mpf_add(_sum(s, acc, e, prec), v, prec, rnd)
+            acc, e = _fixed(s, prec)
         x, bound, last = y, size, step
         if not step % thin:
-            rows(step, y, make_mpf(s))
+            rows(step, y, make_mpf(_sum(s, acc, e, prec)))
         if _below(size, floor):
             status = OrbitStatus(REACHED_FLOOR, step)
             break
     if status is None:
         status = OrbitStatus(MAX_ITERATIONS, max_n)
-    s = make_mpf(s)
+    s = make_mpf(_sum(s, acc, e, prec))
     if last % thin:
         rows(last, x, s)
     if streamed:

@@ -511,6 +511,8 @@ def test_signed_rule_outcomes():
 def test_detect_mode():
     assert detect_mode(Samples(parse("sin(x)"))) is Mode.POSITIVE
     assert detect_mode(Samples(parse("-x/2"))) is Mode.SIGNED
+    # a negative seed: f stays positive on the positive magnitudes sampled
+    assert detect_mode(Samples(parse("x/2"), x0=-1)) is Mode.SIGNED
     # evaluation errors at some points do not flip the mode
     assert detect_mode(Samples(parse("ln(x - 1)"))) is Mode.POSITIVE
 
@@ -564,8 +566,11 @@ def test_analyze_error_paths():
         analyze(Samples(parse("x - x^2"), x0=2))
     with pytest.raises(AnalysisError, match="every sampled scale"):
         analyze(Samples(parse("2*x"), x0=1))
-    # positive mode, detected or forced, needs a positive seed
+    # positive mode needs a positive seed; auto mode reads a negative seed
+    # as signed, where x/(1+x) breaks |f(x)| < |x|
     with pytest.raises(AnalysisError, match="must be positive"):
+        analyze(Samples(parse("x/(1+x)"), x0=-1), mode="positive")
+    with pytest.raises(AnalysisError, match="every sampled scale"):
         analyze(Samples(parse("x/(1+x)"), x0=-1))
     with pytest.raises(AnalysisError, match="must be positive"):
         analyze(Samples(parse("-x/2"), x0="-0.5"), mode="positive")

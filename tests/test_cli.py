@@ -186,9 +186,28 @@ def test_analyze_error_exit_codes():
     code, out = run(["analyze", "--f", "x/2", "--x0", "0"])
     assert code == 1
     # a negative seed has no orbit under 0 < f(x) < x
-    code, out = run(["analyze", "--f=x/(1+x)", "--x0=-1"])
+    code, out = run(["analyze", "--f=x/(1+x)", "--x0=-1", "--mode=positive"])
     assert code == 1
     assert "must be positive in positive mode" in out
+    # auto mode reads it as signed, where x/(1+x) breaks |f(x)| < |x|
+    code, out = run(["analyze", "--f=x/(1+x)", "--x0=-1"])
+    assert code == 1
+    assert out.startswith("error: the decay hypothesis fails at every sampled scale")
+
+
+def test_auto_mode_with_a_negative_seed_is_signed():
+    # x/2 from -1: x_n = -2^-n, S -> -2, which only signed mode admits
+    code, out = run(["iterate", "--f=x/2", "--x0=-1"])
+    assert code == 0
+    assert "status = reached_floor at step 133" in out
+    assert "S_n = -1.99999999999999999999999999999999999999990816" in out
+    code, out = run(["analyze", "--f=x/2", "--x0=-1", "--json"])
+    assert code == 0
+    report = json.loads(out)
+    assert (report["mode"], report["verdict"], report["rule"]) == (
+        "signed", "convergent", "AbsoluteBoundRule")
+    assert report["orbit"]["partial_sum"].startswith("-1.99999999999999999999")
+    assert run(["analyze", "--f=x/2", "--x0=-1", "--mode=signed", "--json"]) == (code, out)
 
 
 SUBCOMMAND_ARGS = {

@@ -7,11 +7,14 @@ import re
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath.libmp import from_man_exp
 
+from recurseries import estimate
 from recurseries.cli import _build_parser, cmd_analyze, config_from_args
 from recurseries.estimate import (
     FIT_SAMPLES,
     AsymptoticFit,
+    _line_fit,
     _sample_indices,
     fit_power_law,
     sum_estimate,
@@ -237,21 +240,63 @@ def test_residual_reads_every_window_index(name, data):
 
 def test_fit_work_is_bounded_by_the_samples(monkeypatch):
     # working-precision ln/exp/power calls: about 15,000 when every window
-    # index is fitted, a few per sample when only the samples are
+    # index is fitted, a few per sample when only the samples are. The fit
+    # takes ln n and ln x_n with libmp's mpf_log, which ctx.ln wraps, so
+    # both are counted
     calls = []
     orbit = iterate(Samples(parse("x/(1+x)")), 1, max_n=10000)
     ctx = orbit.x0.context  # the table's context, which the fit computes on
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return counted
+
     for name in ("ln", "exp", "power"):
-        original = getattr(ctx, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(ctx, name, counted)
+        monkeypatch.setattr(ctx, name, counting(name, getattr(ctx, name)))
+    monkeypatch.setattr(estimate, "mpf_log", counting("ln", estimate.mpf_log))
     fit = fit_power_law(orbit)
     assert not fit.rejected
-    assert len(calls) <= 3 * FIT_SAMPLES + 16
+    assert 2 * FIT_SAMPLES <= len(calls) <= 3 * FIT_SAMPLES + 16
+
+
+def _line_fit_on_mpf(ctx, us, vs, ws):
+    """The fit's line on mpf numbers: ctx.fsum, ctx.fdot and mpf operators."""
+    total = ctx.fsum(ws)
+    ubar, vbar = ctx.fdot(ws, us) / total, ctx.fdot(ws, vs) / total
+    wdu = [w * (u - ubar) for w, u in zip(ws, us)]
+    slope = ctx.fdot(wdu, [v - vbar for v in vs]) / ctx.fdot(wdu, [u - ubar for u in us])
+    return slope, vbar - slope * ubar
+
+
+@st.composite
+def _line_samples(draw):
+    """(precision in bits, us, vs, ws) as raw values: us of more than one
+    value, vs of either sign, positive weights; lengths up to 60."""
+    prec = draw(st.sampled_from([16, 64, 200, 249]))
+    n = draw(st.integers(min_value=2, max_value=60))
+
+    def values(min_man):
+        return st.lists(st.builds(from_man_exp,
+                                  st.integers(min_value=min_man, max_value=2**prec - 1),
+                                  st.integers(min_value=-prec - 20, max_value=20)),
+                        min_size=n, max_size=n)
+
+    us = draw(values(-(2**prec) + 1).filter(lambda us: len(set(us)) > 1))
+    return prec, us, draw(values(-(2**prec) + 1)), draw(values(1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_line_samples())
+def test_line_fit_on_raw_values_is_the_mpf_fit(drawn):
+    prec, us, vs, ws = drawn
+    ctx = mpmath.mp.clone()
+    ctx.prec = prec
+    want = _line_fit_on_mpf(ctx, *([ctx.make_mpf(v) for v in col] for col in (us, vs, ws)))
+    got = _line_fit(ctx, us, vs, ws)
+    assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
 
 
 REFERENCE = os.path.join(os.path.dirname(__file__), "analyze_reference.json")

@@ -1,10 +1,22 @@
 import io
 import tracemalloc
+from types import SimpleNamespace
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath.libmp import finf, fnan, fninf, from_man_exp, fzero, mpf_lt
+from mpmath.libmp import (
+    finf,
+    fnan,
+    fninf,
+    from_man_exp,
+    fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_lt,
+    mpf_neg,
+    round_nearest,
+)
 
 from recurseries.estimate import fit_power_law, sum_estimate
 from recurseries.expr import context, evaluator, parse
@@ -356,6 +368,81 @@ def test_decay_test_stops_where_mpf_lt_stops(value, man, exp):
     assert not _decays(value, bound)
     # a negative bound, the seed of a negative orbit in positive mode
     assert not _decays(bound, from_man_exp(-man, exp))
+
+
+_SUM_STEPS = ["tie", "carry", "at_ulp", "below_ulp", "far_below"]
+
+
+@st.composite
+def _orbit_terms(draw):
+    """(precision in bits, mode, thin, raw terms x_0..x_N), where each
+    |x_{k+1}| < |x_k| is drawn against the running mpf_add sum S_k: an exact
+    half-ulp tie, a step to or past the next binade, a multiple of the ulp,
+    a value below the ulp, or one more than 100 binades below S_k (the
+    perturbation branch of mpf_add). In signed mode any term may be
+    negative, which sends the sum through mpf_add."""
+    prec = draw(st.sampled_from([16, 64, 200]))
+    mode = draw(st.sampled_from(list(Mode)))
+    signed = mode is Mode.SIGNED
+    mantissa = st.integers(min_value=1, max_value=2**prec - 1)
+    x = from_man_exp(draw(mantissa), draw(st.integers(min_value=-40, max_value=40)))
+    if signed and draw(st.booleans()):
+        x = mpf_neg(x)
+    terms, s = [x], x
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        prev = mpf_abs(terms[-1])
+        # the exponent of the ulp of S_k (or of x_k, when S_k is 0)
+        e = s[2] + s[3] - prec if s[1] else prev[2] + prev[3] - prec
+        kind = draw(st.sampled_from(_SUM_STEPS))
+        if kind == "tie":
+            man, exp = 2 * draw(st.integers(min_value=0, max_value=7)) + 1, e - 1
+        elif kind == "carry" and s[1] and not s[0]:
+            # S_k + x reaches 2^(e + prec), give or take three quarter ulps
+            man = (1 << prec + 2) - (s[1] << prec - s[3] + 2)
+            man, exp = man + draw(st.integers(min_value=-3, max_value=3)), e - 2
+        elif kind == "at_ulp":
+            man = draw(st.integers(min_value=1, max_value=255))
+            exp = e + draw(st.integers(min_value=0, max_value=prec))
+        else:
+            man = draw(mantissa)
+            below = 101 if kind == "far_below" else 0
+            exp = e - below - man.bit_length() - draw(st.integers(min_value=0, max_value=prec))
+        y = from_man_exp(man, exp, prec, round_nearest)
+        if not mpf_lt(y, prev):  # below x_k instead, one to four binades down
+            man = draw(mantissa)
+            top = prev[2] + prev[3] - draw(st.integers(min_value=1, max_value=4))
+            y = from_man_exp(man, top - man.bit_length())
+        if signed and draw(st.booleans()):
+            y = mpf_neg(y)
+        terms.append(y)
+        s = mpf_add(s, y, prec, round_nearest)
+    return prec, mode, draw(st.sampled_from([1, 2, 3])), terms
+
+
+@settings(max_examples=400, deadline=None)
+@given(_orbit_terms())
+def test_orbit_sum_is_the_mpf_add_fold(drawn):
+    # S_n is the left fold of mpf_add over x_0..x_n at the working
+    # precision, bit for bit, at every row the orbit emits and at its end
+    prec, mode, thin, terms = drawn
+    ctx = mpmath.mp.clone()
+    ctx.prec = prec
+    given_terms = iter(terms[1:])
+    table = SimpleNamespace(ctx=ctx, precision=prec,
+                            compiled=lambda x: ctx.make_mpf(next(given_terms)))
+    rows = {}
+    orbit = iterate(table, ctx.make_mpf(terms[0]), max_n=len(terms) - 1,
+                    floor=ctx.make_mpf(from_man_exp(1, -10**6)), mode=mode,
+                    thin=thin, rows=lambda n, x, s: rows.setdefault(n, s._mpf_))
+    assert orbit.status.kind == MAX_ITERATIONS
+    last = len(terms) - 1
+    assert sorted(rows) == sorted({*range(0, last + 1, thin), last})
+    s = terms[0]
+    for n, x in enumerate(terms):
+        if n:
+            s = mpf_add(s, x, prec, round_nearest)
+        assert rows.get(n, s) == s
+    assert orbit.partial_sums[-1]._mpf_ == s
 
 
 def test_grid_spec_points():
