@@ -391,7 +391,8 @@ def _cancellation(table: Samples, x, deepest, a=None) -> PrecisionGuardError:
     for doubling in range(1, 5):
         ctx = context(table.precision << doubling)
         x_deep = ctx.convert(deepest)
-        d = ctx.ln(x_deep) - ctx.ln(evaluator(table.function, ctx)(x_deep))  # ln(x/f)
+        f_deep = ctx.make_mpf(evaluator(table.function, ctx)(x_deep._mpf_))
+        d = ctx.ln(x_deep) - ctx.ln(f_deep)  # ln(x/f)
         if abs(d) >= _headroom(ctx):
             # the digits (f/x)^a shares with 1 and the headroom, less the
             # context's guard digits, with one to spare
@@ -770,6 +771,15 @@ def detect_mode(table: Samples) -> Mode:
     return Mode.POSITIVE
 
 
+def _require_positive_seed(table: Samples, mode: Mode) -> None:
+    """Refuse a seed x0 <= 0 in positive mode before any orbit runs from it."""
+    if mode is Mode.POSITIVE and not table.x0 > 0:
+        raise AnalysisError(
+            f"x0 = {mpmath.nstr(table.x0, 12)} must be positive in positive mode,"
+            " where the orbit keeps 0 < f(x) < x"
+        )
+
+
 def analyze(table: Samples, mode: str = "auto", max_n: int = 10**6,
             floor: str = "1e-40") -> AnalysisReport:
     """Run the full decision pipeline on the table's f from its seed x0.
@@ -789,11 +799,7 @@ def analyze(table: Samples, mode: str = "auto", max_n: int = 10**6,
         raise AnalysisError("x0 must be nonzero")
 
     mode = detect_mode(table) if mode == "auto" else Mode(mode)
-    if mode is Mode.POSITIVE and not x0 > 0:
-        raise AnalysisError(
-            f"x0 = {mpmath.nstr(x0, 12)} must be positive in positive mode,"
-            " where the orbit keeps 0 < f(x) < x"
-        )
+    _require_positive_seed(table, mode)
 
     hypothesis = validate_hypotheses(table, mode)
     region = validated_region(hypothesis)

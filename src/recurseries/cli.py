@@ -21,6 +21,7 @@ from dataclasses import dataclass, fields
 from typing import List, Optional, TextIO
 
 import mpmath
+from mpmath.libmp import mpf_ge
 
 from .classify import (
     AnalysisError,
@@ -29,6 +30,7 @@ from .classify import (
     INCONCLUSIVE,
     MajorantSpec,
     PrecisionGuardError,
+    _require_positive_seed,
     analyze,
     detect_mode,
     majorant_rule,
@@ -189,8 +191,8 @@ def _report_json(report, cfg: RunConfig, label: str) -> str:
     orbit = report.orbit_result
     doc["orbit"] = {
         "n": orbit.last_index,
-        "x_n": _num(orbit.terms[-1], p),
-        "partial_sum": _num(orbit.partial_sums[-1], p),
+        "x_n": _num(orbit.x_n, p),
+        "partial_sum": _num(orbit.s_n, p),
         "status": orbit.status.kind,
     }
     doc["warnings"] = list(report.warnings)
@@ -226,8 +228,8 @@ def _report_text(report, cfg: RunConfig, label: str) -> str:
         )
     orbit = report.orbit_result
     lines.append(
-        f"orbit: n = {orbit.last_index}  x_n = {_num(orbit.terms[-1], p)}"
-        f"  S_n = {_num(orbit.partial_sums[-1], p)}  status = {orbit.status.describe()}"
+        f"orbit: n = {orbit.last_index}  x_n = {_num(orbit.x_n, p)}"
+        f"  S_n = {_num(orbit.s_n, p)}  status = {orbit.status.describe()}"
     )
     if report.sum is not None:
         lines.append(
@@ -286,6 +288,7 @@ def cmd_iterate(cfg: RunConfig, f: FunctionDef, label, out: TextIO) -> int:
     p = cfg.precision
     table = _table(cfg, f)
     mode = detect_mode(table) if cfg.mode == "auto" else Mode(cfg.mode)
+    _require_positive_seed(table, mode)
     # each row goes to the CSV as the orbit computes it, so the orbit holds
     # only its last row; without --orbit-csv the CSV is the output itself
     with open(cfg.orbit_csv, "w") if cfg.orbit_csv else contextlib.nullcontext(out) as csv:
@@ -294,8 +297,8 @@ def cmd_iterate(cfg: RunConfig, f: FunctionDef, label, out: TextIO) -> int:
     if cfg.orbit_csv:
         out.write(f"wrote {rows.count} rows to {cfg.orbit_csv}\n")
     out.write(
-        f"n = {orbit.last_index}  x_n = {_num(orbit.terms[-1], p)}"
-        f"  S_n = {_num(orbit.partial_sums[-1], p)}"
+        f"n = {orbit.last_index}  x_n = {_num(orbit.x_n, p)}"
+        f"  S_n = {_num(orbit.s_n, p)}"
         f"  status = {orbit.status.describe()}\n"
     )
     return 0
@@ -337,6 +340,7 @@ def cmd_compare(cfg: RunConfig, f: FunctionDef, label, out: TextIO) -> int:
         raise ValueError("give a majorant with --majorant")
     p = cfg.precision
     g_table = _table(cfg, f)
+    _require_positive_seed(g_table, Mode.POSITIVE)  # both orbits run in positive mode
     spec = parse_majorant_spec(cfg.majorant, g_table.ctx)
     # m's analysis, when it has one, and its printed orbit read one table
     m_table = _table(cfg, spec.fn)
@@ -372,14 +376,17 @@ def cmd_compare(cfg: RunConfig, f: FunctionDef, label, out: TextIO) -> int:
     m_orbit = (sub.orbit_result if sub is not None and sub.mode is Mode.POSITIVE
                else iterate(m_table, cfg.x0, steps, cfg.floor, Mode.POSITIVE))
     common = min(g_orbit.last_index, m_orbit.last_index)
-    dominated = all(m_orbit.terms[n] >= g_orbit.terms[n] for n in range(common + 1))
+    # raw comparisons, as mpf >= makes them, over x_0 .. x_common of both
+    dominated = all(map(mpf_ge, m_orbit.terms, g_orbit.terms))
     lines.append("n,g_n,m_n")
     stride = max(1, common // COMPARE_TABLE_ROWS)
     shown = list(range(0, common + 1, stride))
     if shown[-1] != common:
         shown.append(common)
+    make_mpf = g_table.ctx.make_mpf
     for n in shown:
-        lines.append(f"{n},{_num(g_orbit.terms[n], p)},{_num(m_orbit.terms[n], p)}")
+        g_n, m_n = make_mpf(g_orbit.terms[n]), make_mpf(m_orbit.terms[n])
+        lines.append(f"{n},{_num(g_n, p)},{_num(m_n, p)}")
     lines.append(
         f"orbit domination m_n >= g_n for all n <= {common}:"
         f" {'yes' if dominated else 'no'}"

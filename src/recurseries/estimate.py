@@ -92,14 +92,14 @@ def fit_power_law(orbit: Orbit, window: Optional[Tuple[int, int]] = None) -> Asy
     count = end - start + 1
     if count < MIN_WINDOW_TERMS:
         raise ValueError(f"window holds {count} terms, need {MIN_WINDOW_TERMS}")
-    terms = orbit.terms[start : end + 1]
+    terms = orbit.terms[start : end + 1]  # raw values
 
     # raw samples with the bits of ctx.ln and mpf arithmetic: the log of the
     # exact integer n, and (q - p) / 2 rounded once
     prec, rnd = ctx._prec_rounding
     samples = _sample_indices(start, end)
     us = [mpf_log(from_int(n), prec, rnd) for n in samples]
-    vs = [mpf_log(orbit.terms[n]._mpf_, prec, rnd) for n in samples]
+    vs = [mpf_log(orbit.terms[n], prec, rnd) for n in samples]
     padded = [start - 1] + samples + [end + 1]
     ws = [from_man_exp(q - p, -1, prec, rnd) for p, q in zip(padded, padded[2:])]
     slope, intercept = _line_fit(ctx, us, vs, ws)
@@ -114,13 +114,14 @@ def fit_power_law(orbit: Orbit, window: Optional[Tuple[int, int]] = None) -> Asy
     # at e^700, far past the limit) comes within 1e-12 of the worst, relative
     # to the magnitudes added: about 10^4 times the rounding error.
     slope_d, intercept_d = float(slope), float(intercept)
-    lns = [math.log(man) + exp * math.log(2) for _, man, exp, _ in (t._mpf_ for t in terms)]
+    lns = [math.log(man) + exp * math.log(2) for _, man, exp, _ in terms]
     est = [abs(math.expm1(min(lx - slope_d * math.log(n) - intercept_d, 700.0)))
            for n, lx in enumerate(lns, start)]
     worst = max(est)
     scale = 1 + abs(lns[0]) + abs(lns[-1]) + abs(slope_d) * math.log(end) + abs(intercept_d)
     near = [n for n, e in enumerate(est, start) if e >= worst - 1e-12 * scale * (1 + worst)]
-    residual = max(abs(ctx.power(n, 1 / a) * orbit.terms[n] - k) for n in near) / k
+    residual = max(abs(ctx.power(n, 1 / a) * ctx.make_mpf(orbit.terms[n]) - k)
+                   for n in near) / k
     half = len(samples) // 2
     slope1, _ = _line_fit(ctx, us[:half], vs[:half], ws[:half])
     slope2, _ = _line_fit(ctx, us[half:], vs[half:], ws[half:])
@@ -164,7 +165,7 @@ def sum_estimate(orbit: Orbit, fit: Optional[AsymptoticFit] = None) -> SumEstima
         raise ValueError("sum estimation requires a positive-mode orbit")
     orbit.require_every_index("sum estimation")
     ctx = orbit.x0.context
-    s = orbit.partial_sums[-1]
+    s = orbit.s_n
     if fit is not None and not fit.rejected:
         if fit.a >= 1:
             raise ValueError("tail divergent: fitted exponent a >= 1")
@@ -175,7 +176,7 @@ def sum_estimate(orbit: Orbit, fit: Optional[AsymptoticFit] = None) -> SumEstima
             s + tail, s, tail, "power-law tail",
             "tail integrates the fitted decay law; model-based, not rigorous",
         )
-    tail_terms = orbit.terms[-(RATIO_WINDOW + 1):]
+    tail_terms = [ctx.make_mpf(t) for t in orbit.terms[-(RATIO_WINDOW + 1):]]
     if len(tail_terms) >= 2:
         c = max(b / a for a, b in zip(tail_terms, tail_terms[1:]))
         if c < 1:

@@ -462,26 +462,22 @@ def evaluator(f: FunctionDef, ctx) -> Callable:
     """Compile f once against a context; the returned callable is reusable
     and side-effect free, so orbits and probes can call it in a tight loop.
 
-    The callable takes an mpf, or an int, float or string that it converts
-    with ctx.convert, and returns an mpf. f is compiled to mpmath's libmp
-    kernels at the precision and rounding ctx has at compile time, so the
-    values are those of mpf arithmetic at that precision; a later
-    ctx.extraprec or ctx.prec does not reach the compiled f.
+    The callable maps the raw value of x (an mpf's _mpf_ tuple) to the raw
+    value of f(x); ctx.make_mpf turns that into an mpf. f is compiled to
+    mpmath's libmp kernels at the precision and rounding ctx has at compile
+    time, so the values are those of mpf arithmetic at that precision; a
+    later ctx.extraprec or ctx.prec does not reach the compiled f. A domain
+    failure raises EvalDomainError, whose x is an mpf.
     """
     raw = _compile(f.root, ctx)
-    make_mpf, convert = ctx.make_mpf, ctx.convert
+    make_mpf = ctx.make_mpf
 
     def fn(x):
         try:
-            v = x._mpf_
-        except AttributeError:
-            x = convert(x)
-            v = x._mpf_
-        try:
-            return make_mpf(raw(v))
+            return raw(x)
         except _DomainFault as fault:
             where, reason = fault.args
-            raise EvalDomainError(where, x, reason) from None
+            raise EvalDomainError(where, make_mpf(x), reason) from None
 
     return fn
 
@@ -491,7 +487,7 @@ def parse_constant(text: str, ctx):
     f = parse(text)
     if _has_var(f.root):
         raise ExprSyntaxError("expected a constant, found the variable x", 0, text)
-    return evaluator(f, ctx)(ctx.mpf(0))
+    return ctx.make_mpf(evaluator(f, ctx)(fzero))
 
 
 def taylor_polynomial(coefficients, ctx) -> FunctionDef:

@@ -116,9 +116,10 @@ class Samples:
 
     A point's entry is f(x) or the EvalDomainError f raised there; reading
     it raises that error again. ln x and ln f(x) are computed on first use
-    per grid, for the limit probes. `compiled` is f itself, without the
-    table: the orbit calls it, so that its points are not kept. The table
-    belongs to one analysis and is not shared between calls.
+    per grid, for the limit probes. `compiled` is f itself, on raw values
+    and without the table (see expr.evaluator): the orbit calls it, so that
+    its points are not kept. The table belongs to one analysis and is not
+    shared between calls.
     """
 
     def __init__(self, f: FunctionDef, precision: int = DEFAULT_PRECISION,
@@ -148,7 +149,7 @@ class Samples:
         y = self._values.get(key)
         if y is None:
             try:
-                y = self.compiled(x)
+                y = self.ctx.make_mpf(self.compiled(key))
             except EvalDomainError as err:
                 y = err
             self._values[key] = y

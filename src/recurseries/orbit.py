@@ -49,21 +49,22 @@ class OrbitStatus:
 
 @dataclass
 class Orbit:
-    """Trajectory x0, x1, ..., x_N with running partial sums.
+    """Trajectory x0, x1, ..., x_N and its sum S_N = x0 + ... + x_N.
 
     A term that violates the hypotheses (or is exactly zero) is never
     recorded; the status carries the offending step instead. N is
-    `last_index`, and terms[n] is x_n and partial_sums[n] is S_n for every
-    n <= N. last_index defaults to len(terms) - 1.
+    `last_index`, and terms[n] is the raw value (an mpf's _mpf_ tuple) of
+    x_n for every n <= N. x_n and s_n are the last row, x_N and S_N, as mpf
+    numbers. last_index defaults to len(terms) - 1.
 
     A streamed orbit handed its rows to a consumer as they were computed
-    (see iterate) and keeps only the last one: terms is [x_N] and
-    partial_sums is [S_N].
+    (see iterate) and keeps only the last one: terms is [x_N].
     """
 
     x0: object
     terms: List
-    partial_sums: List
+    x_n: object
+    s_n: object
     status: OrbitStatus
     mode: Mode
     precision: int
@@ -189,7 +190,7 @@ def iterate(
     until the floor, the step limit, a zero value (underflow), or a per-step
     hypothesis violation.
 
-    Without rows the orbit stores every row (n, x_n, S_n), so its memory is
+    Without rows the orbit stores every x_n as a raw value, so its memory is
     O(max_n). With rows, the rows at n = 0, thin, 2·thin, ... and at the
     last index go instead to rows(n, x_n, S_n), as mpf values, at the step
     that computes them; every step is still computed and checked. The orbit
@@ -213,22 +214,16 @@ def iterate(
         raise ValueError("a thinned orbit must be streamed: give rows")
 
     streamed = rows is not None
-    if not streamed:
-        terms, sums = [], []
-
-        def rows(n, x, s):
-            terms.append(x)
-            sums.append(s)
-
-    rows(0, x0, x0)
+    if streamed:
+        rows(0, x0, x0)
     if abs(x0) < floor:
         status = OrbitStatus(REACHED_FLOOR, 0)
-        return Orbit(x0, [x0], [x0], status, mode, table.precision, 0, streamed)
+        return Orbit(x0, [x0._mpf_], x0, x0, status, mode, table.precision, 0, streamed)
 
-    # The loop compares the values inside the mpf numbers (their _mpf_
-    # tuples) with _decays and _below, which decide as mpf_lt does. In
-    # positive mode 0 < y is checked and y is rounded to the working
-    # precision, so y is its own abs(y).
+    # The loop runs on the values inside the mpf numbers (their _mpf_
+    # tuples), which f maps to its own, and compares them with _decays and
+    # _below, which decide as mpf_lt does. In positive mode 0 < y is checked
+    # and y is rounded to the working precision, so y is its own abs(y).
     #
     # A positive S_n is acc * 2^e with 2^(prec-1) <= acc < 2^prec, 2^e its
     # ulp. A positive x_n is added rounded to nearest-even at 2^e; a total
@@ -241,28 +236,27 @@ def iterate(
     make_mpf = ctx.make_mpf
     positive = mode is Mode.POSITIVE
     floor = floor._mpf_
-    x = x0
-    bound = x0._mpf_ if positive else mpf_abs(x0._mpf_, prec, rnd)
-    s = x0._mpf_
+    x = s = x0._mpf_
+    terms = None if streamed else [x]
+    bound = x if positive else mpf_abs(x, prec, rnd)
     acc, e = _fixed(s, prec)
     top = 1 << prec
     last = 0
     status = None
     for step in range(1, max_n + 1):
         try:
-            y = fn(x)
+            v = fn(x)
         except EvalDomainError as err:
             status = OrbitStatus(HYPOTHESIS_VIOLATION, step, str(err))
             break
-        v = y._mpf_
         if v == fzero:
             status = OrbitStatus(UNDERFLOW, step, "f returned exactly 0")
             break
         size = v if positive else mpf_abs(v, prec, rnd)
         if not _decays(size, bound):
             detail = (
-                f"f(x) = {mpmath.nstr(y, 12)} breaks the decay bound"
-                f" at x = {mpmath.nstr(x, 12)}"
+                f"f(x) = {mpmath.nstr(make_mpf(v), 12)} breaks the decay bound"
+                f" at x = {mpmath.nstr(make_mpf(x), 12)}"
             )
             status = OrbitStatus(HYPOTHESIS_VIOLATION, step, detail)
             break
@@ -284,20 +278,22 @@ def iterate(
         else:
             s = mpf_add(_sum(s, acc, e, prec), v, prec, rnd)
             acc, e = _fixed(s, prec)
-        x, bound, last = y, size, step
-        if not step % thin:
-            rows(step, y, make_mpf(_sum(s, acc, e, prec)))
+        x, bound, last = v, size, step
+        if terms is not None:
+            terms.append(v)
+        elif not step % thin:
+            rows(step, make_mpf(v), make_mpf(_sum(s, acc, e, prec)))
         if _below(size, floor):
             status = OrbitStatus(REACHED_FLOOR, step)
             break
     if status is None:
         status = OrbitStatus(MAX_ITERATIONS, max_n)
-    s = make_mpf(_sum(s, acc, e, prec))
-    if last % thin:
-        rows(last, x, s)
+    x_n, s_n = make_mpf(x), make_mpf(_sum(s, acc, e, prec))
     if streamed:
-        terms, sums = [x], [s]
-    return Orbit(x0, terms, sums, status, mode, table.precision, last, streamed)
+        if last % thin:
+            rows(last, x_n, s_n)
+        terms = [x]
+    return Orbit(x0, terms, x_n, s_n, status, mode, table.precision, last, streamed)
 
 
 CSV_HEADER = "n,x_n,S_n"
@@ -326,16 +322,23 @@ def write_csv(orbit: Orbit, out: TextIO, thin: int = 1) -> int:
     """Write `n,x_n,S_n` rows at full working precision.
 
     With thin = m only every m-th row is written; the final row is always
-    kept so the summary line can be checked against the file. A streamed
-    orbit has no rows to write. Returns the number of data rows written.
+    kept so the summary line can be checked against the file. S_n is the
+    left fold of mpf addition over x_0, ..., x_n, which is the sum iterate
+    keeps, bit for bit. A streamed orbit has no rows to write. Returns the
+    number of data rows written.
     """
     if thin < 1:
         raise ValueError("thin must be at least 1")
     if orbit.streamed:
         raise ValueError("a streamed orbit keeps only its last row; its rows went"
                          " to the consumer iterate was given")
+    ctx = orbit.x0.context
+    prec, rnd = ctx._prec_rounding
     row = CsvRows(out, orbit.precision)
-    for n in range(0, orbit.last_index, thin):
-        row(n, orbit.terms[n], orbit.partial_sums[n])
-    row(orbit.last_index, orbit.terms[-1], orbit.partial_sums[-1])
+    s = orbit.terms[0]
+    for n, x in enumerate(orbit.terms):
+        if n:
+            s = mpf_add(s, x, prec, rnd)
+        if not n % thin or n == orbit.last_index:
+            row(n, ctx.make_mpf(x), ctx.make_mpf(s))
     return row.count

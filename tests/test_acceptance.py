@@ -59,7 +59,7 @@ def test_criterion_2_harmonic_asymptotics():
     start = time.monotonic()
     orbit = iterate(Samples(parse("x/(1+x)")), 1, max_n=10**5)
     # n*x_n -> 1 (a = 1, k = 1) over the last decade of indices
-    worst = max(abs(n * orbit.terms[n] - 1) for n in range(10**4, 10**5 + 1))
+    worst = max(abs(n * CTX.make_mpf(orbit.terms[n]) - 1) for n in range(10**4, 10**5 + 1))
     elapsed = time.monotonic() - start
     assert worst <= CTX.mpf("1e-3"), "[FAIL] criterion 2: n*x_n strays from 1 beyond 1e-3"
     assert elapsed < 30, f"[FAIL] criterion 2: runtime {elapsed:.2f}s exceeds 30s"
@@ -126,7 +126,7 @@ def test_criterion_5_oscillatory_majorant():
         f"[FAIL] criterion 5: majorant {report.verdict.witnesses['majorant']}"
     )
     ratio = CTX.mpf(5) / 6
-    terms = report.orbit_result.terms
+    terms = [CTX.make_mpf(t) for t in report.orbit_result.terms]
     for n in range(len(terms) - 1):
         assert terms[n + 1] <= ratio * terms[n], (
             f"[FAIL] criterion 5: x_{n + 1} > (5/6) x_{n}"
@@ -149,7 +149,7 @@ def test_criterion_6_comparison_induction():
         f"[FAIL] criterion 6: m orbit stopped at {m_orbit.last_index}"
     )
     for n in range(n_max + 1):
-        assert m_orbit.terms[n] >= g_orbit.terms[n], (
+        assert CTX.make_mpf(m_orbit.terms[n]) >= CTX.make_mpf(g_orbit.terms[n]), (
             f"[FAIL] criterion 6: m_{n} < g_{n}"
         )
     print(f"[PASS] criterion 6: m^n(x0) >= g^n(x0) exactly for all n <= {n_max}")
@@ -160,7 +160,7 @@ def test_criterion_7_alternating_mode():
     assert (report.verdict.conclusion, report.verdict.rule) == (
         "convergent", "AlternatingRule",
     ), f"[FAIL] criterion 7: verdict {report.verdict.conclusion}"
-    s = report.orbit_result.partial_sums[-1]
+    s = report.orbit_result.s_n
     target = CTX.mpf(2) / 3
     assert abs(s - target) < CTX.mpf("1e-12"), (
         f"[FAIL] criterion 7: partial sum {mpmath.nstr(s, 20)} vs 2/3"
@@ -175,7 +175,7 @@ def test_criterion_8_analytic_rule():
     ), f"[FAIL] criterion 8: verdict {report.verdict.conclusion}"
     orbit = iterate(Samples(parse("x - x^2")), "0.5", max_n=10**5)
     n = orbit.last_index
-    product = n * orbit.terms[n]
+    product = n * orbit.x_n
     assert abs(product - 1) < CTX.mpf("0.05"), (
         f"[FAIL] criterion 8: n*x_n = {mpmath.nstr(product, 12)} at n = {n}"
     )

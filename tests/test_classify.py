@@ -638,13 +638,13 @@ def test_majorant_verdict_implies_orbit_domination():
     common = min(g_orbit.last_index, m_orbit.last_index)
     assert common > 100
     for n in range(common + 1):
-        assert m_orbit.terms[n] >= g_orbit.terms[n]
+        assert CTX.make_mpf(m_orbit.terms[n]) >= CTX.make_mpf(g_orbit.terms[n])
 
 
 def test_alternating_verdict_implies_alternating_orbit():
     report = analyze(Samples(parse("-x/2"), x0=1))
     assert report.verdict.rule == ALTERNATING_RULE
-    terms = report.orbit_result.terms
+    terms = [CTX.make_mpf(t) for t in report.orbit_result.terms]
     assert all(a * b < 0 for a, b in zip(terms, terms[1:]))
 
 

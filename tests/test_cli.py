@@ -195,6 +195,21 @@ def test_analyze_error_exit_codes():
     assert out.startswith("error: the decay hypothesis fails at every sampled scale")
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--f=x/2", "--mode=positive"],
+    ["iterate", "--f=x/2", "--mode=positive"],
+    ["compare", "--f=x/2", "--majorant=fn:x/2"],  # both orbits run in positive mode
+])
+def test_a_negative_seed_in_positive_mode_is_refused_before_any_output(argv, tmp_path):
+    message = ("error: x0 = -1.0 must be positive in positive mode,"
+               " where the orbit keeps 0 < f(x) < x")
+    assert run(argv + ["--x0=-1"]) == (1, message)
+    if argv[0] != "compare":
+        path = tmp_path / "orbit.csv"
+        assert run(argv + ["--x0=-1", f"--orbit-csv={path}"]) == (1, message)
+        assert not path.exists()
+
+
 def test_auto_mode_with_a_negative_seed_is_signed():
     # x/2 from -1: x_n = -2^-n, S -> -2, which only signed mode admits
     code, out = run(["iterate", "--f=x/2", "--x0=-1"])
@@ -328,8 +343,8 @@ def test_streamed_iterate_prints_what_write_csv_prints_of_the_stored_orbit(stop,
     csv = io.StringIO()
     rows = write_csv(stored, csv, thin=thin)
     summary = (
-        f"n = {stored.last_index}  x_n = {mpmath.nstr(stored.terms[-1], 64)}"
-        f"  S_n = {mpmath.nstr(stored.partial_sums[-1], 64)}"
+        f"n = {stored.last_index}  x_n = {mpmath.nstr(stored.x_n, 64)}"
+        f"  S_n = {mpmath.nstr(stored.s_n, 64)}"
         f"  status = {stored.status.describe()}"
     )
     argv = ["iterate", f"--f={text}", f"--max-n={max_n}", f"--mode={mode.value}", f"--thin={thin}"]

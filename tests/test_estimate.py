@@ -30,13 +30,12 @@ BY_NAME = {e.name: e for e in ALL}
 
 
 def synthetic_orbit(terms, precision=64):
-    sums = []
     total = context(precision).mpf(0)
     for t in terms:
         total += t
-        sums.append(total)
     status = OrbitStatus("max_iterations", len(terms) - 1)
-    return Orbit(terms[0], list(terms), sums, status, Mode.POSITIVE, precision)
+    return Orbit(terms[0], [t._mpf_ for t in terms], terms[-1], total, status,
+                 Mode.POSITIVE, precision)
 
 
 def test_fit_exact_power_law():
@@ -93,7 +92,7 @@ def test_fit_window_validation():
 def last_decade_mismatch(orbit, a, k):
     """The worst |n^(1/a) * x_n / k - 1| over the last decade of indices."""
     last = orbit.last_index
-    return max(abs(CTX.power(n, 1 / CTX.convert(a)) * orbit.terms[n] / k - 1)
+    return max(abs(CTX.power(n, 1 / CTX.convert(a)) * CTX.make_mpf(orbit.terms[n]) / k - 1)
                for n in range(max(1, last // 10), last + 1))
 
 
@@ -125,7 +124,7 @@ def test_sum_estimate_geometric():
     est = sum_estimate(orbit)
     assert est.method == "geometric tail"
     # every ratio is c = 1/2, so the tail x_N * c/(1-c) is x_N exactly
-    assert est.tail == orbit.terms[-1]
+    assert est.tail == orbit.x_n
     assert abs(est.total - 2) < CTX.mpf("1e-38")
     assert "not rigorous" in est.note
 
@@ -194,7 +193,8 @@ def test_positive_orbits_decrease_strictly(text, x0):
     # fit_power_law relies on this and does not check it again
     orbit = iterate(Samples(parse(text)), x0, max_n=500)
     assert orbit.mode is Mode.POSITIVE and orbit.last_index > 0
-    assert all(0 < b < a for a, b in zip(orbit.terms, orbit.terms[1:]))
+    terms = [CTX.make_mpf(t) for t in orbit.terms]
+    assert all(0 < b < a for a, b in zip(terms, terms[1:]))
 
 
 @given(start=st.integers(min_value=1, max_value=10**6),
@@ -232,7 +232,7 @@ def test_residual_reads_every_window_index(name, data):
         lo, hi = fit.window
         ctx = context(orbit.precision)
         worst = max(
-            abs(ctx.power(n, 1 / fit.a) * orbit.terms[n] - fit.k)
+            abs(ctx.power(n, 1 / fit.a) * ctx.make_mpf(orbit.terms[n]) - fit.k)
             for n in range(lo, hi + 1)
         )
         assert fit.residual == worst / fit.k

@@ -171,8 +171,8 @@ def test_table_reads_match_the_evaluator():
         with pytest.raises(EvalDomainError, match="division by zero"):
             table.f(x)
     for x in points[1:]:
-        assert table.f(x) == fn(x)
-        assert table.f(-x) == fn(-x)
+        assert table.f(x)._mpf_ == fn(x._mpf_)
+        assert table.f(-x)._mpf_ == fn((-x)._mpf_)
 
 
 def test_logs_evaluate_f_before_the_guard_bits():
@@ -189,7 +189,7 @@ def test_logs_evaluate_f_before_the_guard_bits():
     rows = table.logs(PROBE_GRID)
     assert len(seen) == len(rows) and set(seen) == {working}
     fn = evaluator(parse("x/(1+x)"), CTX)
-    values = [fn(x) for x, _, _ in rows]
+    values = [CTX.make_mpf(fn(x._mpf_)) for x, _, _ in rows]
     with CTX.extraprec(LOG_GUARD_BITS):
         assert all(ln_fx == CTX.ln(fx) for (_, _, ln_fx), fx in zip(rows, values))
 
@@ -213,7 +213,7 @@ def direct_probe(f, a, grid, ctx):
     fn = evaluator(f, ctx)
     rows = []
     for x in grid.points(ctx):
-        fx = fn(x)
+        fx = ctx.make_mpf(fn(x._mpf_))
         xa = ctx.power(x, a)
         fa = ctx.power(fx, a)
         rows.append((x, (xa - fa) / (xa * fa), abs(xa - fa) / xa))
@@ -279,7 +279,7 @@ def test_analyze_evaluates_f_once_per_grid_point(monkeypatch, name):
     # the probe grid is a slice of the validation grid from the seed, which
     # the table reads before the orbit starts
     grid = seed_grid(entry.x0, CTX).points(CTX)
-    assert set(f_calls[0][:len(grid)]) == set(grid)
+    assert set(f_calls[0][:len(grid)]) == {x._mpf_ for x in grid}
     seen = Counter(x for args in f_calls for x in args)
     orbit = report.orbit_result
     # the orbit loop evaluates f at x_0 .. x_{step-1}
@@ -305,7 +305,8 @@ def test_compare_evaluates_a_user_majorant_once_per_point(monkeypatch, capsys):
     assert lengths == [len(grid) + 499]  # one compile: the grid, then the orbit
     m_orbit = iterate(Samples(parse("5/6 * x")), "0.3")
     rows = [line.split(",") for line in out.splitlines() if line[:1].isdigit()]
-    assert rows and all(m == mpmath.nstr(m_orbit.terms[int(n)], 64) for n, _, m in rows)
+    assert rows and all(m == mpmath.nstr(CTX.make_mpf(m_orbit.terms[int(n)]), 64)
+                        for n, _, m in rows)
 
 
 def count_calls(monkeypatch, module, name):

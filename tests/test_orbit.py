@@ -1,5 +1,6 @@
 import io
 import tracemalloc
+from itertools import accumulate
 from types import SimpleNamespace
 
 import mpmath
@@ -47,9 +48,9 @@ def test_geometric_orbit_exact():
     assert orbit.status.step == 133
     assert orbit.last_index == 133
     for n in (0, 1, 7, 133):
-        assert orbit.terms[n] == CTX.power(2, -n)
+        assert orbit.terms[n] == CTX.power(2, -n)._mpf_
     # S_N = 2 - 2^-N exactly for dyadic arithmetic
-    assert orbit.partial_sums[-1] == 2 - CTX.power(2, -133)
+    assert orbit.s_n == 2 - CTX.power(2, -133)
 
 
 def test_harmonic_orbit_closed_form():
@@ -57,11 +58,11 @@ def test_harmonic_orbit_closed_form():
     assert orbit.status.kind == MAX_ITERATIONS
     worst = max(
         abs(term - CTX.mpf(1) / (n + 1))
-        for n, term in enumerate(orbit.terms)
+        for n, term in enumerate(map(CTX.make_mpf, orbit.terms))
     )
     assert worst < CTX.mpf("1e-70")
     # S_N is the harmonic number H_{N+1}
-    assert abs(orbit.partial_sums[-1] - CTX.harmonic(1001)) < CTX.mpf("1e-68")
+    assert abs(orbit.s_n - CTX.harmonic(1001)) < CTX.mpf("1e-68")
 
 
 @settings(max_examples=25, deadline=None)
@@ -73,7 +74,7 @@ def test_linear_orbit_matches_closed_form(c, x0):
     ctx = context(64)
     cm, x0m = ctx.mpf(repr(c)), ctx.mpf(repr(x0))
     orbit = iterate(Samples(parse(f"({c!r}) * x")), x0m, max_n=200, floor="1e-35")
-    for n, term in enumerate(orbit.terms):
+    for n, term in enumerate(map(ctx.make_mpf, orbit.terms)):
         want = x0m * ctx.power(cm, n)
         assert abs(term - want) <= abs(want) * ctx.mpf("1e-69")
 
@@ -81,16 +82,16 @@ def test_linear_orbit_matches_closed_form(c, x0):
 def test_alternating_orbit():
     orbit = iterate(Samples(parse("-x/2")), 1, mode=Mode.SIGNED)
     assert orbit.status.kind == REACHED_FLOOR
-    signs = [mpmath.sign(t) for t in orbit.terms]
+    signs = [mpmath.sign(CTX.make_mpf(t)) for t in orbit.terms]
     assert all(a * b < 0 for a, b in zip(signs, signs[1:]))
-    assert abs(orbit.partial_sums[-1] - CTX.mpf(2) / 3) < CTX.mpf("1e-40")
+    assert abs(orbit.s_n - CTX.mpf(2) / 3) < CTX.mpf("1e-40")
 
 
 def test_violation_stops_orbit():
     orbit = iterate(Samples(parse("2*x")), 1)
     assert orbit.status.kind == HYPOTHESIS_VIOLATION
     assert orbit.status.step == 1
-    assert orbit.terms == [CTX.mpf(1)]  # offending value never recorded
+    assert orbit.terms == [CTX.mpf(1)._mpf_]  # offending value never recorded
 
     # the identity breaks the strict decrease requirement
     orbit = iterate(Samples(parse("x")), 1)
@@ -115,7 +116,7 @@ def test_immediate_floor():
     orbit = iterate(Samples(parse("x/2")), "1e-50")
     assert orbit.status.kind == REACHED_FLOOR
     assert orbit.status.step == 0
-    assert orbit.terms == [CTX.mpf("1e-50")]
+    assert orbit.terms == [CTX.mpf("1e-50")._mpf_]
 
 
 def test_iterate_argument_validation():
@@ -202,19 +203,27 @@ def test_write_csv_thin_keeps_last_row():
     ("-x/2", "1", Mode.SIGNED),  # the corpus's alternating entry, to the floor
 ])
 def test_iterate_is_the_plain_mpf_recurrence(text, x0, mode):
+    # the stored orbit keeps x_n and S_N, the streamed one hands out every
+    # (x_n, S_n): each is the recurrence in mpf arithmetic, bit for bit
     orbit = iterate(Samples(parse(text)), x0, max_n=2000, mode=mode)
+    rows = []
+    streamed = iterate(Samples(parse(text)), x0, max_n=2000, mode=mode,
+                       rows=lambda n, x, s: rows.append((x, s)))
     fn = evaluator(parse(text), CTX)
     x = s = CTX.convert(x0)
     terms, sums = [x], [s]
     for _ in range(orbit.last_index):
-        x = fn(x)
+        x = CTX.make_mpf(fn(x._mpf_))
         s = s + x
         terms.append(x)
         sums.append(s)
     assert orbit.last_index == (133 if text == "-x/2" else 2000)
-    assert [t._mpf_ for t in orbit.terms] == [t._mpf_ for t in terms]
-    assert [t._mpf_ for t in orbit.partial_sums] == [t._mpf_ for t in sums]
-    assert all(type(t) is type(orbit.x0) for t in orbit.terms + orbit.partial_sums)
+    assert orbit.terms == [t._mpf_ for t in terms]
+    assert (orbit.x_n._mpf_, orbit.s_n._mpf_) == (terms[-1]._mpf_, sums[-1]._mpf_)
+    assert [(x._mpf_, s._mpf_) for x, s in rows] == [
+        (x._mpf_, s._mpf_) for x, s in zip(terms, sums)]
+    assert type(orbit.x_n) is type(orbit.s_n) is type(orbit.x0)
+    assert all(type(v) is type(streamed.x0) for row in rows for v in row)
 
 
 @pytest.mark.parametrize("text,mode,kind,step,detail", [
@@ -237,9 +246,11 @@ def test_iterate_status_details(text, mode, kind, step, detail):
 
 
 def _csv_by_definition(orbit, thin):
-    """Rows n with n % thin == 0, and the last row, from every index."""
+    """Rows n with n % thin == 0, and the last row, from every index, with
+    S_n = S_{n-1} + x_n in mpf arithmetic."""
     lines = ["n,x_n,S_n"]
-    for n, (x, s) in enumerate(zip(orbit.terms, orbit.partial_sums)):
+    for n, x in enumerate(map(CTX.make_mpf, orbit.terms)):
+        s = s + x if n else x
         if n % thin == 0 or n == orbit.last_index:
             lines.append(f"{n},{mpmath.nstr(x, 64)},{mpmath.nstr(s, 64)}")
     return "\n".join(lines) + "\n"
@@ -280,8 +291,13 @@ def test_thinned_orbit_is_the_full_orbit_at_the_kept_rows(text, max_n, mode, kin
     assert (orbit.status, orbit.last_index) == (full.status, last)
     assert orbit.status.kind == kind and orbit.status.step == step
     kept = sorted(set(range(0, last + 1, thin)) | {last})
-    assert kept_rows == [(n, full.terms[n]._mpf_, full.partial_sums[n]._mpf_) for n in kept]
-    assert (orbit.terms[-1]._mpf_, orbit.partial_sums[-1]._mpf_) == kept_rows[-1][1:]
+    # S_n of the stored orbit is the left fold of mpf_add over its raw x_n
+    # (see test_orbit_sum_is_the_mpf_add_fold), which write_csv writes
+    sums = list(accumulate(full.terms, lambda s, x: mpf_add(s, x, CTX.prec, round_nearest)))
+    assert kept_rows == [(n, full.terms[n], sums[n]) for n in kept]
+    assert orbit.terms == [full.terms[-1]]
+    assert (orbit.x_n._mpf_, orbit.s_n._mpf_) == kept_rows[-1][1:]
+    assert (full.x_n._mpf_, full.s_n._mpf_) == (full.terms[-1], sums[-1])
     want, got = io.StringIO(), io.StringIO()
     rows = CsvRows(got, 64)
     iterate(Samples(parse(text)), 1, max_n=max_n, mode=mode, thin=thin, rows=rows)
@@ -305,8 +321,8 @@ def test_streamed_orbit_keeps_its_last_row_and_is_refused_by_readers(thin):
     rows = CsvRows(out, 64)
     orbit = iterate(Samples(f), 1, max_n=2000, thin=thin, rows=rows)
     assert orbit.streamed and orbit.last_index == 2000
-    assert [t._mpf_ for t in orbit.terms] == [stored.terms[-1]._mpf_]
-    assert [s._mpf_ for s in orbit.partial_sums] == [stored.partial_sums[-1]._mpf_]
+    assert orbit.terms == [stored.terms[-1]]
+    assert (orbit.x_n._mpf_, orbit.s_n._mpf_) == (stored.x_n._mpf_, stored.s_n._mpf_)
     assert rows.count == len(range(0, 2000, thin)) + 1
     for reader in (fit_power_law, sum_estimate):
         with pytest.raises(ValueError, match="the orbit keeps only its last row"):
@@ -328,6 +344,26 @@ def _iterate_peak(max_n):
 def test_thinned_iterate_memory_is_flat_in_max_n():
     iterate(Samples(parse("x/(1+x)")), 1, max_n=10)  # imports and caches outside the count
     assert _iterate_peak(40000) <= 1.5 * _iterate_peak(10000)
+
+
+def _iterate_mpfs(monkeypatch, max_n):
+    """The calls to the table context's make_mpf during a stored orbit of
+    max_n steps, the compiled f's included: the class method is counted
+    before the table binds it."""
+    made = []
+    make_mpf = type(CTX).make_mpf
+    monkeypatch.setattr(type(CTX), "make_mpf", lambda ctx, v: made.append(v) or make_mpf(ctx, v))
+    table = Samples(parse("x/(1+x)"))
+    made.clear()
+    orbit = iterate(table, 1, max_n=max_n)
+    monkeypatch.undo()
+    assert orbit.last_index == max_n
+    return len(made)
+
+
+def test_stored_orbit_makes_no_mpf_per_step(monkeypatch):
+    # the loop runs on raw values; mpf numbers are made for the last row only
+    assert _iterate_mpfs(monkeypatch, 10**3) == _iterate_mpfs(monkeypatch, 10**4) <= 4
 
 
 _MANTISSAS = st.integers(min_value=1, max_value=2**130)
@@ -428,8 +464,7 @@ def test_orbit_sum_is_the_mpf_add_fold(drawn):
     ctx = mpmath.mp.clone()
     ctx.prec = prec
     given_terms = iter(terms[1:])
-    table = SimpleNamespace(ctx=ctx, precision=prec,
-                            compiled=lambda x: ctx.make_mpf(next(given_terms)))
+    table = SimpleNamespace(ctx=ctx, precision=prec, compiled=lambda x: next(given_terms))
     rows = {}
     orbit = iterate(table, ctx.make_mpf(terms[0]), max_n=len(terms) - 1,
                     floor=ctx.make_mpf(from_man_exp(1, -10**6)), mode=mode,
@@ -442,7 +477,12 @@ def test_orbit_sum_is_the_mpf_add_fold(drawn):
         if n:
             s = mpf_add(s, x, prec, round_nearest)
         assert rows.get(n, s) == s
-    assert orbit.partial_sums[-1]._mpf_ == s
+    assert orbit.s_n._mpf_ == s
+    # the stored orbit keeps the raw x_n and the same S_N
+    given_terms = iter(terms[1:])
+    stored = iterate(table, ctx.make_mpf(terms[0]), max_n=len(terms) - 1,
+                     floor=ctx.make_mpf(from_man_exp(1, -10**6)), mode=mode)
+    assert (stored.terms, stored.s_n._mpf_) == (terms, s)
 
 
 def test_grid_spec_points():
