@@ -10,10 +10,8 @@ witnesses.
 from .classify import (
     ABSOLUTE_BOUND_RULE,
     ALTERNATING_RULE,
-    ANALYTIC_RULE,
     AnalysisError,
     AnalysisReport,
-    AnalyticRuleError,
     CONVERGENT,
     DERIVATIVE_RULE,
     DIVERGENT,
@@ -27,7 +25,6 @@ from .classify import (
     MajorantSpec,
     PrecisionGuardError,
     Verdict,
-    analytic_rule,
     analyze,
     check_monotone,
     derivative_rule,
@@ -58,6 +55,7 @@ from .expr import (
     render,
     taylor_polynomial,
 )
+from .germ import Germ, expand
 from .grids import GridSpec, PROBE_GRID, Samples, seed_grid
 from .orbit import (
     CsvRows,

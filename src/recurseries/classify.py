@@ -2,9 +2,11 @@
 
 Each criterion is an explicit rule producing a Verdict that names the rule
 and its numeric witnesses. The `analyze` pipeline wires them together:
-hypothesis validation, the derivative rule, the limit-exponent rule for the
-boundary derivative case, the comparison band when neither decides, the
-signed-mode rules, and an empirical orbit cross-check.
+hypothesis validation, the exact germ of f at 0 when it decides (the
+derivative rule or the limit-exponent rule, with exact witnesses), else
+the derivative rule, the limit-exponent rule for the boundary derivative
+case and the comparison band when neither decides, read from samples; the
+signed-mode rules; and an empirical orbit cross-check.
 
 Every stage reads f from one sample table per analysis (`Samples`), which
 also fixes the working precision and its one context: f is compiled once,
@@ -21,10 +23,11 @@ single Richardson-style step; anything else counts as oscillation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 import mpmath
+from mpmath.libmp import from_rational
 
 from .estimate import (
     AsymptoticFit,
@@ -41,6 +44,7 @@ from .expr import (
     parse,
     parse_constant,
 )
+from .germ import Germ, expand
 from .grids import PER_DECADE, Samples
 from .orbit import (
     HYPOTHESIS_VIOLATION,
@@ -87,7 +91,6 @@ INCONCLUSIVE = "inconclusive"
 
 DERIVATIVE_RULE = "DerivativeRule"
 LIMIT_EXPONENT_RULE = "LimitExponentRule"
-ANALYTIC_RULE = "AnalyticRule"
 MAJORANT_RULE = "MajorantRule"
 MINORANT_RULE = "MinorantRule"
 ALTERNATING_RULE = "AlternatingRule"
@@ -105,10 +108,6 @@ OSCILLATES = "oscillates"
 
 class PrecisionGuardError(ArithmeticError):
     """Raised instead of returning noise when cancellation eats the digits."""
-
-
-class AnalyticRuleError(ValueError):
-    """A hypothesis of the analytic divergence rule fails."""
 
 
 class AnalysisError(ValueError):
@@ -129,7 +128,8 @@ class Verdict:
 
 @dataclass
 class DerivativeEstimate:
-    """Estimate of f'(0) from samples of f(x)/x on a descending grid.
+    """Estimate of f'(0) from samples of f(x)/x on a descending grid, or its
+    exact value from f's germ at 0, which reads no samples.
 
     kind is "value" when the sample tail stabilizes, "dne" with the observed
     band [band_low, band_high] when it does not, or "out_of_range" when a
@@ -483,6 +483,61 @@ def search_exponent(table: Samples, a_range: Tuple[str, str] = SEARCH_RANGE) -> 
     )
 
 
+def _rational(q, ctx):
+    """The rational q rounded to ctx's precision, once."""
+    return ctx.make_mpf(from_rational(q.numerator, q.denominator, *ctx._prec_rounding))
+
+
+def _short(q) -> str:
+    """A rational as p/q, or to 12 digits when that is long (a binary
+    coefficient of --taylor), as 1 - d or 1 + d when those digits read 1."""
+    text = str(q)
+    if len(text) <= 24:
+        return text
+    text = mpmath.nstr(mpmath.mpf(q.numerator) / q.denominator, 12)
+    if text == "1.0" and q != 1:
+        return f"1 {'-' if q < 1 else '+'} {_short(abs(1 - q))}"
+    return text
+
+
+def _monomial(c, e) -> str:
+    text = _short(c)
+    return ("" if c == 1 else f"({text})*" if " " in text else f"{text}*") + (
+        "x" if e == 1 else f"x^{e}" if e.denominator == 1 else f"x^({e})")
+
+
+def _germ_rule(germ: Germ, ctx) -> Optional[Tuple[DerivativeEstimate, Verdict]]:
+    """f'(0) and the verdict f's exact germ at 0 decides, or None.
+
+    f = c1*x + ... with 0 < c1 < 1 converges (DerivativeRule, c = c1 at
+    ctx's precision). The terms of f = x - c*x^(1+a) + ... with c > 0 decay
+    like k*n^(-1/a), k = (a*c)^(-1/a): divergent for a >= 1 and convergent
+    below (LimitExponentRule). a and c are exact and k is at ctx's
+    precision. A c1 that is not 1 but rounds to 1 decides nothing: f is
+    evaluated with the rounded value, which the sampled route reads.
+    """
+    (e1, c1), rest = germ.terms[0], germ.terms[1:]
+    if e1 != 1 or c1 <= 0:
+        return None
+    derivative = DerivativeEstimate(VALUE, _rational(c1, ctx), None, [])
+    if derivative.c >= 1 and (c1 != 1 or not (rest and rest[0][1] < 0)):
+        return None
+    if derivative.c < 1:
+        return derivative, Verdict(CONVERGENT, DERIVATIVE_RULE, {"c": derivative.c}, [
+            f"exact germ at 0: f(x) = {_monomial(c1, e1)} + ...",
+            f"f'(0) = {_short(c1)} < 1 gives eventual geometric decay",
+        ])
+    e, c = rest[0][0], -rest[0][1]
+    a = e - 1
+    k = ctx.power(_rational(a * c, ctx), _rational(-1 / a, ctx))
+    return derivative, Verdict(
+        DIVERGENT if a >= 1 else CONVERGENT, LIMIT_EXPONENT_RULE,
+        {"a": _rational(a, ctx), "k": k},
+        [f"exact germ at 0: f(x) = x - {_monomial(c, e)} + ...",
+         f"terms decay like k*n^(-1/a) with a = {a} {'>=' if a >= 1 else '<'} 1"],
+    )
+
+
 def limit_exponent_rule(fit: AsymptoticFit) -> Verdict:
     """Divergent when the decay exponent a is at least 1, convergent below.
 
@@ -508,42 +563,6 @@ def limit_exponent_rule(fit: AsymptoticFit) -> Verdict:
             f"a = {a_text} is within margin {mpmath.nstr(margin, 6)} of the boundary;"
             " the boundary exponent a = 1 diverges"
         ],
-    )
-
-
-def analytic_rule(coeffs) -> Verdict:
-    """Divergence from Taylor data a1 = 1 with the first nonzero higher
-    coefficient negative (so that f(x) < x holds near zero).
-
-    coeffs are the numbers a1, a2, ..., read at the working precision, as a
-    polynomial f carries them. Raises AnalyticRuleError when a hypothesis
-    fails; a1 != 1 routes to the derivative rule with c = a1 instead.
-    """
-    a1 = coeffs[0]
-    if a1 != 1:
-        raise AnalyticRuleError(
-            f"leading coefficient a1 = {mpmath.nstr(a1, 12)} is not 1; the analytic"
-            " divergence rule does not apply, use the derivative rule with c = a1"
-        )
-    for index, c in enumerate(coeffs[1:], start=2):
-        if c == 0:
-            continue
-        if c > 0:
-            raise AnalyticRuleError(
-                f"first nonzero higher coefficient a{index} = {mpmath.nstr(c, 12)}"
-                " is positive, so f(x) < x fails near zero"
-            )
-        return Verdict(
-            DIVERGENT,
-            ANALYTIC_RULE,
-            {"coefficient_index": index, "coefficient_value": c},
-            [
-                f"a1 = 1 and the first nonzero higher coefficient a{index} ="
-                f" {mpmath.nstr(c, 12)} is negative; the generated series diverges"
-            ],
-        )
-    raise AnalyticRuleError(
-        "all higher coefficients are zero; f is the identity and violates f(x) < x"
     )
 
 
@@ -748,6 +767,7 @@ class AnalysisReport:
     mode: Mode
     verdict: Verdict
     derivative: Optional[DerivativeEstimate]
+    germ: Optional[Germ]  # f's exact germ at 0, in positive mode when it has one
     search: Optional[ExponentSearchResult]
     fit: Optional[AsymptoticFit]
     orbit_result: Optional[Orbit]
@@ -786,10 +806,12 @@ def analyze(table: Samples, mode: str = "auto", max_n: int = 10**6,
 
     mode is "auto", "positive" or "signed"; the orbit cross-check runs to
     min(max_n, CROSS_CHECK_N) steps or until |x_n| < floor. Stages:
-    hypothesis validation with mode detection from |x0| down, the signed
-    rules or the derivative rule (after the analytic rule, for a polynomial
-    f that carries its Taylor coefficients), routing to the limit-exponent
-    rule and then the comparison band, then an empirical orbit cross-check
+    hypothesis validation with mode detection from |x0| down; in positive
+    mode the exact germ of f at 0, which decides without the probe grid
+    when it can, and then reads the points at the bottom of the seed grid
+    where f(x) rounds to x as a precision limit, not as violations; else
+    the signed rules or the derivative rule, routing to the limit-exponent
+    rule and then the comparison band; then an empirical orbit cross-check
     whose fit is compared against the verdict. Raises AnalysisError when
     the seed lies outside the region where the hypotheses hold.
     """
@@ -802,6 +824,20 @@ def analyze(table: Samples, mode: str = "auto", max_n: int = 10**6,
     _require_positive_seed(table, mode)
 
     hypothesis = validate_hypotheses(table, mode)
+    germ = expand(table.function) if mode is Mode.POSITIVE else None
+    decided = None if germ is None else _germ_rule(germ, ctx)
+    warnings = []
+    cut = hypothesis.cut
+    if cut is not None and decided is not None:
+        # the germ shows f < x near 0, so where f(x) rounds to x the
+        # working precision ran out: those points are no violations
+        kept = [v for v in hypothesis.violations if v[0] > cut]
+        hypothesis = replace(hypothesis, violations=kept, passed=not kept)
+        warnings.append(
+            f"f(x) rounds to x at the working precision from x = {mpmath.nstr(cut, 12)}"
+            " down: a precision limit, not a failed hypothesis, as f's germ at 0 shows"
+            " f(x) < x there"
+        )
     region = validated_region(hypothesis)
     if region is None:
         first = "; ".join(
@@ -810,34 +846,33 @@ def analyze(table: Samples, mode: str = "auto", max_n: int = 10**6,
                else f"f(x) = {mpmath.nstr(y, 12)}")
             for x, y in hypothesis.violations[:3]
         )
+        limit = "" if cut is None or decided is not None else (
+            f"; f(x) rounds to x at the working precision from x = {mpmath.nstr(cut, 12)}"
+            " down, and f's germ at 0 does not show f(x) < x there: rerun with a higher"
+            " precision to tell a precision limit from a fixed point"
+        )
         raise AnalysisError(
-            f"the decay hypothesis fails at every sampled scale ({first})"
+            f"the decay hypothesis fails at every sampled scale ({first}){limit}"
         )
     if abs(x0) > region:
         raise AnalysisError(
             f"x0 = {mpmath.nstr(x0, 12)} lies outside the validated region"
             f" (0, {mpmath.nstr(region, 12)}]"
         )
-    warnings = []
-    if region < table.points(table.probe)[0]:
-        warnings.append(
-            "validated region is smaller than the probe grid start;"
-            " derivative and limit probes may sample outside it"
-        )
 
-    derivative = estimate_derivative_at_zero(table, mode)
     search = None
-    verdict = None
-    if mode is Mode.SIGNED:
-        verdict = signed_rule(table)
+    if decided is not None:
+        derivative, verdict = decided
     else:
-        coeffs = table.function.coefficients
-        if coeffs is not None and coeffs[0] == 1:
-            try:
-                verdict = analytic_rule(coeffs)
-            except AnalyticRuleError as err:
-                warnings.append(f"analytic rule inapplicable: {err}")
-        if verdict is None:
+        if region < table.points(table.probe)[0]:
+            warnings.append(
+                "validated region is smaller than the probe grid start;"
+                " derivative and limit probes may sample outside it"
+            )
+        derivative = estimate_derivative_at_zero(table, mode)
+        if mode is Mode.SIGNED:
+            verdict = signed_rule(table)
+        else:
             verdict = derivative_rule(derivative)
             if verdict.conclusion == INCONCLUSIVE:
                 routed = verdict.notes
@@ -889,6 +924,7 @@ def analyze(table: Samples, mode: str = "auto", max_n: int = 10**6,
         mode=mode,
         verdict=verdict,
         derivative=derivative,
+        germ=germ,
         search=search,
         fit=fit,
         orbit_result=orbit_result,

@@ -105,9 +105,14 @@ def _num(value, precision: int) -> str:
 
 
 def _table(cfg: RunConfig, f: FunctionDef) -> Samples:
-    """f's sample table at the configured precision, seed and probe grid."""
+    """f's sample table at the configured precision, seed and probe grid. A
+    probe grid the flags give is generated here, so that a bad one is an
+    error even where no stage reads it (an analysis that f's germ decides)."""
     probe = GridSpec(cfg.grid_start or PROBE_GRID.start, cfg.grid_floor or PROBE_GRID.floor)
-    return Samples(f, cfg.precision, cfg.x0, probe)
+    table = Samples(f, cfg.precision, cfg.x0, probe)
+    if probe != PROBE_GRID:
+        table.points(probe)
+    return table
 
 
 def _expr_diagnostic(err: ExprError) -> str:
@@ -123,7 +128,7 @@ def _expr_diagnostic(err: ExprError) -> str:
 def _parse_target(cfg: RunConfig):
     """Return (f, display label). --taylor coefficients are read at the
     working precision, on one context, and become the polynomial f, which
-    carries them for the analytic rule."""
+    carries them as its germ at 0."""
     if cfg.taylor is not None:
         ctx = context(cfg.precision)
         coeffs = [parse_constant(part.strip(), ctx) for part in cfg.taylor.split(",")]
@@ -208,8 +213,8 @@ def _report_text(report, cfg: RunConfig, label: str) -> str:
         f"verdict: {verdict.conclusion}"
         + (f" ({verdict.rule})" if verdict.rule else ""),
     ]
-    # same witness subset as the JSON schema; rule-internal payloads such as
-    # the analytic coefficient live in the notes instead
+    # same witness subset as the JSON schema; anything else a rule reports
+    # lives in the notes
     for key, value in _witnesses_json(verdict, p).items():
         lines.append(f"  {key} = {value}")
     der = report.derivative

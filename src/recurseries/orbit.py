@@ -90,6 +90,7 @@ class HypothesisReport:
     violations: List[Tuple]  # (x, f(x) or the EvalDomainError f raised at x)
     passed: bool
     caveat: str = SAMPLING_CAVEAT
+    cut: Optional[object] = None  # the first point of the run where f(x) rounds to x
 
 
 def _below(a, b) -> bool:
@@ -136,7 +137,11 @@ def validate_hypotheses(table: Samples, mode: Mode = Mode.POSITIVE) -> Hypothesi
     comparison _decays that iterate makes.
 
     In signed mode every magnitude is checked at both signs. Evaluation
-    domain errors count as violations, recorded with the error.
+    domain errors count as violations, recorded with the error. In positive
+    mode the report's cut is the first point of the run at the bottom of
+    the grid where f(x) == x at the working precision, below at least two
+    other points; those points are violations, and only the caller, which
+    knows whether f < x holds near 0, can read them as a precision limit.
     """
     fn = table.f
     points = table.points(table.seed)
@@ -147,18 +152,24 @@ def validate_hypotheses(table: Samples, mode: Mode = Mode.POSITIVE) -> Hypothesi
         points = signed_points
     prec, rnd = table.ctx._prec_rounding
     violations = []
+    flat = 0  # how many of the points so far, counted from the last, have f(x) == x
     for p in points:
         try:
             y = fn(p)
         except EvalDomainError as err:
             violations.append((p, err))
+            flat = 0
             continue
         size, bound = y._mpf_, p._mpf_
         if mode is Mode.SIGNED:
             size, bound = mpf_abs(size, prec, rnd), mpf_abs(bound, prec, rnd)
         if not _decays(size, bound):
             violations.append((p, y))
-    return HypothesisReport(mode, points, violations, passed=not violations)
+        flat = flat + 1 if mode is Mode.POSITIVE and size == bound else 0
+    cut = None
+    if flat and len(points) - flat >= 2:
+        cut = points[-flat]
+    return HypothesisReport(mode, points, violations, passed=not violations, cut=cut)
 
 
 def validated_region(report: HypothesisReport):

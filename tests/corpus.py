@@ -50,7 +50,7 @@ DECISIVE = [
     CorpusEntry("logistic_edge", "x - x^2", None, "0.5", "positive",
                 "divergent", "LimitExponentRule"),
     CorpusEntry("taylor_sine", None, "1,0,-1/6", "0.5", "positive",
-                "divergent", "AnalyticRule"),
+                "divergent", "LimitExponentRule"),
     # f <= 0.99*x: convergent, though no linear ratio p/q (q <= 24) lies near
     CorpusEntry("wide_band", "x*(0.55 + 0.44*sin(1/x))", None, "0.3",
                 "positive", "convergent", "MajorantRule"),
@@ -60,6 +60,9 @@ DECISIVE = [
     # f <= x - x^(3/2)/2: a decay exponent 1/2 that the slopes cannot read
     CorpusEntry("abs_sine_majorant", "x - x^(3/2)*(1+abs(sin(1/x)))/2", None, "0.3",
                 "positive", "convergent", "MajorantRule"),
+    # f(x) rounds to x below about 1e-19 at 64 digits; the germ reads a = 4
+    CorpusEntry("precision_limited", "x-x^5", None, "0.5", "positive",
+                "divergent", "LimitExponentRule"),
 ]
 
 INCONCLUSIVE = [

@@ -168,18 +168,21 @@ def test_criterion_7_alternating_mode():
     print("[PASS] criterion 7: -x/2 convergent via AlternatingRule, sums -> 2/3")
 
 
-def test_criterion_8_analytic_rule():
+def test_criterion_8_taylor_germ():
     report = analyze(Samples(taylor_polynomial((1, -1), CTX), x0="0.5"), max_n=2000)
     assert (report.verdict.conclusion, report.verdict.rule) == (
-        "divergent", "AnalyticRule",
+        "divergent", "LimitExponentRule",
     ), f"[FAIL] criterion 8: verdict {report.verdict.conclusion}"
+    assert (report.verdict.witnesses["a"], report.verdict.witnesses["k"]) == (1, 1), (
+        f"[FAIL] criterion 8: witnesses {report.verdict.witnesses}"
+    )
     orbit = iterate(Samples(parse("x - x^2")), "0.5", max_n=10**5)
     n = orbit.last_index
     product = n * orbit.x_n
     assert abs(product - 1) < CTX.mpf("0.05"), (
         f"[FAIL] criterion 8: n*x_n = {mpmath.nstr(product, 12)} at n = {n}"
     )
-    print(f"[PASS] criterion 8: taylor (1, -1) divergent via AnalyticRule;"
+    print(f"[PASS] criterion 8: taylor (1, -1) divergent via LimitExponentRule, a = k = 1;"
           f" n*x_n = {mpmath.nstr(product, 8)} at n = 1e5")
 
 

@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -8,9 +9,7 @@ from recurseries.classify import (
     ABSOLUTE_BOUND_RULE,
     ABS_TOL,
     ALTERNATING_RULE,
-    ANALYTIC_RULE,
     AnalysisError,
-    AnalyticRuleError,
     CONVERGENT,
     DERIVATIVE_MARGIN,
     DERIVATIVE_RULE,
@@ -28,8 +27,8 @@ from recurseries.classify import (
     VALUE,
     Verdict,
     _classify_tail,
+    _germ_rule,
     _snap_rational,
-    analytic_rule,
     analyze,
     check_monotone,
     comparison_band,
@@ -44,6 +43,7 @@ from recurseries.classify import (
 )
 from recurseries.estimate import AsymptoticFit
 from recurseries.expr import context, parse, parse_constant, taylor_polynomial
+from recurseries.germ import expand
 from recurseries.grids import GridSpec, Samples
 from recurseries.orbit import Mode
 
@@ -53,6 +53,8 @@ CTX = context(64)
 MARGIN = CTX.mpf(DERIVATIVE_MARGIN)
 
 OSCILLATORY = "x*(1/2 + 1/3*sin(1/x))"
+# f = x - x^2 + O(x^3), which the germ refuses for its sin(1/x)
+REFUSED = "x - x^2 - x^3*sin(1/x)"
 
 
 def test_verdict_shape_is_enforced():
@@ -293,11 +295,13 @@ def test_search_keeps_an_exponent_next_to_a_fraction(a_text, verdict):
 def test_search_reads_only_the_tail():
     # f exceeds x at 0.01 and 0.0056, above the validated region, but the
     # tail where the slopes are read has f'(0) = 1 and a = 1
-    result = analyze(Samples(parse("x - x^2 + 200*x^3"), x0="0.001"))
-    assert result.verdict.conclusion == DIVERGENT
-    assert result.verdict.rule == LIMIT_EXPONENT_RULE
-    assert result.search.fit.a == 1
-    assert "validated region is smaller than the probe grid start" in " ".join(result.warnings)
+    table = Samples(parse("x - x^2 + 200*x^3"), x0="0.001")
+    assert search_exponent(table).fit.a == 1
+    # analyze reads the same a from the germ, and no probe runs above the seed
+    result = analyze(table)
+    assert (result.verdict.conclusion, result.verdict.rule) == (DIVERGENT, LIMIT_EXPONENT_RULE)
+    assert result.verdict.witnesses["a"] == 1 and result.search is None
+    assert result.warnings == []
 
 
 def test_search_refuses_a_tail_without_digits():
@@ -325,8 +329,9 @@ def test_conjugate_scaling_keeps_the_exponent(fn_text, lam):
                    mode="positive", max_n=200)
     assert conj.verdict.conclusion == base.verdict.conclusion == entry.verdict
     assert conj.verdict.rule == base.verdict.rule == LIMIT_EXPONENT_RULE
-    assert conj.search.fit.a == base.search.fit.a
-    assert abs(conj.search.fit.k / (lam_value * base.search.fit.k) - 1) < CTX.mpf("1e-6")
+    base_w, conj_w = base.verdict.witnesses, conj.verdict.witnesses
+    assert conj_w["a"] == base_w["a"]
+    assert abs(conj_w["k"] / (lam_value * base_w["k"]) - 1) < CTX.mpf("1e-6")
 
 
 def test_search_exponent_range_validation():
@@ -356,35 +361,38 @@ def taylor(*coefficients, precision=64):
     return taylor_polynomial(coefficients, context(precision)).coefficients
 
 
-def test_analytic_rule_divergent():
-    v = analytic_rule(taylor(1, -1))
-    assert (v.conclusion, v.rule) == (DIVERGENT, ANALYTIC_RULE)
-    assert v.witnesses["coefficient_index"] == 2
-    assert v.witnesses["coefficient_value"] == -1
+def test_taylor_germ_is_its_coefficients():
+    # x - x^2 and x - x^3/6, as the polynomial carries them
+    germ = expand(taylor_polynomial(taylor(1, -1), CTX))
+    assert germ.terms == ((1, 1), (2, -1))
+    v = analyze(Samples(taylor_polynomial(taylor(1, -1), CTX), x0="0.5"), max_n=200).verdict
+    assert (v.conclusion, v.rule) == (DIVERGENT, LIMIT_EXPONENT_RULE)
+    assert (v.witnesses["a"], v.witnesses["k"]) == (1, 1)
 
     coeffs = tuple(parse_constant(t, CTX) for t in ("1", "0", "-1/6"))
-    v = analytic_rule(taylor(*coeffs))
-    assert v.conclusion == DIVERGENT
-    assert v.witnesses["coefficient_index"] == 3
-    assert abs(v.witnesses["coefficient_value"] + CTX.mpf(1) / 6) < CTX.mpf("1e-60")
+    (e1, c1), (e3, c3) = expand(taylor_polynomial(coeffs, CTX)).terms
+    assert (e1, c1, e3) == (1, 1, 3)
+    assert abs(c3 + Fraction(1, 6)) < Fraction(1, 10**70)
+
+    # a1 = 1/2 is the derivative rule; f > x near 0 and the identity decide nothing
+    _, v = _germ_rule(expand(taylor_polynomial(taylor("0.5", "-1"), CTX)), CTX)
+    assert (v.rule, v.witnesses["c"]) == (DERIVATIVE_RULE, CTX.mpf("0.5"))
+    for coefficients in ((1, 1), (1,), (1, 0, 0)):
+        assert _germ_rule(expand(taylor_polynomial(taylor(*coefficients), CTX)), CTX) is None
 
 
-def test_analytic_rule_rejections():
-    with pytest.raises(AnalyticRuleError, match="derivative rule"):
-        analytic_rule(taylor("0.5", "-1"))
-    with pytest.raises(AnalyticRuleError, match="positive"):
-        analytic_rule(taylor(1, 1))
-    with pytest.raises(AnalyticRuleError, match="identity"):
-        analytic_rule(taylor(1))
-    with pytest.raises(AnalyticRuleError, match="identity"):
-        analytic_rule(taylor(1, 0, 0))
-
-    # a1 differs from 1 only in the 81st digit: 1 at the default precision,
-    # not 1 at precision 100
-    near_one = ("1." + "0" * 79 + "1", "-0.1")
-    assert analytic_rule(taylor(*near_one)).conclusion == DIVERGENT
-    with pytest.raises(AnalyticRuleError, match="is not 1"):
-        analytic_rule(taylor(*near_one, precision=100))
+def test_taylor_germ_reads_the_coefficients_at_the_working_precision():
+    # a1 = 1 + 1e-80 is 1 at the default precision, so a3 = -0.1 gives
+    # the exponent 2, and above 1 at precision 100, where no rule of the
+    # germ applies and the sampled route runs
+    near_one = ("1." + "0" * 79 + "1", "0", "-0.1")
+    v = analyze(Samples(taylor_polynomial(taylor(*near_one), CTX), x0="0.5"), max_n=200).verdict
+    assert (v.rule, v.witnesses["a"]) == (LIMIT_EXPONENT_RULE, 2)
+    f = taylor_polynomial(taylor(*near_one, precision=100), context(100))
+    (_, c1), *_ = expand(f).terms
+    assert c1 > 1
+    report = analyze(Samples(f, 100, x0="0.5"), max_n=200)
+    assert report.derivative.samples and report.derivative.c != c1
 
 
 def test_check_monotone():
@@ -549,10 +557,17 @@ def test_analyze_oscillatory_uses_snapped_majorant():
 
 
 def test_analyze_routing_notes_are_preserved():
-    report = analyze(Samples(parse("x/(1+x)"), x0=1), max_n=2000)
+    # sin(1/x) has no germ at 0: the sampled route reads a = 1
+    report = analyze(Samples(parse(REFUSED), x0="0.5"), max_n=2000)
+    assert report.germ is None
     assert report.verdict.conclusion == DIVERGENT
     assert any("route: limit-exponent rule" in n for n in report.verdict.notes)
     assert report.search is not None and report.search.found
+    # the germ of x/(1+x) decides with no probe
+    report = analyze(Samples(parse("x/(1+x)"), x0=1), max_n=2000)
+    assert report.verdict.notes == ["exact germ at 0: f(x) = x - x^2 + ...",
+                                    "terms decay like k*n^(-1/a) with a = 1 >= 1"]
+    assert report.search is None and report.derivative.samples == []
 
 
 def test_analyze_error_paths():
@@ -594,9 +609,12 @@ def test_analyze_warnings():
     # f(1) = 0 breaks the hypothesis above the seed, where nothing is sampled
     report = analyze(Samples(parse("x - x^2"), x0="0.5"), max_n=2000)
     assert report.warnings == []
-    # a seed below the probe grid's start leaves the probes outside (0, x0]
-    report = analyze(Samples(parse("x/(1+x)"), x0="0.005"), max_n=200)
+    # a seed below the probe grid's start leaves the probes outside (0, x0];
+    # the germ of x/(1+x) reads no probe
+    report = analyze(Samples(parse(REFUSED), x0="0.005"), max_n=200)
     assert any("smaller than the probe grid start" in w for w in report.warnings)
+    report = analyze(Samples(parse("x/(1+x)"), x0="0.005"), max_n=200)
+    assert not any("probe grid" in w for w in report.warnings)
 
     # geometric decay never fits a power law; the pipeline says so
     report = analyze(Samples(parse("0.9*(x/(1+x))"), x0=1), max_n=2000)

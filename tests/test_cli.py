@@ -176,7 +176,8 @@ def test_taylor_label_and_rule():
     assert code == 0
     doc = json.loads(out)
     assert doc["function"] == "taylor:1,0,-1/6"
-    assert doc["rule"] == "AnalyticRule"
+    assert doc["rule"] == "LimitExponentRule"
+    assert doc["witnesses"]["a"] == "2.0"
 
 
 def test_analyze_error_exit_codes():
@@ -453,19 +454,34 @@ REPORTED = ("derivative at zero:", "empirical fit:", "orbit:", "sum estimate:")
        .flatmap(lambda a1: st.lists(RATIONAL, max_size=3).map(lambda rest: [*a1, *rest])),
        x0=st.sampled_from(["0.5", "0.05"]))
 def test_taylor_coefficients_analyze_as_their_polynomial(coefficients, x0):
-    # --taylor is the polynomial f; only the analytic rule reads the coefficients
+    # --taylor is the polynomial f, whose germ is the coefficients as read
     f = taylor_polynomial([parse_constant(c, CTX) for c in coefficients], CTX)
-    t_code, t_out = run(["analyze", f"--taylor={','.join(coefficients)}", f"--x0={x0}",
-                         "--max-n=500"])
-    f_code, f_out = run(["analyze", f"--f={f.source_text}", f"--x0={x0}", "--max-n=500"])
+    assert_same_analysis(",".join(coefficients), f.source_text, x0)
+
+
+def assert_same_analysis(taylor, f_text, x0):
+    t_code, t_out = run(["analyze", f"--taylor={taylor}", f"--x0={x0}", "--max-n=500"])
+    f_code, f_out = run(["analyze", f"--f={f_text}", f"--x0={x0}", "--max-n=500"])
     if f_code == 1:
         assert (t_code, t_out) == (f_code, f_out)
         return
     t_lines, f_lines = t_out.splitlines(), f_out.splitlines()
     assert [line for line in t_lines if line.startswith(REPORTED)] == [
         line for line in f_lines if line.startswith(REPORTED)]
-    t_verdict, f_verdict = t_lines[2], f_lines[2]
-    assert t_verdict == f_verdict or t_verdict == "verdict: divergent (AnalyticRule)"
+    assert t_lines[2] == f_lines[2]  # the verdict
+
+
+def test_a_derivative_just_below_1_is_read_alike_from_f_and_taylor():
+    # 1 - 1e-70 stays below 1 at 64 digits, in f and in the coefficient read,
+    # so both germs decide convergence by f'(0) < 1
+    assert_same_analysis("1-1e-70,0,-1", "(1-1e-70)*x - x^3", "0.5")
+    code, out = run(["analyze", "--f=(1-1e-70)*x - x^3", "--x0=0.5", "--max-n=500"])
+    assert "verdict: convergent (DerivativeRule)" in out
+    # at 20 digits it rounds to 1, so f is evaluated as x - x^3, which the
+    # exact f'(0) < 1 does not describe: the germ decides nothing, and the
+    # points where f(x) rounds to x stay violations
+    code, out = run(["analyze", "--f=(1-1e-70)*x - x^3", "--x0=0.5", "--precision=20"])
+    assert code == 1 and "higher precision" in out
 
 
 @pytest.mark.parametrize("call,where,cap", [

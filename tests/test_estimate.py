@@ -319,7 +319,7 @@ def test_analyze_fit_moves_only_the_fit():
         out = buf.getvalue()
         got = json.loads(out)
         assert code == want["code"], want["argv"]
-        for key in ("mode", "verdict", "rule", "witnesses", "orbit"):
+        for key in ("mode", "verdict", "rule", "witnesses", "derivative", "orbit"):
             assert got[key] == want[key], (want["argv"], key)
         assert len(got["warnings"]) == len(want["warnings"])
         for line, ref in zip(got["warnings"], want["warnings"]):
