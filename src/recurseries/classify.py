@@ -24,6 +24,7 @@ single Richardson-style step; anything else counts as oscillation.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import List, Optional, Tuple
 
 import mpmath
@@ -510,22 +511,25 @@ def _germ_rule(germ: Germ, ctx) -> Optional[Tuple[DerivativeEstimate, Verdict]]:
     """f'(0) and the verdict f's exact germ at 0 decides, or None.
 
     f = c1*x + ... with 0 < c1 < 1 converges (DerivativeRule, c = c1 at
-    ctx's precision). The terms of f = x - c*x^(1+a) + ... with c > 0 decay
-    like k*n^(-1/a), k = (a*c)^(-1/a): divergent for a >= 1 and convergent
-    below (LimitExponentRule). a and c are exact and k is at ctx's
+    ctx's precision), and so does f = c1*x^e1 + ... with c1 > 0 and e1 > 1,
+    where f'(0) = 0 exactly (DerivativeRule, c = 0). The terms of
+    f = x - c*x^(1+a) + ... with c > 0 decay like k*n^(-1/a),
+    k = (a*c)^(-1/a): divergent for a >= 1 and convergent below
+    (LimitExponentRule). a and c are exact and k is at ctx's
     precision. A c1 that is not 1 but rounds to 1 decides nothing: f is
     evaluated with the rounded value, which the sampled route reads.
     """
     (e1, c1), rest = germ.terms[0], germ.terms[1:]
-    if e1 != 1 or c1 <= 0:
+    if e1 < 1 or c1 <= 0:
         return None
-    derivative = DerivativeEstimate(VALUE, _rational(c1, ctx), None, [])
-    if derivative.c >= 1 and (c1 != 1 or not (rest and rest[0][1] < 0)):
+    slope = c1 if e1 == 1 else Fraction(0)  # f'(0)
+    derivative = DerivativeEstimate(VALUE, _rational(slope, ctx), None, [])
+    if derivative.c >= 1 and (slope != 1 or not (rest and rest[0][1] < 0)):
         return None
     if derivative.c < 1:
         return derivative, Verdict(CONVERGENT, DERIVATIVE_RULE, {"c": derivative.c}, [
             f"exact germ at 0: f(x) = {_monomial(c1, e1)} + ...",
-            f"f'(0) = {_short(c1)} < 1 gives eventual geometric decay",
+            f"f'(0) = {_short(slope)} < 1 gives eventual geometric decay",
         ])
     e, c = rest[0][0], -rest[0][1]
     a = e - 1

@@ -442,7 +442,9 @@ _SUBCOMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of command's alone, which parses,
+    helps and errs on an argv that starts with command as the full one does."""
     parser = _Parser(
         prog="recurseries",
         description="Convergence analyzer for series with recursively"
@@ -450,6 +452,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, options) in _SUBCOMMANDS.items():
+        if command not in (None, name):
+            continue
         # an absent option stays out of the namespace: RunConfig holds the defaults
         sp = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         for option in options:
@@ -464,7 +468,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: Optional[List[str]] = None) -> None:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None).parse_args(argv)
     code = 1  # unless the command is done before a reader goes away
     try:
         code = _SUBCOMMANDS[args.command][0](config_from_args(args), sys.stdout)

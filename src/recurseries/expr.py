@@ -19,14 +19,16 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import isqrt
 from typing import Callable, Optional, Tuple, Union
 
 import mpmath
 from mpmath import mp
 from mpmath.libmp import (
-    fzero, mpf_abs, mpf_add, mpf_cos, mpf_div, mpf_exp, mpf_le, mpf_log, mpf_lt,
-    mpf_mul, mpf_neg, mpf_pow, mpf_sin, mpf_sqrt, mpf_sub,
+    fone, from_man_exp, fzero, mpf_abs, mpf_add, mpf_cos, mpf_div, mpf_exp, mpf_log,
+    mpf_mul, mpf_neg, mpf_pow, mpf_pow_int, mpf_sin, mpf_sub, normalize1,
 )
+from mpmath.libmp.libmpf import reciprocal_rnd
 
 
 class ExprError(ValueError):
@@ -335,10 +337,6 @@ ARGUMENT_CAP = 2**16
 EXPONENT_CAP = 2**10
 
 
-class _DomainFault(Exception):
-    """A domain failure inside a compiled f; evaluator adds the input x."""
-
-
 def _has_var(node: Node) -> bool:
     if isinstance(node, Var):
         return True
@@ -351,111 +349,178 @@ def _has_var(node: Node) -> bool:
     return False
 
 
-def _fold(raw: Callable) -> Callable:
-    """raw for a subtree without x, evaluated once: the first call that
-    returns keeps its value for every later call. A call that raises keeps
-    nothing, so a constant outside the domain raises at each call, naming
-    that call's x."""
-    kept = []
-
-    def folded(x):
-        if not kept:
-            kept.append(raw(x))
-        return kept[0]
-
-    return folded
+_ZERO_TO_NEGATIVE = "zero raised to a negative power"
+_NEGATIVE_BASE = "negative base with non-integer exponent"
+_EXPONENT_PAST_CAP = f"exponent reaches the magnitude cap 2^{EXPONENT_CAP}"
 
 
-def _compile(node: Node, ctx) -> Callable:
-    """A function from the raw value of x (an mpf's _mpf_ tuple) to the raw
-    value of node. Each operation is the libmp call that mpf arithmetic and
-    the context's functions make, at ctx's precision and rounding; a subtree
-    without x runs its calls once (see _fold)."""
-    raw = _compile_node(node, ctx)
-    if isinstance(node, (Number, Var, Const)) or _has_var(node):
-        return raw
-    return _fold(raw)
+def _mpf_sqrt(s, prec, rnd):
+    """libmp's mpf_sqrt of a nonnegative raw value s, step for step, with
+    math.isqrt for the exact integer floor root (isqrt or sqrtrem) that
+    mpf_sqrt takes, so the bits are the same."""
+    sign, man, exp, bc = s
+    if not man:
+        return s
+    if exp & 1:
+        exp -= 1
+        man <<= 1
+        bc += 1
+    elif man == 1:
+        return normalize1(sign, man, exp // 2, bc, prec, rnd)
+    shift = max(4, 2 * prec - bc + 4)
+    shift += shift & 1
+    square = man << shift
+    man = isqrt(square)
+    if rnd not in "fd" and man * man != square:
+        # a nonzero remainder perturbs the root up, as in mpf_sqrt
+        man = (man << 1) + 1
+        shift += 2
+    return from_man_exp(man, (exp - shift) // 2, prec, rnd)
 
 
-def _compile_node(node: Node, ctx) -> Callable:
-    prec, rnd = ctx._prec_rounding
-    if isinstance(node, Number):
-        value = ctx.mpf(node.text)._mpf_
-        return lambda x: value
-    if isinstance(node, Var):
-        return lambda x: x
-    if isinstance(node, Const):
-        value = (+ctx.pi if node.name == "pi" else ctx.exp(1))._mpf_
-        return lambda x: value
-    if isinstance(node, Call):
-        arg = _compile(node.arg, ctx)
-        where = _render(node)
-        if node.func in _UNARY:
-            kernel = _UNARY[node.func]
+class _Codegen:
+    """Writes a subtree as one Python function of x, the raw value of x (an
+    mpf's _mpf_ tuple), made of straight-line statements in the order of
+    evaluation (the right operand of / first). Each statement is the libmp
+    call that mpf arithmetic or the context's function makes, at ctx's
+    precision and rounding, with its domain check in front of it; a check
+    that fails raises EvalDomainError.
 
-            def _capped(x):
-                v = arg(x)
-                if v[2] + v[3] > ARGUMENT_CAP:
-                    raise _DomainFault(
-                        where, f"argument reaches the magnitude cap 2^{ARGUMENT_CAP}"
-                    )
-                return kernel(v, prec, rnd)
+    Constants, kernels, messages and ctx's precision and rounding are bound
+    as values in the function's namespace under generated names; no text of
+    f reaches the source. A subtree without x is compiled on its own and run
+    once, here: the function reads its value, or raises its EvalDomainError
+    at its position on every call. A constant exponent is therefore known
+    here, and so is what mpf_pow would decide from it (see _power).
+    """
 
-            return _capped
-        if node.func == "abs":
-            return lambda x: mpf_abs(arg(x), prec, rnd)
-        if node.func == "ln":
+    def __init__(self, ctx, namespace=None, fold=True):
+        prec, rnd = ctx._prec_rounding
+        self.ctx = ctx
+        self.namespace = {
+            "P": prec, "R": rnd, "P10": prec + 10, "RR": reciprocal_rnd[rnd],
+            "E": EvalDomainError, "mk": ctx.make_mpf, "fzero": fzero, "fone": fone,
+            "mpf_abs": mpf_abs, "mpf_div": mpf_div, "mpf_log": mpf_log,
+            "mpf_neg": mpf_neg, "mpf_pow": mpf_pow, "mpf_pow_int": mpf_pow_int,
+            "sqrt": _mpf_sqrt,
+        } if namespace is None else namespace
+        self.fold = fold
+        self.lines = []
+        self.raises = False  # the statements end in an unconditional raise
 
-            def _ln(x):
-                v = arg(x)
-                if mpf_le(v, fzero):
-                    raise _DomainFault(where, "logarithm of a non-positive value")
-                return mpf_log(v, prec, rnd)
+    def function(self, node: Node) -> Callable:
+        result = self.value(node)
+        body = self.lines if self.raises else self.lines + [f"return {result}"]
+        source = "def f(x):\n" + "".join(f"    {line}\n" for line in body)
+        exec(compile(source, "<compiled f>", "exec"), self.namespace)
+        return self.namespace["f"]
 
-            return _ln
+    def bind(self, value) -> str:
+        # the namespace only grows, so each name is new
+        name = f"v{len(self.namespace)}"
+        self.namespace[name] = value
+        return name
 
-        def _sqrt(x):
-            v = arg(x)
-            if mpf_lt(v, fzero):
-                raise _DomainFault(where, "square root of a negative value")
-            return mpf_sqrt(v, prec, rnd)
+    def known(self, name: str):
+        """The raw value a bound name holds, or None for x and computed values."""
+        return self.namespace[name] if name.startswith("v") else None
 
-        return _sqrt
-    if isinstance(node, Neg):
-        operand = _compile(node.operand, ctx)
-        return lambda x: mpf_neg(operand(x), prec, rnd)
+    def line(self, text: str) -> None:
+        if not self.raises:  # nothing after a raise runs
+            self.lines.append(text)
 
-    left = _compile(node.left, ctx)
-    right = _compile(node.right, ctx)
-    where = _render(node)
-    if node.op in _BINARY:
-        kernel = _BINARY[node.op]
-        return lambda x: kernel(left(x), right(x), prec, rnd)
-    if node.op == "/":
+    def assign(self, expression: str) -> str:
+        name = f"t{len(self.lines)}"
+        self.line(f"{name} = {expression}")
+        return name
 
-        def _div(x):
-            d = right(x)
-            if d == fzero:
-                raise _DomainFault(where, "division by zero")
-            return mpf_div(left(x), d, prec, rnd)
+    def fault(self, node: Node, reason: str, where: Optional[str] = None) -> str:
+        """The statement that raises reason in node, at the call's x."""
+        where = _render(node) if where is None else where
+        return f"raise E({self.bind(where)}, mk(x), {self.bind(reason)})"
 
-        return _div
+    def fail(self, node: Node, reason: str, where: Optional[str] = None) -> None:
+        self.line(self.fault(node, reason, where))
+        self.raises = True
 
-    def _pow(x):
-        b, e = left(x), right(x)
-        if b == fzero and mpf_lt(e, fzero):
-            raise _DomainFault(where, "zero raised to a negative power")
-        # ctx.isint(e) on the raw value: a nonzero mantissa and no negative
-        # binary exponent, or e = 0
-        if mpf_lt(b, fzero) and not (e[1] and e[2] >= 0 or e == fzero):
-            raise _DomainFault(where, "negative base with non-integer exponent")
-        if e[2] + e[3] > EXPONENT_CAP:
-            raise _DomainFault(
-                where, f"exponent reaches the magnitude cap 2^{EXPONENT_CAP}"
-            )
-        return mpf_pow(b, e, prec, rnd)
+    def value(self, node: Node) -> str:
+        """The name that holds node's raw value after the statements so far."""
+        if self.raises:
+            return "None"
+        if isinstance(node, Var):
+            return "x"
+        if isinstance(node, Number):
+            return self.bind(self.ctx.mpf(node.text)._mpf_)
+        if isinstance(node, Const):
+            return self.bind((+self.ctx.pi if node.name == "pi" else self.ctx.exp(1))._mpf_)
+        if self.fold and not _has_var(node):
+            try:
+                return self.bind(_Codegen(self.ctx, self.namespace, fold=False).function(node)(fzero))
+            except EvalDomainError as err:
+                self.fail(node, err.reason, err.subexpression)
+                return "None"
+        if isinstance(node, Call):
+            a = self.value(node.arg)
+            if node.func in _UNARY:
+                cap = f"argument reaches the magnitude cap 2^{ARGUMENT_CAP}"
+                self.line(f"if {a}[2] + {a}[3] > {ARGUMENT_CAP}: {self.fault(node, cap)}")
+                return self.assign(f"{self.bind(_UNARY[node.func])}({a}, P, R)")
+            if node.func == "abs":
+                return self.assign(f"mpf_abs({a}, P, R)")
+            # the sign bit is set exactly when mpf_lt(a, fzero), nan and -inf
+            # included, so these are the tests mpf_le and mpf_lt make
+            if node.func == "ln":
+                reason = "logarithm of a non-positive value"
+                self.line(f"if {a}[0] or {a} == fzero: {self.fault(node, reason)}")
+                return self.assign(f"mpf_log({a}, P, R)")
+            self.line(f"if {a}[0]: {self.fault(node, 'square root of a negative value')}")
+            return self.assign(f"sqrt({a}, P, R)")
+        if isinstance(node, Neg):
+            return self.assign(f"mpf_neg({self.value(node.operand)}, P, R)")
+        if node.op == "/":
+            d = self.value(node.right)
+            if self.known(d) is None:
+                self.line(f"if {d} == fzero: {self.fault(node, 'division by zero')}")
+            elif self.known(d) == fzero:
+                self.fail(node, "division by zero")
+            return self.assign(f"mpf_div({self.value(node.left)}, {d}, P, R)")
+        a, b = self.value(node.left), self.value(node.right)
+        if node.op in _BINARY:
+            return self.assign(f"{self.bind(_BINARY[node.op])}({a}, {b}, P, R)")
+        if self.known(b) is not None:
+            return self._power(node, a, self.known(b))
+        self.line(f"if {a} == fzero and {b}[0]: {self.fault(node, _ZERO_TO_NEGATIVE)}")
+        # ctx.isint(b) on the raw value: a nonzero mantissa and no negative
+        # binary exponent, or b = 0
+        self.line(f"if {a}[0] and not ({b}[1] and {b}[2] >= 0 or {b} == fzero): "
+                  f"{self.fault(node, _NEGATIVE_BASE)}")
+        self.line(f"if {b}[2] + {b}[3] > {EXPONENT_CAP}: {self.fault(node, _EXPONENT_PAST_CAP)}")
+        return self.assign(f"mpf_pow({a}, {b}, P, R)")
 
-    return _pow
+    def _power(self, node: Node, a: str, e) -> str:
+        """a^e for a raw constant e: the checks of a variable exponent, of
+        which only those e calls for remain, and the kernel mpf_pow picks
+        for e, branch for branch."""
+        sign, man, exp, bc = e
+        if sign:
+            self.line(f"if {a} == fzero: {self.fault(node, _ZERO_TO_NEGATIVE)}")
+        if not (man and exp >= 0 or e == fzero):
+            self.line(f"if {a}[0]: {self.fault(node, _NEGATIVE_BASE)}")
+        if exp + bc > EXPONENT_CAP:
+            self.fail(node, _EXPONENT_PAST_CAP)
+            return "None"
+        if exp >= 0:
+            return self.assign(f"mpf_pow_int({a}, {self.bind((-1) ** sign * (man << exp))}, P, R)")
+        if exp != -1:
+            return self.assign(f"mpf_pow({a}, {self.bind(e)}, P, R)")
+        # a^(k/2) = sqrt(a)^k, the root at 10 more bits unless k = 1
+        if man == 1:
+            if sign:
+                return self.assign(f"mpf_div(fone, sqrt({a}, P10, RR), P, R)")
+            return self.assign(f"sqrt({a}, P, R)")
+        if sign:
+            return self.assign(f"mpf_pow_int(sqrt({a}, P10, RR), {self.bind(-man)}, P, R)")
+        return self.assign(f"mpf_pow_int(sqrt({a}, P10, R), {self.bind(man)}, P, R)")
 
 
 def evaluator(f: FunctionDef, ctx) -> Callable:
@@ -463,23 +528,14 @@ def evaluator(f: FunctionDef, ctx) -> Callable:
     and side-effect free, so orbits and probes can call it in a tight loop.
 
     The callable maps the raw value of x (an mpf's _mpf_ tuple) to the raw
-    value of f(x); ctx.make_mpf turns that into an mpf. f is compiled to
-    mpmath's libmp kernels at the precision and rounding ctx has at compile
-    time, so the values are those of mpf arithmetic at that precision; a
-    later ctx.extraprec or ctx.prec does not reach the compiled f. A domain
+    value of f(x); ctx.make_mpf turns that into an mpf. f is compiled to one
+    Python function of mpmath's libmp kernels at the precision and rounding
+    ctx has at compile time, so the values are those of mpf arithmetic at
+    that precision; a later ctx.extraprec or ctx.prec does not reach the
+    compiled f. A subtree without x is evaluated here, once. A domain
     failure raises EvalDomainError, whose x is an mpf.
     """
-    raw = _compile(f.root, ctx)
-    make_mpf = ctx.make_mpf
-
-    def fn(x):
-        try:
-            return raw(x)
-        except _DomainFault as fault:
-            where, reason = fault.args
-            raise EvalDomainError(where, make_mpf(x), reason) from None
-
-    return fn
+    return _Codegen(ctx).function(f.root)
 
 
 def parse_constant(text: str, ctx):

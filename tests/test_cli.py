@@ -11,6 +11,7 @@ import mpmath
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import recurseries.cli
 from recurseries.cli import (
     _SUBCOMMANDS,
     RunConfig,
@@ -789,16 +790,49 @@ def argvs(draw):
                         for name, value in draw(st.permutations(options))]
 
 
+def parsed(parser, argv, capsys):
+    """The namespace parser reads from argv, or its exit code and output."""
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        return exc.code, capsys.readouterr()
+
+
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=argvs())
 def test_fuzzed_argv_never_ends_in_a_traceback(capsys, argv):
+    # main builds only the subcommand argv names, which must read argv as
+    # the parser of every subcommand does
+    command = argv[0] if argv[0] in _SUBCOMMANDS else None
+    assert parsed(_build_parser(command), argv, capsys) == parsed(_build_parser(), argv, capsys)
     with tempfile.TemporaryDirectory() as tmp:
         with pytest.raises(SystemExit) as exc:
             main([arg.replace("{dir}", tmp) for arg in argv])
     assert exc.value.code in (0, 1, 2)
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGS))
+def test_a_subcommand_alone_helps_and_errs_as_the_full_parser(capsys, command):
+    for argv in ([command, "--help"], [command, "--bogus"], [command, "--f"]):
+        assert parsed(_build_parser(command), argv, capsys) == parsed(_build_parser(), argv, capsys)
+    assert sorted(vars(_build_parser(command).parse_args([command]))) == ["command"]
+
+
+def test_main_builds_only_the_invoked_subcommand(monkeypatch):
+    built = []
+
+    def build(command=None):
+        built.append(command)
+        return _build_parser(command)
+
+    monkeypatch.setattr(recurseries.cli, "_build_parser", build)
+    for argv in (["limit", "--f=x/2", "--a=1"], ["--help"], ["integrate"], []):
+        with pytest.raises(SystemExit):
+            main(argv)
+    assert built == ["limit", None, None, None]
 
 
 @pytest.mark.parametrize("command", [None] + sorted(SUBCOMMAND_ARGS))

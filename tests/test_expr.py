@@ -1,6 +1,7 @@
 import mpmath
 import pytest
 from hypothesis import given, reject, settings, strategies as st
+from mpmath.libmp import from_man_exp, fzero, mpf_pow, mpf_sqrt
 
 from recurseries import expr
 from recurseries.expr import (
@@ -423,3 +424,72 @@ def test_evaluator_at_p_digits_agrees_with_2p_digits(root, x, p):
     coarse = value_at(f, x, context(p))
     want = value_at(f, x, fine)
     assert abs(fine.convert(coarse) - want) <= fine.mpf(10) ** -p * want
+
+
+@settings(max_examples=400, deadline=None)
+@given(man=st.one_of(st.just(1), st.integers(1, 2**64), st.integers(1, 2**4000),
+                     st.integers(1, 2**1000).map(lambda m: m * m)),
+       exp=st.one_of(st.integers(-4000, 4000), st.integers(-2000, 2000).map(lambda k: 2 * k)),
+       prec=st.integers(53, 2000), rnd=st.sampled_from("nfduc"))
+def test_the_isqrt_square_root_is_mpf_sqrt_bit_for_bit(man, exp, prec, rnd):
+    # perfect squares, man == 1 and odd exponents take mpf_sqrt's other branches
+    s = from_man_exp(man, exp)
+    assert expr._mpf_sqrt(s, prec, rnd) == mpf_sqrt(s, prec, rnd)
+    assert expr._mpf_sqrt(fzero, prec, rnd) == mpf_sqrt(fzero, prec, rnd) == fzero
+
+
+def _rounded_context(rnd):
+    ctx = context(64)
+    ctx._prec_rounding[1] = rnd
+    return ctx
+
+
+# constant exponents: the integers -6..6, +-1/2, +-k/2, +-p/q, and past
+# EXPONENT_CAP (2^1024 has binary magnitude 1025)
+_EXPONENTS = (
+    [str(n) for n in range(-6, 7)] + ["1/2", "-1/2", "0.5"]
+    + [f"{s}{k}/2" for k in (3, 5, 7, 9) for s in ("", "-")]
+    + [f"{s}{p}/{q}" for p, q in ((1, 3), (2, 3), (5, 4), (7, 6), (1, 10)) for s in ("", "-")]
+    + ["2^1024", "-2^1024", "2^1024 + 1/2", "-(2^1024 + 1/2)", "1/2^1030"]
+)
+_BASES = st.one_of(st.sampled_from(_LATTICE).flatmap(lambda x: st.sampled_from([x, -x])),
+                   st.sampled_from([CTX.zero, CTX.inf, -CTX.inf, CTX.nan]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=st.sampled_from(_EXPONENTS), x=_BASES, rnd=st.sampled_from("nfduc"))
+def test_a_constant_exponent_is_mpf_pow_with_its_checks(text, x, rnd):
+    # the kernel and checks decided at compile time give mpf_pow's bits and
+    # the errors of the mpf operators, nan and infinities included
+    root = parse(f"x^({text})").root
+    ctx = _rounded_context(rnd)
+    fn = evaluator(FunctionDef(root, ""), ctx)
+    try:
+        _by_mpf_operators(root, x)
+    except _TooLarge:  # past the cap, after the base checks passed
+        want = EvalDomainError(render(FunctionDef(root, "")), x,
+                               f"exponent reaches the magnitude cap 2^{expr.EXPONENT_CAP}")
+    except EvalDomainError as err:
+        want = err
+    else:
+        e = evaluator(parse(text), ctx)(fzero)
+        assert fn(x._mpf_) == mpf_pow(x._mpf_, e, *ctx._prec_rounding)
+        if rnd == "n":
+            assert fn(x._mpf_) == _by_mpf_operators(root, x)._mpf_
+        return
+    with pytest.raises(EvalDomainError) as info:
+        fn(x._mpf_)
+    assert str(info.value) == str(want)
+
+
+@pytest.mark.parametrize("rnd", "fduc")
+@pytest.mark.parametrize("text", ["-1/2", "-3/2"])
+def test_a_negative_half_exponent_rounds_its_root_the_other_way(text, rnd):
+    # mpf_pow takes the root at 10 more bits, rounded the reciprocal way; a
+    # root rounded the other way shows in about one of 2^10 results
+    ctx = _rounded_context(rnd)
+    fn = evaluator(parse(f"x^({text})"), ctx)
+    e = evaluator(parse(text), ctx)(fzero)
+    for k in range(1, 4000):
+        x = from_man_exp(2**60 + 7919 * k, -61)
+        assert fn(x) == mpf_pow(x, e, *ctx._prec_rounding)

@@ -16,7 +16,9 @@ from recurseries.classify import (
     DERIVATIVE_MARGIN,
     DIVERGENT,
     CONVERGENT,
+    DERIVATIVE_RULE,
     LIMIT_EXPONENT_RULE,
+    VALUE,
     PrecisionGuardError,
     SNAP_TOLERANCE,
     analyze,
@@ -269,6 +271,41 @@ def test_exact_witnesses_from_the_cli():
     assert witnesses("ln(1+x)", "0.5")[0] == {"a": "1.0", "k": "2.0"}
     assert witnesses("sqrt(x^2+x^4)-x^3", "0.5")[0] == {"a": "2.0", "k": "1.0"}
     assert witnesses("0.9*(x/(1+x))") == ({"c": "0.9"}, {"kind": "value", "c": "0.9"})
+    assert witnesses("x^2", "0.5") == ({"c": "0.0"}, {"kind": "value", "c": "0.0"})
+
+
+# e in (1, 4] with denominator up to 6, and c in (0, 1], so that 0 < f(x) < x
+# on (0, 1/2]
+ABOVE_X = st.integers(1, 6).flatmap(
+    lambda q: st.integers(q + 1, 4 * q).map(lambda p: Fraction(p, q)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(e=ABOVE_X, c=st.integers(1, 9).flatmap(
+           lambda q: st.integers(1, q).map(lambda p: Fraction(p, q))),
+       cosine=st.booleans())
+def test_a_germ_above_x_decides_a_zero_derivative(e, c, cosine):
+    # x^e/(1+x) = x^e + ... and c*x^e*cos(x) = c*x^e + ...: f'(0) = 0
+    # exactly, which neither the derivative estimate nor the band samples
+    text = f"({c})*x^({e})*cos(x)" if cosine else f"x^({e})/(1+x)"
+    lead = c if cosine else 1
+    power = f"x^{e}" if e.denominator == 1 else f"x^({e})"
+    probed = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("estimate_derivative_at_zero", "search_exponent", "probe_limit",
+                     "comparison_band"):
+            patch.setattr(recurseries.classify, name,
+                          lambda *args, name=name: probed.append(name))
+        report = analyze(Samples(parse(text), 64, x0="0.5"), max_n=50)
+    assert probed == []
+    assert report.germ.terms[0] == (e, lead)
+    v = report.verdict
+    assert (v.conclusion, v.rule, v.witnesses) == (CONVERGENT, DERIVATIVE_RULE, {"c": 0})
+    assert (report.derivative.kind, report.derivative.c) == (VALUE, 0)
+    assert v.notes == [
+        f"exact germ at 0: f(x) = {'' if lead == 1 else f'{lead}*'}{power} + ...",
+        "f'(0) = 0 < 1 gives eventual geometric decay",
+    ]
 
 
 DECIDED = [e for e in ALL if e.mode == "positive" and expand(target(e)) is not None]
