@@ -55,7 +55,7 @@ from .expr import (
     render,
     taylor_polynomial,
 )
-from .germ import Germ, expand
+from .germ import Germ, Interval, expand
 from .grids import GridSpec, PROBE_GRID, Samples, seed_grid
 from .orbit import (
     CsvRows,

@@ -2,11 +2,13 @@
 
 Each criterion is an explicit rule producing a Verdict that names the rule
 and its numeric witnesses. The `analyze` pipeline wires them together:
-hypothesis validation, the exact germ of f at 0 when it decides (the
-derivative rule or the limit-exponent rule, with exact witnesses), else
-the derivative rule, the limit-exponent rule for the boundary derivative
-case and the comparison band when neither decides, read from samples; the
-signed-mode rules; and an empirical orbit cross-check.
+hypothesis validation, the germ of f at 0 when it decides (the
+derivative rule or the limit-exponent rule, with exact witnesses, or, for
+a bounded oscillating factor, the comparison test or the signed rules read
+from the germ's exact envelopes), else the derivative rule, the
+limit-exponent rule for the boundary derivative case and the comparison
+band when neither decides, read from samples; the sampled signed-mode
+rules; and an empirical orbit cross-check.
 
 Every stage reads f from one sample table per analysis (`Samples`), which
 also fixes the working precision and its one context: f is compiled once,
@@ -45,7 +47,7 @@ from .expr import (
     parse,
     parse_constant,
 )
-from .germ import Germ, expand
+from .germ import Germ, Interval, contracts, expand, high, low, reflect
 from .grids import PER_DECADE, Samples
 from .orbit import (
     HYPOTHESIS_VIOLATION,
@@ -134,7 +136,9 @@ class DerivativeEstimate:
 
     kind is "value" when the sample tail stabilizes, "dne" with the observed
     band [band_low, band_high] when it does not, or "out_of_range" when a
-    stable value contradicts the decay hypotheses.
+    stable value contradicts the decay hypotheses. Read from f's envelopes
+    at 0, with no samples, "dne" carries the exact band that holds f(x)/x
+    near 0 (on both sides, in signed mode).
     """
 
     kind: str
@@ -491,7 +495,10 @@ def _rational(q, ctx):
 
 def _short(q) -> str:
     """A rational as p/q, or to 12 digits when that is long (a binary
-    coefficient of --taylor), as 1 - d or 1 + d when those digits read 1."""
+    coefficient of --taylor), as 1 - d or 1 + d when those digits read 1;
+    an Interval as [lo, hi]."""
+    if isinstance(q, Interval):
+        return f"[{_short(q.lo)}, {_short(q.hi)}]"
     text = str(q)
     if len(text) <= 24:
         return text
@@ -503,12 +510,23 @@ def _short(q) -> str:
 
 def _monomial(c, e) -> str:
     text = _short(c)
-    return ("" if c == 1 else f"({text})*" if " " in text else f"{text}*") + (
+    return ("" if c == 1 else f"({text})*" if " " in text and text[0] != "[" else f"{text}*") + (
         "x" if e == 1 else f"x^{e}" if e.denominator == 1 else f"x^({e})")
 
 
+def _polynomial(terms) -> str:
+    """A sum of rational c*x^e terms, as x - 1/2*x^(3/2)."""
+    text = " ".join(f"{'-' if c < 0 else '+'} {_monomial(abs(c), e)}" for e, c in terms)
+    return "0" if not text else text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+def _envelopes(germ: Germ, of: str = "f(x)", at: str = "0") -> str:
+    return (f"exact envelopes at {at}: {_polynomial(germ.envelope(False))} <= {of}"
+            f" <= {_polynomial(germ.envelope(True))} + O({_monomial(1, germ.order)})")
+
+
 def _germ_rule(germ: Germ, ctx) -> Optional[Tuple[DerivativeEstimate, Verdict]]:
-    """f'(0) and the verdict f's exact germ at 0 decides, or None.
+    """f'(0) and the verdict f's germ at 0 decides, or None.
 
     f = c1*x + ... with 0 < c1 < 1 converges (DerivativeRule, c = c1 at
     ctx's precision), and so does f = c1*x^e1 + ... with c1 > 0 and e1 > 1,
@@ -517,11 +535,16 @@ def _germ_rule(germ: Germ, ctx) -> Optional[Tuple[DerivativeEstimate, Verdict]]:
     k = (a*c)^(-1/a): divergent for a >= 1 and convergent below
     (LimitExponentRule). a and c are exact and k is at ctx's
     precision. A c1 that is not 1 but rounds to 1 decides nothing: f is
-    evaluated with the rounded value, which the sampled route reads.
+    evaluated with the rounded value, which the sampled route reads. A germ
+    x + ... or c1*x + ... whose first interval coefficient comes before any
+    of these reads is decided by its envelopes (see _envelope_rule).
     """
     (e1, c1), rest = germ.terms[0], germ.terms[1:]
-    if e1 < 1 or c1 <= 0:
+    if e1 < 1 or high(c1) <= 0:
         return None
+    if e1 == 1 and (isinstance(c1, Interval)
+                    or c1 == 1 and rest and isinstance(rest[0][1], Interval)):
+        return _envelope_rule(germ, ctx)
     slope = c1 if e1 == 1 else Fraction(0)  # f'(0)
     derivative = DerivativeEstimate(VALUE, _rational(slope, ctx), None, [])
     if derivative.c >= 1 and (slope != 1 or not (rest and rest[0][1] < 0)):
@@ -540,6 +563,83 @@ def _germ_rule(germ: Germ, ctx) -> Optional[Tuple[DerivativeEstimate, Verdict]]:
         [f"exact germ at 0: f(x) = x - {_monomial(c, e)} + ...",
          f"terms decay like k*n^(-1/a) with a = {a} {'>=' if a >= 1 else '<'} 1"],
     )
+
+
+def _exact_band(slopes, ctx) -> DerivativeEstimate:
+    """f'(0) when every coefficient at x in slopes is the same point, else
+    kind dne with the exact band that holds f(x)/x near 0."""
+    lo, hi = min(map(low, slopes)), max(map(high, slopes))
+    if lo == hi:
+        return DerivativeEstimate(VALUE, _rational(lo, ctx), None, [])
+    return DerivativeEstimate(DNE, None, (_rational(lo, ctx), _rational(hi, ctx)), [])
+
+
+def _envelope_rule(germ: Germ, ctx) -> Optional[Tuple[DerivativeEstimate, Verdict]]:
+    """The paper's comparison test, read from f's envelopes at 0+: near 0,
+    g_lo(x) <= f(x) <= g_hi(x) up to O(x^order), where g_lo and g_hi take
+    the low and the high end of each coefficient. Both are increasing near
+    0, and an increasing m with f <= m (f >= m) bounds the orbit of f by
+    m's from below (above).
+
+    g_hi = c*x with c < 1 gives MajorantRule with linear:c, or linear at
+    the midpoint of c and 1 when g_hi has a positive term after c*x.
+    g_hi = x - c*x^(1+a) + ... with c > 0 and a < 1 gives MajorantRule with
+    m = x/(1 + C*x^a)^(1/a) = x - (C/a)*x^(1+a) + ... at C = 0.99*a*c, and
+    g_lo = x - c*x^(1+a) + ... with a >= 1 gives MinorantRule at
+    C = 1.01*a*c. f'(0) is the coefficient at x, or its exact band when that
+    is an interval. Anything else is None, for the sampled route: envelopes
+    can be looser than f (x*sin(1/x)*sin(1/x) reads [-1, 1]*x), and the band
+    may still read f."""
+    upper, lower = germ.envelope(True), germ.envelope(False)
+    derivative = _exact_band([germ.terms[0][1]], ctx)
+    shown = _envelopes(germ)
+    top = upper[0][1]
+    if top < 1:
+        c = top if len(upper) == 1 or upper[1][1] < 0 else (top + 1) / 2
+        return derivative, _comparison(f"linear:{c}", False, shown)
+    for terms, minorant in ((upper, False), (lower, True)):
+        if terms[0] == (1, 1) and len(terms) > 1 and terms[1][1] < 0:
+            a, c = terms[1][0] - 1, -terms[1][1]
+            if (a >= 1) == minorant:
+                scale = Fraction(101 if minorant else 99, 100)
+                return derivative, _comparison(f"powerlaw:a={a},c={a * c * scale}", minorant, shown)
+    return None
+
+
+def _comparison(label: str, minorant: bool, shown: str) -> Verdict:
+    return Verdict(
+        DIVERGENT if minorant else CONVERGENT, MINORANT_RULE if minorant else MAJORANT_RULE,
+        {"minorant" if minorant else "majorant": label},
+        [shown, f"so f(x) {'>=' if minorant else '<='} m(x) near 0 for m = {label},"
+                f" whose series {'diverges' if minorant else 'converges'}"],
+    )
+
+
+def _signed_envelope_rule(sides, ctx) -> Optional[Tuple[DerivativeEstimate, Verdict]]:
+    """The signed rules read from the envelopes of f at 0+ and of -f(-x) at
+    0+ (f at 0-), when either has an interval coefficient and both lead
+    with x or above; None otherwise, for the sampled rules.
+
+    A coefficient at x below 0 on both sides makes x*f(x) < 0 near 0:
+    AlternatingRule. Else |f(x)| <= c*|x| near 0 with c < 1, c the largest
+    magnitude in those coefficients (0 for a side that leads above x), gives
+    AbsoluteBoundRule with c exact. Anything else is inconclusive."""
+    if None in sides or all(g.exact for g in sides) or any(g.terms[0][0] < 1 for g in sides):
+        return None
+    slopes = [g.terms[0][1] if g.terms[0][0] == 1 else Fraction(0) for g in sides]
+    derivative = _exact_band(slopes, ctx)
+    notes = [_envelopes(sides[0], at="0+"), _envelopes(sides[1], "-f(-x)", "0+")]
+    if all(high(c) < 0 for c in slopes):
+        return derivative, Verdict(CONVERGENT, ALTERNATING_RULE,
+                                   {"sign_pattern": "x*f(x) < 0 near 0 by the envelopes"},
+                                   notes + ["terms alternate in sign with decreasing magnitudes"])
+    c = max(max(-low(s), high(s)) for s in slopes)
+    if c < 1:
+        return derivative, Verdict(CONVERGENT, ABSOLUTE_BOUND_RULE, {"c": _rational(c, ctx)}, notes + [
+            f"|f(x)| <= {_short(c)}*|x| near 0 on both sides: absolutely convergent"])
+    return derivative, Verdict(INCONCLUSIVE, None, {}, notes + [
+        f"the envelopes bound |f(x)|/|x| near 0 by {_short(c)}, not below 1;"
+        " nothing further can be concluded in the signed regime"])
 
 
 def limit_exponent_rule(fit: AsymptoticFit) -> Verdict:
@@ -810,14 +910,16 @@ def analyze(table: Samples, mode: str = "auto", max_n: int = 10**6,
 
     mode is "auto", "positive" or "signed"; the orbit cross-check runs to
     min(max_n, CROSS_CHECK_N) steps or until |x_n| < floor. Stages:
-    hypothesis validation with mode detection from |x0| down; in positive
-    mode the exact germ of f at 0, which decides without the probe grid
-    when it can, and then reads the points at the bottom of the seed grid
-    where f(x) rounds to x as a precision limit, not as violations; else
-    the signed rules or the derivative rule, routing to the limit-exponent
-    rule and then the comparison band; then an empirical orbit cross-check
-    whose fit is compared against the verdict. Raises AnalysisError when
-    the seed lies outside the region where the hypotheses hold.
+    hypothesis validation with mode detection from |x0| down; the germ of
+    f at 0+ and, in signed mode, that of -f(-x), which decide without the
+    probe grid when they can (in signed mode only where either has an
+    interval coefficient), and which, where they show |f(x)| < |x| near 0,
+    read the points at the bottom of the seed grid where |f(x)| rounds to
+    |x| as a precision limit, not as violations; else the sampled signed
+    rules or the derivative rule, routing to the limit-exponent rule and
+    then the comparison band; then an empirical orbit cross-check whose fit
+    is compared against the verdict. Raises AnalysisError when the seed
+    lies outside the region where the hypotheses hold.
     """
     ctx = table.ctx
     x0 = table.x0
@@ -828,19 +930,30 @@ def analyze(table: Samples, mode: str = "auto", max_n: int = 10**6,
     _require_positive_seed(table, mode)
 
     hypothesis = validate_hypotheses(table, mode)
-    germ = expand(table.function) if mode is Mode.POSITIVE else None
-    decided = None if germ is None else _germ_rule(germ, ctx)
+    if mode is Mode.POSITIVE:
+        germ = expand(table.function)
+        sides = [germ]
+        decided = None if germ is None else _germ_rule(germ, ctx)
+    else:  # f at 0+, and at 0- through -f(-x) at 0+
+        germ = None
+        sides = [expand(table.function), expand(reflect(table.function))]
+        decided = _signed_envelope_rule(sides, ctx)
+    # whether the germs show |f| < |x| near 0; in positive mode only where
+    # the germ decides, as a c_1 below 1 that rounds to 1 is evaluated as 1
+    shown = (None not in sides and all(map(contracts, sides))
+             and (decided is not None or mode is Mode.SIGNED))
+    of_f, of_x = ("f(x)", "x") if mode is Mode.POSITIVE else ("|f(x)|", "|x|")
     warnings = []
     cut = hypothesis.cut
-    if cut is not None and decided is not None:
-        # the germ shows f < x near 0, so where f(x) rounds to x the
+    if cut is not None and shown:
+        # the germs show |f| < |x| near 0, so where f(x) rounds to x the
         # working precision ran out: those points are no violations
-        kept = [v for v in hypothesis.violations if v[0] > cut]
+        kept = [v for v in hypothesis.violations if abs(v[0]) > cut]
         hypothesis = replace(hypothesis, violations=kept, passed=not kept)
         warnings.append(
-            f"f(x) rounds to x at the working precision from x = {mpmath.nstr(cut, 12)}"
-            " down: a precision limit, not a failed hypothesis, as f's germ at 0 shows"
-            " f(x) < x there"
+            f"{of_f} rounds to {of_x} at the working precision from {of_x} ="
+            f" {mpmath.nstr(cut, 12)} down: a precision limit, not a failed hypothesis, as"
+            f" f's germ at 0 shows {of_f} < {of_x} there"
         )
     region = validated_region(hypothesis)
     if region is None:
@@ -850,10 +963,10 @@ def analyze(table: Samples, mode: str = "auto", max_n: int = 10**6,
                else f"f(x) = {mpmath.nstr(y, 12)}")
             for x, y in hypothesis.violations[:3]
         )
-        limit = "" if cut is None or decided is not None else (
-            f"; f(x) rounds to x at the working precision from x = {mpmath.nstr(cut, 12)}"
-            " down, and f's germ at 0 does not show f(x) < x there: rerun with a higher"
-            " precision to tell a precision limit from a fixed point"
+        limit = "" if cut is None or shown else (
+            f"; {of_f} rounds to {of_x} at the working precision from {of_x} ="
+            f" {mpmath.nstr(cut, 12)} down, and f's germ at 0 does not show {of_f} < {of_x}"
+            " there: rerun with a higher precision to tell a precision limit from a fixed point"
         )
         raise AnalysisError(
             f"the decay hypothesis fails at every sampled scale ({first}){limit}"

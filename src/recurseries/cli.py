@@ -219,10 +219,9 @@ def _report_text(report, cfg: RunConfig, label: str) -> str:
         lines.append(f"  {key} = {value}")
     der = report.derivative
     if der.kind == "dne":
-        lines.append(
-            f"derivative at zero: no stable value; band"
-            f" [{_num(der.band[0], p)}, {_num(der.band[1], p)}]"
-        )
+        band = f"[{_num(der.band[0], p)}, {_num(der.band[1], p)}]"
+        lines.append(f"derivative at zero: no stable value; band {band}" if der.samples else
+                     f"derivative at zero: not read; f(x)/x lies in the exact band {band} near 0")
     else:
         lines.append(f"derivative at zero: {der.kind} c = {_num(der.c, p)}")
     if report.fit is not None and not report.fit.rejected:

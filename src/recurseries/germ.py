@@ -10,14 +10,24 @@ The pass reads +, -, *, / (by factoring out the leading term), ^ with a
 constant rational exponent (c^r only where it is rational), sqrt, exp, sin
 and cos of a series that vanishes at 0, ln of 1 plus such a series, abs by
 the sign of the leading coefficient, and decimal literals, which are exact
-rationals. Anything else is refused: sin(1/x), ln x, x^x, pi, e. So is a
-number past EXPONENT_CAP bits or a series past MAX_TERMS terms, so that no
-input such as 2^(10^9) or (1+x)^(10^9) can make the pass run long.
+rationals. Anything else is refused: ln x, x^x, pi, e. So is a number past
+EXPONENT_CAP bits or a series past MAX_TERMS terms, so that no input such
+as 2^(10^9) or (1+x)^(10^9) can make the pass run long.
+
+A bounded oscillating factor gets an interval coefficient, by Moore's
+interval arithmetic on the coefficients: sin(u) or cos(u) whose u holds x
+but no pi or e and has no germ the pass reads, or one that grows without
+bound (sin(1/x), sin(ln x)), is the constant [-1, 1], and abs of a single
+term takes the interval's magnitude, so abs(sin(1/x)) is [0, 1]. Intervals
+pass through +, - and *; a division by one, a power of one and exp, sin,
+cos or ln of one are refused. Near 0+, f then lies between the envelopes
+sum of lo*x^e and sum of hi*x^e, up to O(x^order). An f without such a
+factor gets the germ of point coefficients it got before intervals.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, Iterator, Optional, Tuple
 
@@ -29,7 +39,48 @@ MAX_TERMS = 64  # the most terms a series, or a power series in one, may hold
 
 _ZERO, _ONE, _HALF = Fraction(0), Fraction(1), Fraction(1, 2)
 
-_Terms = Dict[Fraction, Fraction]
+
+@dataclass(frozen=True)
+class Interval:
+    """The coefficient [lo, hi], lo < hi, of a bounded factor whose value
+    at x is not known; + and * follow Moore's rules, with a Fraction read as
+    the point [c, c]."""
+
+    lo: Fraction
+    hi: Fraction
+
+    def __add__(self, other):
+        return _interval(self.lo + low(other), self.hi + high(other))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Interval(-self.hi, -self.lo)
+
+    def __mul__(self, other):
+        ends = [a * b for a in (self.lo, self.hi) for b in (low(other), high(other))]
+        return _interval(min(ends), max(ends))
+
+    __rmul__ = __mul__
+
+
+def _interval(lo: Fraction, hi: Fraction):
+    return Interval(lo, hi) if lo != hi else lo
+
+
+def low(c) -> Fraction:
+    """The least value of a coefficient, a point or an Interval."""
+    return c.lo if isinstance(c, Interval) else c
+
+
+def high(c) -> Fraction:
+    """The greatest value of a coefficient, a point or an Interval."""
+    return c.hi if isinstance(c, Interval) else c
+
+
+_UNIT = Interval(-_ONE, _ONE)  # sin(u) or cos(u) for a u the pass cannot read
+
+_Terms = Dict[Fraction, object]  # exponent -> Fraction or Interval
 _Series = Tuple[_Terms, Fraction]  # (terms, order): known below x^order
 
 
@@ -45,18 +96,29 @@ class _Short(Exception):
 class Germ:
     """f(x) = sum of c*x^e over terms + O(x^order) as x -> 0+, exactly.
 
-    terms holds (e, c) in ascending e, each c nonzero and each e below order.
+    terms holds (e, c) in ascending e, each c nonzero and each e below order;
+    c is a Fraction, or an Interval that holds the coefficient near 0+.
     """
 
-    terms: Tuple[Tuple[Fraction, Fraction], ...]
+    terms: Tuple[Tuple[Fraction, object], ...]
     order: Fraction
+
+    @property
+    def exact(self) -> bool:
+        """Whether every coefficient is a point, so that the terms are f's."""
+        return not any(isinstance(c, Interval) for _, c in self.terms)
+
+    def envelope(self, upper: bool) -> Tuple[Tuple[Fraction, Fraction], ...]:
+        """The nonzero terms of the upper (hi) or lower (lo) envelope, between
+        which f lies near 0+ up to O(x^order)."""
+        ends = ((e, high(c) if upper else low(c)) for e, c in self.terms)
+        return tuple((e, c) for e, c in ends if c)
 
 
 def expand(f: FunctionDef) -> Optional[Germ]:
     """f's germ at 0+, to the first of ORDERS that shows its leading term and,
-    when that is x itself, the first deviation from x and every term up to
-    twice the deviation's distance from 1 (so the term after it, if any),
-    else to the last order; None when f has no germ the pass reads, or no
+    when that is x or -x, the first deviation from it and every term up to twice the deviation's distance from 1 (so
+    the term after it, if any), else to the last order; None when f has no germ the pass reads, or no
     term shows by the last order. A polynomial that carries its
     coefficients (see taylor_polynomial) has them as its germ, exactly as
     read."""
@@ -76,10 +138,45 @@ def expand(f: FunctionDef) -> Optional[Germ]:
         except _Refused:
             return None
         germ = Germ(tuple(sorted(terms.items())), order) if terms else None
-        if germ and (germ.terms[0] != (_ONE, _ONE)
-                     or len(terms) > 1 and order > 2 * germ.terms[1][0] - 1):
+        if germ and _shown(germ):
             return germ
     return germ
+
+
+def _shown(germ: Germ) -> bool:
+    """Whether the germ shows its leading term and, where that is x or -x,
+    the term after it and every term up to twice that term's distance
+    from 1."""
+    (e1, c1), rest = germ.terms[0], germ.terms[1:]
+    if e1 != 1 or c1 not in (1, -1):
+        return True
+    return bool(rest) and germ.order > 2 * rest[0][0] - 1
+
+
+def reflect(f: FunctionDef) -> FunctionDef:
+    """g(x) = -f(-x), whose germ at 0+ is f's at 0- seen from the right: for
+    y = -x < 0, f(y)/y = g(x)/x. g is read from f's tree, also where f
+    carries its coefficients."""
+    def swap(node):
+        if isinstance(node, Var):
+            return Neg(node)
+        kids = {k: swap(getattr(node, k)) for k in ("arg", "operand", "left", "right")
+                if hasattr(node, k)}
+        return replace(node, **kids) if kids else node
+
+    return FunctionDef(Neg(swap(f.root)), f"-({f.source_text})(-x)")
+
+
+def contracts(germ: Germ) -> bool:
+    """Whether the germ shows |f(x)| < x near 0+: f = o(x), or |c_1| < 1
+    for every c_1 in its leading coefficient at x, or c_1 = 1 or -1 and the
+    term after it has the other sign throughout."""
+    (e1, c1), rest = germ.terms[0], germ.terms[1:]
+    if e1 != 1:
+        return e1 > 1
+    if -1 < low(c1) and high(c1) < 1:
+        return True
+    return bool(rest) and (c1 == 1 and high(rest[0][1]) < 0 or c1 == -1 and low(rest[0][1]) > 0)
 
 
 def _mpf_rational(value) -> Fraction:
@@ -90,9 +187,10 @@ def _mpf_rational(value) -> Fraction:
     return _check((-man if sign else man) * Fraction(2) ** exp)
 
 
-def _check(q: Fraction) -> Fraction:
-    if q.numerator.bit_length() > EXPONENT_CAP or q.denominator.bit_length() > EXPONENT_CAP:
-        raise _Refused(f"a rational past {EXPONENT_CAP} bits")
+def _check(q):
+    for end in (q.lo, q.hi) if isinstance(q, Interval) else (q,):
+        if end.numerator.bit_length() > EXPONENT_CAP or end.denominator.bit_length() > EXPONENT_CAP:
+            raise _Refused(f"a rational past {EXPONENT_CAP} bits")
     return q
 
 
@@ -208,6 +306,7 @@ def _power(base: _Series, r: Fraction, n: Fraction) -> _Series:
     terms, order = base
     if not terms:
         raise _Short
+    _require_points(terms, "a power")
     v = min(terms)
     b = terms[v]
     if b < 0 and r.denominator != 1:
@@ -216,6 +315,28 @@ def _power(base: _Series, r: Fraction, n: Fraction) -> _Series:
     u = {e - v: c / b for e, c in terms.items() if e != v}
     series, rel = _compose(_binomials(r), u, order - v)
     return _trunc({e + shift: c * scale for e, c in series.items()}, min(rel + shift, n))
+
+
+def _require_points(terms: _Terms, what: str) -> None:
+    if any(isinstance(c, Interval) for c in terms.values()):
+        raise _Refused(f"{what} of an interval")
+
+
+def _nodes(node) -> Iterator:
+    yield node
+    for kid in ("arg", "operand", "left", "right"):
+        if hasattr(node, kid):
+            yield from _nodes(getattr(node, kid))
+
+
+def _atom(u, n: Fraction) -> _Series:
+    """sin(u) or cos(u) as the constant [-1, 1], for a u that holds x but no
+    pi or e: with a constant, a sampled route may read the factor better
+    (x*cos(pi*x) has f'(0) = 1), so that is refused as before."""
+    kinds = {type(node) for node in _nodes(u)}
+    if Var not in kinds or Const in kinds:
+        raise _Refused("sin or cos of an argument with no germ")
+    return {_ZERO: _UNIT}, n
 
 
 def _constant(node, n: Fraction) -> Fraction:
@@ -244,14 +365,28 @@ def _expand(node, n: Fraction) -> _Series:
     if isinstance(node, Neg):
         return _neg(_expand(node.operand, n))
     if isinstance(node, Call):
-        arg = _expand(node.arg, n)
+        oscillates = node.func in ("sin", "cos")
+        try:
+            arg = _expand(node.arg, n)
+        except _Refused:
+            if oscillates:
+                return _atom(node.arg, n)
+            raise
         if node.func == "sqrt":
             return _power(arg, _HALF, n)
         terms, order = arg
         if node.func == "abs":
             if not terms:
                 raise _Short
-            return arg if terms[min(terms)] > 0 else _neg(arg)
+            lead = terms[min(terms)]
+            if low(lead) > 0 or high(lead) < 0:
+                return arg if low(lead) > 0 else _neg(arg)
+            if len(terms) > 1:
+                raise _Refused("abs of a series whose sign is not known")
+            return {min(terms): Interval(_ZERO, max(-lead.lo, lead.hi))}, order
+        if oscillates and terms and min(terms) < 0:  # u grows without bound
+            return _atom(node.arg, n)
+        _require_points(terms, node.func)
         if node.func == "ln":
             if not terms:
                 raise _Short

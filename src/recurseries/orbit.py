@@ -137,11 +137,12 @@ def validate_hypotheses(table: Samples, mode: Mode = Mode.POSITIVE) -> Hypothesi
     comparison _decays that iterate makes.
 
     In signed mode every magnitude is checked at both signs. Evaluation
-    domain errors count as violations, recorded with the error. In positive
-    mode the report's cut is the first point of the run at the bottom of
-    the grid where f(x) == x at the working precision, below at least two
-    other points; those points are violations, and only the caller, which
-    knows whether f < x holds near 0, can read them as a precision limit.
+    domain errors count as violations, recorded with the error. The
+    report's cut is the first point of the run at the bottom of the grid
+    where f(x) == x at the working precision (|f(x)| == |x| at both signs
+    of each magnitude, in signed mode), below at least two other points;
+    those points are violations, and only the caller, which knows whether
+    |f| < |x| holds near 0, can read them as a precision limit.
     """
     fn = table.f
     points = table.points(table.seed)
@@ -165,7 +166,9 @@ def validate_hypotheses(table: Samples, mode: Mode = Mode.POSITIVE) -> Hypothesi
             size, bound = mpf_abs(size, prec, rnd), mpf_abs(bound, prec, rnd)
         if not _decays(size, bound):
             violations.append((p, y))
-        flat = flat + 1 if mode is Mode.POSITIVE and size == bound else 0
+        flat = flat + 1 if size == bound else 0
+    if mode is Mode.SIGNED:
+        flat -= flat % 2  # whole pairs p, -p
     cut = None
     if flat and len(points) - flat >= 2:
         cut = points[-flat]

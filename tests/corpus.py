@@ -63,18 +63,26 @@ DECISIVE = [
     # f(x) rounds to x below about 1e-19 at 64 digits; the germ reads a = 4
     CorpusEntry("precision_limited", "x-x^5", None, "0.5", "positive",
                 "divergent", "LimitExponentRule"),
+    # f <= x - x^(1.95)/2, a decay exponent 0.95 too close to 1 for the
+    # band's trend guard, which the envelopes read exactly
+    CorpusEntry("abs_sine_blind", "x - x^(1.95)*(1+abs(sin(1/x)))/2", None, "0.3",
+                "positive", "convergent", "MajorantRule"),
+    # f >= x - x^2: at exponent 1 no sampled trend tells a bounded L_1 from
+    # one growing like x^(b-1) with b just below 1, but the envelopes do
+    CorpusEntry("abs_sine_boundary", "x - x^2*abs(sin(1/x))", None, "0.3",
+                "positive", "divergent", "MinorantRule"),
+    # no germ (ln x), so the sampled comparison band decides
+    CorpusEntry("log_majorant", "x-x^(3/2)*ln(1/x)", None, "0.1",
+                "positive", "convergent", "MajorantRule"),
 ]
 
 INCONCLUSIVE = [
     CorpusEntry("unit_bound", "x*sin(1/x)", None, "0.3", "signed",
                 "inconclusive", None),
-    # exponent 0.95: too close to 1 for the band's trend guard on either side
-    CorpusEntry("abs_sine_blind", "x - x^(1.95)*(1+abs(sin(1/x)))/2", None, "0.3",
-                "positive", "inconclusive", None),
-    # divergent (f >= x - x^2), but at exponent 1 no sampled trend tells a
-    # bounded L_1 from one growing like x^(b-1) with b just below 1
-    CorpusEntry("abs_sine_boundary", "x - x^2*abs(sin(1/x))", None, "0.3",
-                "positive", "inconclusive", None),
+    # unit_bound applied twice: its envelope is [-1, 1]*x, so no contraction
+    # c < 1 holds, though the grid's sup of |f(x)|/|x| is 0.987
+    CorpusEntry("unit_bound_twice", "(x*sin(1/x))*sin(1/(x*sin(1/x)))", None, "0.3",
+                "signed", "inconclusive", None),
 ]
 
 ALL = DECISIVE + INCONCLUSIVE

@@ -30,7 +30,7 @@ from recurseries.expr import (
     BinOp, Call, Const, EvalDomainError, FunctionDef, Neg, Number, Var, context, evaluator, parse,
     parse_constant, taylor_polynomial,
 )
-from recurseries.germ import expand
+from recurseries.germ import Interval, expand
 from recurseries.grids import Samples
 from recurseries.orbit import validate_hypotheses, validated_region
 
@@ -87,7 +87,7 @@ def test_germ_reads_the_deviation_and_the_term_after_it(text, a, c):
 
 
 @pytest.mark.parametrize("text", [
-    "x*(1/2 + 1/3*sin(1/x))", "x - x^2*abs(sin(1/x))", "x - x^2*exp(-1/x)",
+    "x/(2 + sin(1/x))", "x - x^2*exp(sin(1/x))", "x - x^2*exp(-1/x)",
     "x^x", "x - x^2*ln(x)", "x*ln(2+x)", "pi*x", "e*x", "x*sin(1)", "x*exp(1)",
     "x - 2^(1/2)*x^2", "x - (-x)^(1/2)", "x - x^(x/x)", "0*x",
     "2^(10^9)*x", "(1+x)^(10^9)", "x - x^(10^9)", "x - x^2*(1+x^(1/1000))^1000", "x*1e-2000",
@@ -132,7 +132,12 @@ def test_germ_of_any_expression_is_none_or_its_leading_term(root):
     if not ref or abs(fx / ref - 1) > DEEP.mpf("1e-20"):
         return
     x = DEEP.mpf("1e-60")
-    lead = DEEP.mpf(c0.numerator) / c0.denominator * DEEP.power(x, DEEP.mpf(e0.numerator) / e0.denominator)
+    power = DEEP.power(x, DEEP.mpf(e0.numerator) / e0.denominator)
+    if isinstance(c0, Interval):  # f/x^e0 lies in the interval, up to the next term
+        lo, hi = (DEEP.mpf(c.numerator) / c.denominator for c in (c0.lo, c0.hi))
+        assert lo - DEEP.mpf("1e-10") <= fx / power <= hi + DEEP.mpf("1e-10")
+        return
+    lead = DEEP.mpf(c0.numerator) / c0.denominator * power
     assert abs(fx / lead - 1) < DEEP.mpf("1e-10")
 
 
@@ -308,7 +313,9 @@ def test_a_germ_above_x_decides_a_zero_derivative(e, c, cosine):
     ]
 
 
-DECIDED = [e for e in ALL if e.mode == "positive" and expand(target(e)) is not None]
+# the entries whose point germ decides; the envelopes decide others
+DECIDED = [e for e in ALL if e.mode == "positive" and expand(target(e)) is not None
+           and expand(target(e)).exact]
 
 
 def test_the_germ_decides_the_analytic_corpus_entries():
@@ -352,5 +359,9 @@ with open(os.path.join(HERE, "refused_reference.json")) as _f:
 
 @pytest.mark.parametrize("want", REFUSED, ids=lambda want: want["argv"][1])
 def test_an_entry_the_germ_refuses_prints_what_it_printed_before(want):
-    # recorded before the germ existed: the sampled route runs unchanged
+    # recorded before the germ existed: the sampled route runs unchanged on
+    # -x/2 and on x-x^(3/2)*ln(1/x), which the germ refuses. The entries with
+    # a bounded oscillating factor were re-recorded when their envelopes came
+    # to decide them: only the witnesses, the derivative and the verdicts of
+    # the two the band left open changed
     assert run(want["argv"]) == (want["code"], want["stdout"])
