@@ -1,8 +1,7 @@
 """Empirical asymptotics from computed orbits.
 
-Fits the power law x_n ~ k * n^(-1/a) by least squares in log-log space
-and combines partial sums with model-based tail estimates. Both compute on
-the context of the orbit's own values.
+Fits the power law x_n ~ k * n^(-1/a) by least squares in log-log space,
+in binary64, and combines partial sums with model-based tail estimates.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import mpmath
-from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_log, mpf_mul, mpf_sub, mpf_sum
 
 from .orbit import Mode, Orbit
 
@@ -21,6 +19,7 @@ DRIFT_LIMIT = "0.05"
 MIN_WINDOW_TERMS = 100
 FIT_SAMPLES = 200
 RATIO_WINDOW = 8
+LN2 = math.log(2)
 
 
 @dataclass
@@ -41,20 +40,16 @@ class AsymptoticFit:
     reason: Optional[str] = None
 
 
-def _line_fit(ctx, us, vs, ws):
-    """mpf slope and intercept of the weighted least-squares line through raw
-    (u, v), with the libmp calls of ctx.fsum, ctx.fdot and mpf -, *, /."""
-    prec, rnd = ctx._prec_rounding
-    total = mpf_sum(ws, prec, rnd)
-    ubar = mpf_div(mpf_sum(map(mpf_mul, ws, us), prec, rnd), total, prec, rnd)
-    vbar = mpf_div(mpf_sum(map(mpf_mul, ws, vs), prec, rnd), total, prec, rnd)
-    dus = [mpf_sub(u, ubar, prec, rnd) for u in us]
-    wdu = [mpf_mul(w, du, prec, rnd) for w, du in zip(ws, dus)]
-    num = mpf_sum([mpf_mul(a, mpf_sub(v, vbar, prec, rnd)) for a, v in zip(wdu, vs)],
-                  prec, rnd)
-    slope = mpf_div(num, mpf_sum(map(mpf_mul, wdu, dus), prec, rnd), prec, rnd)
-    intercept = mpf_sub(vbar, mpf_mul(slope, ubar, prec, rnd), prec, rnd)
-    return ctx.make_mpf(slope), ctx.make_mpf(intercept)
+def _line_fit(us, vs, ws):
+    """Slope and intercept of the weighted least-squares line through the
+    floats (u, v), centred on the weighted means, with math.fsum sums."""
+    total = math.fsum(ws)
+    ubar = math.fsum(w * u for w, u in zip(ws, us)) / total
+    vbar = math.fsum(w * v for w, v in zip(ws, vs)) / total
+    wdu = [w * (u - ubar) for w, u in zip(ws, us)]
+    slope = (math.fsum(a * (v - vbar) for a, v in zip(wdu, vs))
+             / math.fsum(a * (u - ubar) for a, u in zip(wdu, us)))
+    return slope, vbar - slope * ubar
 
 
 def _sample_indices(start: int, end: int) -> List[int]:
@@ -72,11 +67,13 @@ def fit_power_law(orbit: Orbit, window: Optional[Tuple[int, int]] = None) -> Asy
     The window defaults to the last half of the orbit and must contain at
     least 100 terms. The terms must be positive and strictly decreasing,
     which the fit does not check again: `iterate` in positive mode checks
-    0 < x_{n+1} < x_n at every step. The line is fitted on at most
-    FIT_SAMPLES log-spaced indices, each weighted by the window indices
-    nearer to it than to its neighbours; the residual reads every index. The
-    fit is rejected ("no power law") when the residual exceeds 0.1 or the
-    slope drifts more than 5% between the halves of the samples (in log n).
+    0 < x_{n+1} < x_n at every step. The line is fitted in binary64 on at
+    most FIT_SAMPLES log-spaced indices, each weighted by the window indices
+    nearer to it than to its neighbours; a window whose drop binary64 cannot
+    resolve raises ValueError. The residual reads every index, at working
+    precision. The fit is rejected ("no power law") when the residual exceeds
+    0.1 or the slope drifts more than 5% between the halves of the samples
+    (in log n).
     """
     if orbit.mode is not Mode.POSITIVE:
         raise ValueError("power-law fitting requires a positive-mode orbit")
@@ -92,40 +89,40 @@ def fit_power_law(orbit: Orbit, window: Optional[Tuple[int, int]] = None) -> Asy
     count = end - start + 1
     if count < MIN_WINDOW_TERMS:
         raise ValueError(f"window holds {count} terms, need {MIN_WINDOW_TERMS}")
-    terms = orbit.terms[start : end + 1]  # raw values
 
-    # raw samples with the bits of ctx.ln and mpf arithmetic: the log of the
-    # exact integer n, and (q - p) / 2 rounded once
-    prec, rnd = ctx._prec_rounding
+    # ln x_n in binary64 from the raw mantissa and exponent, so it cannot
+    # underflow, to about 2^-52 of the magnitudes added (ln man, exp ln 2):
+    # a drop within 2^-30 of those gives a slope of rounding noise
+    lns = [math.log(man) + exp * LN2 for _, man, exp, _ in orbit.terms[start : end + 1]]
+    if not lns[0] - lns[-1] > 2**-30 * (abs(lns[0]) + abs(lns[-1]) + 2 * ctx.prec * LN2):
+        raise ValueError("orbit does not decay over the window at binary64 resolution")
     samples = _sample_indices(start, end)
-    us = [mpf_log(from_int(n), prec, rnd) for n in samples]
-    vs = [mpf_log(orbit.terms[n], prec, rnd) for n in samples]
+    us = [math.log(n) for n in samples]
+    vs = [lns[n - start] for n in samples]
     padded = [start - 1] + samples + [end + 1]
-    ws = [from_man_exp(q - p, -1, prec, rnd) for p, q in zip(padded, padded[2:])]
-    slope, intercept = _line_fit(ctx, us, vs, ws)
+    ws = [(q - p) / 2 for p, q in zip(padded, padded[2:])]
+    slope, intercept = _line_fit(us, vs, ws)
     if not slope < 0:
         raise ValueError("orbit does not decay over the window")
-    a = -1 / slope
+    # taken at working precision, where neither can overflow
+    a = -1 / ctx.mpf(slope)
     k = ctx.exp(intercept)
 
-    # Find the worst index in double precision from d_n = ln(n^(1/a) x_n / k),
-    # ln x_n read from the binary mantissa and exponent so it cannot underflow,
-    # then evaluate at working precision each index whose |e^d - 1| (capped
-    # at e^700, far past the limit) comes within 1e-12 of the worst, relative
-    # to the magnitudes added: about 10^4 times the rounding error.
-    slope_d, intercept_d = float(slope), float(intercept)
-    lns = [math.log(man) + exp * math.log(2) for _, man, exp, _ in terms]
-    est = [abs(math.expm1(min(lx - slope_d * math.log(n) - intercept_d, 700.0)))
+    # Find the worst index in binary64 from d_n = ln(n^(1/a) x_n / k), then
+    # evaluate at working precision each index whose |e^d - 1| (capped at
+    # e^700, far past the limit) comes within 1e-12 of the worst, relative to
+    # the magnitudes added: about 10^4 times the rounding error.
+    est = [abs(math.expm1(min(lx - slope * math.log(n) - intercept, 700.0)))
            for n, lx in enumerate(lns, start)]
     worst = max(est)
-    scale = 1 + abs(lns[0]) + abs(lns[-1]) + abs(slope_d) * math.log(end) + abs(intercept_d)
+    scale = 1 + abs(lns[0]) + abs(lns[-1]) + abs(slope) * math.log(end) + abs(intercept)
     near = [n for n, e in enumerate(est, start) if e >= worst - 1e-12 * scale * (1 + worst)]
     residual = max(abs(ctx.power(n, 1 / a) * ctx.make_mpf(orbit.terms[n]) - k)
                    for n in near) / k
     half = len(samples) // 2
-    slope1, _ = _line_fit(ctx, us[:half], vs[:half], ws[:half])
-    slope2, _ = _line_fit(ctx, us[half:], vs[half:], ws[half:])
-    drift = abs(slope1 - slope2) / abs(slope)
+    slope1, _ = _line_fit(us[:half], vs[:half], ws[:half])
+    slope2, _ = _line_fit(us[half:], vs[half:], ws[half:])
+    drift = ctx.mpf(abs(slope1 - slope2) / -slope)
 
     rejected = False
     reason = None

@@ -337,15 +337,23 @@ ARGUMENT_CAP = 2**16
 EXPONENT_CAP = 2**10
 
 
-def _has_var(node: Node) -> bool:
-    if isinstance(node, Var):
-        return True
+def _has_var(node: Node, constants: Optional[list] = None) -> bool:
+    """Whether node has x. A list passed as constants gets the maximal
+    subtrees of node without x, other than a number or pi or e, in the
+    order of the tree."""
+    found = [] if constants is None else constants
     if isinstance(node, Call):
-        return _has_var(node.arg)
-    if isinstance(node, Neg):
-        return _has_var(node.operand)
-    if isinstance(node, BinOp):
-        return _has_var(node.left) or _has_var(node.right)
+        children = (node.arg,)
+    elif isinstance(node, Neg):
+        children = (node.operand,)
+    elif isinstance(node, BinOp):
+        children = (node.left, node.right)
+    else:
+        return isinstance(node, Var)
+    mark = len(found)
+    if any([_has_var(child, found) for child in children]):  # every child
+        return True
+    found[mark:] = [node]
     return False
 
 
@@ -388,13 +396,15 @@ class _Codegen:
 
     Constants, kernels, messages and ctx's precision and rounding are bound
     as values in the function's namespace under generated names; no text of
-    f reaches the source. A subtree without x is compiled on its own and run
-    once, here: the function reads its value, or raises its EvalDomainError
-    at its position on every call. A constant exponent is therefore known
-    here, and so is what mpf_pow would decide from it (see _power).
+    f reaches the source. The maximal subtrees without x are written as
+    functions of one module, compiled together and run once, before f's own
+    statements are written: f reads each one's value, or raises its
+    EvalDomainError at its position on every call. A constant exponent is
+    therefore known here, and so is what mpf_pow would decide from it (see
+    _power).
     """
 
-    def __init__(self, ctx, namespace=None, fold=True):
+    def __init__(self, ctx, namespace=None):
         prec, rnd = ctx._prec_rounding
         self.ctx = ctx
         self.namespace = {
@@ -404,15 +414,30 @@ class _Codegen:
             "mpf_neg": mpf_neg, "mpf_pow": mpf_pow, "mpf_pow_int": mpf_pow_int,
             "sqrt": _mpf_sqrt,
         } if namespace is None else namespace
-        self.fold = fold
+        # the raw value or EvalDomainError of each subtree without x that
+        # function ran, by the id of its node
+        self.folded = {}
         self.lines = []
         self.raises = False  # the statements end in an unconditional raise
 
-    def function(self, node: Node) -> Callable:
+    def source(self, name: str, node: Node) -> str:
         result = self.value(node)
         body = self.lines if self.raises else self.lines + [f"return {result}"]
-        source = "def f(x):\n" + "".join(f"    {line}\n" for line in body)
-        exec(compile(source, "<compiled f>", "exec"), self.namespace)
+        return f"def {name}(x):\n" + "".join(f"    {line}\n" for line in body)
+
+    def function(self, node: Node) -> Callable:
+        constants = []
+        _has_var(node, constants)
+        if constants:
+            module = "".join(_Codegen(self.ctx, self.namespace).source(f"c{i}", c)
+                             for i, c in enumerate(constants))
+            exec(compile(module, "<compiled constants>", "exec"), self.namespace)
+        for i, c in enumerate(constants):
+            try:
+                self.folded[id(c)] = self.namespace[f"c{i}"](fzero)
+            except EvalDomainError as err:
+                self.folded[id(c)] = err
+        exec(compile(self.source("f", node), "<compiled f>", "exec"), self.namespace)
         return self.namespace["f"]
 
     def bind(self, value) -> str:
@@ -453,12 +478,12 @@ class _Codegen:
             return self.bind(self.ctx.mpf(node.text)._mpf_)
         if isinstance(node, Const):
             return self.bind((+self.ctx.pi if node.name == "pi" else self.ctx.exp(1))._mpf_)
-        if self.fold and not _has_var(node):
-            try:
-                return self.bind(_Codegen(self.ctx, self.namespace, fold=False).function(node)(fzero))
-            except EvalDomainError as err:
-                self.fail(node, err.reason, err.subexpression)
-                return "None"
+        folded = self.folded.get(id(node))
+        if isinstance(folded, EvalDomainError):
+            self.fail(node, folded.reason, folded.subexpression)
+            return "None"
+        if folded is not None:
+            return self.bind(folded)
         if isinstance(node, Call):
             a = self.value(node.arg)
             if node.func in _UNARY:

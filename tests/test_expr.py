@@ -323,6 +323,37 @@ def test_constant_subtree_runs_its_libmp_calls_once(monkeypatch):
     assert got == [(x + CTX.sin(CTX.mpf(1) / 3))._mpf_ for x in xs]
 
 
+ONE = CTX.mpf(1)
+
+
+@pytest.mark.parametrize("text,by_mpf", [
+    ("x/(1+x)", lambda x: x / (1 + x)),
+    ("x*(1/2 + 1/3*sin(1/x))", lambda x: x * (ONE / 2 + ONE / 3 * CTX.sin(1 / x))),
+    ("(1/3)^x + ln(2)*cos(x*2^(1/2)) - exp(-1/7)",
+     lambda x: CTX.power(ONE / 3, x) + CTX.ln(2) * CTX.cos(x * CTX.sqrt(2)) - CTX.exp(-ONE / 7)),
+    ("x + ln(0) - sin(1)/7", None),
+    ("sin(1)/7", lambda x: CTX.sin(1) / 7),
+])
+def test_an_evaluator_call_compiles_at_most_twice(monkeypatch, text, by_mpf):
+    # the subtrees without x are functions of one module, f is the other
+    sources = []
+
+    def counting(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(expr, "compile", counting, raising=False)
+    fn = evaluator(parse(text), CTX)
+    assert 1 <= len(sources) <= 2
+    x = CTX.mpf("0.37")
+    if by_mpf is None:
+        with pytest.raises(EvalDomainError, match="in 'ln\\(0\\)' at x = 0.37"):
+            fn(x._mpf_)
+    else:
+        want = by_mpf(x)
+        assert abs(CTX.make_mpf(fn(x._mpf_)) - want) <= abs(want) * CTX.mpf("1e-70")
+
+
 def test_constant_outside_the_domain_raises_at_each_call():
     fn = evaluator(parse("x + ln(0)"), CTX)
     for x in ("0.5", "0.25"):

@@ -363,5 +363,6 @@ def test_an_entry_the_germ_refuses_prints_what_it_printed_before(want):
     # -x/2 and on x-x^(3/2)*ln(1/x), which the germ refuses. The entries with
     # a bounded oscillating factor were re-recorded when their envelopes came
     # to decide them: only the witnesses, the derivative and the verdicts of
-    # the two the band left open changed
+    # the two the band left open changed. The `fit` objects of the five that
+    # print one were re-recorded when the fit's line moved to binary64
     assert run(want["argv"]) == (want["code"], want["stdout"])
