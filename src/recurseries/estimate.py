@@ -52,6 +52,11 @@ def _line_fit(us, vs, ws):
     return slope, vbar - slope * ubar
 
 
+def _deviation(d: float) -> float:
+    """|e^d - 1|, with d capped at 700 so that it cannot overflow."""
+    return abs(math.expm1(min(d, 700.0)))
+
+
 def _sample_indices(start: int, end: int) -> List[int]:
     """At most FIT_SAMPLES log-spaced indices of [start, end], ends included."""
     if end - start < FIT_SAMPLES:
@@ -110,13 +115,20 @@ def fit_power_law(orbit: Orbit, window: Optional[Tuple[int, int]] = None) -> Asy
 
     # Find the worst index in binary64 from d_n = ln(n^(1/a) x_n / k), then
     # evaluate at working precision each index whose |e^d - 1| (capped at
-    # e^700, far past the limit) comes within 1e-12 of the worst, relative to
-    # the magnitudes added: about 10^4 times the rounding error.
-    est = [abs(math.expm1(min(lx - slope * math.log(n) - intercept, 700.0)))
-           for n, lx in enumerate(lns, start)]
-    worst = max(est)
+    # e^700, far past the limit) comes within margin of the worst: 1e-12 of
+    # it, relative to the magnitudes added, about 10^4 times the rounding
+    # error. |e^d - 1| grows with |d| on each side of 0, at a rate of at
+    # least 1 above 0 and e^lo above the smallest d, lo, so only a d within
+    # margin of the largest or margin / e^lo of lo can come that near; twice
+    # those bounds cover their rounding.
+    ds = [lx - slope * math.log(n) - intercept for n, lx in enumerate(lns, start)]
+    hi, lo = max(ds), min(ds)
+    worst = max(_deviation(hi), _deviation(lo))
     scale = 1 + abs(lns[0]) + abs(lns[-1]) + abs(slope) * math.log(end) + abs(intercept)
-    near = [n for n, e in enumerate(est, start) if e >= worst - 1e-12 * scale * (1 + worst)]
+    margin = 1e-12 * scale * (1 + worst)
+    above, below = hi - 2 * margin, lo + 2 * margin * math.exp(min(-lo, 700.0))
+    near = [n for n, d in enumerate(ds, start)
+            if (d >= above or d <= below) and _deviation(d) >= worst - margin]
     residual = max(abs(ctx.power(n, 1 / a) * ctx.make_mpf(orbit.terms[n]) - k)
                    for n in near) / k
     half = len(samples) // 2

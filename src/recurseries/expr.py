@@ -19,16 +19,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import isqrt
 from typing import Callable, Optional, Tuple, Union
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import (
-    fone, from_man_exp, fzero, mpf_abs, mpf_add, mpf_cos, mpf_div, mpf_exp, mpf_log,
-    mpf_mul, mpf_neg, mpf_pow, mpf_pow_int, mpf_sin, mpf_sub, normalize1,
-)
+from mpmath.libmp import fone, fzero, mpf_abs, mpf_exp, mpf_log, mpf_neg, mpf_pow, mpf_pow_int
 from mpmath.libmp.libmpf import reciprocal_rnd
+
+from .kernels import _mpf_sqrt, add, cos, div, mul, sin, sub
 
 
 class ExprError(ValueError):
@@ -320,9 +318,10 @@ def context(precision: int = DEFAULT_PRECISION):
     return ctx
 
 
-# the libmp kernels behind ctx.sin, ctx.cos, ctx.exp and mpf's +, -, *
-_UNARY = {"sin": mpf_sin, "cos": mpf_cos, "exp": mpf_exp}
-_BINARY = {"+": mpf_add, "-": mpf_sub, "*": mpf_mul}
+# the kernels behind ctx.sin, ctx.cos, ctx.exp and mpf's +, -, *: libmp's
+# mpf_exp, and those of kernels.py, with the bits of libmp's
+_UNARY = {"sin": sin, "cos": cos, "exp": mpf_exp}
+_BINARY = {"+": add, "-": sub, "*": mul}
 
 # Caps on binary magnitude (exp + bc of a raw value, so a value below 2^cap in
 # absolute value passes): ARGUMENT_CAP for the arguments of sin, cos and exp,
@@ -362,37 +361,13 @@ _NEGATIVE_BASE = "negative base with non-integer exponent"
 _EXPONENT_PAST_CAP = f"exponent reaches the magnitude cap 2^{EXPONENT_CAP}"
 
 
-def _mpf_sqrt(s, prec, rnd):
-    """libmp's mpf_sqrt of a nonnegative raw value s, step for step, with
-    math.isqrt for the exact integer floor root (isqrt or sqrtrem) that
-    mpf_sqrt takes, so the bits are the same."""
-    sign, man, exp, bc = s
-    if not man:
-        return s
-    if exp & 1:
-        exp -= 1
-        man <<= 1
-        bc += 1
-    elif man == 1:
-        return normalize1(sign, man, exp // 2, bc, prec, rnd)
-    shift = max(4, 2 * prec - bc + 4)
-    shift += shift & 1
-    square = man << shift
-    man = isqrt(square)
-    if rnd not in "fd" and man * man != square:
-        # a nonzero remainder perturbs the root up, as in mpf_sqrt
-        man = (man << 1) + 1
-        shift += 2
-    return from_man_exp(man, (exp - shift) // 2, prec, rnd)
-
-
 class _Codegen:
     """Writes a subtree as one Python function of x, the raw value of x (an
     mpf's _mpf_ tuple), made of straight-line statements in the order of
     evaluation (the right operand of / first). Each statement is the libmp
-    call that mpf arithmetic or the context's function makes, at ctx's
-    precision and rounding, with its domain check in front of it; a check
-    that fails raises EvalDomainError.
+    call that mpf arithmetic or the context's function makes, or the kernel
+    of kernels.py with its bits, at ctx's precision and rounding, with its
+    domain check in front of it; a check that fails raises EvalDomainError.
 
     Constants, kernels, messages and ctx's precision and rounding are bound
     as values in the function's namespace under generated names; no text of
@@ -410,9 +385,9 @@ class _Codegen:
         self.namespace = {
             "P": prec, "R": rnd, "P10": prec + 10, "RR": reciprocal_rnd[rnd],
             "E": EvalDomainError, "mk": ctx.make_mpf, "fzero": fzero, "fone": fone,
-            "mpf_abs": mpf_abs, "mpf_div": mpf_div, "mpf_log": mpf_log,
+            "mpf_abs": mpf_abs, "div": div, "mpf_log": mpf_log,
             "mpf_neg": mpf_neg, "mpf_pow": mpf_pow, "mpf_pow_int": mpf_pow_int,
-            "sqrt": _mpf_sqrt,
+            "mul": mul, "sqrt": _mpf_sqrt,
         } if namespace is None else namespace
         # the raw value or EvalDomainError of each subtree without x that
         # function ran, by the id of its node
@@ -508,7 +483,7 @@ class _Codegen:
                 self.line(f"if {d} == fzero: {self.fault(node, 'division by zero')}")
             elif self.known(d) == fzero:
                 self.fail(node, "division by zero")
-            return self.assign(f"mpf_div({self.value(node.left)}, {d}, P, R)")
+            return self.assign(f"div({self.value(node.left)}, {d}, P, R)")
         a, b = self.value(node.left), self.value(node.right)
         if node.op in _BINARY:
             return self.assign(f"{self.bind(_BINARY[node.op])}({a}, {b}, P, R)")
@@ -535,13 +510,16 @@ class _Codegen:
             self.fail(node, _EXPONENT_PAST_CAP)
             return "None"
         if exp >= 0:
-            return self.assign(f"mpf_pow_int({a}, {self.bind((-1) ** sign * (man << exp))}, P, R)")
+            n = (-1) ** sign * (man << exp)
+            if n == 2:  # mpf_pow_int's branch for n = 2, bit for bit
+                return self.assign(f"mul({a}, {a}, P, R)")
+            return self.assign(f"mpf_pow_int({a}, {self.bind(n)}, P, R)")
         if exp != -1:
             return self.assign(f"mpf_pow({a}, {self.bind(e)}, P, R)")
         # a^(k/2) = sqrt(a)^k, the root at 10 more bits unless k = 1
         if man == 1:
             if sign:
-                return self.assign(f"mpf_div(fone, sqrt({a}, P10, RR), P, R)")
+                return self.assign(f"div(fone, sqrt({a}, P10, RR), P, R)")
             return self.assign(f"sqrt({a}, P, R)")
         if sign:
             return self.assign(f"mpf_pow_int(sqrt({a}, P10, RR), {self.bind(-man)}, P, R)")
@@ -554,9 +532,10 @@ def evaluator(f: FunctionDef, ctx) -> Callable:
 
     The callable maps the raw value of x (an mpf's _mpf_ tuple) to the raw
     value of f(x); ctx.make_mpf turns that into an mpf. f is compiled to one
-    Python function of mpmath's libmp kernels at the precision and rounding
-    ctx has at compile time, so the values are those of mpf arithmetic at
-    that precision; a later ctx.extraprec or ctx.prec does not reach the
+    Python function of mpmath's libmp kernels, and of the kernels of
+    kernels.py that return their bits, at the precision and rounding ctx has
+    at compile time, so the values are those of mpf arithmetic at that
+    precision; a later ctx.extraprec or ctx.prec does not reach the
     compiled f. A subtree without x is evaluated here, once. A domain
     failure raises EvalDomainError, whose x is an mpf.
     """

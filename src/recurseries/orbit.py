@@ -93,29 +93,26 @@ class HypothesisReport:
     cut: Optional[object] = None  # the first point of the run where f(x) rounds to x
 
 
-def _below(a, b) -> bool:
-    """a < b for positive normalized raw values (sign 0, odd mantissa, bc its
-    bit count), exactly as mpf_lt decides it: the top binary exponents
-    exp + bc differ, or the mantissas aligned to the smaller exp decide.
-    mpf_lt subtracts the two whenever their exponents meet, which neighbouring
-    orbit terms do most of the time."""
-    _, ma, ea, ba = a
-    _, mb, eb, bb = b
-    if ea + ba != eb + bb:
-        return ea + ba < eb + bb
-    if ea >= eb:
-        return ma << (ea - eb) < mb
-    return ma < mb << (eb - ea)
-
-
 def _decays(size, bound) -> bool:
-    """0 < size < bound for raw values, bound normalized and nonzero.
+    """0 < size < bound for raw values, bound normalized and nonzero, as
+    mpf_lt(fzero, size) and mpf_lt(size, bound) decide it. Two positive
+    normalized values (sign 0, odd mantissa, bc its bit count) compare by
+    their top binary exponents exp + bc or, where those are equal, by their
+    mantissas aligned to the smaller exp; mpf_lt subtracts the two whenever
+    their exponents meet, which neighbouring orbit terms do most of the time.
 
     Zero, inf and nan have mantissa 0 and a negative value has sign 1, so
-    each of them fails here, as it fails mpf_lt(fzero, size) and
-    mpf_lt(size, bound) (inf is above every finite bound). A negative bound
-    (a negative seed in positive mode) fails every size."""
-    return not size[0] and size[1] != 0 and not bound[0] and _below(size, bound)
+    each of them fails here (inf is above every finite bound). A negative
+    bound (a negative seed in positive mode) fails every size."""
+    sign, man, exp, bc = size
+    bsign, bman, bexp, bbc = bound
+    if sign or not man or bsign:
+        return False
+    if exp + bc != bexp + bbc:
+        return exp + bc < bexp + bbc
+    if exp >= bexp:
+        return man << (exp - bexp) < bman
+    return man < bman << (bexp - exp)
 
 
 def _fixed(s, prec):
@@ -235,8 +232,9 @@ def iterate(
         return Orbit(x0, [x0._mpf_], x0, x0, status, mode, table.precision, 0, streamed)
 
     # The loop runs on the values inside the mpf numbers (their _mpf_
-    # tuples), which f maps to its own, and compares them with _decays and
-    # _below, which decide as mpf_lt does. In positive mode 0 < y is checked
+    # tuples), which f maps to its own, and compares them with _decays, which
+    # decides as mpf_lt does; against the floor only for a term whose top
+    # exponent is not above the floor's. In positive mode 0 < y is checked
     # and y is rounded to the working precision, so y is its own abs(y).
     #
     # A positive S_n is acc * 2^e with 2^(prec-1) <= acc < 2^prec, 2^e its
@@ -250,6 +248,7 @@ def iterate(
     make_mpf = ctx.make_mpf
     positive = mode is Mode.POSITIVE
     floor = floor._mpf_
+    floor_top = floor[2] + floor[3]
     x = s = x0._mpf_
     terms = None if streamed else [x]
     bound = x if positive else mpf_abs(x, prec, rnd)
@@ -263,15 +262,20 @@ def iterate(
         except EvalDomainError as err:
             status = OrbitStatus(HYPOTHESIS_VIOLATION, step, str(err))
             break
-        if v == fzero:
-            status = OrbitStatus(UNDERFLOW, step, "f returned exactly 0")
-            break
         size = v if positive else mpf_abs(v, prec, rnd)
         if not _decays(size, bound):
-            detail = (
-                f"f(x) = {mpmath.nstr(make_mpf(v), 12)} breaks the decay bound"
-                f" at x = {mpmath.nstr(make_mpf(x), 12)}"
-            )
+            if v == fzero:
+                status = OrbitStatus(UNDERFLOW, step, "f returned exactly 0")
+                break
+            if size == bound:
+                what = "f(x) rounds to x" if positive else "|f(x)| rounds to |x|"
+                detail = (f"{what} = {mpmath.nstr(make_mpf(bound), 12)} at the working"
+                          " precision (a fixed point or a precision limit)")
+            else:
+                detail = (
+                    f"f(x) = {mpmath.nstr(make_mpf(v), 12)} breaks the decay bound"
+                    f" at x = {mpmath.nstr(make_mpf(x), 12)}"
+                )
             status = OrbitStatus(HYPOTHESIS_VIOLATION, step, detail)
             break
         total = top
@@ -297,7 +301,7 @@ def iterate(
             terms.append(v)
         elif not step % thin:
             rows(step, make_mpf(v), make_mpf(_sum(s, acc, e, prec)))
-        if _below(size, floor):
+        if size[2] + size[3] <= floor_top and _decays(size, floor):
             status = OrbitStatus(REACHED_FLOOR, step)
             break
     if status is None:

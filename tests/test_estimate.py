@@ -240,6 +240,40 @@ def test_residual_reads_every_window_index(name, data):
         assert fit.residual == worst / fit.k
 
 
+@st.composite
+def _noisy_power_law(draw):
+    """A positive orbit k * n^(-1/a) * (1 + noise_n), the noise uniform up to
+    an amplitude from 0 to 1e-2, now and then with one spike up to 0.5 above
+    or below, or with its largest deviations repeated at other indices."""
+    a = draw(st.floats(min_value=0.2, max_value=5))
+    k = draw(st.floats(min_value=1e-3, max_value=1e3))
+    last = draw(st.integers(min_value=200, max_value=3000))
+    amplitude = draw(st.sampled_from([0, 1e-15, 1e-9, 1e-4, 1e-2]))
+    rng = draw(st.randoms(use_true_random=False))
+    noise = [rng.uniform(-amplitude, amplitude) for _ in range(last + 1)]
+    if draw(st.booleans()):
+        noise[rng.randrange(last // 2, last + 1)] = draw(st.floats(min_value=-0.5, max_value=0.5))
+    if draw(st.booleans()):
+        for n in rng.sample(range(last // 2, last + 1), 3):
+            noise[n] = draw(st.sampled_from([max(noise), min(noise)]))
+    a, k = CTX.mpf(a), CTX.mpf(k)
+    terms = [2 * k] + [k * CTX.power(n, -1 / a) * (1 + CTX.mpf(noise[n]))
+                       for n in range(1, last + 1)]
+    return synthetic_orbit(terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_noisy_power_law())
+def test_residual_is_the_worst_window_index_on_noisy_power_laws(orbit):
+    # the binary64 scan keeps only the indices near the largest and the
+    # smallest deviation, yet the residual is the maximum over every index
+    fit = fit_power_law(orbit)
+    lo, hi = fit.window
+    worst = max(abs(CTX.power(n, 1 / fit.a) * CTX.make_mpf(orbit.terms[n]) - fit.k)
+                for n in range(lo, hi + 1))
+    assert fit.residual == worst / fit.k
+
+
 def test_fit_work_is_bounded_by_the_samples(monkeypatch):
     # the line is fitted in binary64, so the fit takes no working-precision
     # log; what it computes at working precision is e^intercept and n^(1/a)

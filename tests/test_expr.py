@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 from mpmath.libmp import from_man_exp, fzero, mpf_pow, mpf_sqrt
 
-from recurseries import expr
+from recurseries import expr, kernels
 from recurseries.expr import (
     ArityError,
     BinOp,
@@ -283,11 +283,17 @@ def _by_mpf_operators(node, x):
     return CTX.power(a, b)
 
 
-# x from the quarter-decade lattice, the corpus seeds and their negatives
+# x from the quarter-decade lattice, the corpus seeds, and raw values with
+# mantissas up to the working precision and |x| from 2^-400 to 2^8, with
+# their negatives: the kernels' carries, ties and cancellations, and sin and
+# cos on both sides of |x| = 1
 _LATTICE = seed_grid("1", CTX).points(CTX)
+_RAW = st.tuples(st.integers(1, 2**CTX.prec - 1), st.integers(-400, 8)).map(
+    lambda mt: CTX.make_mpf(from_man_exp(mt[0], mt[1] - mt[0].bit_length())))
 _xs = st.one_of(
     st.sampled_from(_LATTICE),
     st.sampled_from(["1", "0.5", "0.25", "0.3", "0.9", "2"]).map(CTX.mpf),
+    _RAW,
 ).flatmap(lambda x: st.sampled_from([x, -x]))
 
 
@@ -465,8 +471,8 @@ def test_evaluator_at_p_digits_agrees_with_2p_digits(root, x, p):
 def test_the_isqrt_square_root_is_mpf_sqrt_bit_for_bit(man, exp, prec, rnd):
     # perfect squares, man == 1 and odd exponents take mpf_sqrt's other branches
     s = from_man_exp(man, exp)
-    assert expr._mpf_sqrt(s, prec, rnd) == mpf_sqrt(s, prec, rnd)
-    assert expr._mpf_sqrt(fzero, prec, rnd) == mpf_sqrt(fzero, prec, rnd) == fzero
+    assert kernels._mpf_sqrt(s, prec, rnd) == mpf_sqrt(s, prec, rnd)
+    assert kernels._mpf_sqrt(fzero, prec, rnd) == mpf_sqrt(fzero, prec, rnd) == fzero
 
 
 def _rounded_context(rnd):

@@ -1,0 +1,246 @@
+"""Each kernel of recurseries.kernels against the libmp function it stands
+for, bit for bit, on raw operands drawn to reach its branches: equal
+exponents, mpf_add's perturbation bounds, carries to a power of two, exact
+ties at both parities, cancellation to 0, divisor mantissa 1, exact
+division, both signs, |x| at 1 and mpf_cos_sin's tiny-argument cut; now and
+then a zero, inf or nan operand, or a rounding other than to nearest."""
+
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+from mpmath.libmp import (
+    finf, fnan, fninf, from_man_exp, fzero, mpf_add, mpf_cos, mpf_div, mpf_mul,
+    mpf_pow_int, mpf_sin, mpf_sub, normalize,
+)
+
+from recurseries import kernels
+
+# the working precisions of context(64) and of its roots, and any other
+PRECS = st.one_of(st.sampled_from([53, 249, 259]), st.integers(1, 300))
+SPECIALS = [fzero, finf, fninf, fnan]
+OTHER_ROUNDINGS = "fcdu"
+
+
+@st.composite
+def _raw(draw, bc=None, exp=None, sign=None):
+    """A regular normalized raw value: an odd mantissa of bc bits, random,
+    all ones or 2^(bc-1) + 1."""
+    bc = draw(st.integers(1, 320)) if bc is None else bc
+    shape = draw(st.sampled_from(["random", "ones", "low"]))
+    if bc == 1:
+        man = 1
+    elif shape == "ones":
+        man = (1 << bc) - 1
+    elif shape == "low":
+        man = (1 << (bc - 1)) + 1
+    else:
+        man = 1 << (bc - 1) | draw(st.integers(0, (1 << (bc - 1)) - 1)) | 1
+    exp = draw(st.integers(-400, 400)) if exp is None else exp
+    sign = draw(st.integers(0, 1)) if sign is None else sign
+    return sign, man, exp, bc
+
+
+def _odd_exact(man):
+    """The precision at which the odd mantissa man, kept whole, rounds at an
+    exact tie: one bit, the last, is dropped."""
+    return max(1, man.bit_length() - 1)
+
+
+@st.composite
+def _special_or_rounding(draw, args, operands):
+    """args = (*operands, prec, rnd), now and then with a special operand or
+    another rounding."""
+    args = list(args)
+    if draw(st.integers(0, 9)) == 0:
+        args[draw(st.integers(0, operands - 1))] = draw(st.sampled_from(SPECIALS))
+    if draw(st.integers(0, 9)) == 0:
+        args[-1] = draw(st.sampled_from(OTHER_ROUNDINGS))
+    return tuple(args)
+
+
+@st.composite
+def _sums(draw):
+    """(s, t, prec, rnd) for add and sub."""
+    prec = draw(PRECS)
+    kind = draw(st.sampled_from(["random", "equal", "near", "far", "carry", "tie", "cancel"]))
+    s = draw(_raw())
+    if kind == "random":
+        t = draw(_raw())
+    elif kind == "equal":
+        t = draw(_raw(exp=s[2]))
+    elif kind == "near":
+        t = draw(_raw(exp=s[2] + draw(st.integers(-120, 120))))
+    elif kind == "far":
+        # exponents 100 or 101 apart and the magnitudes exp + bc prec + 3 to
+        # prec + 5 apart: mpf_add perturbs past 100 and prec + 4
+        apart = draw(st.sampled_from([100, 101]))
+        gap = prec + 4 + draw(st.sampled_from([-1, 0, 1]))
+        low = draw(st.integers(1, 40))
+        # bit counts of the operand with the higher exponent and the other
+        high_bc, low_bc = (low + gap - apart, low) if gap >= apart else (low, low + apart - gap)
+        high = draw(_raw(bc=high_bc))
+        t = draw(_raw(bc=low_bc, exp=high[2] - apart))
+        s, t = (high, t) if draw(st.booleans()) else (t, high)
+    elif kind == "carry":
+        # all ones plus a unit at or below their last: 2^bc, or 2^(bc+j) - 1
+        s = draw(_raw(bc=draw(st.integers(1, 300))))
+        s = (s[0], (1 << s[3]) - 1, s[2], s[3])
+        t = (s[0], 1, s[2] - draw(st.integers(0, 3)), 1)
+        prec = draw(st.sampled_from([s[3] - 1, s[3], s[3] + 1, max(1, s[3] - 5), prec]))
+    elif kind == "tie":
+        t = draw(_raw(exp=s[2] - draw(st.integers(1, 100))))
+        total = (-1) ** s[0] * (s[1] << (s[2] - t[2])) + (-1) ** t[0] * t[1]
+        prec = _odd_exact(abs(total))
+    else:  # -s, to 0; sub(s, s) is drawn with op
+        t = (1 - s[0],) + s[1:]
+    return draw(_special_or_rounding((s, t, max(1, prec), "n"), 2))
+
+
+@st.composite
+def _products(draw):
+    """(s, t, prec, rnd) for mul; half are squares, and a third round a
+    product at an exact tie."""
+    s = draw(_raw())
+    t = s if draw(st.booleans()) else draw(_raw())
+    prec = draw(st.one_of(PRECS, st.just(_odd_exact(s[1] * t[1]))))
+    return draw(_special_or_rounding((s, t, prec, "n"), 2))
+
+
+@st.composite
+def _quotients(draw):
+    """(s, t, prec, rnd) for div: random, divisor mantissa 1, and exact
+    quotients, some at a tie."""
+    kind = draw(st.sampled_from(["random", "unit", "exact", "tie"]))
+    prec = draw(PRECS)
+    t = draw(_raw())
+    if kind == "random":
+        s = draw(_raw())
+    elif kind == "unit":
+        t = (t[0], 1, t[2], 1)
+        s = draw(_raw())
+        prec = draw(st.one_of(st.just(prec), st.just(_odd_exact(s[1]))))
+    else:
+        q = draw(_raw(bc=draw(st.integers(1, 300))))[1]
+        if kind == "tie":
+            prec = _odd_exact(q)
+        man = q * t[1]
+        s = (draw(st.integers(0, 1)), man, draw(st.integers(-400, 400)), man.bit_length())
+    return draw(_special_or_rounding((s, t, prec, "n"), 2))
+
+
+@st.composite
+def _angles(draw):
+    """(x, prec, rnd) for sin and cos: |x| from 2^-400 to 2^8, just below and
+    above 1, and at mpf_cos_sin's cut 2^-(prec+10)."""
+    prec = draw(PRECS)
+    kind = draw(st.sampled_from(["random", "unit", "tiny"]))
+    sign = draw(st.integers(0, 1))
+    # prec + 1 bits: just above the cut, sin(x) rounds x itself at a tie
+    bc = draw(st.one_of(st.just(prec + 1), st.integers(1, prec + 20)))
+    if kind == "random":
+        x = draw(_raw(bc=bc, sign=sign))
+        x = x[:2] + (draw(st.integers(-400, 8)) - bc, bc)
+    elif kind == "unit":
+        x = from_man_exp((-1) ** sign * ((1 << bc) + draw(st.integers(-3, 3))), -bc)
+    else:
+        x = draw(_raw(bc=bc, sign=sign))
+        x = x[:2] + (-(prec + 10) + draw(st.integers(-2, 1)) - bc, bc)
+    return draw(_special_or_rounding((x, prec, "n"), 1))
+
+
+def _same(kernel, libmp, args):
+    try:
+        want = libmp(*args)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            kernel(*args)
+        return
+    assert kernel(*args) == want
+
+
+@st.composite
+def _mantissas(draw):
+    """(man, prec): man >= 0 random, 2^k or 2^k - 1, or the prec bits of kept
+    with one set bit after them, an exact tie."""
+    prec = draw(PRECS)
+    kind = draw(st.sampled_from(["random", "power", "ones", "tie"]))
+    if kind == "random":
+        return draw(st.integers(0, 2**400)), prec
+    if kind == "power":
+        return 1 << draw(st.integers(0, 300)), prec
+    if kind == "ones":
+        return (1 << draw(st.integers(1, 300))) - 1, prec
+    kept = draw(st.integers(1, 2**300))
+    dropped = draw(st.integers(1, 60))
+    return kept << dropped | 1 << (dropped - 1), kept.bit_length()
+
+
+@settings(max_examples=500, deadline=None)
+@given(drawn=_mantissas(), exp=st.integers(-500, 500), sign=st.integers(0, 1))
+def test_normalize_is_libmp_normalize_at_round_nearest(drawn, exp, sign):
+    man, prec = drawn
+    want = normalize(sign, man, exp, man.bit_length(), prec, "n")
+    assert kernels._normalize(sign, man, exp, prec) == want
+
+
+@settings(max_examples=1500, deadline=None)
+@given(_sums(), st.booleans())
+def test_add_and_sub_are_mpf_add_and_mpf_sub(args, same):
+    s, t, prec, rnd = args
+    _same(kernels.add, mpf_add, args)
+    _same(kernels.sub, mpf_sub, args)
+    _same(kernels.sub, mpf_sub, (s, s, prec, rnd) if same else (t, s, prec, rnd))
+
+
+@settings(max_examples=600, deadline=None)
+@given(_products())
+def test_mul_is_mpf_mul_and_a_square_is_mpf_pow_int(args):
+    s, t, prec, rnd = args
+    _same(kernels.mul, mpf_mul, args)
+    assert kernels.mul(s, s, prec, rnd) == mpf_pow_int(s, 2, prec, rnd)
+
+
+@settings(max_examples=800, deadline=None)
+@given(_quotients())
+def test_div_is_mpf_div(args):
+    _same(kernels.div, mpf_div, args)
+
+
+@settings(max_examples=800, deadline=None)
+@given(_angles())
+def test_sin_and_cos_are_mpf_sin_and_mpf_cos(args):
+    _same(kernels.sin, mpf_sin, args)
+    _same(kernels.cos, mpf_cos, args)
+
+
+def _falls_back(name, args):
+    """Whether the kernel must call its libmp function: a zero or special
+    operand, a rounding other than to nearest, mpf_add's perturbation
+    (exponents more than 100 apart and magnitudes more than prec + 4) and
+    mpf_cos_sin's tiny argument, below 2^-(prec+10)."""
+    *operands, prec, rnd = args
+    if rnd != "n" or not all(x[1] for x in operands):
+        return True
+    if name == "add":
+        (_, _, sexp, sbc), (_, _, texp, tbc) = operands
+        offset, delta = sexp - texp, sexp + sbc - texp - tbc
+        return offset > 100 and delta > prec + 4 or offset < -100 and -delta > prec + 4
+    if name == "sin":
+        _, _, exp, bc = operands[0]
+        return exp + bc < -(prec + 10)
+    return False
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(_sums().map(lambda a: ("add", a)), _products().map(lambda a: ("mul", a)),
+                 _quotients().map(lambda a: ("div", a)), _angles().map(lambda a: ("sin", a))))
+def test_kernels_call_libmp_exactly_off_their_fast_paths(case):
+    name, args = case
+    libmp = {"add": "mpf_add", "mul": "mpf_mul", "div": "mpf_div", "sin": "mpf_sin"}[name]
+    with mock.patch.object(kernels, libmp, wraps=getattr(kernels, libmp)) as called:
+        try:
+            getattr(kernels, name)(*args)
+        except ZeroDivisionError:
+            pass
+    assert called.called == _falls_back(name, args)

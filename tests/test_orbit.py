@@ -20,7 +20,7 @@ from mpmath.libmp import (
 )
 
 from recurseries.estimate import fit_power_law, sum_estimate
-from recurseries.expr import context, evaluator, parse
+from recurseries.expr import context, parse
 from recurseries.grids import GridSpec, Samples, seed_grid
 from recurseries.orbit import (
     CsvRows,
@@ -30,7 +30,6 @@ from recurseries.orbit import (
     Mode,
     REACHED_FLOOR,
     UNDERFLOW,
-    _below,
     _decays,
     iterate,
     validate_hypotheses,
@@ -196,28 +195,36 @@ def test_write_csv_thin_keeps_last_row():
     assert abs(x_last - mpmath.mpf(1) / 101) < mpmath.mpf("1e-12")
 
 
-@pytest.mark.parametrize("text,x0,mode", [
-    ("x/(1+x)", "0.5", Mode.POSITIVE),
-    ("sin(x)", "1", Mode.POSITIVE),
-    ("-sin(x)", "1", Mode.SIGNED),
-    ("-x/2", "1", Mode.SIGNED),  # the corpus's alternating entry, to the floor
-])
-def test_iterate_is_the_plain_mpf_recurrence(text, x0, mode):
+# each input with f by CTX's mpf operators and functions, and the last index
+_RECURRENCES = [
+    ("x/(1+x)", "0.5", Mode.POSITIVE, lambda x: x / (1 + x), 2000),
+    ("sin(x)", "1", Mode.POSITIVE, CTX.sin, 2000),
+    ("-sin(x)", "1", Mode.SIGNED, lambda x: -CTX.sin(x), 2000),
+    # the corpus's alternating entry, to the floor
+    ("-x/2", "1", Mode.SIGNED, lambda x: -x / 2, 133),
+    ("x - x^2", "0.5", Mode.POSITIVE, lambda x: x - x ** 2, 2000),
+    ("x/(1+x^(1/2))^2", "1", Mode.POSITIVE, lambda x: x / (1 + CTX.sqrt(x)) ** 2, 2000),
+    ("0.9*(x/(1+x))", "1", Mode.POSITIVE, lambda x: CTX.mpf("0.9") * (x / (1 + x)), 852),
+]
+
+
+@pytest.mark.parametrize("text,x0,mode,by_mpf,last", _RECURRENCES,
+                         ids=[case[0] for case in _RECURRENCES])
+def test_iterate_is_the_plain_mpf_recurrence(text, x0, mode, by_mpf, last):
     # the stored orbit keeps x_n and S_N, the streamed one hands out every
     # (x_n, S_n): each is the recurrence in mpf arithmetic, bit for bit
     orbit = iterate(Samples(parse(text)), x0, max_n=2000, mode=mode)
     rows = []
     streamed = iterate(Samples(parse(text)), x0, max_n=2000, mode=mode,
                        rows=lambda n, x, s: rows.append((x, s)))
-    fn = evaluator(parse(text), CTX)
     x = s = CTX.convert(x0)
     terms, sums = [x], [s]
     for _ in range(orbit.last_index):
-        x = CTX.make_mpf(fn(x._mpf_))
+        x = by_mpf(x)
         s = s + x
         terms.append(x)
         sums.append(s)
-    assert orbit.last_index == (133 if text == "-x/2" else 2000)
+    assert orbit.last_index == last
     assert orbit.terms == [t._mpf_ for t in terms]
     assert (orbit.x_n._mpf_, orbit.s_n._mpf_) == (terms[-1]._mpf_, sums[-1]._mpf_)
     assert [(x._mpf_, s._mpf_) for x, s in rows] == [
@@ -226,21 +233,28 @@ def test_iterate_is_the_plain_mpf_recurrence(text, x0, mode):
     assert all(type(v) is type(streamed.x0) for row in rows for v in row)
 
 
-@pytest.mark.parametrize("text,mode,kind,step,detail", [
-    ("2*x", Mode.POSITIVE, HYPOTHESIS_VIOLATION, 1,
+_ROUNDS_TO_X = "at the working precision (a fixed point or a precision limit)"
+
+
+@pytest.mark.parametrize("text,x0,mode,kind,step,detail", [
+    ("2*x", "1", Mode.POSITIVE, HYPOTHESIS_VIOLATION, 1,
      "f(x) = 2.0 breaks the decay bound at x = 1.0"),
-    ("x - 0.3", Mode.POSITIVE, HYPOTHESIS_VIOLATION, 4,
+    ("x - 0.3", "1", Mode.POSITIVE, HYPOTHESIS_VIOLATION, 4,
      "f(x) = -0.2 breaks the decay bound at x = 0.1"),
-    ("x - 0.3", Mode.SIGNED, HYPOTHESIS_VIOLATION, 4,
+    ("x - 0.3", "1", Mode.SIGNED, HYPOTHESIS_VIOLATION, 4,
      "f(x) = -0.2 breaks the decay bound at x = 0.1"),
-    ("sqrt(x - 0.2)", Mode.POSITIVE, HYPOTHESIS_VIOLATION, 461,
-     "f(x) = 0.72360679775 breaks the decay bound at x = 0.72360679775"),
-    ("x - 0.25", Mode.POSITIVE, UNDERFLOW, 4, "f returned exactly 0"),
-    ("sqrt(x - 0.3)", Mode.POSITIVE, HYPOTHESIS_VIOLATION, 10,
+    ("sqrt(x - 0.2)", "1", Mode.POSITIVE, HYPOTHESIS_VIOLATION, 461,
+     f"f(x) rounds to x = 0.72360679775 {_ROUNDS_TO_X}"),
+    ("sin(x)", "1e-50", Mode.POSITIVE, HYPOTHESIS_VIOLATION, 1,
+     f"f(x) rounds to x = 1.0e-50 {_ROUNDS_TO_X}"),
+    ("-sin(x)", "1e-50", Mode.SIGNED, HYPOTHESIS_VIOLATION, 1,
+     f"|f(x)| rounds to |x| = 1.0e-50 {_ROUNDS_TO_X}"),
+    ("x - 0.25", "1", Mode.POSITIVE, UNDERFLOW, 4, "f returned exactly 0"),
+    ("sqrt(x - 0.3)", "1", Mode.POSITIVE, HYPOTHESIS_VIOLATION, 10,
      "square root of a negative value in 'sqrt(x - 0.3)' at x = 0.27876411061"),
 ])
-def test_iterate_status_details(text, mode, kind, step, detail):
-    orbit = iterate(Samples(parse(text)), 1, mode=mode)
+def test_iterate_status_details(text, x0, mode, kind, step, detail):
+    orbit = iterate(Samples(parse(text)), x0, floor="1e-60", mode=mode)
     assert (orbit.status.kind, orbit.status.step, orbit.status.detail) == (kind, step, detail)
     assert orbit.last_index == step - 1
 
@@ -388,9 +402,8 @@ def _positive_raw_pairs(draw):
 @given(_positive_raw_pairs())
 def test_raw_comparison_is_mpf_lt(pair):
     a, b = pair
-    assert _below(a, b) == mpf_lt(a, b)
-    assert _below(b, a) == mpf_lt(b, a)
-    assert _decays(a, b) == (mpf_lt(fzero, a) and mpf_lt(a, b))
+    assert _decays(a, b) == mpf_lt(a, b)
+    assert _decays(b, a) == mpf_lt(b, a)
 
 
 _NOT_POSITIVE = [fzero, finf, fnan, fninf, from_man_exp(-1, 0), from_man_exp(-3, -70)]
