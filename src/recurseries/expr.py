@@ -19,14 +19,19 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import fone, fzero, mpf_abs, mpf_exp, mpf_log, mpf_neg, mpf_pow, mpf_pow_int
+from mpmath.libmp import (
+    fone, fzero, mpf_abs, mpf_exp, mpf_log, mpf_neg, mpf_pow, mpf_pow_int, round_nearest,
+)
 from mpmath.libmp.libmpf import reciprocal_rnd
 
-from .kernels import _mpf_sqrt, add, cos, div, mul, sin, sub
+from .kernels import (
+    DECAYS, GLOBALS, INLINE, SUM, _decays, _mpf_sqrt, add, cos, div, indent, inline, mul, sin,
+    sub,
+)
 
 
 class ExprError(ValueError):
@@ -335,6 +340,10 @@ _BINARY = {"+": add, "-": sub, "*": mul}
 ARGUMENT_CAP = 2**16
 EXPONENT_CAP = 2**10
 
+# how a compiled orbit loop (see orbit_loop) stopped: at its step limit, at
+# the floor, at a term that does not decay, or at an EvalDomainError of f
+STOP_MAX_N, STOP_FLOOR, STOP_DECAY, STOP_DOMAIN = range(4)
+
 
 def _has_var(node: Node, constants: Optional[list] = None) -> bool:
     """Whether node has x. A list passed as constants gets the maximal
@@ -359,40 +368,58 @@ def _has_var(node: Node, constants: Optional[list] = None) -> bool:
 _ZERO_TO_NEGATIVE = "zero raised to a negative power"
 _NEGATIVE_BASE = "negative base with non-integer exponent"
 _EXPONENT_PAST_CAP = f"exponent reaches the magnitude cap 2^{EXPONENT_CAP}"
+_FIELDS = ("sign", "man", "exp", "bc")
+
+
+def _source(field) -> str:
+    """The source of a field: a name, or an integer literal."""
+    if isinstance(field, str):
+        return field
+    return f"({int(field)})" if field < 0 else str(int(field))
 
 
 class _Codegen:
-    """Writes a subtree as one Python function of x, the raw value of x (an
-    mpf's _mpf_ tuple), made of straight-line statements in the order of
-    evaluation (the right operand of / first). Each statement is the libmp
-    call that mpf arithmetic or the context's function makes, or the kernel
-    of kernels.py with its bits, at ctx's precision and rounding, with its
-    domain check in front of it; a check that fails raises EvalDomainError.
+    """Writes a subtree as straight-line Python statements in the order of
+    evaluation (the right operand of / first), on the raw value of x (an
+    mpf's _mpf_ tuple). Each statement is the libmp call that mpf arithmetic
+    or the context's function makes, or the kernel of kernels.py with its
+    bits, at ctx's precision and rounding, with its domain check in front of
+    it; a check that fails raises EvalDomainError.
+
+    function writes them as a function of x. orbit writes them, with fields
+    set, into the loop of a whole orbit (or writes the loop that calls f):
+    there a raw value is its four fields (sign, man, exp, bc) as locals, or
+    as literals for a constant, and at round-nearest the kernels' fast paths
+    run inline, from the statement text of kernels.py, their fallbacks as
+    calls. x's fields are xs, xm, xe, xb.
 
     Constants, kernels, messages and ctx's precision and rounding are bound
-    as values in the function's namespace under generated names; no text of
-    f reaches the source. The maximal subtrees without x are written as
-    functions of one module, compiled together and run once, before f's own
-    statements are written: f reads each one's value, or raises its
-    EvalDomainError at its position on every call. A constant exponent is
-    therefore known here, and so is what mpf_pow would decide from it (see
-    _power).
+    as values in the namespace under generated names; no text of f reaches
+    the source. The maximal subtrees without x are written as functions of
+    one module, compiled together and run once, before f's own statements
+    are written: f reads each one's value, or raises its EvalDomainError at
+    its position on every call. A constant exponent is therefore known
+    here, and so is what mpf_pow would decide from it (see _power).
     """
 
-    def __init__(self, ctx, namespace=None):
+    def __init__(self, ctx, namespace=None, fields=False):
         prec, rnd = ctx._prec_rounding
         self.ctx = ctx
         self.namespace = {
             "P": prec, "R": rnd, "P10": prec + 10, "RR": reciprocal_rnd[rnd],
             "E": EvalDomainError, "mk": ctx.make_mpf, "fzero": fzero, "fone": fone,
-            "mpf_abs": mpf_abs, "div": div, "mpf_log": mpf_log,
-            "mpf_neg": mpf_neg, "mpf_pow": mpf_pow, "mpf_pow_int": mpf_pow_int,
-            "mul": mul, "sqrt": _mpf_sqrt,
+            "mpf_abs": mpf_abs, "mpf_log": mpf_log, "mpf_neg": mpf_neg, "mpf_pow": mpf_pow,
+            "mpf_pow_int": mpf_pow_int, "sqrt": _mpf_sqrt, "_decays": _decays, **GLOBALS,
         } if namespace is None else namespace
+        self.fields = fields
+        self.inline = fields and rnd == round_nearest
+        self.x = tuple(f"x{name[0]}" for name in _FIELDS) if fields else "x"
         # the raw value or EvalDomainError of each subtree without x that
         # function ran, by the id of its node
         self.folded = {}
+        self.loops = {}  # the orbit loops written for f, by mode and streaming
         self.lines = []
+        self.count = 0  # values assigned so far
         self.raises = False  # the statements end in an unconditional raise
 
     def source(self, name: str, node: Node) -> str:
@@ -400,7 +427,8 @@ class _Codegen:
         body = self.lines if self.raises else self.lines + [f"return {result}"]
         return f"def {name}(x):\n" + "".join(f"    {line}\n" for line in body)
 
-    def function(self, node: Node) -> Callable:
+    def fold(self, node: Node) -> None:
+        """Run the maximal subtrees of node without x, once."""
         constants = []
         _has_var(node, constants)
         if constants:
@@ -412,8 +440,58 @@ class _Codegen:
                 self.folded[id(c)] = self.namespace[f"c{i}"](fzero)
             except EvalDomainError as err:
                 self.folded[id(c)] = err
+
+    def function(self, node: Node) -> Callable:
+        self.fold(node)
         exec(compile(self.source("f", node), "<compiled f>", "exec"), self.namespace)
-        return self.namespace["f"]
+        fn = self.namespace["f"]
+        # what orbit_loop writes f's own loop from
+        self.root = node
+        fn._codegen = self
+        return fn
+
+    def orbit(self, f: Optional[Node], positive: bool, streamed: bool) -> Callable:
+        """The loop orbit_loop describes, with the statements of a subtree f
+        whose constants are folded, or for f None calling its fn."""
+        x = self.x
+        if f is None:  # f's raw value v, then its fields; x stays raw too
+            self.line("v = fn(x)")
+            v, raw_v, raw_x = self.assign("v"), "v", "x"
+        else:
+            v = self.value(f)
+            raw_v, raw_x = self.raw(v), self.raw(x)
+        state = f"{raw_x}, total, acc, e"
+        statements = indent("\n".join(self.lines), "    ")
+        body = [f"try:\n{statements}\nexcept E as err:\n"
+                f"    return {STOP_DOMAIN}, step, err, {state}"] if self.lines else []
+        if not self.raises:
+            # |f(x)| < |x| in signed mode; in positive mode the check leaves
+            # the term's sign 0
+            size, bound = (v, x) if positive else ((0,) + v[1:], (0,) + x[1:])
+            body.append(self.text(DECAYS, {"ok": "ok"}, size, bound))
+            body += ["if not ok:", f"    return {STOP_DECAY}, step, {raw_v}, {state}"]
+            fixed = {"acc": "acc", "e": "e", "total": "total",
+                     "limit": str(1 << self.namespace["P"])}
+            body.append(self.text(SUM, fixed, (0,) + v[1:] if positive else v))
+            body += [f"{', '.join(x)} = {', '.join(map(_source, v))}"]
+            if raw_x == "x":
+                body += ["x = v"]
+            if streamed:
+                body += ["if not step % thin:",
+                         f"    out(step, mk({raw_x}), mk(_sum(total, acc, e, P)))"]
+            else:
+                body += [f"out({raw_x})"]
+            size = x if positive else (0,) + x[1:]
+            body += [f"if xe + xb <= floor_top and _decays({self.raw(size)}, floor):",
+                     f"    return {STOP_FLOOR}, step, None, {state}"]
+        source = ("def orbit(fn, mk, x, total, acc, e, stop, floor, out, thin):\n"
+                  f"    {', '.join(x)} = x\n"
+                  "    floor_top = floor[2] + floor[3]\n"
+                  "    for step in range(1, stop):\n"
+                  + indent("\n".join(body), "        ")
+                  + f"\n    return {STOP_MAX_N}, stop - 1, None, {state}\n")
+        exec(compile(source, "<compiled orbit>", "exec"), self.namespace)
+        return self.namespace.pop("orbit")
 
     def bind(self, value) -> str:
         # the namespace only grows, so each name is new
@@ -421,114 +499,166 @@ class _Codegen:
         self.namespace[name] = value
         return name
 
-    def known(self, name: str):
-        """The raw value a bound name holds, or None for x and computed values."""
-        return self.namespace[name] if name.startswith("v") else None
+    def constant(self, raw):
+        """A raw constant as a value: a bound name, or literal fields."""
+        return tuple(raw) if self.fields else self.bind(raw)
+
+    def known(self, value):
+        """The raw constant a value holds, or None for x and computed values."""
+        if self.fields:
+            return value if all(isinstance(field, int) for field in value) else None
+        return self.namespace[value] if value.startswith("v") else None
+
+    def raw(self, value) -> str:
+        """The source of a value as a raw value."""
+        return f"({', '.join(map(_source, value))})" if self.fields else value
+
+    def field(self, value, i: int) -> str:
+        """The source of the field i (0 sign, 1 man, 2 exp, 3 bc) of a value."""
+        return _source(value[i]) if self.fields else f"{value}[{i}]"
+
+    def is_zero(self, value) -> str:
+        """The source of the test value == fzero."""
+        if self.fields:
+            return f"not ({' or '.join(map(_source, value))})"
+        return f"{value} == fzero"
 
     def line(self, text: str) -> None:
         if not self.raises:  # nothing after a raise runs
             self.lines.append(text)
 
-    def assign(self, expression: str) -> str:
-        name = f"t{len(self.lines)}"
-        self.line(f"{name} = {expression}")
-        return name
+    def assign(self, expression: str):
+        """A new value: the result of expression, a raw value."""
+        self.count += 1
+        if self.fields:
+            names = tuple(f"t{self.count}{name[0]}" for name in _FIELDS)
+            self.line(f"{', '.join(names)} = {expression}")
+            return names
+        self.line(f"t{self.count} = {expression}")
+        return f"t{self.count}"
+
+    def text(self, text: str, names: dict, *operands) -> str:
+        """A statement text of kernels.py on operands, inline (see
+        kernels.inline), with names for its other names."""
+        prec, rnd = self.namespace["P"], self.namespace["R"]
+        names = {"prec": str(prec), "rnd": repr(rnd), **names}
+        for prefix, value in zip("st", operands):
+            names.update(zip((prefix + name for name in _FIELDS), map(_source, value)))
+        self.count += 1
+        return inline(text, names, f"_{self.count}")
+
+    def kernel(self, fn, *operands):
+        """fn(*operands, P, R) for a kernel fn: its fast path inline where
+        kernels.INLINE has it, else a call."""
+        if not (self.inline and fn in INLINE):
+            return self.assign(f"{self.bind(fn)}({', '.join(map(self.raw, operands))}, P, R)")
+        text, picks = INLINE[fn]
+        self.count += 1
+        out = tuple(f"t{self.count}{name[0]}" for name in _FIELDS)
+        self.line(self.text(text, {**picks, **dict(zip(_FIELDS, out))}, *operands))
+        return out
 
     def fault(self, node: Node, reason: str, where: Optional[str] = None) -> str:
         """The statement that raises reason in node, at the call's x."""
         where = _render(node) if where is None else where
-        return f"raise E({self.bind(where)}, mk(x), {self.bind(reason)})"
+        return f"raise E({self.bind(where)}, mk({self.raw(self.x)}), {self.bind(reason)})"
 
     def fail(self, node: Node, reason: str, where: Optional[str] = None) -> None:
         self.line(self.fault(node, reason, where))
         self.raises = True
 
-    def value(self, node: Node) -> str:
-        """The name that holds node's raw value after the statements so far."""
+    def value(self, node: Node):
+        """The value that holds node's raw value after the statements so far:
+        a name, or four field sources in field mode."""
         if self.raises:
-            return "None"
+            return ("None",) * 4 if self.fields else "None"
         if isinstance(node, Var):
-            return "x"
+            return self.x
         if isinstance(node, Number):
-            return self.bind(self.ctx.mpf(node.text)._mpf_)
+            return self.constant(self.ctx.mpf(node.text)._mpf_)
         if isinstance(node, Const):
-            return self.bind((+self.ctx.pi if node.name == "pi" else self.ctx.exp(1))._mpf_)
+            return self.constant((+self.ctx.pi if node.name == "pi" else self.ctx.exp(1))._mpf_)
         folded = self.folded.get(id(node))
         if isinstance(folded, EvalDomainError):
             self.fail(node, folded.reason, folded.subexpression)
-            return "None"
+            return self.value(node)
         if folded is not None:
-            return self.bind(folded)
+            return self.constant(folded)
         if isinstance(node, Call):
             a = self.value(node.arg)
+            sign, raw = self.field(a, 0), self.raw(a)
             if node.func in _UNARY:
                 cap = f"argument reaches the magnitude cap 2^{ARGUMENT_CAP}"
-                self.line(f"if {a}[2] + {a}[3] > {ARGUMENT_CAP}: {self.fault(node, cap)}")
-                return self.assign(f"{self.bind(_UNARY[node.func])}({a}, P, R)")
+                self.line(f"if {self.field(a, 2)} + {self.field(a, 3)} > {ARGUMENT_CAP}:"
+                          f" {self.fault(node, cap)}")
+                return self.kernel(_UNARY[node.func], a)
             if node.func == "abs":
-                return self.assign(f"mpf_abs({a}, P, R)")
+                return self.assign(f"mpf_abs({raw}, P, R)")
             # the sign bit is set exactly when mpf_lt(a, fzero), nan and -inf
             # included, so these are the tests mpf_le and mpf_lt make
             if node.func == "ln":
                 reason = "logarithm of a non-positive value"
-                self.line(f"if {a}[0] or {a} == fzero: {self.fault(node, reason)}")
-                return self.assign(f"mpf_log({a}, P, R)")
-            self.line(f"if {a}[0]: {self.fault(node, 'square root of a negative value')}")
-            return self.assign(f"sqrt({a}, P, R)")
+                self.line(f"if {sign} or {self.is_zero(a)}: {self.fault(node, reason)}")
+                return self.assign(f"mpf_log({raw}, P, R)")
+            self.line(f"if {sign}: {self.fault(node, 'square root of a negative value')}")
+            return self.assign(f"sqrt({raw}, P, R)")
         if isinstance(node, Neg):
-            return self.assign(f"mpf_neg({self.value(node.operand)}, P, R)")
+            return self.assign(f"mpf_neg({self.raw(self.value(node.operand))}, P, R)")
         if node.op == "/":
             d = self.value(node.right)
             if self.known(d) is None:
-                self.line(f"if {d} == fzero: {self.fault(node, 'division by zero')}")
+                self.line(f"if {self.is_zero(d)}: {self.fault(node, 'division by zero')}")
             elif self.known(d) == fzero:
                 self.fail(node, "division by zero")
-            return self.assign(f"div({self.value(node.left)}, {d}, P, R)")
+            return self.kernel(div, self.value(node.left), d)
         a, b = self.value(node.left), self.value(node.right)
         if node.op in _BINARY:
-            return self.assign(f"{self.bind(_BINARY[node.op])}({a}, {b}, P, R)")
+            return self.kernel(_BINARY[node.op], a, b)
         if self.known(b) is not None:
             return self._power(node, a, self.known(b))
-        self.line(f"if {a} == fzero and {b}[0]: {self.fault(node, _ZERO_TO_NEGATIVE)}")
+        self.line(f"if {self.is_zero(a)} and {self.field(b, 0)}:"
+                  f" {self.fault(node, _ZERO_TO_NEGATIVE)}")
         # ctx.isint(b) on the raw value: a nonzero mantissa and no negative
         # binary exponent, or b = 0
-        self.line(f"if {a}[0] and not ({b}[1] and {b}[2] >= 0 or {b} == fzero): "
-                  f"{self.fault(node, _NEGATIVE_BASE)}")
-        self.line(f"if {b}[2] + {b}[3] > {EXPONENT_CAP}: {self.fault(node, _EXPONENT_PAST_CAP)}")
-        return self.assign(f"mpf_pow({a}, {b}, P, R)")
+        self.line(f"if {self.field(a, 0)} and not ({self.field(b, 1)} and {self.field(b, 2)} >= 0"
+                  f" or {self.is_zero(b)}): {self.fault(node, _NEGATIVE_BASE)}")
+        self.line(f"if {self.field(b, 2)} + {self.field(b, 3)} > {EXPONENT_CAP}:"
+                  f" {self.fault(node, _EXPONENT_PAST_CAP)}")
+        return self.assign(f"mpf_pow({self.raw(a)}, {self.raw(b)}, P, R)")
 
-    def _power(self, node: Node, a: str, e) -> str:
+    def _power(self, node: Node, a, e):
         """a^e for a raw constant e: the checks of a variable exponent, of
         which only those e calls for remain, and the kernel mpf_pow picks
         for e, branch for branch."""
         sign, man, exp, bc = e
         if sign:
-            self.line(f"if {a} == fzero: {self.fault(node, _ZERO_TO_NEGATIVE)}")
+            self.line(f"if {self.is_zero(a)}: {self.fault(node, _ZERO_TO_NEGATIVE)}")
         if not (man and exp >= 0 or e == fzero):
-            self.line(f"if {a}[0]: {self.fault(node, _NEGATIVE_BASE)}")
+            self.line(f"if {self.field(a, 0)}: {self.fault(node, _NEGATIVE_BASE)}")
         if exp + bc > EXPONENT_CAP:
             self.fail(node, _EXPONENT_PAST_CAP)
-            return "None"
+            return self.value(node)
+        raw = self.raw(a)
         if exp >= 0:
             n = (-1) ** sign * (man << exp)
             if n == 2:  # mpf_pow_int's branch for n = 2, bit for bit
-                return self.assign(f"mul({a}, {a}, P, R)")
-            return self.assign(f"mpf_pow_int({a}, {self.bind(n)}, P, R)")
+                return self.kernel(mul, a, a)
+            return self.assign(f"mpf_pow_int({raw}, {self.bind(n)}, P, R)")
         if exp != -1:
-            return self.assign(f"mpf_pow({a}, {self.bind(e)}, P, R)")
+            return self.assign(f"mpf_pow({raw}, {self.bind(e)}, P, R)")
         # a^(k/2) = sqrt(a)^k, the root at 10 more bits unless k = 1
         if man == 1:
             if sign:
-                return self.assign(f"div(fone, sqrt({a}, P10, RR), P, R)")
-            return self.assign(f"sqrt({a}, P, R)")
+                return self.kernel(div, self.constant(fone), self.assign(f"sqrt({raw}, P10, RR)"))
+            return self.assign(f"sqrt({raw}, P, R)")
         if sign:
-            return self.assign(f"mpf_pow_int(sqrt({a}, P10, RR), {self.bind(-man)}, P, R)")
-        return self.assign(f"mpf_pow_int(sqrt({a}, P10, R), {self.bind(man)}, P, R)")
+            return self.assign(f"mpf_pow_int(sqrt({raw}, P10, RR), {self.bind(-man)}, P, R)")
+        return self.assign(f"mpf_pow_int(sqrt({raw}, P10, R), {self.bind(man)}, P, R)")
 
 
 def evaluator(f: FunctionDef, ctx) -> Callable:
     """Compile f once against a context; the returned callable is reusable
-    and side-effect free, so orbits and probes can call it in a tight loop.
+    and side-effect free, so probes can call it in a tight loop.
 
     The callable maps the raw value of x (an mpf's _mpf_ tuple) to the raw
     value of f(x); ctx.make_mpf turns that into an mpf. f is compiled to one
@@ -537,9 +667,59 @@ def evaluator(f: FunctionDef, ctx) -> Callable:
     at compile time, so the values are those of mpf arithmetic at that
     precision; a later ctx.extraprec or ctx.prec does not reach the
     compiled f. A subtree without x is evaluated here, once. A domain
-    failure raises EvalDomainError, whose x is an mpf.
+    failure raises EvalDomainError, whose x is an mpf. A long orbit runs
+    f's statements in a loop of its own instead (see orbit_loop).
     """
     return _Codegen(ctx).function(f.root)
+
+
+# the orbit loops that call f, by precision, rounding, mode and streaming:
+# they do not depend on f, so each is compiled once and serves every f
+_CALLING_LOOPS: Dict[tuple, Callable] = {}
+
+
+def orbit_loop(f: Callable, ctx, positive: bool, streamed: bool, inline: bool = True
+               ) -> Callable:
+    """The orbit x_{n+1} = f(x_n) of f, a function of raw values on ctx, as
+    one compiled Python loop, with the bits of f, of the orbit's decay test
+    (kernels._decays) and of mpf addition for its partial sum. With inline,
+    where f is what evaluator returned, the loop is written for f, in its
+    namespace, with its constants as they were folded there: f's statements
+    run on the fields of x_n as locals, with the fast paths of the kernels
+    inline, followed by the decay test, the partial sum (kernels.SUM), the
+    hand-off of the term and the floor test. Otherwise, as for any other f
+    (such as a wrapper that counts the calls of evaluator's), the loop calls
+    f once per step; that loop does not depend on f, and is compiled once
+    for all f at ctx's precision and rounding. Each loop is compiled once:
+    on first use for f, mode and streaming.
+
+    The loop is loop(fn, mk, x, total, acc, e, stop, floor, out, thin),
+    with fn f itself (which a loop written for f does not call) and mk
+    ctx.make_mpf. It starts from the raw x_0 (= x) with the partial sum
+    total and its fixed-point form (acc, e) (see kernels._fixed), and runs
+    steps 1, 2, ... up to stop - 1. In positive mode a term must decay as
+    0 < f(x) < x, in signed mode as 0 < |f(x)| < |x|. Each term that decays
+    goes to out: the raw x_n as out(x_n), or with streamed, at every step n
+    that thin divides, the row out(n, x_n, S_n) of mpf numbers. It returns
+    (stop code, step, the term that did not decay or the EvalDomainError or
+    None, the raw last term, total, acc, e), where the stop code is
+    STOP_MAX_N, STOP_FLOOR (the term's magnitude below the raw floor),
+    STOP_DECAY or STOP_DOMAIN.
+    """
+    codegen = getattr(f, "_codegen", None)
+    if codegen is not None and inline:
+        loop = codegen.loops.get((positive, streamed))
+        if loop is None:
+            writer = _Codegen(codegen.ctx, codegen.namespace, fields=True)
+            writer.folded = codegen.folded
+            loop = codegen.loops[positive, streamed] = writer.orbit(
+                codegen.root, positive, streamed)
+        return loop
+    key = (*ctx._prec_rounding, positive, streamed)
+    loop = _CALLING_LOOPS.get(key)
+    if loop is None:
+        loop = _CALLING_LOOPS[key] = _Codegen(ctx, fields=True).orbit(None, positive, streamed)
+    return loop
 
 
 def parse_constant(text: str, ctx):

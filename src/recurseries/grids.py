@@ -117,9 +117,9 @@ class Samples:
     A point's entry is f(x) or the EvalDomainError f raised there; reading
     it raises that error again. ln x and ln f(x) are computed on first use
     per grid, for the limit probes. `compiled` is f itself, on raw values
-    and without the table (see expr.evaluator): the orbit calls it, so that
-    its points are not kept. The table belongs to one analysis and is not
-    shared between calls.
+    and without the table (see expr.evaluator); the orbit runs it in a loop
+    of its own (see expr.orbit_loop), so that its points are not kept. The
+    table belongs to one analysis and is not shared between calls.
     """
 
     def __init__(self, f: FunctionDef, precision: int = DEFAULT_PRECISION,

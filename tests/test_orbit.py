@@ -17,6 +17,7 @@ from mpmath.libmp import (
     mpf_lt,
     mpf_neg,
     round_nearest,
+    to_str,
 )
 
 from recurseries.estimate import fit_power_law, sum_estimate
@@ -30,6 +31,7 @@ from recurseries.orbit import (
     Mode,
     REACHED_FLOOR,
     UNDERFLOW,
+    _Decimal,
     _decays,
     iterate,
     validate_hypotheses,
@@ -317,6 +319,40 @@ def test_thinned_orbit_is_the_full_orbit_at_the_kept_rows(text, max_n, mode, kin
     iterate(Samples(parse(text)), 1, max_n=max_n, mode=mode, thin=thin, rows=rows)
     assert rows.count == write_csv(full, want, thin=thin)
     assert got.getvalue() == want.getvalue()
+
+
+@st.composite
+def _decimal_cases(draw):
+    """(raw, dps) for CsvRows' text: digit counts 16 to 100, both signs,
+    mantissas up to the working precision of dps digits, values whose
+    digits are 9 far past dps (round-up carries, to a power of 10), and
+    magnitudes |exp + bc| at 3500, where to_digits_exp changes its method;
+    now and then a zero, inf or nan."""
+    dps = draw(st.integers(16, 100))
+    prec = context(dps).prec
+    kind = draw(st.sampled_from(["random", "nines", "cut", "special"]))
+    if kind == "special":
+        return draw(st.sampled_from([fzero, finf, fninf, fnan])), dps
+    if kind == "nines":  # 10^j * (1 - 2^-m)
+        m = draw(st.integers(4 * dps, 4 * dps + 60))
+        raw = from_man_exp(10 ** draw(st.integers(0, 40)) * ((1 << m) - 1),
+                           -m - draw(st.integers(-200, 200)))
+    else:
+        man = draw(st.integers(1, (1 << prec) - 1))
+        if kind == "cut":
+            top = draw(st.sampled_from([3499, 3500, 3501]))
+            top = top if draw(st.booleans()) else -top
+            raw = from_man_exp(man, top - man.bit_length())
+        else:
+            raw = from_man_exp(man, draw(st.integers(-1200, 1200)))
+    return (mpf_neg(raw) if draw(st.booleans()) else raw), dps
+
+
+@settings(max_examples=2000, deadline=None)
+@given(_decimal_cases())
+def test_csv_text_is_libmp_to_str(case):
+    raw, dps = case
+    assert _Decimal(dps)(raw) == to_str(raw, dps)
 
 
 def test_thinned_orbit_needs_a_row_consumer():
