@@ -417,7 +417,6 @@ class _Codegen:
         # the raw value or EvalDomainError of each subtree without x that
         # function ran, by the id of its node
         self.folded = {}
-        self.loops = {}  # the orbit loops written for f, by mode and streaming
         self.lines = []
         self.count = 0  # values assigned so far
         self.raises = False  # the statements end in an unconditional raise
@@ -444,11 +443,7 @@ class _Codegen:
     def function(self, node: Node) -> Callable:
         self.fold(node)
         exec(compile(self.source("f", node), "<compiled f>", "exec"), self.namespace)
-        fn = self.namespace["f"]
-        # what orbit_loop writes f's own loop from
-        self.root = node
-        fn._codegen = self
-        return fn
+        return self.namespace["f"]
 
     def orbit(self, f: Optional[Node], positive: bool, streamed: bool) -> Callable:
         """The loop orbit_loop describes, with the statements of a subtree f
@@ -668,7 +663,8 @@ def evaluator(f: FunctionDef, ctx) -> Callable:
     precision; a later ctx.extraprec or ctx.prec does not reach the
     compiled f. A subtree without x is evaluated here, once. A domain
     failure raises EvalDomainError, whose x is an mpf. A long orbit runs
-    f's statements in a loop of its own instead (see orbit_loop).
+    f's statements in a loop of its own instead (see orbit_loop), which
+    does not call this callable.
     """
     return _Codegen(ctx).function(f.root)
 
@@ -678,23 +674,21 @@ def evaluator(f: FunctionDef, ctx) -> Callable:
 _CALLING_LOOPS: Dict[tuple, Callable] = {}
 
 
-def orbit_loop(f: Callable, ctx, positive: bool, streamed: bool, inline: bool = True
-               ) -> Callable:
-    """The orbit x_{n+1} = f(x_n) of f, a function of raw values on ctx, as
-    one compiled Python loop, with the bits of f, of the orbit's decay test
-    (kernels._decays) and of mpf addition for its partial sum. With inline,
-    where f is what evaluator returned, the loop is written for f, in its
-    namespace, with its constants as they were folded there: f's statements
-    run on the fields of x_n as locals, with the fast paths of the kernels
-    inline, followed by the decay test, the partial sum (kernels.SUM), the
-    hand-off of the term and the floor test. Otherwise, as for any other f
-    (such as a wrapper that counts the calls of evaluator's), the loop calls
-    f once per step; that loop does not depend on f, and is compiled once
-    for all f at ctx's precision and rounding. Each loop is compiled once:
-    on first use for f, mode and streaming.
+def orbit_loop(f: Optional[FunctionDef], ctx, positive: bool, streamed: bool) -> Callable:
+    """The orbit x_{n+1} = f(x_n) on ctx as one compiled Python loop, with
+    the bits of calling evaluator(f, ctx) once per step, of the orbit's
+    decay test (kernels._decays) and of mpf addition for its partial sum.
+    The loop is written for f: f's statements run on the fields of x_n as
+    locals, with the fast paths of the kernels inline, followed by the decay
+    test, the partial sum (kernels.SUM), the hand-off of the term and the
+    floor test. Each call folds f's constants and compiles the loop, which
+    takes 1 to 2 ms; iterate keeps it per table (Samples.loops). For f None
+    the loop calls its fn, a function of raw values, once per step instead;
+    that loop does not depend on f and is compiled once for every f at
+    ctx's precision and rounding.
 
     The loop is loop(fn, mk, x, total, acc, e, stop, floor, out, thin),
-    with fn f itself (which a loop written for f does not call) and mk
+    with fn the function it calls (a loop written for f calls none) and mk
     ctx.make_mpf. It starts from the raw x_0 (= x) with the partial sum
     total and its fixed-point form (acc, e) (see kernels._fixed), and runs
     steps 1, 2, ... up to stop - 1. In positive mode a term must decay as
@@ -706,20 +700,20 @@ def orbit_loop(f: Callable, ctx, positive: bool, streamed: bool, inline: bool = 
     STOP_MAX_N, STOP_FLOOR (the term's magnitude below the raw floor),
     STOP_DECAY or STOP_DOMAIN.
     """
-    codegen = getattr(f, "_codegen", None)
-    if codegen is not None and inline:
-        loop = codegen.loops.get((positive, streamed))
+    if f is None:
+        key = (*ctx._prec_rounding, positive, streamed)
+        loop = _CALLING_LOOPS.get(key)
         if loop is None:
-            writer = _Codegen(codegen.ctx, codegen.namespace, fields=True)
-            writer.folded = codegen.folded
-            loop = codegen.loops[positive, streamed] = writer.orbit(
-                codegen.root, positive, streamed)
+            loop = _CALLING_LOOPS[key] = _Codegen(ctx, fields=True).orbit(
+                None, positive, streamed)
         return loop
-    key = (*ctx._prec_rounding, positive, streamed)
-    loop = _CALLING_LOOPS.get(key)
-    if loop is None:
-        loop = _CALLING_LOOPS[key] = _Codegen(ctx, fields=True).orbit(None, positive, streamed)
-    return loop
+    # fold writes f's subtrees without x as functions of the raw x, so it
+    # runs without fields; the loop is written in the same namespace
+    folding = _Codegen(ctx)
+    folding.fold(f.root)
+    writer = _Codegen(ctx, folding.namespace, fields=True)
+    writer.folded = folding.folded
+    return writer.orbit(f.root, positive, streamed)
 
 
 def parse_constant(text: str, ctx):

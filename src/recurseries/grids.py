@@ -8,7 +8,7 @@ configuration regenerate bit-identical points at any working precision.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Callable, Dict, List
 
 import mpmath
 from mpmath.libmp import repr_dps
@@ -117,9 +117,11 @@ class Samples:
     A point's entry is f(x) or the EvalDomainError f raised there; reading
     it raises that error again. ln x and ln f(x) are computed on first use
     per grid, for the limit probes. `compiled` is f itself, on raw values
-    and without the table (see expr.evaluator); the orbit runs it in a loop
-    of its own (see expr.orbit_loop), so that its points are not kept. The
-    table belongs to one analysis and is not shared between calls.
+    and without the table (see expr.evaluator); a short orbit calls it in a
+    loop of its own, so that its points are not kept, and a long one runs
+    f's statements in its loop instead (see expr.orbit_loop). `loops` holds
+    the loops the table's orbits ran (see orbit.iterate). The table belongs
+    to one analysis and is not shared between calls.
     """
 
     def __init__(self, f: FunctionDef, precision: int = DEFAULT_PRECISION,
@@ -135,6 +137,7 @@ class Samples:
         self._values: Dict = {}
         self._points: Dict[GridSpec, List] = {}
         self._logs: Dict[GridSpec, List] = {}
+        self.loops: Dict[tuple, Callable] = {}
 
     def points(self, grid: GridSpec) -> List:
         """The grid's points, generated once; callers must not modify them."""

@@ -32,10 +32,11 @@ class Mode(enum.Enum):
 
 
 # The step limit from which an orbit runs f's statements inline in its loop
-# (see expr.orbit_loop); a shorter one calls f, in a loop compiled once for
-# every f. The inline loop takes 1 to 2 ms to compile and saves 0.1 to 2 µs
-# a step, so it pays from 1,000 to 10,000 steps on, 2,600 in the median:
-# measured on the corpus's f at precision 64 on a 2-vCPU x86 machine.
+# (see expr.orbit_loop); a shorter one calls the compiled f, in a loop
+# compiled once for every f. The inline loop takes 1 to 2 ms to compile and
+# saves 0.1 to 2 µs a step, so it pays from 1,000 to 10,000 steps on, 2,600
+# in the median: measured on the corpus's f at precision 64 on a 2-vCPU x86
+# machine.
 INLINE_STEPS = 4096
 
 REACHED_FLOOR = "reached_floor"
@@ -196,11 +197,11 @@ def iterate(
     The orbit runs as one compiled loop (see expr.orbit_loop): the decay
     test and the partial sum on the fields of the raw values, with the bits
     of calling the table's compiled f, of _decays and of mpf addition at
-    every step. From max_n = INLINE_STEPS on, f's statements run inline in
-    that loop, compiled on the table's first such orbit. Below it, and
-    where table.compiled is not what expr.evaluator returned (a wrapper
-    that counts its calls, or the function of raw values of a table other
-    than Samples), the loop calls it once per step.
+    every step. From max_n = INLINE_STEPS on, the loop is written for f
+    (table.function), with f's statements inline, and does not call
+    table.compiled; below it, or for a table without f, the loop calls
+    table.compiled once per step. The table keeps each loop it asks for, by
+    mode, streaming and path (Samples.loops).
 
     Without rows the orbit stores every x_n as a raw value, so its memory is
     O(max_n). With rows, the rows at n = 0, thin, 2·thin, ... and at the
@@ -232,16 +233,21 @@ def iterate(
         return Orbit(x0, [x0._mpf_], x0, x0, status, mode, table.precision, 0, streamed)
 
     # The loop runs on the values inside the mpf numbers (their _mpf_
-    # tuples), compiled with f's statements in it (see expr.orbit_loop). A
-    # positive S_n is summed in fixed point, as acc * 2^e (see
-    # kernels._fixed and kernels.SUM).
+    # tuples), on their fields (see expr.orbit_loop). A positive S_n is
+    # summed in fixed point, as acc * 2^e (see kernels._fixed and
+    # kernels.SUM).
     prec = ctx.prec
     make_mpf = ctx.make_mpf
     positive = mode is Mode.POSITIVE
     x = s = x0._mpf_
     terms = None if streamed else [x]
     acc, e = _fixed(s, prec)
-    loop = orbit_loop(table.compiled, ctx, positive, streamed, max_n >= INLINE_STEPS)
+    # a table other than Samples need only have ctx, precision and compiled
+    f = getattr(table, "function", None) if max_n >= INLINE_STEPS else None
+    loops = getattr(table, "loops", {})
+    loop = loops.get((positive, streamed, f is not None))
+    if loop is None:
+        loop = loops[positive, streamed, f is not None] = orbit_loop(f, ctx, positive, streamed)
     stop, step, what, x, s, acc, e = loop(
         table.compiled, make_mpf, x, s, acc, e, max_n + 1, floor._mpf_,
         rows if streamed else terms.append, thin)

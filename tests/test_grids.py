@@ -289,11 +289,13 @@ def test_analyze_evaluates_f_once_per_grid_point(monkeypatch, name):
 
 
 def test_compare_evaluates_a_user_majorant_once_per_point(monkeypatch, capsys):
-    # the majorant's own analysis (its table, whose compiled f its orbit
-    # runs) is all: the monotonicity and the domination scans read that
-    # table, on the same grid from the seed, and the printed orbit of m is
-    # the one its analysis iterated
+    # the majorant's own analysis (its table, whose f its orbit runs) is
+    # all: the monotonicity and the domination scans read that table, on
+    # the same grid from the seed, and the printed orbit of m is the one its
+    # analysis iterated. That orbit is long, so it runs m's statements in
+    # its own loop, compiled once, and not the compiled m
     calls = count_evaluations(monkeypatch)
+    loops = count_calls(monkeypatch, recurseries.expr, "orbit_loop")
     with pytest.raises(SystemExit) as exc:
         main(["compare", "--f=x*(1/2 + 1/3*sin(1/x))", "--x0=0.3",
               "--majorant=fn:5/6 * x"])
@@ -302,7 +304,8 @@ def test_compare_evaluates_a_user_majorant_once_per_point(monkeypatch, capsys):
     assert "monotone on grid: yes  delta = 0.3\n" in out
     lengths = [len(args) for source, args in calls if source == "5/6 * x"]
     grid = seed_grid("0.3", CTX).points(CTX)
-    assert lengths == [len(grid) + 499]  # one compile: the grid, then the orbit
+    assert lengths == [len(grid)]  # one compile: the grid
+    assert [args[0].source_text for args in loops if args[0]].count("5/6 * x") == 1
     m_orbit = iterate(Samples(parse("5/6 * x")), "0.3")
     rows = [line.split(",") for line in out.splitlines() if line[:1].isdigit()]
     assert rows and all(m == mpmath.nstr(CTX.make_mpf(m_orbit.terms[int(n)]), 64)

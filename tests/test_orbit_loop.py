@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath.libmp import from_man_exp, fzero, mpf_abs, mpf_add, mpf_lt
 
 from recurseries import orbit as orbit_module
-from recurseries.expr import EvalDomainError, FunctionDef, parse
+from recurseries.expr import EvalDomainError, FunctionDef, orbit_loop, parse
 from recurseries.grids import Samples
 from recurseries.orbit import (
     HYPOTHESIS_VIOLATION, MAX_ITERATIONS, REACHED_FLOOR, UNDERFLOW, Mode, iterate,
@@ -160,3 +160,29 @@ def test_the_stops_cover_every_status():
     assert {"f(x) = 2.", "f(x) = -0", "logarithm", "square ro", "f(x) roun",
             "|f(x)| ro"} <= details
     assert {first for kind, first, _ in seen if kind == HYPOTHESIS_VIOLATION} == {True, False}
+
+
+def test_a_table_compiles_each_loop_once(monkeypatch):
+    # one loop per mode, streaming and path, kept by the table; a long
+    # orbit runs f's statements in its loop and does not call the compiled f
+    compiled = []
+    loops = []
+    table = Samples(parse("x/(1+x)"))
+    f = table.compiled
+    monkeypatch.setattr(table, "compiled", lambda x: compiled.append(x) or f(x))
+    monkeypatch.setattr(orbit_module, "orbit_loop",
+                        lambda *args: loops.append(args) or orbit_loop(*args))
+    monkeypatch.setattr(orbit_module, "INLINE_STEPS", 20)
+    for mode in (Mode.POSITIVE, Mode.POSITIVE, Mode.SIGNED, Mode.POSITIVE):
+        for max_n in (20, 19, 20):
+            iterate(table, "0.5", max_n, mode=mode)
+            iterate(table, "0.5", max_n, mode=mode, thin=3, rows=lambda n, x, s: None)
+    assert [(args[0] is not None, args[2:]) for args in loops] == [
+        (True, (True, False)), (True, (True, True)), (False, (True, False)),
+        (False, (True, True)), (True, (False, False)), (True, (False, True)),
+        (False, (False, False)), (False, (False, True)),
+    ]
+    assert all(args[0] is None or args[0] is table.function for args in loops)
+    assert set(table.loops) == {(positive, streamed, inline) for positive in (True, False)
+                                for streamed in (True, False) for inline in (True, False)}
+    assert len(compiled) == 4 * 2 * 19
