@@ -23,14 +23,12 @@ from typing import Callable, Dict, Optional, Tuple, Union
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import (
-    fone, fzero, mpf_abs, mpf_exp, mpf_log, mpf_neg, mpf_pow, mpf_pow_int, round_nearest,
-)
+from mpmath.libmp import fone, fzero, mpf_abs, mpf_exp, mpf_log, mpf_pow, round_nearest
 from mpmath.libmp.libmpf import reciprocal_rnd
 
 from .kernels import (
-    DECAYS, GLOBALS, INLINE, SUM, _decays, _mpf_sqrt, add, cos, div, indent, inline, mul, sin,
-    sub,
+    DECAYS, GLOBALS, INLINE, SUM, _decays, add, cos, div, indent, inline, mul, neg, pow_int, sin,
+    sqrt, sub,
 )
 
 
@@ -408,8 +406,8 @@ class _Codegen:
         self.namespace = {
             "P": prec, "R": rnd, "P10": prec + 10, "RR": reciprocal_rnd[rnd],
             "E": EvalDomainError, "mk": ctx.make_mpf, "fzero": fzero, "fone": fone,
-            "mpf_abs": mpf_abs, "mpf_log": mpf_log, "mpf_neg": mpf_neg, "mpf_pow": mpf_pow,
-            "mpf_pow_int": mpf_pow_int, "sqrt": _mpf_sqrt, "_decays": _decays, **GLOBALS,
+            "mpf_abs": mpf_abs, "mpf_log": mpf_log, "mpf_pow": mpf_pow, "_decays": _decays,
+            **GLOBALS,
         } if namespace is None else namespace
         self.fields = fields
         self.inline = fields and rnd == round_nearest
@@ -532,25 +530,28 @@ class _Codegen:
         self.line(f"t{self.count} = {expression}")
         return f"t{self.count}"
 
-    def text(self, text: str, names: dict, *operands) -> str:
+    def text(self, text: str, names: dict, *operands, prec="P", rnd="R") -> str:
         """A statement text of kernels.py on operands, inline (see
-        kernels.inline), with names for its other names."""
-        prec, rnd = self.namespace["P"], self.namespace["R"]
-        names = {"prec": str(prec), "rnd": repr(rnd), **names}
+        kernels.inline), with names for its other names, at the precision
+        and rounding the namespace holds under prec and rnd."""
+        names = {"prec": str(self.namespace[prec]), "rnd": repr(self.namespace[rnd]), **names}
         for prefix, value in zip("st", operands):
             names.update(zip((prefix + name for name in _FIELDS), map(_source, value)))
         self.count += 1
         return inline(text, names, f"_{self.count}")
 
-    def kernel(self, fn, *operands):
-        """fn(*operands, P, R) for a kernel fn: its fast path inline where
-        kernels.INLINE has it, else a call."""
+    def kernel(self, fn, *operands, prec="P", rnd="R", **args):
+        """fn(*operands, *args, prec, rnd) for a kernel fn, with args (by
+        name) the sources of its other arguments: its fast path inline
+        where kernels.INLINE has it, else a call."""
         if not (self.inline and fn in INLINE):
-            return self.assign(f"{self.bind(fn)}({', '.join(map(self.raw, operands))}, P, R)")
+            given = ", ".join([*map(self.raw, operands), *args.values()])
+            return self.assign(f"{self.bind(fn)}({given}, {prec}, {rnd})")
         text, picks = INLINE[fn]
         self.count += 1
         out = tuple(f"t{self.count}{name[0]}" for name in _FIELDS)
-        self.line(self.text(text, {**picks, **dict(zip(_FIELDS, out))}, *operands))
+        names = {**picks, **args, **dict(zip(_FIELDS, out))}
+        self.line(self.text(text, names, *operands, prec=prec, rnd=rnd))
         return out
 
     def fault(self, node: Node, reason: str, where: Optional[str] = None) -> str:
@@ -596,9 +597,9 @@ class _Codegen:
                 self.line(f"if {sign} or {self.is_zero(a)}: {self.fault(node, reason)}")
                 return self.assign(f"mpf_log({raw}, P, R)")
             self.line(f"if {sign}: {self.fault(node, 'square root of a negative value')}")
-            return self.assign(f"sqrt({raw}, P, R)")
+            return self.kernel(sqrt, a)
         if isinstance(node, Neg):
-            return self.assign(f"mpf_neg({self.raw(self.value(node.operand))}, P, R)")
+            return self.kernel(neg, self.value(node.operand))
         if node.op == "/":
             d = self.value(node.right)
             if self.known(d) is None:
@@ -633,22 +634,20 @@ class _Codegen:
         if exp + bc > EXPONENT_CAP:
             self.fail(node, _EXPONENT_PAST_CAP)
             return self.value(node)
-        raw = self.raw(a)
         if exp >= 0:
             n = (-1) ** sign * (man << exp)
             if n == 2:  # mpf_pow_int's branch for n = 2, bit for bit
                 return self.kernel(mul, a, a)
-            return self.assign(f"mpf_pow_int({raw}, {self.bind(n)}, P, R)")
+            return self.kernel(pow_int, a, power=_source(n))
         if exp != -1:
-            return self.assign(f"mpf_pow({raw}, {self.bind(e)}, P, R)")
+            return self.assign(f"mpf_pow({self.raw(a)}, {self.bind(e)}, P, R)")
         # a^(k/2) = sqrt(a)^k, the root at 10 more bits unless k = 1
+        if man == 1 and not sign:
+            return self.kernel(sqrt, a)
+        root = self.kernel(sqrt, a, prec="P10", rnd="RR" if sign else "R")
         if man == 1:
-            if sign:
-                return self.kernel(div, self.constant(fone), self.assign(f"sqrt({raw}, P10, RR)"))
-            return self.assign(f"sqrt({raw}, P, R)")
-        if sign:
-            return self.assign(f"mpf_pow_int(sqrt({raw}, P10, RR), {self.bind(-man)}, P, R)")
-        return self.assign(f"mpf_pow_int(sqrt({raw}, P10, R), {self.bind(man)}, P, R)")
+            return self.kernel(div, self.constant(fone), root)
+        return self.kernel(pow_int, root, power=_source(-man if sign else man))
 
 
 def evaluator(f: FunctionDef, ctx) -> Callable:

@@ -2,14 +2,17 @@
 evaluation, with the bits of the libmp functions they stand for.
 
 For regular operands (a nonzero mantissa) at round-nearest and a
-precision prec >= 1, add, mul, div, sin and cos do the integer arithmetic
-of mpf_add, mpf_mul, mpf_div and mpf_cos_sin and round it once with
-_normalize. Every other case calls the libmp function itself: zeros, inf
-and nan, any other rounding, mpf_add's perturbation of an operand far
-below the other, and mpf_cos_sin's shortcut for an argument below
-2^-(prec+10). _mpf_sqrt is mpf_sqrt step for step. _decays is the orbit's
-decay test, as mpf_lt decides it, and SUM adds a term to its partial sum
-with the bits of mpf_add.
+precision prec >= 1, add, mul, div, sin and cos, sqrt and pow_int do the
+integer arithmetic of mpf_add, mpf_mul, mpf_div, mpf_cos_sin, mpf_sqrt and
+mpf_pow_int and round it once with _normalize; neg flips the sign where
+mpf_neg keeps the value. Every other case calls the libmp function
+itself: zeros, inf and nan, any other rounding, mpf_add's perturbation of
+an operand far below the other, mpf_cos_sin's shortcut for an argument
+below 2^-(prec+10), a negative square root, and a negative power or one
+of bc * n >= 1000 bits. sin and cos call libmp's mod_pi2 for |x| >= 1, and
+its cos_sin_basecase past its table. _decays is the orbit's decay test, as
+mpf_lt decides it, and SUM adds a term to its partial sum with the bits of
+mpf_add.
 
 Each fast path is written once, as statement text on the unpacked fields
 of its operands: ssign, sman, sexp, sbc and tsign, tman, texp, tbc, at
@@ -29,8 +32,8 @@ from math import isqrt
 from typing import Dict, Tuple
 
 from mpmath.libmp import (
-    from_man_exp, fzero, mpf_add, mpf_cos, mpf_div, mpf_mul, mpf_sin, normalize,
-    normalize1, round_nearest,
+    fzero, mpf_add, mpf_cos, mpf_div, mpf_mul, mpf_neg, mpf_pow_int, mpf_sin, mpf_sqrt,
+    round_nearest,
 )
 from mpmath.libmp.libelefun import (
     COS_SIN_CACHE_PREC, COS_SIN_CACHE_STEP, cos_sin_basecase, cos_sin_cache, mod_pi2,
@@ -46,7 +49,8 @@ def indent(text: str, prefix: str) -> str:
 # round-nearest, bc set: what libmp's normalize and normalize1 return at
 # round_nearest given man's exact bit count
 ROUND = """\
-n = man.bit_length() - prec
+bc = man.bit_length()
+n = bc - prec
 if n > 0:
     rest = man >> (n - 1)
     # the bit below the last kept one is set: up, unless it is an exact tie
@@ -56,11 +60,13 @@ if n > 0:
     else:
         man = rest >> 1
     exp += n
+    bc = prec
 if not man & 1:
     zeros = (man & -man).bit_length() - 1
     man >>= zeros
     exp += zeros
-bc = man.bit_length()
+    # a carry to 2^prec leaves man = 1, of 1 bit
+    bc = bc - zeros or 1
 """
 # the same for man >= 0
 NORMALIZE = """\
@@ -121,26 +127,109 @@ else:
         exp = sexp - texp - extra
 """ + indent(ROUND, "    ")
 
+# the series' k in cos_sin_basecase, two at a time: its j-th term is below
+# 2^(wp - 8j) plus the floors' -1s, so at wp <= COS_SIN_CACHE_PREC it ends
+# long before k = COS_SIN_CACHE_PREC / 4
+_TERMS = tuple(range(2, COS_SIN_CACHE_PREC // 4, 2))
+
 # mpf_sin(s, prec, rnd), or mpf_cos(s, prec, rnd) when _cos is 1: the steps
-# of mpf_cos_sin. s is reduced by pi/2 with mod_pi2 to t, and the quadrant
-# picks cos or sin of t (see _rotation) and its sign.
-SIN = """\
+# of mpf_cos_sin. s is reduced by pi/2 to t = |s| mod pi/2 as a fixed-point
+# number of wp bits, and the quadrant n: with mod_pi2 for |s| >= 1, and
+# below 1 by mod_pi2's shift, with n = 0. Then cos_sin_basecase(t, wp):
+# its table's value at the top bits of t, turned by the series at the rest
+# r, of which only the half that is returned is formed. Past the table's
+# precision, or at a value not yet in the table, cos_sin_basecase itself
+# runs, which fills the table; its pair is then turned by r = 0.
+SIN = f"""\
 wp = prec + 10
 if not sman or sbc + sexp < -wp:
     sign, man, exp, bc = (mpf_cos if _cos else mpf_sin)((ssign, sman, sexp, sbc), prec, rnd)
 else:
-    t, n, wp = mod_pi2(sman, sexp, sbc + sexp, wp)
+    if sbc + sexp > 0:
+        t, n, wp = mod_pi2(sman, sexp, sbc + sexp, wp)
+    else:  # mod_pi2 below 1: a shift to wp - (sbc + sexp) bits, n = 0
+        n = 0
+        wp -= sbc + sexp
+        if sbc <= prec + 10:
+            t = sman << (prec + 10 - sbc)
+        else:
+            t = sman >> (sbc - prec - 10)
+    top = t >> (wp - {COS_SIN_CACHE_STEP})
+    pair = cos_sin_cache.get(top) if wp <= {COS_SIN_CACHE_PREC} else None
+    if pair is None:
+        (cos_t, sin_t), cos_r, sin_r = cos_sin_basecase(t, wp), 1 << wp, 0
+    else:
+        cos_t, sin_t = pair
+        cos_t >>= {COS_SIN_CACHE_PREC} - wp
+        sin_t >>= {COS_SIN_CACHE_PREC} - wp
+        r = t - (top << (wp - {COS_SIN_CACHE_STEP}))
+        cos_r, sin_r = 1 << wp, r
+        a = -((r * r) >> wp)
+        for k in {_TERMS}:
+            if not a:
+                break
+            a //= k
+            cos_r += a
+            a = (a * r) >> wp
+            a //= k + 1
+            sin_r += a
+            a = -((a * r) >> wp)
     # the value is cos or sin of t, negated where sign is 1; sin is odd
     if _cos:
-        man = _rotation(t, wp, n & 1)
-        sign = (n + 1) >> 1 & 1
+        want_sin, sign = n & 1, (n + 1) >> 1 & 1
     else:
-        man = _rotation(t, wp, n & 1 ^ 1)
-        sign = n >> 1 & 1 ^ ssign
+        want_sin, sign = n & 1 ^ 1, n >> 1 & 1 ^ ssign
+    if want_sin:
+        man = (sin_r * cos_t + cos_r * sin_t) >> wp
+    else:
+        man = (cos_r * cos_t - sin_r * sin_t) >> wp
     if man < 0:
         sign, man = sign ^ 1, -man
     exp = -wp
 """ + indent(NORMALIZE, "    ")
+
+# mpf_sqrt(s, prec, rnd) step for step, with math.isqrt for the exact
+# integer floor root (isqrt or sqrtrem) that mpf_sqrt takes; a negative s
+# calls mpf_sqrt, which raises
+SQRT = """\
+if ssign or not sman:
+    sign, man, exp, bc = mpf_sqrt((ssign, sman, sexp, sbc), prec, rnd)
+else:
+    sign, man, exp, bc = 0, sman, sexp, sbc
+    if exp & 1:
+        man, exp, bc = man << 1, exp - 1, bc + 1
+    if man == 1:  # an even power of 2, whose root is exact
+        exp >>= 1
+    else:
+        shift = 2 * prec - bc + 4
+        if shift < 4:
+            shift = 4
+        shift += shift & 1
+        man <<= shift
+        root = isqrt(man)
+        if root * root != man:
+            # a nonzero remainder perturbs the root up, as in mpf_sqrt
+            root, shift = (root << 1) + 1, shift + 2
+        man, exp = root, (exp - shift) // 2
+""" + indent(ROUND, "    ")
+
+# mpf_pow_int(s, power, prec, rnd) for an integer power: its exact power,
+# taken where bc * power < 1000, and for power 0, 1 and 2 the same bits
+POW = """\
+if not sman or not 0 <= sbc * power < 1000:
+    sign, man, exp, bc = mpf_pow_int((ssign, sman, sexp, sbc), power, prec, rnd)
+else:
+    sign, man, exp = ssign & power, sman ** power, sexp * power
+""" + indent(ROUND, "    ")
+
+# mpf_neg(s, prec, rnd): s with its sign flipped, which normalize1 keeps
+# for a regular s of at most prec bits
+NEG = """\
+if sman and sbc <= prec:
+    sign, man, exp, bc = ssign ^ 1, sman, sexp, sbc
+else:
+    sign, man, exp, bc = mpf_neg((ssign, sman, sexp, sbc), prec, rnd)
+"""
 
 # ok = 0 < size < bound for raw values s (size) and t (bound), t normalized
 # and nonzero, as mpf_lt(fzero, s) and mpf_lt(s, t) decide it. Two positive
@@ -192,39 +281,6 @@ else:
 """
 
 
-def _rotation(t, wp, want_sin):
-    """The sin (want_sin 1) or the cos (0) of cos_sin_basecase(t, wp), alone:
-    its table's value at the top bits of t turned by the series at the rest,
-    of which only the half that is returned is formed. Past the table's
-    precision, or at a value not yet in the table, cos_sin_basecase itself
-    runs, which fills the table."""
-    step = wp - COS_SIN_CACHE_STEP
-    top = t >> step
-    if wp > COS_SIN_CACHE_PREC or top not in cos_sin_cache:
-        c, s = cos_sin_basecase(t, wp)
-        return s if want_sin else c
-    cos_t, sin_t = cos_sin_cache[top]
-    cos_t >>= COS_SIN_CACHE_PREC - wp
-    sin_t >>= COS_SIN_CACHE_PREC - wp
-    r = t - (top << step)
-    c = 1 << wp
-    s = r
-    k = 2
-    a = -((r * r) >> wp)
-    while a:
-        a //= k
-        c += a
-        k += 1
-        a = (a * r) >> wp
-        a //= k
-        s += a
-        k += 1
-        a = -((a * r) >> wp)
-    if want_sin:
-        return (s * cos_t + c * sin_t) >> wp
-    return (c * cos_t - s * sin_t) >> wp
-
-
 def _fixed(s, prec):
     """(acc, e) with s = acc * 2^e and 2^(prec-1) <= acc < 2^prec for a
     positive raw value s of at most prec bits; (None, None) for any other."""
@@ -236,31 +292,38 @@ def _fixed(s, prec):
 
 def _sum(s, acc, e, prec):
     """The raw partial sum: acc * 2^e while acc holds it, else s."""
-    return s if acc is None else normalize(0, acc, e, prec, prec, round_nearest)
+    return s if acc is None else _normalize(0, acc, e, prec)
 
 
-def _kernel(header: str, operands: str, text: str, result: str, other: str = "") -> None:
-    """Define the function header (a def line) in this module: at a rounding
-    other than to nearest it returns other, the libmp call; else it unpacks
-    its operands, as "s" or "s, t", into their fields, runs text and returns
+def _kernel(header: str, operands: str, text: str, result: str, other: str = "") -> str:
+    """The source of the function header (a def line): at a rounding other
+    than to nearest it returns other, the libmp call; else it unpacks its
+    operands, as "s" or "s, t", into their fields, runs text and returns
     result."""
     source = header + "\n"
     if other:
         source += f"    if rnd != round_nearest:\n        return {other}\n"
     for name in operands.split(", ") if operands else ():
         source += f"    {name}sign, {name}man, {name}exp, {name}bc = {name}\n"
-    source += indent(text, "    ") + f"    return {result}\n"
-    exec(compile(source, f"<kernel {header}>", "exec"), globals())
+    return source + indent(text, "    ") + f"    return {result}\n"
 
 
+# the kernels of this module, compiled together
 _RAW = "sign, man, exp, bc"
-_kernel("def _normalize(sign, man, exp, prec):", "", NORMALIZE, _RAW)
-_kernel("def add(s, t, prec, rnd, _sub=0):", "s, t", ADD, _RAW, "mpf_add(s, t, prec, rnd, _sub)")
-_kernel("def mul(s, t, prec, rnd):", "s, t", MUL, _RAW, "mpf_mul(s, t, prec, rnd)")
-_kernel("def div(s, t, prec, rnd):", "s, t", DIV, _RAW, "mpf_div(s, t, prec, rnd)")
-_kernel("def sin(s, prec, rnd, _cos=0):", "s", SIN, _RAW,
-        "(mpf_cos if _cos else mpf_sin)(s, prec, rnd)")
-_kernel("def _decays(s, t):", "s, t", DECAYS, "ok")
+exec(compile("".join([
+    _kernel("def _normalize(sign, man, exp, prec):", "", NORMALIZE, _RAW),
+    _kernel("def add(s, t, prec, rnd, _sub=0):", "s, t", ADD, _RAW,
+            "mpf_add(s, t, prec, rnd, _sub)"),
+    _kernel("def mul(s, t, prec, rnd):", "s, t", MUL, _RAW, "mpf_mul(s, t, prec, rnd)"),
+    _kernel("def div(s, t, prec, rnd):", "s, t", DIV, _RAW, "mpf_div(s, t, prec, rnd)"),
+    _kernel("def sin(s, prec, rnd, _cos=0):", "s", SIN, _RAW,
+            "(mpf_cos if _cos else mpf_sin)(s, prec, rnd)"),
+    _kernel("def sqrt(s, prec, rnd):", "s", SQRT, _RAW, "mpf_sqrt(s, prec, rnd)"),
+    _kernel("def pow_int(s, power, prec, rnd):", "s", POW, _RAW,
+            "mpf_pow_int(s, power, prec, rnd)"),
+    _kernel("def neg(s, prec, rnd):", "s", NEG, _RAW),
+    _kernel("def _decays(s, t):", "s, t", DECAYS, "ok"),
+]), "<kernels>", "exec"))
 _normalize.__doc__ = """The raw value (-1)^sign * man * 2^exp, for an integer man >= 0,
     rounded to prec bits at round-nearest: what libmp's normalize and
     normalize1 return at round_nearest given man's exact bit count."""
@@ -269,6 +332,9 @@ mul.__doc__ = """mpf_mul(s, t, prec, rnd); mul(s, s, prec, rnd) is also
     mpf_pow_int(s, 2, prec, rnd)."""
 div.__doc__ = "mpf_div(s, t, prec, rnd)."
 sin.__doc__ = "mpf_sin(s, prec, rnd), or mpf_cos(s, prec, rnd) when _cos is 1."
+sqrt.__doc__ = "mpf_sqrt(s, prec, rnd)."
+pow_int.__doc__ = "mpf_pow_int(s, power, prec, rnd) for an integer power."
+neg.__doc__ = "mpf_neg(s, prec, rnd)."
 _decays.__doc__ = "0 < s < t for raw values, t normalized and nonzero (see DECAYS)."
 
 
@@ -285,12 +351,13 @@ def cos(x, prec, rnd):
 # each kernel's statement text and the arguments that pick its operation
 INLINE = {
     add: (ADD, {"_sub": "0"}), sub: (ADD, {"_sub": "1"}), mul: (MUL, {}), div: (DIV, {}),
-    sin: (SIN, {"_cos": "0"}), cos: (SIN, {"_cos": "1"}),
+    sin: (SIN, {"_cos": "0"}), cos: (SIN, {"_cos": "1"}), sqrt: (SQRT, {}), pow_int: (POW, {}),
+    neg: (NEG, {}),
 }
 # the names the statement texts read besides their fields, prec and rnd
 GLOBALS = {name: globals()[name] for name in (
-    "fzero", "mpf_add", "mpf_cos", "mpf_div", "mpf_mul", "mpf_sin", "mod_pi2",
-    "_fixed", "_rotation", "_sum",
+    "fzero", "isqrt", "mpf_add", "mpf_cos", "mpf_div", "mpf_mul", "mpf_neg", "mpf_pow_int",
+    "mpf_sin", "mpf_sqrt", "cos_sin_basecase", "cos_sin_cache", "mod_pi2", "_fixed", "_sum",
 )}
 # a name in a statement text, other than an attribute's, or a comment
 _WORD = r"(?<![\w.])[A-Za-z_]\w*|#.*"
@@ -325,26 +392,3 @@ def inline(text: str, names: Dict[str, str], suffix: str) -> str:
             out[i] = word + suffix
     return "".join(out)
 
-
-def _mpf_sqrt(s, prec, rnd):
-    """libmp's mpf_sqrt of a nonnegative raw value s, step for step, with
-    math.isqrt for the exact integer floor root (isqrt or sqrtrem) that
-    mpf_sqrt takes, so the bits are the same."""
-    sign, man, exp, bc = s
-    if not man:
-        return s
-    if exp & 1:
-        exp -= 1
-        man <<= 1
-        bc += 1
-    elif man == 1:
-        return normalize1(sign, man, exp // 2, bc, prec, rnd)
-    shift = max(4, 2 * prec - bc + 4)
-    shift += shift & 1
-    square = man << shift
-    man = isqrt(square)
-    if rnd not in "fd" and man * man != square:
-        # a nonzero remainder perturbs the root up, as in mpf_sqrt
-        man = (man << 1) + 1
-        shift += 2
-    return from_man_exp(man, (exp - shift) // 2, prec, rnd)

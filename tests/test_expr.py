@@ -471,8 +471,8 @@ def test_evaluator_at_p_digits_agrees_with_2p_digits(root, x, p):
 def test_the_isqrt_square_root_is_mpf_sqrt_bit_for_bit(man, exp, prec, rnd):
     # perfect squares, man == 1 and odd exponents take mpf_sqrt's other branches
     s = from_man_exp(man, exp)
-    assert kernels._mpf_sqrt(s, prec, rnd) == mpf_sqrt(s, prec, rnd)
-    assert kernels._mpf_sqrt(fzero, prec, rnd) == mpf_sqrt(fzero, prec, rnd) == fzero
+    assert kernels.sqrt(s, prec, rnd) == mpf_sqrt(s, prec, rnd)
+    assert kernels.sqrt(fzero, prec, rnd) == mpf_sqrt(fzero, prec, rnd) == fzero
 
 
 def _rounded_context(rnd):

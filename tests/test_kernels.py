@@ -2,17 +2,21 @@
 for, bit for bit, on raw operands drawn to reach its branches: equal
 exponents, mpf_add's perturbation bounds, carries to a power of two, exact
 ties at both parities, cancellation to 0, divisor mantissa 1, exact
-division, both signs, |x| at 1 and mpf_cos_sin's tiny-argument cut; now and
-then a zero, inf or nan operand, or a rounding other than to nearest."""
+division, both signs, |x| at 1, mpf_cos_sin's tiny-argument cut and its
+table's misses, odd exponents and mantissa 1 for square roots, powers on
+both sides of mpf_pow_int's 1000-bit cut, and mantissas past the precision
+for negation; now and then a zero, inf or nan operand, or a rounding other
+than to nearest."""
 
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath.libmp import (
-    finf, fnan, fninf, from_man_exp, fzero, mpf_add, mpf_cos, mpf_div, mpf_mul,
-    mpf_pow_int, mpf_sin, mpf_sub, normalize,
+    finf, fnan, fninf, from_man_exp, fzero, mpf_add, mpf_cos, mpf_div, mpf_mul, mpf_neg,
+    mpf_pow_int, mpf_sin, mpf_sqrt, mpf_sub, normalize,
 )
+from mpmath.libmp.libelefun import COS_SIN_CACHE_PREC, COS_SIN_CACHE_STEP, cos_sin_cache
 
 from recurseries import kernels
 
@@ -132,9 +136,10 @@ def _quotients(draw):
 @st.composite
 def _angles(draw):
     """(x, prec, rnd) for sin and cos: |x| from 2^-400 to 2^8, just below and
-    above 1, and at mpf_cos_sin's cut 2^-(prec+10)."""
+    above 1, at mpf_cos_sin's cut 2^-(prec+10), and of magnitude exp + bc
+    near that cut, 0 and 1 (|x| in [1/2, 1) and [1, 2))."""
     prec = draw(PRECS)
-    kind = draw(st.sampled_from(["random", "unit", "tiny"]))
+    kind = draw(st.sampled_from(["random", "unit", "tiny", "magnitude"]))
     sign = draw(st.integers(0, 1))
     # prec + 1 bits: just above the cut, sin(x) rounds x itself at a tie
     bc = draw(st.one_of(st.just(prec + 1), st.integers(1, prec + 20)))
@@ -145,15 +150,54 @@ def _angles(draw):
         x = from_man_exp((-1) ** sign * ((1 << bc) + draw(st.integers(-3, 3))), -bc)
     else:
         x = draw(_raw(bc=bc, sign=sign))
-        x = x[:2] + (-(prec + 10) + draw(st.integers(-2, 1)) - bc, bc)
+        mag = -(prec + 10) + draw(st.integers(-2, 1)) if kind == "tiny" else draw(
+            st.sampled_from([-(prec + 10) + 2, -(prec + 9), -1, 0, 1]))
+        x = x[:2] + (mag - bc, bc)
+    return draw(_special_or_rounding((x, prec, "n"), 1))
+
+
+@st.composite
+def _roots(draw):
+    """(x, prec, rnd) for sqrt: odd and even exponents, mantissa 1, exact
+    squares, and now and then a negative x."""
+    kind = draw(st.sampled_from(["random", "unit", "square"]))
+    if kind == "unit":
+        x = (0, 1, draw(st.integers(-400, 400)), 1)
+    elif kind == "square":
+        man = draw(_raw(bc=draw(st.integers(1, 160))))[1] ** 2
+        x = (0, man, 2 * draw(st.integers(-200, 200)), man.bit_length())
+    else:
+        x = draw(_raw(sign=0))
+    if draw(st.integers(0, 19)) == 0:
+        x = (1,) + x[1:]
+    return draw(_special_or_rounding((x, draw(PRECS), "n"), 1))
+
+
+@st.composite
+def _powers(draw):
+    """(x, n, prec, rnd) for pow_int: n from 3 to 16 with bc * n on both
+    sides of 1000, both signs, now and then n from -3 to 2."""
+    n = draw(st.one_of(st.integers(3, 16), st.integers(-3, 2)))
+    bc = draw(st.one_of(st.integers(1, 320), st.just(max(1, 1000 // abs(n or 1) + draw(
+        st.integers(-1, 1))))))
+    x = draw(_raw(bc=bc, exp=draw(st.integers(-200, 200))))
+    x, prec, rnd = draw(_special_or_rounding((x, draw(PRECS), "n"), 1))
+    return x, n, prec, rnd
+
+
+@st.composite
+def _negations(draw):
+    """(x, prec, rnd) for neg: mantissas at, below and above prec bits."""
+    x = draw(_raw(bc=draw(st.integers(1, 320))))
+    prec = draw(st.one_of(PRECS, st.sampled_from([x[3] - 1, x[3], x[3] + 1]).filter(bool)))
     return draw(_special_or_rounding((x, prec, "n"), 1))
 
 
 def _same(kernel, libmp, args):
     try:
         want = libmp(*args)
-    except ZeroDivisionError:
-        with pytest.raises(ZeroDivisionError):
+    except (ZeroDivisionError, ValueError) as err:
+        with pytest.raises(type(err)):
             kernel(*args)
         return
     assert kernel(*args) == want
@@ -208,39 +252,128 @@ def test_div_is_mpf_div(args):
 
 
 @settings(max_examples=800, deadline=None)
-@given(_angles())
-def test_sin_and_cos_are_mpf_sin_and_mpf_cos(args):
-    _same(kernels.sin, mpf_sin, args)
-    _same(kernels.cos, mpf_cos, args)
+@given(_angles(), st.booleans())
+def test_sin_and_cos_are_mpf_sin_and_mpf_cos(args, empty_table):
+    # with an empty table every value misses it, and cos_sin_basecase runs
+    with mock.patch.dict(cos_sin_cache, clear=empty_table):
+        got = kernels.sin(*args), kernels.cos(*args)
+    assert got == (mpf_sin(*args), mpf_cos(*args))
 
 
-def _falls_back(name, args):
-    """Whether the kernel must call its libmp function: a zero or special
-    operand, a rounding other than to nearest, mpf_add's perturbation
-    (exponents more than 100 apart and magnitudes more than prec + 4) and
-    mpf_cos_sin's tiny argument, below 2^-(prec+10)."""
-    *operands, prec, rnd = args
-    if rnd != "n" or not all(x[1] for x in operands):
-        return True
-    if name == "add":
-        (_, _, sexp, sbc), (_, _, texp, tbc) = operands
-        offset, delta = sexp - texp, sexp + sbc - texp - tbc
-        return offset > 100 and delta > prec + 4 or offset < -100 and -delta > prec + 4
-    if name == "sin":
-        _, _, exp, bc = operands[0]
-        return exp + bc < -(prec + 10)
-    return False
+def test_the_sine_series_ends_within_its_terms():
+    # cos_sin_basecase's series at the table's precision and the largest rest
+    # r < 2^(wp-8), where it runs longest: its pairs of terms, counted as it
+    # runs them, fit kernels._TERMS with room to spare
+    wp = COS_SIN_CACHE_PREC
+    r = (1 << (wp - COS_SIN_CACHE_STEP)) - 1
+    a, k, pairs = -((r * r) >> wp), 2, 0
+    while a:
+        a //= k
+        a = (a * r) >> wp
+        a //= k + 1
+        a = -((a * r) >> wp)
+        k, pairs = k + 2, pairs + 1
+    assert 2 * pairs < len(kernels._TERMS)
 
 
 @settings(max_examples=600, deadline=None)
+@given(_roots())
+def test_sqrt_is_mpf_sqrt(args):
+    _same(kernels.sqrt, mpf_sqrt, args)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_powers())
+def test_pow_int_is_mpf_pow_int(args):
+    _same(kernels.pow_int, mpf_pow_int, args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_negations())
+def test_neg_is_mpf_neg(args):
+    _same(kernels.neg, mpf_neg, args)
+
+
+@st.composite
+def _fixed_sums(draw):
+    """(acc, e, prec): a partial sum acc * 2^e of exactly prec bits."""
+    prec = draw(PRECS)
+    kind = draw(st.sampled_from(["random", "power", "ones"]))
+    if kind == "power":
+        acc = 1 << (prec - 1)
+    elif kind == "ones":
+        acc = (1 << prec) - 1
+    else:
+        acc = draw(st.integers(1 << (prec - 1), (1 << prec) - 1))
+    return acc, draw(st.integers(-500, 500)), prec
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fixed_sums())
+def test_the_partial_sum_is_libmp_normalize(drawn):
+    acc, e, prec = drawn
+    assert kernels._sum(None, acc, e, prec) == normalize(0, acc, e, prec, prec, "n")
+
+
+def _libmp_calls(name, args):
+    """The libmp functions the kernel must call: its own for a zero or
+    special operand, a rounding other than to nearest, mpf_add's
+    perturbation (exponents more than 100 apart and magnitudes more than
+    prec + 4), mpf_cos_sin's tiny argument, below 2^-(prec+10), a negative
+    square root, a power past mpf_pow_int's 1000 bits or a negative one, and
+    a negation past prec bits; and for sin, mod_pi2 at |x| >= 1 and
+    cos_sin_basecase past the table's precision or at a value not in it."""
+    *operands, prec, rnd = args
+    x = operands[0]
+    own = {"add": "mpf_add", "mul": "mpf_mul", "div": "mpf_div", "sin": "mpf_sin",
+           "sqrt": "mpf_sqrt", "pow_int": "mpf_pow_int", "neg": "mpf_neg"}[name]
+    if name == "neg":
+        return set() if x[1] and x[3] <= prec else {own}
+    if rnd != "n" or not all(x[1] for x in operands if isinstance(x, tuple)):
+        return {own}
+    if name == "add":
+        (_, _, sexp, sbc), (_, _, texp, tbc) = operands
+        offset, delta = sexp - texp, sexp + sbc - texp - tbc
+        return {own} if (offset > 100 and delta > prec + 4
+                         or offset < -100 and -delta > prec + 4) else set()
+    if name == "sqrt":
+        return {own} if x[0] else set()
+    if name == "pow_int":
+        return {own} if not 0 <= x[3] * operands[1] < 1000 else set()
+    if name == "sin":
+        mag = x[2] + x[3]
+        if mag < -(prec + 10):
+            return {own}
+        if mag > 0:  # the table's key is mod_pi2's to find
+            return {"mod_pi2"}
+        wp = prec + 10 - mag
+        t = x[1] << (prec + 10 - x[3]) if x[3] <= prec + 10 else x[1] >> (x[3] - prec - 10)
+        miss = wp > COS_SIN_CACHE_PREC or t >> (wp - COS_SIN_CACHE_STEP) not in cos_sin_cache
+        return {"cos_sin_basecase"} if miss else set()
+    return set()
+
+
+_LIBMP = ["mpf_add", "mpf_mul", "mpf_div", "mpf_sin", "mpf_sqrt", "mpf_pow_int", "mpf_neg",
+          "mod_pi2", "cos_sin_basecase"]
+
+
+@settings(max_examples=800, deadline=None)
 @given(st.one_of(_sums().map(lambda a: ("add", a)), _products().map(lambda a: ("mul", a)),
-                 _quotients().map(lambda a: ("div", a)), _angles().map(lambda a: ("sin", a))))
+                 _quotients().map(lambda a: ("div", a)), _angles().map(lambda a: ("sin", a)),
+                 _roots().map(lambda a: ("sqrt", a)), _powers().map(lambda a: ("pow_int", a)),
+                 _negations().map(lambda a: ("neg", a))))
 def test_kernels_call_libmp_exactly_off_their_fast_paths(case):
     name, args = case
-    libmp = {"add": "mpf_add", "mul": "mpf_mul", "div": "mpf_div", "sin": "mpf_sin"}[name]
-    with mock.patch.object(kernels, libmp, wraps=getattr(kernels, libmp)) as called:
+    want = _libmp_calls(name, args)
+    wrapped = {f: mock.Mock(wraps=getattr(kernels, f)) for f in _LIBMP}
+    with mock.patch.multiple(kernels, **wrapped):
         try:
             getattr(kernels, name)(*args)
-        except ZeroDivisionError:
+        except (ZeroDivisionError, ValueError):
             pass
-    assert called.called == _falls_back(name, args)
+    got = {f for f, called in wrapped.items() if called.called}
+    if name == "sin" and "mod_pi2" in want:
+        # at |x| >= 1 the table's key comes from mod_pi2's reduction
+        assert got - {"cos_sin_basecase"} == {"mod_pi2"}
+    else:
+        assert got == want

@@ -127,7 +127,9 @@ def test_loop_rounds_ties_to_even(drawn, text, thin, path):
 
 # every stop: the floor (also at step 0), the step limit, a term that grows
 # at step 1 and later, one that reaches 0, a domain error at step 1 (in a
-# constant) and later, and f(x) that rounds to x
+# constant) and later, and f(x) that rounds to x; and the kernels of a step:
+# sin from |x| >= 1 (mod_pi2), below 1 and below 1/256 (the table's first
+# value), square roots, integer powers, roots raised to a power, negation
 _STOPS = [
     ("x/2", "1", Mode.POSITIVE), ("x/2", "1e-50", Mode.POSITIVE),
     ("x/(1+x)", "1", Mode.POSITIVE), ("2*x", "1", Mode.POSITIVE),
@@ -138,6 +140,10 @@ _STOPS = [
     ("-x/2", "1", Mode.SIGNED), ("x*sin(1/x)*(1/2)", "0.3", Mode.SIGNED),
     ("0.9*(x/(1+x))", "1", Mode.POSITIVE), ("x/(1+x^(1/2))^2", "1", Mode.POSITIVE),
     ("x - x^2", "0.5", Mode.POSITIVE), ("-x/2", "-1", Mode.POSITIVE),
+    ("sin(x)", "1", Mode.POSITIVE), ("sin(x)", "0.5", Mode.POSITIVE),
+    ("sin(x)", "0.01", Mode.POSITIVE), ("sin(x)", "0.001", Mode.POSITIVE),
+    ("x/(1+x^(1/2))^2", "0.5", Mode.POSITIVE), ("x - x^3/6", "0.5", Mode.POSITIVE),
+    ("x - x^(3/2)", "0.5", Mode.POSITIVE), ("-x/2", "0.5", Mode.SIGNED),
 ]
 
 
