@@ -588,7 +588,7 @@ def _envelope_rule(germ: Germ, ctx) -> Optional[Tuple[DerivativeEstimate, Verdic
     g_lo = x - c*x^(1+a) + ... with a >= 1 gives MinorantRule at
     C = 1.01*a*c. f'(0) is the coefficient at x, or its exact band when that
     is an interval. Anything else is None, for the sampled route: envelopes
-    can be looser than f (x*sin(1/x)*sin(1/x) reads [-1, 1]*x), and the band
+    can be looser than f (x*sin(1/x)*sin(2/x) reads [-1, 1]*x), and the band
     may still read f."""
     upper, lower = germ.envelope(True), germ.envelope(False)
     derivative = _exact_band([germ.terms[0][1]], ctx)
@@ -883,15 +883,15 @@ class AnalysisReport:
 
 def detect_mode(table: Samples) -> Mode:
     """Signed when the seed x0 is negative or f goes negative anywhere on
-    the table's seed grid."""
+    the table's seed grid: where the raw f(x) has its sign bit, which is
+    mpf's f(x) < 0 (-inf has it; nan and zero do not)."""
     if table.x0 < 0:
         return Mode.SIGNED
+    raw = table.raw
     for p in table.points(table.seed):
-        try:
-            if table.f(p) < 0:
-                return Mode.SIGNED
-        except EvalDomainError:
-            continue
+        y = raw(p)
+        if isinstance(y, tuple) and y[0]:  # not an EvalDomainError, and negative
+            return Mode.SIGNED
     return Mode.POSITIVE
 
 

@@ -11,8 +11,10 @@ associative, unary minus binds between ^ and * /):
     IDENT  := "sin"|"cos"|"exp"|"ln"|"sqrt"|"abs"
 
 NUMBER is a decimal literal with optional fraction and exponent.
-Trees are immutable; evaluation happens on an isolated arbitrary
-precision context so concurrent callers never share state.
+Trees are immutable; evaluation happens on an arbitrary precision
+context, one per precision, which every caller in the process shares (see
+context): callers may raise its precision only through ctx.workprec or
+ctx.extraprec, which restore it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ from typing import Callable, Dict, Optional, Tuple, Union
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import fone, fzero, mpf_abs, mpf_exp, mpf_log, mpf_pow, round_nearest
+from mpmath.libmp import (
+    dps_to_prec, fone, fzero, mpf_abs, mpf_exp, mpf_log, mpf_pow, round_nearest,
+)
 from mpmath.libmp.libmpf import reciprocal_rnd
 
 from .kernels import (
@@ -308,16 +312,29 @@ DEFAULT_PRECISION = 64
 MIN_PRECISION = 16
 
 
+# the context of each precision (see context), made on first use
+_CONTEXTS: Dict[int, object] = {}
+
+
 def context(precision: int = DEFAULT_PRECISION):
-    """Return an isolated mpmath context carrying guard digits.
+    """Return this process's mpmath context for the precision, carrying
+    guard digits.
 
     Results are correct to the requested number of significant digits; the
-    extra guard digits absorb rounding inside compositions.
+    extra guard digits absorb rounding inside compositions. The context is
+    cloned from mpmath's once per precision and shared by every caller in
+    the process (which makes it unfit for concurrent threads), so do not
+    set its prec, dps or rounding: ctx.workprec and ctx.extraprec restore
+    it. A context whose prec, dps or rounding a caller did change is not
+    returned again; the next call clones a new one.
     """
-    if precision < MIN_PRECISION:
-        raise ValueError(f"precision must be at least {MIN_PRECISION} digits")
-    ctx = mp.clone()
-    ctx.dps = precision + GUARD_DIGITS
+    ctx = _CONTEXTS.get(precision)
+    dps = precision + GUARD_DIGITS
+    if ctx is None or ctx._dps != dps or ctx._prec_rounding != [dps_to_prec(dps), round_nearest]:
+        if precision < MIN_PRECISION:
+            raise ValueError(f"precision must be at least {MIN_PRECISION} digits")
+        ctx = _CONTEXTS[precision] = mp.clone()
+        ctx.dps = dps
     return ctx
 
 

@@ -18,10 +18,14 @@ A bounded oscillating factor gets an interval coefficient, by Moore's
 interval arithmetic on the coefficients: sin(u) or cos(u) whose u holds x
 but no pi or e and has no germ the pass reads, or one that grows without
 bound (sin(1/x), sin(ln x)), is the constant [-1, 1], and abs of a single
-term takes the interval's magnitude, so abs(sin(1/x)) is [0, 1]. Intervals
-pass through +, - and *; a division by one, a power of one and exp, sin,
-cos or ln of one are refused. Near 0+, f then lies between the envelopes
-sum of lo*x^e and sum of hi*x^e, up to O(x^order). An f without such a
+term takes the interval's magnitude, so abs(sin(1/x)) is [0, 1]. In a
+product, such atoms of one argument u are read together, against Moore's
+dependency problem: sin(u)*cos(u) is [-1/2, 1/2], and sin(u)*sin(u),
+sin(u)^2 and their cos forms are [0, 1]; any other product is the product
+of the ranges. Intervals pass through +, - and *; a division by one, any
+other power of one and exp, sin, cos or ln of one are refused. Near 0+, f
+then lies between the envelopes sum of lo*x^e and sum of hi*x^e, up to
+O(x^order). An f without such a
 factor gets the germ of point coefficients it got before intervals.
 """
 
@@ -31,7 +35,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, Iterator, Optional, Tuple
 
-from .expr import EXPONENT_CAP, Call, Const, FunctionDef, Neg, Number, Var, _has_var
+from .expr import EXPONENT_CAP, BinOp, Call, Const, FunctionDef, Neg, Number, Var, _has_var
 
 # the absolute truncation orders tried in turn, until the germ is read
 ORDERS = (4, 8, 16, 32)
@@ -79,6 +83,8 @@ def high(c) -> Fraction:
 
 
 _UNIT = Interval(-_ONE, _ONE)  # sin(u) or cos(u) for a u the pass cannot read
+_HALF_UNIT = Interval(-_HALF, _HALF)  # sin(u)*cos(u) = sin(2u)/2, for such a u
+_SQUARE = Interval(_ZERO, _ONE)  # sin(u)^2 or cos(u)^2, for such a u
 
 _Terms = Dict[Fraction, object]  # exponent -> Fraction or Interval
 _Series = Tuple[_Terms, Fraction]  # (terms, order): known below x^order
@@ -339,6 +345,51 @@ def _atom(u, n: Fraction) -> _Series:
     return {_ZERO: _UNIT}, n
 
 
+def _is_atom(node, series: _Series) -> bool:
+    """Whether node is sin(u) or cos(u) read as the atom [-1, 1] (see _atom)."""
+    return isinstance(node, Call) and node.func in ("sin", "cos") and series[0] == {_ZERO: _UNIT}
+
+
+def _factors(node) -> list:
+    """The factors of a chain of *, in order."""
+    if isinstance(node, BinOp) and node.op == "*":
+        return _factors(node.left) + _factors(node.right)
+    return [node]
+
+
+def _paired_product(node, n: Fraction) -> Optional[_Series]:
+    """A chain of * in which atoms sin(u) and cos(u) (see _atom) of one
+    argument u, the same tree, are read together, not as a product of
+    their ranges (Moore's dependency problem): sin(u)*cos(u) is
+    [-1/2, 1/2], then two sin(u) or two cos(u) left are [0, 1], and one
+    left is [-1, 1]. The other factors and these ranges multiply as
+    before. None when no two such atoms share an argument."""
+    factors = _factors(node)
+    args = [f.arg for f in factors if isinstance(f, Call) and f.func in ("sin", "cos")]
+    if len(set(args)) == len(args):
+        return None
+    product, atoms = [], {}
+    for factor in factors:
+        series = _expand(factor, n)
+        if _is_atom(factor, series):
+            atoms.setdefault(factor.arg, []).append(factor.func)
+        else:
+            product.append(series)
+    if all(len(funcs) < 2 for funcs in atoms.values()):
+        return None
+    for funcs in atoms.values():
+        sines, cosines = funcs.count("sin"), funcs.count("cos")
+        both = min(sines, cosines)
+        sines, cosines = sines - both, cosines - both
+        ranges = ([_HALF_UNIT] * both + [_SQUARE] * (sines // 2 + cosines // 2)
+                  + [_UNIT] * (sines % 2 + cosines % 2))
+        product += [({_ZERO: r}, n) for r in ranges]
+    result = product[0]
+    for series in product[1:]:
+        result = _mul(result, series, n)
+    return result
+
+
 def _constant(node, n: Fraction) -> Fraction:
     """The exact value of a subtree without x."""
     if _has_var(node):
@@ -399,7 +450,14 @@ def _expand(node, n: Fraction) -> _Series:
             raise _Short
         return _compose(_taylor(node.func), terms, min(order, n))
     if node.op == "^":
-        return _power(_expand(node.left, n), _constant(node.right, n), n)
+        base, r = _expand(node.left, n), _constant(node.right, n)
+        if r == 2 and _is_atom(node.left, base):
+            return {_ZERO: _SQUARE}, n
+        return _power(base, r, n)
+    if node.op == "*":
+        paired = _paired_product(node, n)
+        if paired is not None:
+            return paired
     left, right = _expand(node.left, n), _expand(node.right, n)
     if node.op == "+":
         return _add(left, right)

@@ -7,6 +7,7 @@ configuration regenerate bit-identical points at any working precision.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Dict, List
 
@@ -29,7 +30,9 @@ class GridSpec:
     by the lattice points below it: the grid never samples above its start,
     and two grids share every lattice point they overlap in. Quarter-decade
     steps give log-uniform coverage, which matches power-law behavior near
-    zero.
+    zero. The points from x_0 = 1 down to x_LATTICE_DEPTH = VALIDATION_FLOOR
+    are cut from one list per precision (see _lattice); the others are
+    computed per point.
     """
 
     start: str = "1e-2"
@@ -41,11 +44,19 @@ class GridSpec:
         if not (start > floor > 0):
             raise ValueError(
                 f"grid from {self.start} down to {self.floor} needs start > floor > 0")
-        # lattice positions of start and floor, up to the rounding of log10;
-        # an absurd span is refused before any point is generated
-        top = -PER_DECADE * ctx.log10(start)
-        bottom = -PER_DECADE * ctx.log10(floor)
-        if bottom - top < MAX_GRID_POINTS + 1:
+        lattice = _lattice_values(ctx)
+        if lattice[0] >= start and floor >= lattice[-1]:
+            # the first point at or below start and the last at or above
+            # floor, found on the descending values by bisection
+            first = bisect_left(lattice, True, key=lambda x: x <= start)
+            last = bisect_left(lattice, True, key=lambda x: x < floor) - 1
+        else:
+            # lattice positions of start and floor, up to the rounding of
+            # log10; an absurd span is refused before any point is generated
+            top = -PER_DECADE * ctx.log10(start)
+            bottom = -PER_DECADE * ctx.log10(floor)
+            if not bottom - top < MAX_GRID_POINTS + 1:
+                raise self._too_many()
             # the slack absorbs that rounding at a lattice point; a start
             # (floor) within it below (above) the point is settled by
             # comparing with the point's value
@@ -53,14 +64,19 @@ class GridSpec:
             first, last = int(ctx.ceil(top - slack)), int(ctx.floor(bottom + slack))
             first += _lattice_point(ctx, first) > start
             last -= _lattice_point(ctx, last) < floor
-            off_lattice = _lattice_point(ctx, first) != start
-            if last - first + off_lattice < MAX_GRID_POINTS:
-                lattice = [_lattice_point(ctx, j) for j in range(first, last + 1)]
-                return [start] + lattice if off_lattice else lattice
-        raise ValueError(
-            f"grid from {self.start} down to {self.floor}"
-            f" needs more than {MAX_GRID_POINTS} points"
-        )
+        off_lattice = _lattice_point(ctx, first) != start
+        if last - first + off_lattice >= MAX_GRID_POINTS:
+            raise self._too_many()
+        # points above 1 and below VALIDATION_FLOOR lie outside the lattice's
+        # values and are computed
+        grid = ([_lattice_point(ctx, j) for j in range(first, min(last + 1, 0))]
+                + lattice[max(first, 0):max(last + 1, 0)]
+                + [_lattice_point(ctx, j) for j in range(max(first, LATTICE_DEPTH + 1), last + 1)])
+        return [start] + grid if off_lattice else grid
+
+    def _too_many(self) -> ValueError:
+        return ValueError(f"grid from {self.start} down to {self.floor}"
+                          f" needs more than {MAX_GRID_POINTS} points")
 
 
 PROBE_GRID = GridSpec()
@@ -68,24 +84,31 @@ PROBE_GRID = GridSpec()
 VALIDATION_FLOOR = "1e-30"
 LATTICE_DEPTH = 30 * PER_DECADE  # the index of VALIDATION_FLOOR
 
-# {binary precision: {j: raw value (_mpf_) of x_j}} for 0 <= j <= LATTICE_DEPTH,
-# filled on first use and at one precision at a time: every grid at that
-# precision, in every analysis, is cut from it
-_lattice: Dict[int, Dict[int, tuple]] = {}
+# {binary precision: [x_0, ..., x_LATTICE_DEPTH] as mpf numbers}, made on
+# first use: every grid at that precision, in every analysis, is cut from it.
+# The numbers are those of the context that last asked at that precision,
+# which is the shared context(precision) unless a caller brings its own
+_lattice: Dict[int, List] = {}
 
 
 def _lattice_point(ctx, j: int):
     """x_j as ctx's own mpf number, bit for bit ctx.power(10, ctx.mpf(-j) / PER_DECADE)."""
-    raws = _lattice.get(ctx.prec)
-    if raws is None:
-        _lattice.clear()
-        raws = _lattice[ctx.prec] = {}
-    raw = raws.get(j)
-    if raw is None:
-        raw = ctx.power(10, ctx.mpf(-j) / PER_DECADE)._mpf_
-        if 0 <= j <= LATTICE_DEPTH:
-            raws[j] = raw
-    return ctx.make_mpf(raw)
+    if 0 <= j <= LATTICE_DEPTH:
+        return _lattice_values(ctx)[j]
+    return ctx.power(10, ctx.mpf(-j) / PER_DECADE)
+
+
+def _lattice_values(ctx) -> List:
+    """x_0, ..., x_LATTICE_DEPTH as ctx's own mpf numbers."""
+    values = _lattice.get(ctx.prec)
+    if values is None:
+        values = [ctx.power(10, ctx.mpf(-j) / PER_DECADE) for j in range(LATTICE_DEPTH + 1)]
+    elif type(values[0]) is not ctx.mpf:  # another context's, at the same bits
+        values = [ctx.make_mpf(x._mpf_) for x in values]
+    else:
+        return values
+    _lattice[ctx.prec] = values
+    return values
 
 
 def seed_grid(x0, ctx) -> GridSpec:
@@ -111,17 +134,21 @@ class Samples:
     """The sample table of one analysis: f, the working precision and the two
     grids as every stage reads them. `seed` (seed_grid of x0) is where the
     hypotheses and the comparison rules sample, `probe` where the derivative
-    and the limit probes do. f is compiled once, on the table's one context;
-    each grid is generated once, and f evaluated once per distinct point.
+    and the limit probes do. f is compiled once, on the table's context,
+    which is the one context(precision) every table at that precision
+    shares; each grid is generated once, and f evaluated once per distinct
+    point.
 
-    A point's entry is f(x) or the EvalDomainError f raised there; reading
-    it raises that error again. ln x and ln f(x) are computed on first use
-    per grid, for the limit probes. `compiled` is f itself, on raw values
-    and without the table (see expr.evaluator); a short orbit calls it in a
-    loop of its own, so that its points are not kept, and a long one runs
-    f's statements in its loop instead (see expr.orbit_loop). `loops` holds
-    the loops the table's orbits ran (see orbit.iterate). The table belongs
-    to one analysis and is not shared between calls.
+    A point's entry is the raw f(x), as the compiled f returns it, or the
+    EvalDomainError f raised there: `raw` returns it as kept, and `f`
+    makes the mpf when it is read, or raises that error again. The mode and
+    hypothesis checks read raw entries. ln x and ln f(x) are computed on
+    first use per grid, for the limit probes. `compiled` is f itself, on raw
+    values and without the table (see expr.evaluator); a short orbit calls
+    it in a loop of its own, so that its points are not kept, and a long one
+    runs f's statements in its loop instead (see expr.orbit_loop). `loops`
+    holds the loops the table's orbits ran (see orbit.iterate). The table
+    belongs to one analysis and is not shared between calls.
     """
 
     def __init__(self, f: FunctionDef, precision: int = DEFAULT_PRECISION,
@@ -133,7 +160,7 @@ class Samples:
         self.x0 = self.ctx.convert(x0)
         self.seed = seed_grid(self.x0, self.ctx)
         self.probe = probe
-        # x._mpf_ (which hashes faster than x) -> f(x) or EvalDomainError
+        # x._mpf_ (which hashes faster than x) -> raw f(x) or EvalDomainError
         self._values: Dict = {}
         self._points: Dict[GridSpec, List] = {}
         self._logs: Dict[GridSpec, List] = {}
@@ -146,19 +173,26 @@ class Samples:
             points = self._points[grid] = grid.points(self.ctx)
         return points
 
-    def f(self, x):
-        """f(x) from the table for an mpf x, evaluated on first use."""
+    def raw(self, x):
+        """f(x) as the table keeps it, for an mpf x: the raw value (an mpf's
+        _mpf_ tuple), or the EvalDomainError f raised at x, returned, not
+        raised; evaluated on first use."""
         key = x._mpf_
         y = self._values.get(key)
         if y is None:
             try:
-                y = self.ctx.make_mpf(self.compiled(key))
+                y = self.compiled(key)
             except EvalDomainError as err:
                 y = err
             self._values[key] = y
+        return y
+
+    def f(self, x):
+        """f(x) from the table for an mpf x, as an mpf, evaluated on first use."""
+        y = self.raw(x)
         if isinstance(y, EvalDomainError):
             raise y
-        return y
+        return self.ctx.make_mpf(y)
 
     def logs(self, grid: GridSpec) -> List:
         """(x, ln x, ln f(x)) at every grid point, kept at LOG_GUARD_BITS

@@ -18,7 +18,7 @@ import mpmath
 from mpmath.libmp import fzero, mpf_abs, mpf_add, to_str
 
 from .expr import (
-    STOP_DOMAIN, STOP_FLOOR, STOP_MAX_N, EvalDomainError, orbit_loop,
+    STOP_DOMAIN, STOP_FLOOR, STOP_MAX_N, orbit_loop,
 )
 from .grids import Samples
 from .kernels import _decays, _fixed, _sum
@@ -107,7 +107,8 @@ class HypothesisReport:
 
 def validate_hypotheses(table: Samples, mode: Mode = Mode.POSITIVE) -> HypothesisReport:
     """Sample the decay hypothesis on the table's seed grid, with the raw
-    comparison _decays that iterate makes.
+    comparison _decays that iterate makes, on the raw f(x) the table keeps
+    (see Samples.raw); only a violation's f(x) is made an mpf.
 
     In signed mode every magnitude is checked at both signs. Evaluation
     domain errors count as violations, recorded with the error. The
@@ -117,7 +118,7 @@ def validate_hypotheses(table: Samples, mode: Mode = Mode.POSITIVE) -> Hypothesi
     those points are violations, and only the caller, which knows whether
     |f| < |x| holds near 0, can read them as a precision limit.
     """
-    fn = table.f
+    raw = table.raw
     points = table.points(table.seed)
     if mode is Mode.SIGNED:
         signed_points = []
@@ -128,17 +129,16 @@ def validate_hypotheses(table: Samples, mode: Mode = Mode.POSITIVE) -> Hypothesi
     violations = []
     flat = 0  # how many of the points so far, counted from the last, have f(x) == x
     for p in points:
-        try:
-            y = fn(p)
-        except EvalDomainError as err:
-            violations.append((p, err))
+        y = raw(p)
+        if not isinstance(y, tuple):  # the EvalDomainError f raised at p
+            violations.append((p, y))
             flat = 0
             continue
-        size, bound = y._mpf_, p._mpf_
+        size, bound = y, p._mpf_
         if mode is Mode.SIGNED:
             size, bound = mpf_abs(size, prec, rnd), mpf_abs(bound, prec, rnd)
         if not _decays(size, bound):
-            violations.append((p, y))
+            violations.append((p, table.ctx.make_mpf(y)))
         flat = flat + 1 if size == bound else 0
     if mode is Mode.SIGNED:
         flat -= flat % 2  # whole pairs p, -p

@@ -71,6 +71,10 @@ DECISIVE = [
     # one growing like x^(b-1) with b just below 1, but the envelopes do
     CorpusEntry("abs_sine_boundary", "x - x^2*abs(sin(1/x))", None, "0.3",
                 "positive", "divergent", "MinorantRule"),
+    # sin(1/x)*cos(1/x) = sin(2/x)/2 is read as one atom, [-1/2, 1/2], so
+    # |f(x)| <= |x|/2 near 0; as a product of ranges it read [-1, 1]
+    CorpusEntry("same_argument", "x*sin(1/x)*cos(1/x)", None, "0.3",
+                "signed", "convergent", "AbsoluteBoundRule"),
     # no germ (ln x), so the sampled comparison band decides
     CorpusEntry("log_majorant", "x-x^(3/2)*ln(1/x)", None, "0.1",
                 "positive", "convergent", "MajorantRule"),

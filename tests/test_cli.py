@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import recurseries.cli
+import recurseries.expr
 from recurseries.cli import (
     _SUBCOMMANDS,
     RunConfig,
@@ -105,6 +107,29 @@ def test_json_rule_none_for_inconclusive():
     assert doc["verdict"] == "inconclusive"
     assert doc["rule"] == "none"
     assert doc["witnesses"] == {}
+
+
+def test_corpus_output_does_not_depend_on_the_order_of_analyses(capsys):
+    # the analyses of one process share context(precision) and the grid
+    # lattice: every corpus entry, as text and JSON, in order, in reverse
+    # and in two seeded shuffles, must print the same and exit the same,
+    # and no analysis may leave a shared context changed
+    runs = [(entry, extra) for entry in ALL for extra in ((), ("--json",))]
+    orders = [runs, runs[::-1]] + [random.Random(seed).sample(runs, len(runs)) for seed in (7, 8)]
+    outputs = {}
+    for order in orders:
+        for entry, extra in order:
+            shared = {p: (ctx, list(ctx._prec_rounding), ctx.dps)
+                      for p, ctx in recurseries.expr._CONTEXTS.items()}
+            with pytest.raises(SystemExit) as exc:
+                main(entry.cli_args(*extra))
+            outputs.setdefault((entry.name, extra), set()).add(
+                (exc.value.code, capsys.readouterr().out))
+            for p, (ctx, prec_rounding, dps) in shared.items():
+                assert context(p) is ctx, (entry.name, p)
+                assert (ctx._prec_rounding, ctx.dps) == (prec_rounding, dps), (entry.name, p)
+    assert context(64).prec == 249
+    assert {name: len(seen) for name, seen in outputs.items() if len(seen) > 1} == {}
 
 
 @pytest.mark.parametrize("entry", ALL, ids=lambda e: e.name)

@@ -65,6 +65,17 @@ def analyze_unsampled(text, x0, max_n=50, **kwargs):
     ("(x*sin(1/x))*sin(1/(x*sin(1/x)))", [(1, Interval(Fraction(-1), Fraction(1)))]),
     ("x/2 + x^2*sin(1/x)", [(1, Fraction(1, 2)), (2, Interval(Fraction(-1), Fraction(1)))]),
     ("x/(2 + sin(1/x))", None),  # a division by an interval
+    # atoms of one argument are one atom: sin(u)*cos(u) = sin(2u)/2
+    ("x*sin(1/x)*cos(1/x)", [(1, Interval(Fraction(-1, 2), Fraction(1, 2)))]),
+    ("cos(1/x)*(x*sin(1/x))", [(1, Interval(Fraction(-1, 2), Fraction(1, 2)))]),
+    ("x*sin(1/x)*sin(1/x)", [(1, Interval(Fraction(0), Fraction(1)))]),
+    ("x*cos(ln(x))^2", [(1, Interval(Fraction(0), Fraction(1)))]),
+    ("x*sin(1/x)*cos(1/x)*cos(1/x)", [(1, Interval(Fraction(-1, 2), Fraction(1, 2)))]),
+    ("x*abs(sin(1/x)*cos(1/x))", [(1, Interval(Fraction(0), Fraction(1, 2)))]),
+    # another argument, or a factor that is not an atom, stays a product of ranges
+    ("x*sin(1/x)*sin(2/x)", [(1, Interval(Fraction(-1), Fraction(1)))]),
+    ("x*sin(1/x)*(-cos(1/x))", [(1, Interval(Fraction(-1), Fraction(1)))]),
+    ("x*sin(1/x)^3", None),  # any other power of an interval
     ("x*exp(x*sin(1/x))", None),  # exp of an interval
     ("x*cos(pi*x)", None),  # a sampled route reads f'(0) = 1 here
     ("x*sin(1)", None),  # a constant the pass cannot read, as before
@@ -120,6 +131,39 @@ def test_the_envelopes_hold_f(terms, data):
         assert lo - slack <= fx <= hi + slack, (text, x)
 
 
+# products of atoms in which one argument u repeats: a pair of sin(u) and
+# cos(u), or a square, in either form, and up to two more atoms of the same
+# few arguments
+ARGUMENTS = st.sampled_from(["1/x", "1/x^2", "ln(x)", "(1/x + x)"])
+PAIRS = st.builds(lambda form, u: form.replace("U", u), st.sampled_from(
+    ["sin(U)*cos(U)", "cos(U)*sin(U)", "sin(U)*sin(U)", "cos(U)*cos(U)", "sin(U)^2", "cos(U)^2"]),
+    ARGUMENTS)
+ATOMS_OF = st.builds(lambda form, u: form.replace("U", u), st.sampled_from(
+    ["sin(U)", "cos(U)", "sin(U)^2", "abs(sin(U))"]), ARGUMENTS)
+PRODUCTS = st.lists(st.tuples(COEFFICIENTS, EXPONENTS, PAIRS, st.lists(ATOMS_OF, max_size=2)),
+                    min_size=1, max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(terms=PRODUCTS, data=st.data())
+def test_the_envelopes_of_same_argument_products_hold_f(terms, data):
+    # products whose atoms share arguments, read as one atom per pair, lie
+    # between their envelopes near 0, up to the dropped terms; evaluated with
+    # f's compiled function at random x in (0, 1e-3]
+    text = " + ".join("*".join([f"({c})*x^({e})", pair, *atoms]) for c, e, pair, atoms in terms)
+    germ = expand(parse(text))
+    if germ is None:  # every coefficient cancelled
+        return
+    f = evaluator(parse(text), CTX)
+    for _ in range(5):
+        x = CTX.mpf(data.draw(st.integers(1, 10**6))) / 10**9
+        fx = CTX.make_mpf(f(x._mpf_))
+        slack = x ** mpf(germ.order) * sum(abs(mpf(c)) for c, *_ in terms) + CTX.mpf("1e-50")
+        lo, hi = (CTX.fsum(mpf(c) * x ** mpf(e) for e, c in germ.envelope(upper))
+                  for upper in (False, True))
+        assert lo - slack <= fx <= hi + slack, (text, x)
+
+
 @settings(max_examples=25, deadline=None)
 @given(c=st.sampled_from([Fraction(p, 8) for p in range(1, 8)]),
        b=st.sampled_from([Fraction(p, q) for q in (1, 2, 3, 4) for p in range(1, 3 * q + 1)]))
@@ -166,8 +210,8 @@ ENVELOPED = [e for e in ALL if e.function is not None
 def test_the_envelopes_decide_the_oscillating_corpus_entries():
     assert sorted(e.name for e in ENVELOPED) == sorted([
         "oscillatory", "wide_band", "signed_oscillatory", "abs_sine_minorant",
-        "abs_sine_majorant", "abs_sine_blind", "abs_sine_boundary", "unit_bound",
-        "unit_bound_twice"])
+        "abs_sine_majorant", "abs_sine_blind", "abs_sine_boundary", "same_argument",
+        "unit_bound", "unit_bound_twice"])
 
 
 @pytest.mark.parametrize("entry", ENVELOPED, ids=lambda e: e.name)
@@ -216,17 +260,27 @@ def test_the_signed_envelope_replaces_a_false_sampled_bound():
 
 
 def test_an_undecided_positive_envelope_leaves_the_sampled_route():
-    # f <= x - x^(3/2)/2, but the product of two atoms reads [-1, 1], so the
-    # envelope x + x^(3/2)/2 decides nothing; the band reads f itself
-    report = analyze(Samples(parse("x - x^(3/2)/2 - x^(3/2)*sin(1/x)*sin(1/x)"), x0="0.3"),
+    # sin(1/x)*sin(2/x) >= -0.77, so f <= x - 0.23*x^(3/2), but the product
+    # of two atoms of different arguments reads [-1, 1], so the envelope
+    # x - [0, 2]*x^(3/2) decides nothing; the band reads f itself
+    report = analyze(Samples(parse("x - x^(3/2)*(1+sin(1/x)*sin(2/x))"), x0="0.3"),
                      max_n=200)
     assert (report.verdict.rule, report.verdict.witnesses["majorant"]) == (
-        MAJORANT_RULE, "powerlaw:a=0.9,c=1.08")
+        MAJORANT_RULE, "powerlaw:a=0.9,c=1.33")
     assert not report.germ.exact and report.derivative.samples
 
 
-def test_a_signed_envelope_bound_is_exact():
-    report = analyze_unsampled("x*sin(1/x)*(1/2)", "0.3")
+def test_a_same_argument_product_decides_by_its_envelope():
+    # sin(1/x)*sin(1/x) is one atom, [0, 1], so the envelope is
+    # x - [1/2, 3/2]*x^(3/2) and f <= x - x^(3/2)/2 decides without samples
+    report = analyze_unsampled("x - x^(3/2)/2 - x^(3/2)*sin(1/x)*sin(1/x)", "0.3", max_n=200)
+    assert (report.verdict.rule, report.verdict.witnesses["majorant"]) == (
+        MAJORANT_RULE, "powerlaw:a=1/2,c=99/400")
+
+
+@pytest.mark.parametrize("text", ["x*sin(1/x)*(1/2)", "x*sin(1/x)*cos(1/x)"])
+def test_a_signed_envelope_bound_is_exact(text):
+    report = analyze_unsampled(text, "0.3")
     assert (report.verdict.rule, report.verdict.witnesses) == (ABSOLUTE_BOUND_RULE, {"c": CTX.mpf("0.5")})
 
 

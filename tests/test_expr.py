@@ -41,6 +41,32 @@ def test_context_carries_guard_digits():
         context(15)
 
 
+def test_a_changed_context_is_not_returned_again():
+    # one context per precision, kept while workprec and extraprec restore
+    # it; one whose prec, dps or rounding a caller set is replaced by a new
+    # clone. At 37 digits, which no other test uses: a changed context
+    # stays changed for whoever holds it
+    ctx = context(37)
+    prec = ctx.prec
+    assert context(37) is ctx and context(38) is not ctx
+    with ctx.extraprec(100):
+        pass
+    with ctx.workprec(20):
+        pass
+    assert context(37) is ctx
+    changes = [lambda c: setattr(c, "prec", c.prec + 1),
+               lambda c: setattr(c, "dps", 60),
+               lambda c: setattr(c, "dps", 40),
+               lambda c: c._prec_rounding.__setitem__(1, "d")]
+    for change in changes:
+        change(ctx)
+        fresh = context(37)
+        assert fresh is not ctx
+        assert (fresh.dps, fresh._prec_rounding) == (47, [prec, "n"])
+        assert context(37) is fresh
+        ctx = fresh
+
+
 TRICKY = [
     "x",
     "1 + 2 * x",
@@ -476,7 +502,8 @@ def test_the_isqrt_square_root_is_mpf_sqrt_bit_for_bit(man, exp, prec, rnd):
 
 
 def _rounded_context(rnd):
-    ctx = context(64)
+    # a copy: the context that context(64) returns is shared
+    ctx = context(64).clone()
     ctx._prec_rounding[1] = rnd
     return ctx
 

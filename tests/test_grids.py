@@ -2,17 +2,19 @@ import sys
 from collections import Counter
 
 import mpmath
-from mpmath.libmp import repr_dps
+from mpmath.libmp import finf, fnan, fninf, fzero, repr_dps
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import recurseries.classify
+import recurseries.cli
 import recurseries.expr
 import recurseries.grids
 from recurseries.classify import (
     CANCELLATION_HEADROOM,
     PrecisionGuardError,
     analyze,
+    detect_mode,
     probe_limit,
 )
 from recurseries.cli import main
@@ -33,9 +35,10 @@ from recurseries.grids import (
     Samples,
     seed_grid,
 )
-from recurseries.orbit import iterate
+from recurseries.orbit import Mode, iterate
 
 from corpus import ALL
+from test_expr import _xs
 
 CTX = context(64)
 POSITIVE = [e for e in ALL if e.mode == "positive"]
@@ -92,15 +95,16 @@ def same_bits(points, ctx, expected):
     assert [p._mpf_ for p in points] == [e._mpf_ for e in expected]
 
 
-def lattice_size():
-    return sum(len(raws) for raws in recurseries.grids._lattice.values())
+def lattice_sizes():
+    """How many values the lattice keeps at each precision."""
+    return {prec: len(values) for prec, values in recurseries.grids._lattice.items()}
 
 
 CONTEXTS = {p: context(p) for p in (16, 64, 200)}
 
 
-# the precision changes from one example to the next, so the one lattice a
-# process keeps is read, refilled and replaced in every order
+# the precision changes from one example to the next, so the lattices a
+# process keeps, one per precision, are read and filled in every order
 @settings(max_examples=80, deadline=None)
 @given(i=st.integers(-40, 200), span=st.integers(1, 200),
        precision=st.sampled_from(sorted(CONTEXTS)))
@@ -113,7 +117,73 @@ def test_grids_are_slices_of_one_lattice(i, span, precision):
     between = mpmath.nstr(lattice(i, ctx) * ctx.mpf("0.9"), 20)
     same_bits(GridSpec(start=between, floor=spec.floor).points(ctx), ctx,
               [ctx.mpf(between)] + [lattice(j, ctx) for j in range(i + 1, k + 1)])
-    assert lattice_size() <= LATTICE_DEPTH + 1 == 121
+    assert set(lattice_sizes().values()) == {LATTICE_DEPTH + 1} == {121}
+
+
+def reference_points(spec, ctx):
+    """GridSpec.points by the per-point route: the positions of start and
+    floor from log10, settled by comparison, and every point computed as
+    lattice(j); the reference for the slices of the kept lattice."""
+    start, floor = ctx.mpf(spec.start), ctx.mpf(spec.floor)
+    if not (start > floor > 0):
+        raise ValueError("needs start > floor > 0")
+    top, bottom = -4 * ctx.log10(start), -4 * ctx.log10(floor)
+    if bottom - top < MAX_GRID_POINTS + 1:
+        slack = ctx.mpf("1e-9")
+        first, last = int(ctx.ceil(top - slack)), int(ctx.floor(bottom + slack))
+        first += lattice(first, ctx) > start
+        last -= lattice(last, ctx) < floor
+        off_lattice = lattice(first, ctx) != start
+        if last - first + off_lattice < MAX_GRID_POINTS:
+            points = [lattice(j, ctx) for j in range(first, last + 1)]
+            return [start] + points if off_lattice else points
+    raise ValueError(f"needs more than {MAX_GRID_POINTS} points")
+
+
+def same_grid(spec, ctx):
+    """spec's points are the reference's bit for bit, or both refuse spec."""
+    try:
+        expected = reference_points(spec, ctx)
+    except ValueError as err:
+        with pytest.raises(ValueError, match="more than" if "more" in str(err) else "start >"):
+            spec.points(ctx)
+        return
+    same_bits(spec.points(ctx), ctx, expected)
+
+
+@st.composite
+def grid_end(draw, ctx):
+    """Text for a grid end near x_j, j from above 1 to below 1e-30: x_j
+    itself, a point between two lattice points, or one a few ulps from x_j."""
+    j = draw(st.integers(-40, 200))
+    x = lattice(j, ctx)
+    kind = draw(st.sampled_from(["on", "between", "near"]))
+    if kind == "between":
+        return mpmath.nstr(x * ctx.mpf(draw(st.sampled_from(["0.9", "0.6", "0.99"]))), 20)
+    if kind == "near":
+        x *= 1 + draw(st.sampled_from([-4, -1, 1, 4])) * ctx.eps
+    return exact_text(x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(precision=st.sampled_from(sorted(CONTEXTS)), data=st.data())
+def test_grid_points_are_the_per_point_route(precision, data):
+    ctx = CONTEXTS[precision]
+    start, floor = data.draw(grid_end(ctx)), data.draw(grid_end(ctx))
+    same_grid(GridSpec(start, floor), ctx)
+    same_grid(GridSpec(start, "1e-30"), ctx)
+
+
+@pytest.mark.parametrize("start,floor", [
+    ("1", "1.5e-2500"),  # x_0..x_9999: MAX_GRID_POINTS points
+    ("1", "1e-2500"),  # one more
+    ("0.95", "1.5e-2500"),  # the start, then x_1..x_9999
+    ("0.95", "1e-2500"),  # one more
+    ("10", "1.1e-2499"),  # from above 1
+    ("10", "1e-2499"),
+])
+def test_grid_points_are_the_per_point_route_at_the_point_limit(start, floor):
+    same_grid(GridSpec(start, floor), CTX)
 
 
 def test_a_grid_never_returns_another_precisions_points():
@@ -121,8 +191,9 @@ def test_a_grid_never_returns_another_precisions_points():
     for ctx in (CTX, ctx30, CTX, ctx30):
         same_bits(seed_grid("1", ctx).points(ctx), ctx,
                   [lattice(j, ctx) for j in range(LATTICE_DEPTH + 1)])
-    assert list(recurseries.grids._lattice) == [ctx30.prec]
-    assert lattice_size() == LATTICE_DEPTH + 1
+    # each precision keeps its own lattice: none is cleared for another
+    sizes = lattice_sizes()
+    assert sizes[CTX.prec] == sizes[ctx30.prec] == LATTICE_DEPTH + 1
 
 
 def test_second_analysis_computes_no_lattice_power(monkeypatch):
@@ -142,6 +213,51 @@ def test_second_analysis_computes_no_lattice_power(monkeypatch):
     del powers[:]
     analyze(Samples(parse("x/(1+x)"), x0="0.5"), max_n=2000)
     assert powers == []
+
+
+# f(x) as a table keeps it: raw values of both signs from test_expr's
+# strategy, the special values, and a domain error
+RAW_VALUES = st.one_of(
+    _xs.map(lambda x: x._mpf_),
+    st.sampled_from([fzero, finf, fninf, fnan]),
+    st.just(EvalDomainError("ln(x)", CTX.mpf(-1), "log of a negative number")),
+)
+
+
+def table_holding(values, x0="1e-28"):
+    """A table of f = x whose seed grid's points hold values, in order (nine
+    points from 1e-28)."""
+    table = Samples(parse("x"), x0=x0)
+    points = table.points(table.seed)
+    assert len(points) == len(values)
+    table._values.update(zip((p._mpf_ for p in points), values))
+    return table
+
+
+def detect_mode_by_mpf(table):
+    """detect_mode on mpf values, through mpf's f(x) < 0: the reference."""
+    if table.x0 < 0:
+        return Mode.SIGNED
+    for p in table.points(table.seed):
+        try:
+            if table.f(p) < 0:
+                return Mode.SIGNED
+        except EvalDomainError:
+            continue
+    return Mode.POSITIVE
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=RAW_VALUES, at=st.integers(0, 8),
+       others=st.lists(RAW_VALUES.filter(lambda v: isinstance(v, EvalDomainError) or not v[0]),
+                       min_size=8, max_size=8))
+def test_the_raw_mode_test_is_mpf_below_zero(value, at, others):
+    values = others[:at] + [value] + others[at:]
+    table = table_holding(values)
+    mode = detect_mode(table)
+    assert mode is detect_mode_by_mpf(table)
+    if not isinstance(value, EvalDomainError):
+        assert (mode is Mode.SIGNED) == (CTX.make_mpf(value) < 0)
 
 
 def test_probe_grid_is_a_slice_of_the_validation_grid():
@@ -368,14 +484,22 @@ def test_analyze_command_makes_one_context(monkeypatch, capsys):
     assert len(contexts) == 1
 
 
-def test_taylor_analysis_makes_two_contexts(monkeypatch, capsys):
-    # the one --taylor's coefficients are read on, and the table's
-    contexts = count_calls(monkeypatch, recurseries.expr, "context")
+def test_taylor_analysis_shares_one_context(monkeypatch, capsys):
+    # the one --taylor's coefficients are read on is the table's
+    original = recurseries.expr.context
+    contexts = []
+
+    def recorded(*args):
+        contexts.append(original(*args))
+        return contexts[-1]
+
+    for module in (recurseries.cli, recurseries.grids):
+        monkeypatch.setattr(module, "context", recorded)
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "--taylor=1,0,-1/6", "--x0=0.5", "--max-n=2000"])
     assert exc.value.code == 0
     assert "verdict: divergent (LimitExponentRule)" in capsys.readouterr().out
-    assert len(contexts) == 2
+    assert len(contexts) == 2 and contexts[0] is contexts[1] is original(64)
 
 
 def test_compare_compiles_a_user_majorant_at_most_twice(monkeypatch, capsys):

@@ -21,7 +21,7 @@ from mpmath.libmp import (
 )
 
 from recurseries.estimate import fit_power_law, sum_estimate
-from recurseries.expr import context, parse
+from recurseries.expr import EvalDomainError, context, parse
 from recurseries.grids import GridSpec, Samples, seed_grid
 from recurseries.orbit import (
     CsvRows,
@@ -38,6 +38,8 @@ from recurseries.orbit import (
     validated_region,
     write_csv,
 )
+
+from test_grids import RAW_VALUES
 
 CTX = context(64)
 
@@ -156,6 +158,69 @@ def test_validate_hypotheses_signed_interleaves():
     grid_len = len(seed_grid("1", CTX).points(CTX))
     assert len(report.checked_grid) == 2 * grid_len
     assert any(p < 0 for p in report.checked_grid)
+
+
+def validate_by_mpf(table, mode):
+    """validate_hypotheses on the mpf values table.f makes: the reference
+    for the raw route."""
+    points = table.points(table.seed)
+    if mode is Mode.SIGNED:
+        points = [q for p in points for q in (p, -p)]
+    prec, rnd = table.ctx._prec_rounding
+    violations = []
+    flat = 0
+    for p in points:
+        try:
+            y = table.f(p)
+        except EvalDomainError as err:
+            violations.append((p, err))
+            flat = 0
+            continue
+        size, bound = y._mpf_, p._mpf_
+        if mode is Mode.SIGNED:
+            size, bound = mpf_abs(size, prec, rnd), mpf_abs(bound, prec, rnd)
+        if not _decays(size, bound):
+            violations.append((p, y))
+        flat = flat + 1 if size == bound else 0
+    if mode is Mode.SIGNED:
+        flat -= flat % 2
+    cut = points[-flat] if flat and len(points) - flat >= 2 else None
+    return HypothesisReport(mode, points, violations, passed=not violations, cut=cut)
+
+
+def _report_bits(report):
+    def raw(y):
+        return y if isinstance(y, EvalDomainError) else (type(y), y._mpf_)
+
+    return (report.mode, [p._mpf_ for p in report.checked_grid],
+            [(p._mpf_, raw(y)) for p, y in report.violations], report.passed,
+            None if report.cut is None else report.cut._mpf_)
+
+
+# an entry at x: f(x) = x/2, x, -x, -x/2, or any of test_grids.RAW_VALUES
+_RELATIVE = {"half": lambda p: p / 2, "same": lambda p: p, "negated": lambda p: -p,
+             "negated_half": lambda p: -p / 2}
+
+
+@settings(max_examples=300, deadline=None)
+@given(mode=st.sampled_from(list(Mode)),
+       entries=st.lists(st.one_of(st.sampled_from(sorted(_RELATIVE)), RAW_VALUES),
+                        min_size=18, max_size=18),
+       flat=st.integers(0, 18), error_at=st.none() | st.integers(0, 17))
+def test_validation_on_raw_values_is_the_mpf_route(mode, entries, flat, error_at):
+    # the same points, violations (f(x) as an mpf, or the error), passed and
+    # cut, on the nine points from 1e-28 and their negatives, with a run of
+    # |f(x)| == |x| of any length at the bottom, which a domain error may break
+    entries[18 - flat:] = [("same", "negated")[k % 2] for k in range(flat)]
+    if error_at is not None:
+        entries[error_at] = EvalDomainError("ln(x)", CTX.mpf(-1), "log of a negative number")
+    table = Samples(parse("x"), x0="1e-28")
+    points = [q for p in table.points(table.seed) for q in (p, -p)]
+    for p, entry in zip(points, entries):
+        value = _RELATIVE[entry](p)._mpf_ if isinstance(entry, str) else entry
+        table._values[p._mpf_] = value
+    assert (_report_bits(validate_hypotheses(table, mode))
+            == _report_bits(validate_by_mpf(table, mode)))
 
 
 def sorted_region(report):
