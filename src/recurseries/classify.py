@@ -210,24 +210,25 @@ class MajorantSpec:
         return MajorantSpec("user", f"fn:{fdef.source_text}", fdef)
 
 
-def _classify_tail(values, ctx, rel_tol, abs_tol, window=STABLE_WINDOW):
-    """Classify the tail of a sample sequence ordered toward the limit.
+def _classify_tail(values, ctx, rel_tol):
+    """Classify the tail of a sample sequence ordered toward the limit, over
+    its last STABLE_WINDOW values.
 
     Returns (kind, value): ("stable", median), ("stable_zero", median)
-    when only the absolute tolerance holds (the window sits at zero scale),
-    ("finite", extrapolated), ("to_zero", None), ("to_infinity", None), or
-    ("oscillates", None).
+    when only the absolute tolerance ABS_TOL holds (the window sits at zero
+    scale), ("finite", extrapolated), ("to_zero", None), ("to_infinity",
+    None), or ("oscillates", None).
     """
-    if len(values) < 2 * window:
-        raise ValueError(f"need at least {2 * window} samples for the stabilization rule")
-    tail = values[-window:]
-    median = sorted(tail)[window // 2]
+    if len(values) < 2 * STABLE_WINDOW:
+        raise ValueError(f"need at least {2 * STABLE_WINDOW} samples for the stabilization rule")
+    tail = values[-STABLE_WINDOW:]
+    median = sorted(tail)[STABLE_WINDOW // 2]
     spread = max(tail) - min(tail)
     if spread < rel_tol * abs(median):
         return "stable", median
-    if spread < abs_tol:
+    if spread < ctx.mpf(ABS_TOL):
         return "stable_zero", median
-    t2 = values[-2 * window:]
+    t2 = values[-2 * STABLE_WINDOW:]
     steps = [b - a for a, b in zip(t2, t2[1:])]
     increasing = all(s > 0 for s in steps)
     decreasing = all(s < 0 for s in steps)
@@ -256,7 +257,7 @@ def estimate_derivative_at_zero(table: Samples, mode: Mode = Mode.POSITIVE) -> D
     margin = ctx.mpf(DERIVATIVE_MARGIN)
     samples = [(x, table.f(x) / x) for x in table.points(table.probe)]
     values = [v for _, v in samples]
-    kind, value = _classify_tail(values, ctx, ctx.mpf(REL_TOL), ctx.mpf(ABS_TOL))
+    kind, value = _classify_tail(values, ctx, ctx.mpf(REL_TOL))
     if kind in ("stable", "stable_zero"):
         c = value
         if mode is Mode.POSITIVE:
@@ -350,7 +351,7 @@ def probe_limit(table: Samples, a, rel_tol: Optional[str] = None) -> LimitProbe:
     samples = _quotients(table, a, table.logs(table.probe))
     values = [v for _, v in samples]
     tol = ctx.mpf(REL_TOL if rel_tol is None else rel_tol)
-    kind, value = _classify_tail(values, ctx, tol, ctx.mpf(ABS_TOL))
+    kind, value = _classify_tail(values, ctx, tol)
     if kind in ("stable", "finite") and value > 0:
         return LimitProbe(a, samples, FINITE_NONZERO, value, kind == "stable")
     if kind in ("stable_zero", "to_zero"):
@@ -431,7 +432,7 @@ def _snap_to_fraction(a, ctx):
     return a
 
 
-def search_exponent(table: Samples, a_range: Tuple[str, str] = SEARCH_RANGE) -> ExponentSearchResult:
+def search_exponent(table: Samples) -> ExponentSearchResult:
     """Read off the exponent a where the quotient probe turns finite.
 
     L_a = f^-a - x^-a is about a*x^-a*ln(x/f), so a is the limiting slope
@@ -441,13 +442,11 @@ def search_exponent(table: Samples, a_range: Tuple[str, str] = SEARCH_RANGE) -> 
     confirmed by one relaxed-tolerance probe, which gives L. The fit carries
     a and k = L^(-1/a) with the probe attached; its window refers to
     probe-grid indices. NotFound (found=False) means f exceeds x in the
-    tail, the slopes do not settle or settle outside a_range, or the probe
-    is unstable.
+    tail, the slopes do not settle or settle outside SEARCH_RANGE, or the
+    probe is unstable.
     """
     ctx = table.ctx
-    lo, hi = ctx.mpf(a_range[0]), ctx.mpf(a_range[1])
-    if not 0 < lo < hi:
-        raise ValueError("need 0 < a_lo < a_hi")
+    lo, hi = ctx.mpf(SEARCH_RANGE[0]), ctx.mpf(SEARCH_RANGE[1])
 
     def not_found(note, probe=None):
         return ExponentSearchResult(False, None, probe, note)
@@ -466,7 +465,7 @@ def search_exponent(table: Samples, a_range: Tuple[str, str] = SEARCH_RANGE) -> 
             raise _cancellation(table, x, rows[-1][0])
         points.append((ln_x, ctx.ln(d)))
     slopes = [(v1 - v0) / (u1 - u0) for (u0, v0), (u1, v1) in zip(points, points[1:])]
-    kind, slope = _classify_tail(slopes, ctx, ctx.mpf(REL_TOL), ctx.mpf(ABS_TOL))
+    kind, slope = _classify_tail(slopes, ctx, ctx.mpf(REL_TOL))
     if kind == "oscillates":
         return not_found("tail slopes of ln ln(x/f) do not settle")
     below, above = kind == "to_zero", kind == "to_infinity"

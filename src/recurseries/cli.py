@@ -271,6 +271,8 @@ def _command(body):
             out.write(_expr_diagnostic(err) + "\n")
         except (ValueError, PrecisionGuardError, EvalDomainError, OSError) as err:
             out.write(f"error: {err}\n")
+        except RecursionError:  # reading, expanding or compiling a deep f
+            out.write("error: f is nested too deeply\n")
         return 1
 
     return run
@@ -278,6 +280,8 @@ def _command(body):
 
 @_command
 def cmd_analyze(cfg: RunConfig, f: FunctionDef, label, out: TextIO) -> int:
+    if cfg.thin != 1 and not cfg.orbit_csv:
+        raise ValueError("--thin selects rows of --orbit-csv; give --orbit-csv")
     report = analyze(_table(cfg, f), cfg.mode, cfg.max_n, cfg.floor)
     if cfg.orbit_csv:
         with open(cfg.orbit_csv, "w") as csv:

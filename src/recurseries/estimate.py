@@ -66,11 +66,11 @@ def _sample_indices(start: int, end: int) -> List[int]:
     return sorted({start, end, *inner})
 
 
-def fit_power_law(orbit: Orbit, window: Optional[Tuple[int, int]] = None) -> AsymptoticFit:
+def fit_power_law(orbit: Orbit) -> AsymptoticFit:
     """Least-squares line through (log n, log x_n); a = -1/slope, k = e^intercept.
 
-    The window defaults to the last half of the orbit and must contain at
-    least 100 terms. The terms must be positive and strictly decreasing,
+    The window is the last half of the orbit and must contain at least 100
+    terms. The terms must be positive and strictly decreasing,
     which the fit does not check again: `iterate` in positive mode checks
     0 < x_{n+1} < x_n at every step. The line is fitted in binary64 on at
     most FIT_SAMPLES log-spaced indices, each weighted by the window indices
@@ -84,13 +84,8 @@ def fit_power_law(orbit: Orbit, window: Optional[Tuple[int, int]] = None) -> Asy
         raise ValueError("power-law fitting requires a positive-mode orbit")
     orbit.require_every_index("power-law fitting")
     ctx = orbit.x0.context
-    last = orbit.last_index
-    if window is None:
-        window = (max(1, last // 2), last)
-    start, end = window
-    start = max(1, start)
-    if end > last:
-        raise ValueError("window end exceeds orbit length")
+    end = orbit.last_index
+    start = max(1, end // 2)
     count = end - start + 1
     if count < MIN_WINDOW_TERMS:
         raise ValueError(f"window holds {count} terms, need {MIN_WINDOW_TERMS}")

@@ -28,7 +28,6 @@ from mpmath import mp
 from mpmath.libmp import (
     dps_to_prec, fone, fzero, mpf_abs, mpf_exp, mpf_log, mpf_pow, round_nearest,
 )
-from mpmath.libmp.libmpf import reciprocal_rnd
 
 from .kernels import (
     DECAYS, GLOBALS, INLINE, SUM, _decays, add, cos, div, indent, inline, mul, neg, pow_int, sin,
@@ -338,9 +337,8 @@ def context(precision: int = DEFAULT_PRECISION):
     return ctx
 
 
-# the kernels behind ctx.sin, ctx.cos, ctx.exp and mpf's +, -, *: libmp's
-# mpf_exp, and those of kernels.py, with the bits of libmp's
-_UNARY = {"sin": sin, "cos": cos, "exp": mpf_exp}
+# the kernels of kernels.py behind ctx.sin, ctx.cos and mpf's +, -, *
+_UNARY = {"sin": sin, "cos": cos}
 _BINARY = {"+": add, "-": sub, "*": mul}
 
 # Caps on binary magnitude (exp + bc of a raw value, so a value below 2^cap in
@@ -398,36 +396,34 @@ class _Codegen:
     evaluation (the right operand of / first), on the raw value of x (an
     mpf's _mpf_ tuple). Each statement is the libmp call that mpf arithmetic
     or the context's function makes, or the kernel of kernels.py with its
-    bits, at ctx's precision and rounding, with its domain check in front of
-    it; a check that fails raises EvalDomainError.
+    bits, at ctx's precision and round-nearest, with its domain check in
+    front of it; a check that fails raises EvalDomainError.
 
     function writes them as a function of x. orbit writes them, with fields
     set, into the loop of a whole orbit (or writes the loop that calls f):
     there a raw value is its four fields (sign, man, exp, bc) as locals, or
-    as literals for a constant, and at round-nearest the kernels' fast paths
-    run inline, from the statement text of kernels.py, their fallbacks as
-    calls. x's fields are xs, xm, xe, xb.
+    as literals for a constant, and the kernels' fast paths run inline, from
+    the statement text of kernels.py, their fallbacks as calls. x's fields
+    are xs, xm, xe, xb.
 
-    Constants, kernels, messages and ctx's precision and rounding are bound
-    as values in the namespace under generated names; no text of f reaches
-    the source. The maximal subtrees without x are written as functions of
-    one module, compiled together and run once, before f's own statements
-    are written: f reads each one's value, or raises its EvalDomainError at
-    its position on every call. A constant exponent is therefore known
+    Constants, kernels, messages and ctx's precision are bound as values in
+    the namespace under generated names; no text of f reaches the source.
+    The maximal subtrees without x are written as functions of one module,
+    compiled together and run once, before f's own statements are written:
+    f reads each one's value, or raises its EvalDomainError at its position
+    on every call. A constant exponent is therefore known
     here, and so is what mpf_pow would decide from it (see _power).
     """
 
     def __init__(self, ctx, namespace=None, fields=False):
-        prec, rnd = ctx._prec_rounding
         self.ctx = ctx
         self.namespace = {
-            "P": prec, "R": rnd, "P10": prec + 10, "RR": reciprocal_rnd[rnd],
+            "P": ctx.prec, "R": round_nearest, "P10": ctx.prec + 10,
             "E": EvalDomainError, "mk": ctx.make_mpf, "fzero": fzero, "fone": fone,
-            "mpf_abs": mpf_abs, "mpf_log": mpf_log, "mpf_pow": mpf_pow, "_decays": _decays,
-            **GLOBALS,
+            "mpf_abs": mpf_abs, "mpf_exp": mpf_exp, "mpf_log": mpf_log, "mpf_pow": mpf_pow,
+            "_decays": _decays, **GLOBALS,
         } if namespace is None else namespace
         self.fields = fields
-        self.inline = fields and rnd == round_nearest
         self.x = tuple(f"x{name[0]}" for name in _FIELDS) if fields else "x"
         # the raw value or EvalDomainError of each subtree without x that
         # function ran, by the id of its node
@@ -547,28 +543,28 @@ class _Codegen:
         self.line(f"t{self.count} = {expression}")
         return f"t{self.count}"
 
-    def text(self, text: str, names: dict, *operands, prec="P", rnd="R") -> str:
+    def text(self, text: str, names: dict, *operands, prec="P") -> str:
         """A statement text of kernels.py on operands, inline (see
         kernels.inline), with names for its other names, at the precision
-        and rounding the namespace holds under prec and rnd."""
-        names = {"prec": str(self.namespace[prec]), "rnd": repr(self.namespace[rnd]), **names}
+        the namespace holds under prec."""
+        names = {"prec": str(self.namespace[prec]), **names}
         for prefix, value in zip("st", operands):
             names.update(zip((prefix + name for name in _FIELDS), map(_source, value)))
         self.count += 1
         return inline(text, names, f"_{self.count}")
 
-    def kernel(self, fn, *operands, prec="P", rnd="R", **args):
-        """fn(*operands, *args, prec, rnd) for a kernel fn, with args (by
-        name) the sources of its other arguments: its fast path inline
-        where kernels.INLINE has it, else a call."""
-        if not (self.inline and fn in INLINE):
+    def kernel(self, fn, *operands, prec="P", **args):
+        """fn(*operands, *args, prec) for a kernel fn, with args (by name)
+        the sources of its other arguments: in field mode its fast path
+        inline where kernels.INLINE has it, else a call."""
+        if not (self.fields and fn in INLINE):
             given = ", ".join([*map(self.raw, operands), *args.values()])
-            return self.assign(f"{self.bind(fn)}({given}, {prec}, {rnd})")
+            return self.assign(f"{self.bind(fn)}({given}, {prec})")
         text, picks = INLINE[fn]
         self.count += 1
         out = tuple(f"t{self.count}{name[0]}" for name in _FIELDS)
         names = {**picks, **args, **dict(zip(_FIELDS, out))}
-        self.line(self.text(text, names, *operands, prec=prec, rnd=rnd))
+        self.line(self.text(text, names, *operands, prec=prec))
         return out
 
     def fault(self, node: Node, reason: str, where: Optional[str] = None) -> str:
@@ -600,10 +596,12 @@ class _Codegen:
         if isinstance(node, Call):
             a = self.value(node.arg)
             sign, raw = self.field(a, 0), self.raw(a)
-            if node.func in _UNARY:
+            if node.func in ("sin", "cos", "exp"):
                 cap = f"argument reaches the magnitude cap 2^{ARGUMENT_CAP}"
                 self.line(f"if {self.field(a, 2)} + {self.field(a, 3)} > {ARGUMENT_CAP}:"
                           f" {self.fault(node, cap)}")
+                if node.func == "exp":
+                    return self.assign(f"mpf_exp({raw}, P, R)")
                 return self.kernel(_UNARY[node.func], a)
             if node.func == "abs":
                 return self.assign(f"mpf_abs({raw}, P, R)")
@@ -661,10 +659,16 @@ class _Codegen:
         # a^(k/2) = sqrt(a)^k, the root at 10 more bits unless k = 1
         if man == 1 and not sign:
             return self.kernel(sqrt, a)
-        root = self.kernel(sqrt, a, prec="P10", rnd="RR" if sign else "R")
+        root = self.kernel(sqrt, a, prec="P10")
         if man == 1:
             return self.kernel(div, self.constant(fone), root)
         return self.kernel(pow_int, root, power=_source(-man if sign else man))
+
+
+def _require_nearest(ctx) -> None:
+    """Refuse a ctx that does not round to nearest, as every context() does."""
+    if ctx._prec_rounding[1] != round_nearest:
+        raise ValueError("compiled f needs a context that rounds to nearest")
 
 
 def evaluator(f: FunctionDef, ctx) -> Callable:
@@ -674,19 +678,21 @@ def evaluator(f: FunctionDef, ctx) -> Callable:
     The callable maps the raw value of x (an mpf's _mpf_ tuple) to the raw
     value of f(x); ctx.make_mpf turns that into an mpf. f is compiled to one
     Python function of mpmath's libmp kernels, and of the kernels of
-    kernels.py that return their bits, at the precision and rounding ctx has
-    at compile time, so the values are those of mpf arithmetic at that
-    precision; a later ctx.extraprec or ctx.prec does not reach the
-    compiled f. A subtree without x is evaluated here, once. A domain
+    kernels.py that return their bits, at the precision ctx has at compile
+    time, so the values are those of mpf arithmetic at that precision; a
+    later ctx.extraprec or ctx.prec does not reach the compiled f. ctx must
+    round to nearest, as every context(precision) does; any other rounding
+    raises ValueError. A subtree without x is evaluated here, once. A domain
     failure raises EvalDomainError, whose x is an mpf. A long orbit runs
     f's statements in a loop of its own instead (see orbit_loop), which
     does not call this callable.
     """
+    _require_nearest(ctx)
     return _Codegen(ctx).function(f.root)
 
 
-# the orbit loops that call f, by precision, rounding, mode and streaming:
-# they do not depend on f, so each is compiled once and serves every f
+# the orbit loops that call f, by precision, mode and streaming: they do not
+# depend on f, so each is compiled once and serves every f
 _CALLING_LOOPS: Dict[tuple, Callable] = {}
 
 
@@ -698,10 +704,10 @@ def orbit_loop(f: Optional[FunctionDef], ctx, positive: bool, streamed: bool) ->
     locals, with the fast paths of the kernels inline, followed by the decay
     test, the partial sum (kernels.SUM), the hand-off of the term and the
     floor test. Each call folds f's constants and compiles the loop, which
-    takes 1 to 2 ms; iterate keeps it per table (Samples.loops). For f None
-    the loop calls its fn, a function of raw values, once per step instead;
-    that loop does not depend on f and is compiled once for every f at
-    ctx's precision and rounding.
+    takes 1 to 2 ms. For f None the loop calls its fn, a function of raw
+    values, once per step instead; that loop does not depend on f and is
+    compiled once for every f at ctx's precision, mode and streaming. A ctx
+    that does not round to nearest raises ValueError, as in evaluator.
 
     The loop is loop(fn, mk, x, total, acc, e, stop, floor, out, thin),
     with fn the function it calls (a loop written for f calls none) and mk
@@ -716,8 +722,9 @@ def orbit_loop(f: Optional[FunctionDef], ctx, positive: bool, streamed: bool) ->
     STOP_MAX_N, STOP_FLOOR (the term's magnitude below the raw floor),
     STOP_DECAY or STOP_DOMAIN.
     """
+    _require_nearest(ctx)
     if f is None:
-        key = (*ctx._prec_rounding, positive, streamed)
+        key = (ctx.prec, positive, streamed)
         loop = _CALLING_LOOPS.get(key)
         if loop is None:
             loop = _CALLING_LOOPS[key] = _Codegen(ctx, fields=True).orbit(

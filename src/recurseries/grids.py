@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Dict, List
 
 import mpmath
 from mpmath.libmp import repr_dps
@@ -146,9 +146,9 @@ class Samples:
     first use per grid, for the limit probes. `compiled` is f itself, on raw
     values and without the table (see expr.evaluator); a short orbit calls
     it in a loop of its own, so that its points are not kept, and a long one
-    runs f's statements in its loop instead (see expr.orbit_loop). `loops`
-    holds the loops the table's orbits ran (see orbit.iterate). The table
-    belongs to one analysis and is not shared between calls.
+    runs f's statements in a loop compiled for it instead (see
+    expr.orbit_loop). The table belongs to one analysis and is not shared
+    between calls.
     """
 
     def __init__(self, f: FunctionDef, precision: int = DEFAULT_PRECISION,
@@ -164,7 +164,6 @@ class Samples:
         self._values: Dict = {}
         self._points: Dict[GridSpec, List] = {}
         self._logs: Dict[GridSpec, List] = {}
-        self.loops: Dict[tuple, Callable] = {}
 
     def points(self, grid: GridSpec) -> List:
         """The grid's points, generated once; callers must not modify them."""

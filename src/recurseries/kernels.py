@@ -1,25 +1,25 @@
 """Fast paths for the libmp kernels that compiled f calls on every
-evaluation, with the bits of the libmp functions they stand for.
+evaluation, with the bits of the libmp functions they stand for at
+round-nearest, which the libmp calls in the comments below leave out.
 
-For regular operands (a nonzero mantissa) at round-nearest and a
-precision prec >= 1, add, mul, div, sin and cos, sqrt and pow_int do the
-integer arithmetic of mpf_add, mpf_mul, mpf_div, mpf_cos_sin, mpf_sqrt and
-mpf_pow_int and round it once with _normalize; neg flips the sign where
-mpf_neg keeps the value. Every other case calls the libmp function
-itself: zeros, inf and nan, any other rounding, mpf_add's perturbation of
-an operand far below the other, mpf_cos_sin's shortcut for an argument
-below 2^-(prec+10), a negative square root, and a negative power or one
-of bc * n >= 1000 bits. sin and cos call libmp's mod_pi2 for |x| >= 1, and
-its cos_sin_basecase past its table. _decays is the orbit's decay test, as
-mpf_lt decides it, and SUM adds a term to its partial sum with the bits of
-mpf_add.
+For regular operands (a nonzero mantissa) and a precision prec >= 1, add,
+mul, div, sin and cos, sqrt and pow_int do the integer arithmetic of
+mpf_add, mpf_mul, mpf_div, mpf_cos_sin, mpf_sqrt and mpf_pow_int and round
+it once with _normalize; neg flips the sign where mpf_neg keeps the value.
+Every other case calls the libmp function itself: zeros, inf and nan,
+mpf_add's perturbation of an operand far below the other, mpf_cos_sin's
+shortcut for an argument below 2^-(prec+10), a negative square root, and a
+negative power or one of bc * n >= 1000 bits. sin and cos call libmp's
+mod_pi2 for |x| >= 1, and its cos_sin_basecase past its table. _decays is
+the orbit's decay test, as mpf_lt decides it, and SUM adds a term to its
+partial sum with the bits of mpf_add.
 
 Each fast path is written once, as statement text on the unpacked fields
 of its operands: ssign, sman, sexp, sbc and tsign, tman, texp, tbc, at
-precision prec and rounding rnd, leaving sign, man, exp and bc. The
-functions of this module run that text on their arguments, and the
-compiled orbit loop (see expr.orbit_loop) runs it inline (see inline), with
-the fields of a constant operand as literals.
+precision prec, leaving sign, man, exp and bc. The functions of this module
+run that text on their arguments, and the compiled orbit loop (see
+expr.orbit_loop) runs it inline (see inline), with the fields of a constant
+operand as literals.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ if not man:
 else:
 """ + indent(ROUND, "    ")
 
-# mpf_add(s, t, prec, rnd, _sub): s + t, or s - t when _sub is 1
+# mpf_add(s, t, prec, _sub): s + t, or s - t when _sub is 1
 ADD = """\
 offset = sexp - texp
 if (not (sman and tman)
@@ -83,7 +83,7 @@ if (not (sman and tman)
         or offset > 100 and sbc + offset - tbc > prec + 4
         or offset < -100 and tbc - offset - sbc > prec + 4):
     sign, man, exp, bc = mpf_add((ssign, sman, sexp, sbc), (tsign, tman, texp, tbc),
-                                 prec, rnd, _sub)
+                                 prec, round_nearest, _sub)
 else:
     if offset >= 0:
         man, other, exp = sman << offset, tman, texp
@@ -98,19 +98,21 @@ else:
             sign, man = sign ^ 1, -man
 """ + indent(NORMALIZE, "    ")
 
-# mpf_mul(s, t, prec, rnd)
+# mpf_mul(s, t, prec)
 MUL = """\
 man = sman * tman
 if not man:
-    sign, man, exp, bc = mpf_mul((ssign, sman, sexp, sbc), (tsign, tman, texp, tbc), prec, rnd)
+    sign, man, exp, bc = mpf_mul((ssign, sman, sexp, sbc), (tsign, tman, texp, tbc),
+                                 prec, round_nearest)
 else:
     sign, exp = ssign ^ tsign, sexp + texp
 """ + indent(ROUND, "    ")
 
-# mpf_div(s, t, prec, rnd); the quotient of the fast path is not 0
+# mpf_div(s, t, prec); the quotient of the fast path is not 0
 DIV = """\
 if not (sman and tman):
-    sign, man, exp, bc = mpf_div((ssign, sman, sexp, sbc), (tsign, tman, texp, tbc), prec, rnd)
+    sign, man, exp, bc = mpf_div((ssign, sman, sexp, sbc), (tsign, tman, texp, tbc),
+                                 prec, round_nearest)
 else:
     sign = ssign ^ tsign
     if not (tman - 1):  # tman == 1, as a test that a literal settles
@@ -132,7 +134,7 @@ else:
 # long before k = COS_SIN_CACHE_PREC / 4
 _TERMS = tuple(range(2, COS_SIN_CACHE_PREC // 4, 2))
 
-# mpf_sin(s, prec, rnd), or mpf_cos(s, prec, rnd) when _cos is 1: the steps
+# mpf_sin(s, prec), or mpf_cos(s, prec) when _cos is 1: the steps
 # of mpf_cos_sin. s is reduced by pi/2 to t = |s| mod pi/2 as a fixed-point
 # number of wp bits, and the quadrant n: with mod_pi2 for |s| >= 1, and
 # below 1 by mod_pi2's shift, with n = 0. Then cos_sin_basecase(t, wp):
@@ -143,7 +145,8 @@ _TERMS = tuple(range(2, COS_SIN_CACHE_PREC // 4, 2))
 SIN = f"""\
 wp = prec + 10
 if not sman or sbc + sexp < -wp:
-    sign, man, exp, bc = (mpf_cos if _cos else mpf_sin)((ssign, sman, sexp, sbc), prec, rnd)
+    sign, man, exp, bc = (mpf_cos if _cos else mpf_sin)((ssign, sman, sexp, sbc), prec,
+                                                        round_nearest)
 else:
     if sbc + sexp > 0:
         t, n, wp = mod_pi2(sman, sexp, sbc + sexp, wp)
@@ -188,12 +191,12 @@ else:
     exp = -wp
 """ + indent(NORMALIZE, "    ")
 
-# mpf_sqrt(s, prec, rnd) step for step, with math.isqrt for the exact
+# mpf_sqrt(s, prec) step for step, with math.isqrt for the exact
 # integer floor root (isqrt or sqrtrem) that mpf_sqrt takes; a negative s
 # calls mpf_sqrt, which raises
 SQRT = """\
 if ssign or not sman:
-    sign, man, exp, bc = mpf_sqrt((ssign, sman, sexp, sbc), prec, rnd)
+    sign, man, exp, bc = mpf_sqrt((ssign, sman, sexp, sbc), prec, round_nearest)
 else:
     sign, man, exp, bc = 0, sman, sexp, sbc
     if exp & 1:
@@ -213,22 +216,22 @@ else:
         man, exp = root, (exp - shift) // 2
 """ + indent(ROUND, "    ")
 
-# mpf_pow_int(s, power, prec, rnd) for an integer power: its exact power,
+# mpf_pow_int(s, power, prec) for an integer power: its exact power,
 # taken where bc * power < 1000, and for power 0, 1 and 2 the same bits
 POW = """\
 if not sman or not 0 <= sbc * power < 1000:
-    sign, man, exp, bc = mpf_pow_int((ssign, sman, sexp, sbc), power, prec, rnd)
+    sign, man, exp, bc = mpf_pow_int((ssign, sman, sexp, sbc), power, prec, round_nearest)
 else:
     sign, man, exp = ssign & power, sman ** power, sexp * power
 """ + indent(ROUND, "    ")
 
-# mpf_neg(s, prec, rnd): s with its sign flipped, which normalize1 keeps
+# mpf_neg(s, prec): s with its sign flipped, which normalize1 keeps
 # for a regular s of at most prec bits
 NEG = """\
 if sman and sbc <= prec:
     sign, man, exp, bc = ssign ^ 1, sman, sexp, sbc
 else:
-    sign, man, exp, bc = mpf_neg((ssign, sman, sexp, sbc), prec, rnd)
+    sign, man, exp, bc = mpf_neg((ssign, sman, sexp, sbc), prec, round_nearest)
 """
 
 # ok = 0 < size < bound for raw values s (size) and t (bound), t normalized
@@ -276,7 +279,7 @@ if acc is not None and not ssign:
 if added < limit:
     acc = added
 else:
-    total = mpf_add(_sum(total, acc, e, prec), (ssign, sman, sexp, sbc), prec, rnd)
+    total = mpf_add(_sum(total, acc, e, prec), (ssign, sman, sexp, sbc), prec, round_nearest)
     acc, e = _fixed(total, prec)
 """
 
@@ -295,14 +298,11 @@ def _sum(s, acc, e, prec):
     return s if acc is None else _normalize(0, acc, e, prec)
 
 
-def _kernel(header: str, operands: str, text: str, result: str, other: str = "") -> str:
-    """The source of the function header (a def line): at a rounding other
-    than to nearest it returns other, the libmp call; else it unpacks its
+def _kernel(header: str, operands: str, text: str, result: str) -> str:
+    """The source of the function header (a def line): it unpacks its
     operands, as "s" or "s, t", into their fields, runs text and returns
     result."""
     source = header + "\n"
-    if other:
-        source += f"    if rnd != round_nearest:\n        return {other}\n"
     for name in operands.split(", ") if operands else ():
         source += f"    {name}sign, {name}man, {name}exp, {name}bc = {name}\n"
     return source + indent(text, "    ") + f"    return {result}\n"
@@ -312,40 +312,37 @@ def _kernel(header: str, operands: str, text: str, result: str, other: str = "")
 _RAW = "sign, man, exp, bc"
 exec(compile("".join([
     _kernel("def _normalize(sign, man, exp, prec):", "", NORMALIZE, _RAW),
-    _kernel("def add(s, t, prec, rnd, _sub=0):", "s, t", ADD, _RAW,
-            "mpf_add(s, t, prec, rnd, _sub)"),
-    _kernel("def mul(s, t, prec, rnd):", "s, t", MUL, _RAW, "mpf_mul(s, t, prec, rnd)"),
-    _kernel("def div(s, t, prec, rnd):", "s, t", DIV, _RAW, "mpf_div(s, t, prec, rnd)"),
-    _kernel("def sin(s, prec, rnd, _cos=0):", "s", SIN, _RAW,
-            "(mpf_cos if _cos else mpf_sin)(s, prec, rnd)"),
-    _kernel("def sqrt(s, prec, rnd):", "s", SQRT, _RAW, "mpf_sqrt(s, prec, rnd)"),
-    _kernel("def pow_int(s, power, prec, rnd):", "s", POW, _RAW,
-            "mpf_pow_int(s, power, prec, rnd)"),
-    _kernel("def neg(s, prec, rnd):", "s", NEG, _RAW),
+    _kernel("def add(s, t, prec, _sub=0):", "s, t", ADD, _RAW),
+    _kernel("def mul(s, t, prec):", "s, t", MUL, _RAW),
+    _kernel("def div(s, t, prec):", "s, t", DIV, _RAW),
+    _kernel("def sin(s, prec, _cos=0):", "s", SIN, _RAW),
+    _kernel("def sqrt(s, prec):", "s", SQRT, _RAW),
+    _kernel("def pow_int(s, power, prec):", "s", POW, _RAW),
+    _kernel("def neg(s, prec):", "s", NEG, _RAW),
     _kernel("def _decays(s, t):", "s, t", DECAYS, "ok"),
 ]), "<kernels>", "exec"))
 _normalize.__doc__ = """The raw value (-1)^sign * man * 2^exp, for an integer man >= 0,
     rounded to prec bits at round-nearest: what libmp's normalize and
     normalize1 return at round_nearest given man's exact bit count."""
-add.__doc__ = "mpf_add(s, t, prec, rnd, _sub): s + t, or s - t when _sub is 1."
-mul.__doc__ = """mpf_mul(s, t, prec, rnd); mul(s, s, prec, rnd) is also
-    mpf_pow_int(s, 2, prec, rnd)."""
-div.__doc__ = "mpf_div(s, t, prec, rnd)."
-sin.__doc__ = "mpf_sin(s, prec, rnd), or mpf_cos(s, prec, rnd) when _cos is 1."
-sqrt.__doc__ = "mpf_sqrt(s, prec, rnd)."
-pow_int.__doc__ = "mpf_pow_int(s, power, prec, rnd) for an integer power."
-neg.__doc__ = "mpf_neg(s, prec, rnd)."
+add.__doc__ = "mpf_add(s, t, prec, round_nearest, _sub): s + t, or s - t when _sub is 1."
+mul.__doc__ = """mpf_mul(s, t, prec, round_nearest); mul(s, s, prec) is also
+    mpf_pow_int(s, 2, prec, round_nearest)."""
+div.__doc__ = "mpf_div(s, t, prec, round_nearest)."
+sin.__doc__ = "mpf_sin(s, prec, round_nearest), or mpf_cos when _cos is 1."
+sqrt.__doc__ = "mpf_sqrt(s, prec, round_nearest)."
+pow_int.__doc__ = "mpf_pow_int(s, power, prec, round_nearest) for an integer power."
+neg.__doc__ = "mpf_neg(s, prec, round_nearest)."
 _decays.__doc__ = "0 < s < t for raw values, t normalized and nonzero (see DECAYS)."
 
 
-def sub(s, t, prec, rnd):
-    """mpf_sub(s, t, prec, rnd)."""
-    return add(s, t, prec, rnd, 1)
+def sub(s, t, prec):
+    """mpf_sub(s, t, prec, round_nearest)."""
+    return add(s, t, prec, 1)
 
 
-def cos(x, prec, rnd):
-    """mpf_cos(x, prec, rnd)."""
-    return sin(x, prec, rnd, 1)
+def cos(x, prec):
+    """mpf_cos(x, prec, round_nearest)."""
+    return sin(x, prec, 1)
 
 
 # each kernel's statement text and the arguments that pick its operation
@@ -354,10 +351,11 @@ INLINE = {
     sin: (SIN, {"_cos": "0"}), cos: (SIN, {"_cos": "1"}), sqrt: (SQRT, {}), pow_int: (POW, {}),
     neg: (NEG, {}),
 }
-# the names the statement texts read besides their fields, prec and rnd
+# the names the statement texts read besides their fields and prec
 GLOBALS = {name: globals()[name] for name in (
     "fzero", "isqrt", "mpf_add", "mpf_cos", "mpf_div", "mpf_mul", "mpf_neg", "mpf_pow_int",
-    "mpf_sin", "mpf_sqrt", "cos_sin_basecase", "cos_sin_cache", "mod_pi2", "_fixed", "_sum",
+    "mpf_sin", "mpf_sqrt", "round_nearest", "cos_sin_basecase", "cos_sin_cache", "mod_pi2",
+    "_fixed", "_sum",
 )}
 # a name in a statement text, other than an attribute's, or a comment
 _WORD = r"(?<![\w.])[A-Za-z_]\w*|#.*"

@@ -67,7 +67,7 @@ class Orbit:
     recorded; the status carries the offending step instead. N is
     `last_index`, and terms[n] is the raw value (an mpf's _mpf_ tuple) of
     x_n for every n <= N. x_n and s_n are the last row, x_N and S_N, as mpf
-    numbers. last_index defaults to len(terms) - 1.
+    numbers.
 
     A streamed orbit handed its rows to a consumer as they were computed
     (see iterate) and keeps only the last one: terms is [x_N].
@@ -80,12 +80,8 @@ class Orbit:
     status: OrbitStatus
     mode: Mode
     precision: int
-    last_index: Optional[int] = None
+    last_index: int
     streamed: bool = False
-
-    def __post_init__(self):
-        if self.last_index is None:
-            self.last_index = len(self.terms) - 1
 
     def require_every_index(self, reader: str) -> None:
         """Refuse a streamed orbit in a reader that needs every index."""
@@ -197,11 +193,11 @@ def iterate(
     The orbit runs as one compiled loop (see expr.orbit_loop): the decay
     test and the partial sum on the fields of the raw values, with the bits
     of calling the table's compiled f, of _decays and of mpf addition at
-    every step. From max_n = INLINE_STEPS on, the loop is written for f
-    (table.function), with f's statements inline, and does not call
-    table.compiled; below it, or for a table without f, the loop calls
-    table.compiled once per step. The table keeps each loop it asks for, by
-    mode, streaming and path (Samples.loops).
+    every step. From max_n = INLINE_STEPS on, each call compiles a loop
+    written for f (table.function), with f's statements inline, which does
+    not call table.compiled; below it the loop calls table.compiled once
+    per step, and is compiled once per precision, mode and streaming for
+    every f.
 
     Without rows the orbit stores every x_n as a raw value, so its memory is
     O(max_n). With rows, the rows at n = 0, thin, 2·thin, ... and at the
@@ -242,12 +238,7 @@ def iterate(
     x = s = x0._mpf_
     terms = None if streamed else [x]
     acc, e = _fixed(s, prec)
-    # a table other than Samples need only have ctx, precision and compiled
-    f = getattr(table, "function", None) if max_n >= INLINE_STEPS else None
-    loops = getattr(table, "loops", {})
-    loop = loops.get((positive, streamed, f is not None))
-    if loop is None:
-        loop = loops[positive, streamed, f is not None] = orbit_loop(f, ctx, positive, streamed)
+    loop = orbit_loop(table.function if max_n >= INLINE_STEPS else None, ctx, positive, streamed)
     stop, step, what, x, s, acc, e = loop(
         table.compiled, make_mpf, x, s, acc, e, max_n + 1, floor._mpf_,
         rows if streamed else terms.append, thin)

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from recurseries.classify import (
     ABSOLUTE_BOUND_RULE,
-    ABS_TOL,
     ALTERNATING_RULE,
     AnalysisError,
     CONVERGENT,
@@ -70,7 +69,7 @@ def test_classify_tail_extrapolates_exact_model():
     # v(x) = 1 + 3 * x^2 on a quarter-decade grid: one Richardson step
     # eliminates the x^2 term exactly
     values = [1 + 3 * CTX.power(10, -CTX.mpf(i) / 4) ** 2 for i in range(16)]
-    kind, limit = _classify_tail(values, CTX, CTX.mpf(REL_TOL), CTX.mpf(ABS_TOL))
+    kind, limit = _classify_tail(values, CTX, CTX.mpf(REL_TOL))
     assert kind == "finite"
     assert abs(limit - 1) < CTX.mpf("1e-60")
 
@@ -235,9 +234,7 @@ def test_search_exponent_not_found():
 
     # true exponent 5 sits above the scanned range
     shallow = GridSpec(start="1e-1", floor="1e-8")
-    result = search_exponent(
-        Samples(parse("x/(1+x^5)^(1/5)"), probe=shallow), a_range=("1", "4")
-    )
+    result = search_exponent(Samples(parse("x/(1+x^5)^(1/5)"), probe=shallow))
     assert not result.found
     assert "no transition in range" in result.note
 
@@ -332,11 +329,6 @@ def test_conjugate_scaling_keeps_the_exponent(fn_text, lam):
     base_w, conj_w = base.verdict.witnesses, conj.verdict.witnesses
     assert conj_w["a"] == base_w["a"]
     assert abs(conj_w["k"] / (lam_value * base_w["k"]) - 1) < CTX.mpf("1e-6")
-
-
-def test_search_exponent_range_validation():
-    with pytest.raises(ValueError):
-        search_exponent(Samples(parse("sin(x)")), a_range=("2", "1"))
 
 
 def synth_fit(a_text):

@@ -37,6 +37,17 @@ from test_orbit import _STOPS  # every stop status of an orbit
 CTX = context(64)
 OSCILLATORY = "x*(1/2 + 1/3*sin(1/x))"
 
+# f 2,000 levels deep, past Python's recursion limit, in each shape that
+# reading, expanding or compiling f recurses on: nested parentheses,
+# products, calls, negations and powers, and a left-deep sum; and the
+# polynomial of 2,000 Taylor coefficients
+DEEP = 2000
+NESTED = ["(" * DEEP + "x" + ")" * DEEP, "x*(" * DEEP + "x" + ")" * DEEP,
+          "sin(" * DEEP + "x" + ")" * DEEP, "-(" * DEEP + "x" + ")" * DEEP,
+          "x^(1-" * DEEP + "x" + ")" * DEEP,
+          "x/2" + "".join(f"+x/{n}e6" for n in range(1, DEEP))]
+DEEP_TAYLOR = ",".join(["1/2"] + ["1e-9"] * (DEEP - 1))
+
 COMMANDS = {
     "analyze": cmd_analyze,
     "iterate": cmd_iterate,
@@ -446,6 +457,33 @@ def test_a_full_stdout_is_one_error_line_on_stderr(argv):
     assert "Traceback" not in proc.stderr
 
 
+def _main_output(capsys, argv):
+    """main's exit code and stdout, with stderr empty."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return exc.value.code, captured.out
+
+
+@pytest.mark.parametrize("argv", [["--f=" + text] for text in NESTED] + [["--taylor", DEEP_TAYLOR]],
+                         ids=["parentheses", "products", "calls", "negations", "powers", "sum",
+                              "taylor"])
+def test_a_deeply_nested_f_is_one_error_line(capsys, argv):
+    assert _main_output(capsys, ["analyze"] + argv) == (1, "error: f is nested too deeply\n")
+
+
+def test_a_nested_f_within_the_recursion_limit_is_analyzed(capsys):
+    code, out = _main_output(capsys, ["analyze", "--f=" + "(" * 100 + "x/2" + ")" * 100])
+    assert code == 0
+    assert "verdict: convergent (DerivativeRule)" in out
+
+
+def test_analyze_thin_without_orbit_csv_is_refused_before_any_output(capsys):
+    assert _main_output(capsys, ["analyze", "--f=x/2", "--thin=3"]) == (
+        1, "error: --thin selects rows of --orbit-csv; give --orbit-csv\n")
+
+
 def test_a_positivity_failure_names_the_grid_it_read():
     # 1e-20 lies on both grids: compare reads the seed grid, limit the probe grid
     code, out = run(["compare", "--f=x - 1e-20", "--x0=0.3",
@@ -764,8 +802,9 @@ POOLS = {
     "--f": (["x/2", "x/(1+x)", "sin(x)", "x - x^2", OSCILLATORY, "-x/2", "ln(1+x)",
              "x - x^2*abs(sin(1/x))", "x^x", "sqrt(x)", "1/x", "2*x", "x", "0*x",
              "x/2 + 0*sin(2^65536)", "x^1e2000", "x*1e-2000"],
-            ["x +", "(x", ")", "", "tan(x)", "x ^^ 2"]),
-    "--taylor": (["1,-1", "0.5", "1,0,-1/6", "1e2000,1"], ["0", "", ",", "nan", "abc"]),
+            ["x +", "(x", ")", "", "tan(x)", "x ^^ 2", *NESTED]),
+    "--taylor": (["1,-1", "0.5", "1,0,-1/6", "1e2000,1"],
+                 ["0", "", ",", "nan", "abc", DEEP_TAYLOR]),
     "--precision": (["16", "64", "200"], ["0", "-5", "15", "", "abc"]),
     "--x0": NUMBERS,
     "--max-n": (["1", "10", "2000"], ["0", "-5", "", "abc"]),

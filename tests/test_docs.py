@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import inspect
 import io
 import pathlib
 import re
@@ -26,6 +27,29 @@ def test_library_names_import():
     assert names
     missing = [name for name in names if not hasattr(recurseries, name)]
     assert missing == []
+
+
+# what the Library section's receivers stand for; rows is the caller's own
+# row consumer, which has no signature here
+RECEIVERS = {"table": recurseries.Samples, "germ": recurseries.Germ}
+NOT_OURS = {"rows"}
+
+
+def test_library_signatures_match_the_code():
+    # each call written with bare names or name=default gives the callable's
+    # parameters in order, self aside
+    calls = re.findall(r"`([\w.]+)\(([^`]*)\)`", " ".join(section("Library").split()))
+    checked = []
+    for name, given in calls:
+        params = [part.split("=")[0].strip() for part in given.split(",")]
+        if name in NOT_OURS or not all(re.fullmatch(r"\w+", p) for p in params):
+            continue
+        receiver, _, attr = name.rpartition(".")
+        fn = getattr(RECEIVERS[receiver], attr) if receiver else getattr(recurseries, name)
+        names = [p for p in inspect.signature(fn).parameters if p != "self"]
+        assert params == names, name
+        checked.append(name)
+    assert {"Samples", "iterate", "analyze", "evaluator"} <= set(checked)
 
 
 def test_library_example_prints_what_its_comments_say():

@@ -1,7 +1,7 @@
 import mpmath
 import pytest
 from hypothesis import given, reject, settings, strategies as st
-from mpmath.libmp import from_man_exp, fzero, mpf_pow, mpf_sqrt
+from mpmath.libmp import from_man_exp, fzero, mpf_pow, mpf_sqrt, round_nearest
 
 from recurseries import expr, kernels
 from recurseries.expr import (
@@ -18,6 +18,7 @@ from recurseries.expr import (
     Var,
     context,
     evaluator,
+    orbit_loop,
     parse,
     parse_constant,
     render,
@@ -345,7 +346,7 @@ def test_constant_subtree_runs_its_libmp_calls_once(monkeypatch):
 
     def counted_sin(*args):
         calls.append(args[0])
-        return mpmath.libmp.mpf_sin(*args)
+        return kernels.sin(*args)
 
     monkeypatch.setitem(expr._UNARY, "sin", counted_sin)
     fn = evaluator(parse("x + sin(1/3)"), CTX)
@@ -493,19 +494,26 @@ def test_evaluator_at_p_digits_agrees_with_2p_digits(root, x, p):
 @given(man=st.one_of(st.just(1), st.integers(1, 2**64), st.integers(1, 2**4000),
                      st.integers(1, 2**1000).map(lambda m: m * m)),
        exp=st.one_of(st.integers(-4000, 4000), st.integers(-2000, 2000).map(lambda k: 2 * k)),
-       prec=st.integers(53, 2000), rnd=st.sampled_from("nfduc"))
-def test_the_isqrt_square_root_is_mpf_sqrt_bit_for_bit(man, exp, prec, rnd):
+       prec=st.integers(53, 2000))
+def test_the_isqrt_square_root_is_mpf_sqrt_bit_for_bit(man, exp, prec):
     # perfect squares, man == 1 and odd exponents take mpf_sqrt's other branches
     s = from_man_exp(man, exp)
-    assert kernels.sqrt(s, prec, rnd) == mpf_sqrt(s, prec, rnd)
-    assert kernels.sqrt(fzero, prec, rnd) == mpf_sqrt(fzero, prec, rnd) == fzero
+    assert kernels.sqrt(s, prec) == mpf_sqrt(s, prec, round_nearest)
+    assert kernels.sqrt(fzero, prec) == mpf_sqrt(fzero, prec, round_nearest) == fzero
 
 
-def _rounded_context(rnd):
-    # a copy: the context that context(64) returns is shared
+def test_a_context_that_does_not_round_to_nearest_is_refused():
+    # the compiled code rounds to nearest, as every context(precision) does;
+    # a copy, since the context that context(64) returns is shared
     ctx = context(64).clone()
-    ctx._prec_rounding[1] = rnd
-    return ctx
+    ctx._prec_rounding[1] = "f"
+    f = parse("x/(1+x)")
+    orbit_loop(None, CTX, True, False)  # the calling loop at this precision, cached
+    for call in (lambda: evaluator(f, ctx), lambda: parse_constant("1/3", ctx),
+                 lambda: orbit_loop(f, ctx, True, False),
+                 lambda: orbit_loop(None, ctx, True, False)):
+        with pytest.raises(ValueError, match="a context that rounds to nearest"):
+            call()
 
 
 # constant exponents: the integers -6..6, +-1/2, +-k/2, +-p/q, and past
@@ -521,13 +529,12 @@ _BASES = st.one_of(st.sampled_from(_LATTICE).flatmap(lambda x: st.sampled_from([
 
 
 @settings(max_examples=400, deadline=None)
-@given(text=st.sampled_from(_EXPONENTS), x=_BASES, rnd=st.sampled_from("nfduc"))
-def test_a_constant_exponent_is_mpf_pow_with_its_checks(text, x, rnd):
+@given(text=st.sampled_from(_EXPONENTS), x=_BASES)
+def test_a_constant_exponent_is_mpf_pow_with_its_checks(text, x):
     # the kernel and checks decided at compile time give mpf_pow's bits and
     # the errors of the mpf operators, nan and infinities included
     root = parse(f"x^({text})").root
-    ctx = _rounded_context(rnd)
-    fn = evaluator(FunctionDef(root, ""), ctx)
+    fn = evaluator(FunctionDef(root, ""), CTX)
     try:
         _by_mpf_operators(root, x)
     except _TooLarge:  # past the cap, after the base checks passed
@@ -536,24 +543,21 @@ def test_a_constant_exponent_is_mpf_pow_with_its_checks(text, x, rnd):
     except EvalDomainError as err:
         want = err
     else:
-        e = evaluator(parse(text), ctx)(fzero)
-        assert fn(x._mpf_) == mpf_pow(x._mpf_, e, *ctx._prec_rounding)
-        if rnd == "n":
-            assert fn(x._mpf_) == _by_mpf_operators(root, x)._mpf_
+        e = evaluator(parse(text), CTX)(fzero)
+        assert fn(x._mpf_) == mpf_pow(x._mpf_, e, *CTX._prec_rounding)
+        assert fn(x._mpf_) == _by_mpf_operators(root, x)._mpf_
         return
     with pytest.raises(EvalDomainError) as info:
         fn(x._mpf_)
     assert str(info.value) == str(want)
 
 
-@pytest.mark.parametrize("rnd", "fduc")
-@pytest.mark.parametrize("text", ["-1/2", "-3/2"])
-def test_a_negative_half_exponent_rounds_its_root_the_other_way(text, rnd):
-    # mpf_pow takes the root at 10 more bits, rounded the reciprocal way; a
-    # root rounded the other way shows in about one of 2^10 results
-    ctx = _rounded_context(rnd)
-    fn = evaluator(parse(f"x^({text})"), ctx)
-    e = evaluator(parse(text), ctx)(fzero)
+@pytest.mark.parametrize("text", ["-1/2", "-3/2", "3/2"])
+def test_a_half_exponent_takes_its_root_at_10_more_bits(text):
+    # mpf_pow takes the root at 10 more bits, then inverts or raises it; a
+    # root taken at the working precision shows in about one of 2^10 results
+    fn = evaluator(parse(f"x^({text})"), CTX)
+    e = evaluator(parse(text), CTX)(fzero)
     for k in range(1, 4000):
         x = from_man_exp(2**60 + 7919 * k, -61)
-        assert fn(x) == mpf_pow(x, e, *ctx._prec_rounding)
+        assert fn(x) == mpf_pow(x, e, *CTX._prec_rounding)

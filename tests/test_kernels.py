@@ -5,8 +5,8 @@ ties at both parities, cancellation to 0, divisor mantissa 1, exact
 division, both signs, |x| at 1, mpf_cos_sin's tiny-argument cut and its
 table's misses, odd exponents and mantissa 1 for square roots, powers on
 both sides of mpf_pow_int's 1000-bit cut, and mantissas past the precision
-for negation; now and then a zero, inf or nan operand, or a rounding other
-than to nearest."""
+for negation; now and then a zero, inf or nan operand. Every kernel rounds
+to nearest, so each libmp function is called with round_nearest."""
 
 from unittest import mock
 
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath.libmp import (
     finf, fnan, fninf, from_man_exp, fzero, mpf_add, mpf_cos, mpf_div, mpf_mul, mpf_neg,
-    mpf_pow_int, mpf_sin, mpf_sqrt, mpf_sub, normalize,
+    mpf_pow_int, mpf_sin, mpf_sqrt, mpf_sub, normalize, round_nearest,
 )
 from mpmath.libmp.libelefun import COS_SIN_CACHE_PREC, COS_SIN_CACHE_STEP, cos_sin_cache
 
@@ -23,7 +23,6 @@ from recurseries import kernels
 # the working precisions of context(64) and of its roots, and any other
 PRECS = st.one_of(st.sampled_from([53, 249, 259]), st.integers(1, 300))
 SPECIALS = [fzero, finf, fninf, fnan]
-OTHER_ROUNDINGS = "fcdu"
 
 
 @st.composite
@@ -52,20 +51,17 @@ def _odd_exact(man):
 
 
 @st.composite
-def _special_or_rounding(draw, args, operands):
-    """args = (*operands, prec, rnd), now and then with a special operand or
-    another rounding."""
+def _special(draw, args, operands):
+    """args = (*operands, prec), now and then with a special operand."""
     args = list(args)
     if draw(st.integers(0, 9)) == 0:
         args[draw(st.integers(0, operands - 1))] = draw(st.sampled_from(SPECIALS))
-    if draw(st.integers(0, 9)) == 0:
-        args[-1] = draw(st.sampled_from(OTHER_ROUNDINGS))
     return tuple(args)
 
 
 @st.composite
 def _sums(draw):
-    """(s, t, prec, rnd) for add and sub."""
+    """(s, t, prec) for add and sub."""
     prec = draw(PRECS)
     kind = draw(st.sampled_from(["random", "equal", "near", "far", "carry", "tie", "cancel"]))
     s = draw(_raw())
@@ -98,22 +94,22 @@ def _sums(draw):
         prec = _odd_exact(abs(total))
     else:  # -s, to 0; sub(s, s) is drawn with op
         t = (1 - s[0],) + s[1:]
-    return draw(_special_or_rounding((s, t, max(1, prec), "n"), 2))
+    return draw(_special((s, t, max(1, prec)), 2))
 
 
 @st.composite
 def _products(draw):
-    """(s, t, prec, rnd) for mul; half are squares, and a third round a
+    """(s, t, prec) for mul; half are squares, and a third round a
     product at an exact tie."""
     s = draw(_raw())
     t = s if draw(st.booleans()) else draw(_raw())
     prec = draw(st.one_of(PRECS, st.just(_odd_exact(s[1] * t[1]))))
-    return draw(_special_or_rounding((s, t, prec, "n"), 2))
+    return draw(_special((s, t, prec), 2))
 
 
 @st.composite
 def _quotients(draw):
-    """(s, t, prec, rnd) for div: random, divisor mantissa 1, and exact
+    """(s, t, prec) for div: random, divisor mantissa 1, and exact
     quotients, some at a tie."""
     kind = draw(st.sampled_from(["random", "unit", "exact", "tie"]))
     prec = draw(PRECS)
@@ -130,12 +126,12 @@ def _quotients(draw):
             prec = _odd_exact(q)
         man = q * t[1]
         s = (draw(st.integers(0, 1)), man, draw(st.integers(-400, 400)), man.bit_length())
-    return draw(_special_or_rounding((s, t, prec, "n"), 2))
+    return draw(_special((s, t, prec), 2))
 
 
 @st.composite
 def _angles(draw):
-    """(x, prec, rnd) for sin and cos: |x| from 2^-400 to 2^8, just below and
+    """(x, prec) for sin and cos: |x| from 2^-400 to 2^8, just below and
     above 1, at mpf_cos_sin's cut 2^-(prec+10), and of magnitude exp + bc
     near that cut, 0 and 1 (|x| in [1/2, 1) and [1, 2))."""
     prec = draw(PRECS)
@@ -153,12 +149,12 @@ def _angles(draw):
         mag = -(prec + 10) + draw(st.integers(-2, 1)) if kind == "tiny" else draw(
             st.sampled_from([-(prec + 10) + 2, -(prec + 9), -1, 0, 1]))
         x = x[:2] + (mag - bc, bc)
-    return draw(_special_or_rounding((x, prec, "n"), 1))
+    return draw(_special((x, prec), 1))
 
 
 @st.composite
 def _roots(draw):
-    """(x, prec, rnd) for sqrt: odd and even exponents, mantissa 1, exact
+    """(x, prec) for sqrt: odd and even exponents, mantissa 1, exact
     squares, and now and then a negative x."""
     kind = draw(st.sampled_from(["random", "unit", "square"]))
     if kind == "unit":
@@ -170,32 +166,32 @@ def _roots(draw):
         x = draw(_raw(sign=0))
     if draw(st.integers(0, 19)) == 0:
         x = (1,) + x[1:]
-    return draw(_special_or_rounding((x, draw(PRECS), "n"), 1))
+    return draw(_special((x, draw(PRECS)), 1))
 
 
 @st.composite
 def _powers(draw):
-    """(x, n, prec, rnd) for pow_int: n from 3 to 16 with bc * n on both
+    """(x, n, prec) for pow_int: n from 3 to 16 with bc * n on both
     sides of 1000, both signs, now and then n from -3 to 2."""
     n = draw(st.one_of(st.integers(3, 16), st.integers(-3, 2)))
     bc = draw(st.one_of(st.integers(1, 320), st.just(max(1, 1000 // abs(n or 1) + draw(
         st.integers(-1, 1))))))
     x = draw(_raw(bc=bc, exp=draw(st.integers(-200, 200))))
-    x, prec, rnd = draw(_special_or_rounding((x, draw(PRECS), "n"), 1))
-    return x, n, prec, rnd
+    x, prec = draw(_special((x, draw(PRECS)), 1))
+    return x, n, prec
 
 
 @st.composite
 def _negations(draw):
-    """(x, prec, rnd) for neg: mantissas at, below and above prec bits."""
+    """(x, prec) for neg: mantissas at, below and above prec bits."""
     x = draw(_raw(bc=draw(st.integers(1, 320))))
     prec = draw(st.one_of(PRECS, st.sampled_from([x[3] - 1, x[3], x[3] + 1]).filter(bool)))
-    return draw(_special_or_rounding((x, prec, "n"), 1))
+    return draw(_special((x, prec), 1))
 
 
 def _same(kernel, libmp, args):
     try:
-        want = libmp(*args)
+        want = libmp(*args, round_nearest)
     except (ZeroDivisionError, ValueError) as err:
         with pytest.raises(type(err)):
             kernel(*args)
@@ -231,18 +227,18 @@ def test_normalize_is_libmp_normalize_at_round_nearest(drawn, exp, sign):
 @settings(max_examples=1500, deadline=None)
 @given(_sums(), st.booleans())
 def test_add_and_sub_are_mpf_add_and_mpf_sub(args, same):
-    s, t, prec, rnd = args
+    s, t, prec = args
     _same(kernels.add, mpf_add, args)
     _same(kernels.sub, mpf_sub, args)
-    _same(kernels.sub, mpf_sub, (s, s, prec, rnd) if same else (t, s, prec, rnd))
+    _same(kernels.sub, mpf_sub, (s, s, prec) if same else (t, s, prec))
 
 
 @settings(max_examples=600, deadline=None)
 @given(_products())
 def test_mul_is_mpf_mul_and_a_square_is_mpf_pow_int(args):
-    s, t, prec, rnd = args
+    s, t, prec = args
     _same(kernels.mul, mpf_mul, args)
-    assert kernels.mul(s, s, prec, rnd) == mpf_pow_int(s, 2, prec, rnd)
+    assert kernels.mul(s, s, prec) == mpf_pow_int(s, 2, prec, round_nearest)
 
 
 @settings(max_examples=800, deadline=None)
@@ -257,7 +253,7 @@ def test_sin_and_cos_are_mpf_sin_and_mpf_cos(args, empty_table):
     # with an empty table every value misses it, and cos_sin_basecase runs
     with mock.patch.dict(cos_sin_cache, clear=empty_table):
         got = kernels.sin(*args), kernels.cos(*args)
-    assert got == (mpf_sin(*args), mpf_cos(*args))
+    assert got == (mpf_sin(*args, round_nearest), mpf_cos(*args, round_nearest))
 
 
 def test_the_sine_series_ends_within_its_terms():
@@ -317,19 +313,19 @@ def test_the_partial_sum_is_libmp_normalize(drawn):
 
 def _libmp_calls(name, args):
     """The libmp functions the kernel must call: its own for a zero or
-    special operand, a rounding other than to nearest, mpf_add's
+    special operand, mpf_add's
     perturbation (exponents more than 100 apart and magnitudes more than
     prec + 4), mpf_cos_sin's tiny argument, below 2^-(prec+10), a negative
     square root, a power past mpf_pow_int's 1000 bits or a negative one, and
     a negation past prec bits; and for sin, mod_pi2 at |x| >= 1 and
     cos_sin_basecase past the table's precision or at a value not in it."""
-    *operands, prec, rnd = args
+    *operands, prec = args
     x = operands[0]
     own = {"add": "mpf_add", "mul": "mpf_mul", "div": "mpf_div", "sin": "mpf_sin",
            "sqrt": "mpf_sqrt", "pow_int": "mpf_pow_int", "neg": "mpf_neg"}[name]
     if name == "neg":
         return set() if x[1] and x[3] <= prec else {own}
-    if rnd != "n" or not all(x[1] for x in operands if isinstance(x, tuple)):
+    if not all(x[1] for x in operands if isinstance(x, tuple)):
         return {own}
     if name == "add":
         (_, _, sexp, sbc), (_, _, texp, tbc) = operands
