@@ -4,8 +4,9 @@ Each criterion is an explicit rule producing a Verdict that names the rule
 and its numeric witnesses. The `analyze` pipeline wires them together:
 hypothesis validation, the germ of f at 0 when it decides (the
 derivative rule or the limit-exponent rule, with exact witnesses, or, for
-a bounded oscillating factor, the comparison test or the signed rules read
-from the germ's exact envelopes), else the derivative rule, the
+a bounded oscillating factor, the comparison test read from the germ's
+exact envelopes; in signed mode, the signed rules read from the germs of
+f and -f(-x) or their envelopes), else the derivative rule, the
 limit-exponent rule for the boundary derivative case and the comparison
 band when neither decides, read from samples; the sampled signed-mode
 rules; and an empirical orbit cross-check.
@@ -615,27 +616,39 @@ def _comparison(label: str, minorant: bool, shown: str) -> Verdict:
 
 
 def _signed_envelope_rule(sides, ctx) -> Optional[Tuple[DerivativeEstimate, Verdict]]:
-    """The signed rules read from the envelopes of f at 0+ and of -f(-x) at
-    0+ (f at 0-), when either has an interval coefficient and both lead
-    with x or above; None otherwise, for the sampled rules.
+    """The signed rules read from the germs of f at 0+ and of -f(-x) at 0+
+    (f at 0-), when both lead with x or above; None otherwise, for the
+    sampled rules.
 
-    A coefficient at x below 0 on both sides makes x*f(x) < 0 near 0:
-    AlternatingRule. Else |f(x)| <= c*|x| near 0 with c < 1, c the largest
-    magnitude in those coefficients (0 for a side that leads above x), gives
-    AbsoluteBoundRule with c exact. Anything else is inconclusive."""
-    if None in sides or all(g.exact for g in sides) or any(g.terms[0][0] < 1 for g in sides):
+    A side's slope is its coefficient at x, or 0 for a side that leads above
+    x. Slopes below 0 on both sides make x*f(x) < 0 near 0: AlternatingRule.
+    Else |f(x)| <= c*|x| near 0 with c < 1, c the largest magnitude in the
+    slopes, gives AbsoluteBoundRule with c exact. Point germs decide only
+    where c is below 1 at ctx's precision, as in _germ_rule; else they
+    leave the sampled rules. Envelopes of an interval coefficient that bound
+    c by 1 or more are inconclusive."""
+    if None in sides or any(g.terms[0][0] < 1 for g in sides):
         return None
+    exact = all(g.exact for g in sides)
     slopes = [g.terms[0][1] if g.terms[0][0] == 1 else Fraction(0) for g in sides]
-    derivative = _exact_band(slopes, ctx)
-    notes = [_envelopes(sides[0], at="0+"), _envelopes(sides[1], "-f(-x)", "0+")]
-    if all(high(c) < 0 for c in slopes):
-        return derivative, Verdict(CONVERGENT, ALTERNATING_RULE,
-                                   {"sign_pattern": "x*f(x) < 0 near 0 by the envelopes"},
-                                   notes + ["terms alternate in sign with decreasing magnitudes"])
     c = max(max(-low(s), high(s)) for s in slopes)
+    if exact and not _rational(c, ctx) < 1:
+        return None
+    derivative = _exact_band(slopes, ctx)
+    if exact:
+        notes = [f"exact germ at 0+: {of} = {_polynomial(g.terms[:1])} + ..."
+                 for g, of in zip(sides, ("f(x)", "-f(-x)"))]
+    else:
+        notes = [_envelopes(sides[0], at="0+"), _envelopes(sides[1], "-f(-x)", "0+")]
+    if all(high(s) < 0 for s in slopes):
+        return derivative, Verdict(CONVERGENT, ALTERNATING_RULE, {
+            "sign_pattern": f"x*f(x) < 0 near 0 by the {'germs' if exact else 'envelopes'}"},
+            notes + ["terms alternate in sign with decreasing magnitudes"])
     if c < 1:
+        bound = (f"|f(x)|/|x| tends to at most {_short(c)} < 1 at 0" if exact
+                 else f"|f(x)| <= {_short(c)}*|x| near 0")
         return derivative, Verdict(CONVERGENT, ABSOLUTE_BOUND_RULE, {"c": _rational(c, ctx)}, notes + [
-            f"|f(x)| <= {_short(c)}*|x| near 0 on both sides: absolutely convergent"])
+            f"{bound} on both sides: absolutely convergent"])
     return derivative, Verdict(INCONCLUSIVE, None, {}, notes + [
         f"the envelopes bound |f(x)|/|x| near 0 by {_short(c)}, not below 1;"
         " nothing further can be concluded in the signed regime"])
@@ -911,8 +924,7 @@ def analyze(table: Samples, mode: str = "auto", max_n: int = 10**6,
     min(max_n, CROSS_CHECK_N) steps or until |x_n| < floor. Stages:
     hypothesis validation with mode detection from |x0| down; the germ of
     f at 0+ and, in signed mode, that of -f(-x), which decide without the
-    probe grid when they can (in signed mode only where either has an
-    interval coefficient), and which, where they show |f(x)| < |x| near 0,
+    probe grid when they can, and which, where they show |f(x)| < |x| near 0,
     read the points at the bottom of the seed grid where |f(x)| rounds to
     |x| as a precision limit, not as violations; else the sampled signed
     rules or the derivative rule, routing to the limit-exponent rule and

@@ -445,9 +445,12 @@ _SUBCOMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     """The parser of every subcommand, or of command's alone, which parses,
-    helps and errs on an argv that starts with command as the full one does."""
+    helps and errs on an argv that starts with command as the full one does.
+    Each is built on its first use and kept, so that a process calling main
+    many times builds it once; parsing leaves no state on it."""
     parser = _Parser(
         prog="recurseries",
         description="Convergence analyzer for series with recursively"

@@ -914,3 +914,27 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "convergent"
+
+
+def test_main_builds_each_parser_once_and_reuses_it(capsys):
+    assert _build_parser("analyze") is _build_parser("analyze")
+
+    def run_main(argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    analysis = ["analyze", "--f=-x/2", "--x0=0.5", "--max-n=20"]
+    error, help_ = ["analyze", "--bogus"], ["analyze", "--help"]
+    first = {}
+    for argv in (analysis, error, help_):
+        _build_parser.cache_clear()
+        first[tuple(argv)] = run_main(argv)
+    code, out, err = first[tuple(error)]
+    assert code == 1 and out == "" and err.count("\n") == 1 and err.startswith("error: ")
+    code, out, err = first[tuple(help_)]
+    assert code == 0 and out.startswith("usage: recurseries analyze") and err == ""
+    # on the kept parsers: after an error, after --help, and after both
+    for argv in (error, analysis, help_, analysis, error, help_):
+        assert run_main(argv) == first[tuple(argv)]

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import recurseries.classify
 from recurseries.classify import (
     ABSOLUTE_BOUND_RULE,
+    ALTERNATING_RULE,
     CONVERGENT,
     DERIVATIVE_RULE,
     DIVERGENT,
@@ -307,3 +308,49 @@ def test_a_signed_precision_limit_is_read_from_both_expansions():
     code, out = run(["analyze", "--f=-x + x*abs(x)*exp(-1/abs(x))", "--x0=0.3"])
     assert code == 1 and out.startswith("error: the decay hypothesis fails")
     assert "|f(x)| rounds to |x| at the working precision" in out and "higher precision" in out
+
+
+@settings(max_examples=40, deadline=None)
+@given(c=st.sampled_from(sorted({Fraction(p, q) for q in range(2, 25) for p in range(1, q)})),
+       d=COEFFICIENTS, negative=st.booleans())
+def test_a_point_slope_in_minus_1_to_0_alternates_by_the_germs(c, d, negative):
+    # f = -c*x + d*x^2 has |f(x)|/|x| = |c - d*x| in (c/2, (1 + c)/2) and
+    # x*f(x) < 0 on |x| <= min(c, 1 - c)/(2|d| + 2); f'(0) = -c exactly
+    x0 = mpf(min(c, 1 - c) / (2 * abs(d) + 2)) * (-1 if negative else 1)
+    report = analyze_unsampled(f"-({c})*x + ({d})*x^2", x0, mode="signed")
+    v = report.verdict
+    assert (v.conclusion, v.rule) == (CONVERGENT, ALTERNATING_RULE)
+    assert (report.derivative.kind, report.derivative.c) == ("value", mpf(-c))
+    assert v.notes[:2] == [f"exact germ at 0+: f(x) = -{c}*x + ...",
+                           f"exact germ at 0+: -f(-x) = -{c}*x + ..."]
+
+
+def test_abs_over_2_is_bounded_by_a_half_and_has_no_derivative():
+    # the sampled route read f'(0) = 0.5, though f(x)/x is -1/2 left of 0
+    report = analyze_unsampled("abs(x)/2", "0.3", mode="signed")
+    assert (report.verdict.rule, report.verdict.witnesses) == (ABSOLUTE_BOUND_RULE, {"c": CTX.mpf("0.5")})
+    d = report.derivative
+    assert (d.kind, d.c, d.band) == ("dne", None, (CTX.mpf("-0.5"), CTX.mpf("0.5")))
+
+
+@pytest.mark.parametrize("text,warnings", [
+    ("-x+x^3", []),
+    ("-x+x^5", ["|f(x)| rounds to |x| at the working precision from |x| = 1.0e-19 down: a"
+                " precision limit, not a failed hypothesis, as f's germ at 0 shows |f(x)| < |x|"
+                " there"]),
+])
+def test_a_slope_of_minus_1_keeps_the_sampled_signed_rule(text, warnings):
+    # c = 1: the germs decide nothing, and the sampled signed rule reads the seed grid
+    ran = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in SAMPLED:
+            rule = getattr(recurseries.classify, name)
+            patch.setattr(recurseries.classify, name,
+                          lambda *a, name=name, rule=rule: ran.append(name) or rule(*a))
+        report = analyze(Samples(parse(text), 64, x0="0.5"), max_n=200)
+    assert ran == ["estimate_derivative_at_zero", "signed_rule"]
+    v = report.verdict
+    assert (v.conclusion, v.rule, v.notes, report.warnings) == (
+        CONVERGENT, ALTERNATING_RULE, ["terms alternate in sign with decreasing magnitudes"],
+        warnings)
+    assert report.derivative.samples
