@@ -100,6 +100,8 @@ MINORANT_RULE = "MinorantRule"
 ALTERNATING_RULE = "AlternatingRule"
 ABSOLUTE_BOUND_RULE = "AbsoluteBoundRule"
 
+ALTERNATES = "terms alternate in sign with decreasing magnitudes"
+
 VALUE = "value"
 DNE = "dne"
 OUT_OF_RANGE = "out_of_range"
@@ -643,7 +645,7 @@ def _signed_envelope_rule(sides, ctx) -> Optional[Tuple[DerivativeEstimate, Verd
     if all(high(s) < 0 for s in slopes):
         return derivative, Verdict(CONVERGENT, ALTERNATING_RULE, {
             "sign_pattern": f"x*f(x) < 0 near 0 by the {'germs' if exact else 'envelopes'}"},
-            notes + ["terms alternate in sign with decreasing magnitudes"])
+            notes + [ALTERNATES])
     if c < 1:
         bound = (f"|f(x)|/|x| tends to at most {_short(c)} < 1 at 0" if exact
                  else f"|f(x)| <= {_short(c)}*|x| near 0")
@@ -858,7 +860,7 @@ def signed_rule(table: Samples) -> Verdict:
             CONVERGENT,
             ALTERNATING_RULE,
             {"sign_pattern": "x*f(x) < 0 at every sampled point"},
-            ["terms alternate in sign with decreasing magnitudes"],
+            [ALTERNATES],
         )
     if sup <= 1 - margin:
         return Verdict(
@@ -876,6 +878,25 @@ def signed_rule(table: Samples) -> Verdict:
             " nothing further can be concluded in the signed regime"
         ],
     )
+
+
+def _alternation_in_orbit(verdict: Verdict, orbit: Orbit, warnings: List[str]) -> None:
+    """Name in AlternatingRule's note the first step k from which every
+    later x_n*x_(n+1) of the orbit is negative, when k > 0, and warn when
+    the orbit's last two terms share a sign. The rule reads x*f(x) < 0 near
+    0, and Leibniz's test needs only the tail, so the verdict stands."""
+    terms = orbit.terms
+    k = len(terms) - 1
+    while k and terms[k - 1][0] != terms[k][0]:
+        k -= 1
+    if not k:
+        return
+    verdict.notes = [f"{note} from step {k} on" if note == ALTERNATES else note
+                     for note in verdict.notes]
+    if k == orbit.last_index:
+        warnings.append(
+            f"orbit cross-check: x_{k - 1} and x_{k} have the same sign, so the orbit"
+            f" does not alternate by its last step, {k}")
 
 
 @dataclass
@@ -923,13 +944,15 @@ def analyze(table: Samples, mode: str = "auto", max_n: int = 10**6,
     mode is "auto", "positive" or "signed"; the orbit cross-check runs to
     min(max_n, CROSS_CHECK_N) steps or until |x_n| < floor. Stages:
     hypothesis validation with mode detection from |x0| down; the germ of
-    f at 0+ and, in signed mode, that of -f(-x), which decide without the
+    f at 0+ and, in signed mode, that of -f(-x) (f's own for an odd f, its
+    negation for an even one: see expr.parity), which decide without the
     probe grid when they can, and which, where they show |f(x)| < |x| near 0,
     read the points at the bottom of the seed grid where |f(x)| rounds to
     |x| as a precision limit, not as violations; else the sampled signed
     rules or the derivative rule, routing to the limit-exponent rule and
     then the comparison band; then an empirical orbit cross-check whose fit
-    is compared against the verdict. Raises AnalysisError when the seed
+    is compared against the verdict, and on which AlternatingRule names the
+    step the terms alternate from. Raises AnalysisError when the seed
     lies outside the region where the hypotheses hold.
     """
     ctx = table.ctx
@@ -947,7 +970,11 @@ def analyze(table: Samples, mode: str = "auto", max_n: int = 10**6,
         decided = None if germ is None else _germ_rule(germ, ctx)
     else:  # f at 0+, and at 0- through -f(-x) at 0+
         germ = None
-        sides = [expand(table.function), expand(reflect(table.function))]
+        sides = [expand(table.function)]
+        if table.parity is None:
+            sides.append(expand(reflect(table.function)))
+        else:  # -f(-x) is f for an odd f, and -f for an even one
+            sides.append(sides[0] if sides[0] is None or table.parity else -sides[0])
         decided = _signed_envelope_rule(sides, ctx)
     # whether the germs show |f| < |x| near 0; in positive mode only where
     # the germ decides, as a c_1 below 1 that rounds to 1 is evaluated as 1
@@ -1019,6 +1046,8 @@ def analyze(table: Samples, mode: str = "auto", max_n: int = 10**6,
     orbit_result = iterate(table, x0, min(max_n, CROSS_CHECK_N), floor, mode)
     if orbit_result.status.kind == HYPOTHESIS_VIOLATION:
         warnings.append(f"orbit cross-check: {orbit_result.status.describe()}")
+    if verdict.rule == ALTERNATING_RULE:
+        _alternation_in_orbit(verdict, orbit_result, warnings)
     fit = None
     if mode is Mode.POSITIVE and orbit_result.last_index >= 2 * MIN_WINDOW_TERMS:
         try:

@@ -378,6 +378,41 @@ def _has_var(node: Node, constants: Optional[list] = None) -> bool:
     return False
 
 
+# the parity of sin, cos and abs of an odd argument (exp, ln and sqrt have none)
+_ODD_ARGUMENT = {"sin": 1, "cos": 0, "abs": 0}
+
+
+def parity(node: Node) -> Optional[int]:
+    """0 when f has the same bits at -x as at x, 1 when it has the negated
+    bits, None when the tree does not show either. Round-to-nearest and the
+    kernels are symmetric under negation, so the rules are the algebraic
+    ones: x is odd and constants even; + and - keep a parity both operands
+    share; * and / add parities; a literal integer exponent multiplies its
+    base's parity; a node whose operands are all even is even; sin of an
+    odd argument is odd, and cos and abs of one even."""
+    if isinstance(node, Var):
+        return 1
+    if isinstance(node, Neg):
+        return parity(node.operand)
+    if isinstance(node, Call):
+        inner = parity(node.arg)
+        return inner and _ODD_ARGUMENT.get(node.func)
+    if not isinstance(node, BinOp):  # a number, pi or e
+        return 0
+    left, right = parity(node.left), parity(node.right)
+    if left is None or right is None:
+        return None
+    if node.op in "+-":
+        return left if left == right else None
+    if node.op in "*/":
+        return left ^ right
+    if not (left or right):  # ^ of even operands
+        return 0
+    if isinstance(node.right, Number) and node.right.text.isdigit():
+        return left & int(node.right.text[-1])
+    return None
+
+
 _ZERO_TO_NEGATIVE = "zero raised to a negative power"
 _NEGATIVE_BASE = "negative base with non-integer exponent"
 _EXPONENT_PAST_CAP = f"exponent reaches the magnitude cap 2^{EXPONENT_CAP}"

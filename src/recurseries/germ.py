@@ -114,6 +114,10 @@ class Germ:
         """Whether every coefficient is a point, so that the terms are f's."""
         return not any(isinstance(c, Interval) for _, c in self.terms)
 
+    def __neg__(self) -> "Germ":
+        """The germ of -f, coefficient by coefficient."""
+        return Germ(tuple((e, -c) for e, c in self.terms), self.order)
+
     def envelope(self, upper: bool) -> Tuple[Tuple[Fraction, Fraction], ...]:
         """The nonzero terms of the upper (hi) or lower (lo) envelope, between
         which f lies near 0+ up to O(x^order)."""

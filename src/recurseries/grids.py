@@ -14,7 +14,7 @@ from typing import Dict, List
 import mpmath
 from mpmath.libmp import repr_dps
 
-from .expr import DEFAULT_PRECISION, EvalDomainError, FunctionDef, context, evaluator
+from .expr import DEFAULT_PRECISION, EvalDomainError, FunctionDef, context, evaluator, parity
 
 
 # the most points a grid may hold; the default grids hold 93 and 121
@@ -137,7 +137,7 @@ class Samples:
     and the limit probes do. f is compiled once, on the table's context,
     which is the one context(precision) every table at that precision
     shares; each grid is generated once, and f evaluated once per distinct
-    point.
+    point, or once per magnitude for an odd or even f (see raw).
 
     A point's entry is the raw f(x), as the compiled f returns it, or the
     EvalDomainError f raised there: `raw` returns it as kept, and `f`
@@ -157,6 +157,7 @@ class Samples:
         self.precision = precision
         self.ctx = context(precision)
         self.compiled = evaluator(f, self.ctx)
+        self.parity = parity(f.root)
         self.x0 = self.ctx.convert(x0)
         self.seed = seed_grid(self.x0, self.ctx)
         self.probe = probe
@@ -175,10 +176,19 @@ class Samples:
     def raw(self, x):
         """f(x) as the table keeps it, for an mpf x: the raw value (an mpf's
         _mpf_ tuple), or the EvalDomainError f raised at x, returned, not
-        raised; evaluated on first use."""
-        key = x._mpf_
+        raised; evaluated on first use. For an odd or even f (see
+        expr.parity), f(x) at x < 0 is f(-x), or its negation, wherever f(-x)
+        is a regular value: f is evaluated once per magnitude there."""
+        return self._raw(x._mpf_)
+
+    def _raw(self, key):
         y = self._values.get(key)
         if y is None:
+            if key[0] and key[1] and self.parity is not None:  # a regular x < 0
+                y = self._raw((0,) + key[1:])
+                if isinstance(y, tuple) and y[1]:
+                    y = self._values[key] = (y[0] ^ self.parity,) + y[1:]
+                    return y
             try:
                 y = self.compiled(key)
             except EvalDomainError as err:

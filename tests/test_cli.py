@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import recurseries.cli
 import recurseries.expr
+import recurseries.grids
 from recurseries.cli import (
     _SUBCOMMANDS,
     RunConfig,
@@ -471,6 +472,37 @@ def _main_output(capsys, argv):
                               "taylor"])
 def test_a_deeply_nested_f_is_one_error_line(capsys, argv):
     assert _main_output(capsys, ["analyze"] + argv) == (1, "error: f is nested too deeply\n")
+
+
+# -x+x^3 is odd, and f'(0) = -1 leaves it to the sampled signed rule; the
+# table reads its f(-x) from f(x), with the bytes of evaluating f at -x
+CUBIC_FROM_A_TENTH = (
+    "function: -x+x^3\n"
+    "x0 = 0.1  mode = signed  precision = 64\n"
+    "verdict: convergent (AlternatingRule)\n"
+    "derivative at zero: value c = -0.999999999999999999999999999999999999999999999999\n"
+    "orbit: n = 10000"
+    "  x_n = 0.007052058494331713361402197983543566494510916976365782449513966984"
+    "  S_n = 0.05377974800032357425788266998753959580440580550844583379165102948"
+    "  status = max_iterations at step 10000\n"
+    "notes:\n"
+    "  - terms alternate in sign with decreasing magnitudes\n"
+)
+
+
+def test_an_odd_f_on_the_sampled_signed_route_prints_the_same_bytes(capsys):
+    assert _main_output(capsys, ["analyze", "--f=-x+x^3", "--x0=0.1"]) == (0, CUBIC_FROM_A_TENTH)
+
+
+def test_a_tree_too_deep_for_its_parity_is_one_error_line(capsys, monkeypatch):
+    # with f's compile skipped, the parity walk is the first to recurse
+    # through the deep sum of --taylor
+    deep = taylor_polynomial(DEEP_TAYLOR.split(","), context(64))
+    with pytest.raises(RecursionError):
+        recurseries.expr.parity(deep.root)
+    monkeypatch.setattr(recurseries.grids, "evaluator", lambda f, ctx: None)
+    assert _main_output(capsys, ["analyze", "--taylor", DEEP_TAYLOR]) == (
+        1, "error: f is nested too deeply\n")
 
 
 def test_a_nested_f_within_the_recursion_limit_is_analyzed(capsys):

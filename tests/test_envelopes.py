@@ -354,3 +354,28 @@ def test_a_slope_of_minus_1_keeps_the_sampled_signed_rule(text, warnings):
         CONVERGENT, ALTERNATING_RULE, ["terms alternate in sign with decreasing magnitudes"],
         warnings)
     assert report.derivative.samples
+
+
+def test_the_alternating_note_names_the_step_the_orbit_alternates_from():
+    # the germs read x*f(x) < 0 near 0, but x_0 = 0.5 and x_1 = 1/12 share a
+    # sign: the orbit alternates from step 1, and the verdict stands
+    table = Samples(parse("x^2-x/3"), 64, x0="0.5")
+    report = analyze(table, mode="signed", max_n=200)
+    v = report.verdict
+    assert (v.conclusion, v.rule) == (CONVERGENT, ALTERNATING_RULE)
+    assert v.notes[-1] == "terms alternate in sign with decreasing magnitudes from step 1 on"
+    assert report.warnings == []
+    terms = [table.ctx.make_mpf(t) for t in report.orbit_result.terms]
+    assert terms[0] * terms[1] > 0 and all(a * b < 0 for a, b in zip(terms[1:], terms[2:]))
+    # an orbit cut before it alternates is warned about
+    report = analyze(Samples(parse("x^2-x/3"), 64, x0="0.5"), mode="signed", max_n=1)
+    assert report.verdict.notes[-1].endswith(" from step 1 on")
+    assert report.warnings == [
+        "orbit cross-check: x_0 and x_1 have the same sign, so the orbit does not alternate"
+        " by its last step, 1"]
+
+
+def test_an_orbit_that_alternates_from_its_seed_keeps_the_note():
+    report = analyze(Samples(parse("-x/2"), 64, x0="1"), max_n=200)
+    assert report.verdict.notes[-1] == "terms alternate in sign with decreasing magnitudes"
+    assert report.warnings == []

@@ -1,7 +1,7 @@
 import mpmath
 import pytest
 from hypothesis import given, reject, settings, strategies as st
-from mpmath.libmp import from_man_exp, fzero, mpf_pow, mpf_sqrt, round_nearest
+from mpmath.libmp import from_man_exp, fzero, mpf_neg, mpf_pow, mpf_sqrt, round_nearest
 
 from recurseries import expr, kernels
 from recurseries.expr import (
@@ -19,11 +19,13 @@ from recurseries.expr import (
     context,
     evaluator,
     orbit_loop,
+    parity,
     parse,
     parse_constant,
     render,
     taylor_polynomial,
 )
+from recurseries.germ import expand, reflect
 from recurseries.grids import seed_grid
 
 CTX = context(64)
@@ -339,6 +341,45 @@ def test_evaluator_matches_mpf_operators_bit_for_bit(root, x):
         assert info.value.x == x
         return
     assert fn(x._mpf_) == want._mpf_
+
+
+@pytest.mark.parametrize("text,want", [
+    ("x", 1), ("-x/2", 1), ("pi*e", 0), ("x^2-x/3", None), ("x*sin(1/x)", 0),
+    ("x*sin(1/x)*(1/2)", 0), ("sin(x)^3", 1), ("cos(x)+abs(x)", 0), ("exp(x)", None),
+    ("exp(x^2)", 0), ("sqrt(abs(x))*x/2", 1), ("(x^2)^(3/4)", 0), ("x^(3/2)", None),
+    ("x^-1", None), ("2^x", None), ("ln(x)", None), ("x^2^x", None),
+])
+def test_parity(text, want):
+    assert parity(parse(text).root) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(_node_strategy(), _xs)
+def test_an_odd_or_even_f_has_the_same_or_negated_bits_at_minus_x(root, x):
+    p = parity(root)
+    if p is None:
+        reject()
+    fn = evaluator(FunctionDef(root, ""), CTX)
+    try:
+        y = fn(x._mpf_)
+    except EvalDomainError:
+        with pytest.raises(EvalDomainError):
+            fn((-x)._mpf_)
+        return
+    assert fn((-x)._mpf_) == (mpf_neg(y) if p else y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_node_strategy())
+def test_the_germ_of_minus_f_of_minus_x_is_f_s_own_or_its_negation(root):
+    # analyze reads -f(-x)'s germ from f's for an odd or even f, in place of
+    # the pass over reflect(f)
+    p = parity(root)
+    if p is None:
+        reject()
+    f = FunctionDef(root, "")
+    germ = expand(f)
+    assert expand(reflect(f)) == (germ if germ is None or p else -germ)
 
 
 def test_constant_subtree_runs_its_libmp_calls_once(monkeypatch):

@@ -16,6 +16,7 @@ from recurseries.classify import (
     analyze,
     detect_mode,
     probe_limit,
+    signed_rule,
 )
 from recurseries.cli import main
 from recurseries.expr import (
@@ -35,7 +36,7 @@ from recurseries.grids import (
     Samples,
     seed_grid,
 )
-from recurseries.orbit import Mode, iterate
+from recurseries.orbit import Mode, iterate, validate_hypotheses
 
 from corpus import ALL
 from test_expr import _xs
@@ -426,6 +427,48 @@ def test_compare_evaluates_a_user_majorant_once_per_point(monkeypatch, capsys):
     rows = [line.split(",") for line in out.splitlines() if line[:1].isdigit()]
     assert rows and all(m == mpmath.nstr(CTX.make_mpf(m_orbit.terms[int(n)]), 64)
                         for n, _, m in rows)
+
+
+@pytest.mark.parametrize("text,parity,per_magnitude", [
+    ("x*sin(1/x)", 0, 1),  # even: f(-x) is f(x)
+    ("-x/2", 1, 1),  # odd: f(-x) is -f(x)
+    ("x^2-x/3", None, 2),  # neither: both signs are evaluated
+])
+def test_a_signed_table_evaluates_an_odd_or_even_f_once_per_magnitude(
+        monkeypatch, text, parity, per_magnitude):
+    calls = count_evaluations(monkeypatch)
+    table = Samples(parse(text), x0="0.3")
+    grid = table.points(table.seed)
+    assert table.parity == parity
+    validate_hypotheses(table, Mode.SIGNED)
+    signed_rule(table)
+    [(_, args)] = calls
+    assert len(grid) == 119 and len(args) == per_magnitude * len(grid)
+    fresh = evaluator(parse(text), CTX)
+    for p in grid:
+        for x in (p, -p):
+            assert table.raw(x) == fresh(x._mpf_)
+
+
+@pytest.mark.parametrize("text,evaluations", [
+    ("abs(x)^(-1) - 1/abs(x)", 4),  # even, and 0 everywhere
+    ("sqrt(x^2 - 1e-4)", 3),  # even, and fails at |x| < 1e-2
+])
+def test_a_value_that_is_not_regular_is_evaluated_at_both_signs(monkeypatch, text, evaluations):
+    # f(-p) is read from f(p) only where f(p) has a nonzero mantissa; else f
+    # is evaluated at -p, so that an EvalDomainError there names -p
+    calls = count_evaluations(monkeypatch)
+    table = Samples(parse(text), x0="0.3")
+    small, large = CTX.mpf("0.003"), CTX.mpf("0.5")
+    values = [table.raw(x) for x in (small, -small, large, -large)]
+    [(_, args)] = calls
+    assert table.parity == 0 and len(args) == evaluations
+    if evaluations == 4:
+        assert values == [fzero] * 4
+    else:
+        assert [type(v) for v in values[:2]] == [EvalDomainError] * 2
+        assert (values[0].x, values[1].x) == (small, -small)
+        assert values[3] == values[2]
 
 
 def count_calls(monkeypatch, module, name):

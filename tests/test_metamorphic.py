@@ -2,12 +2,14 @@
 keep its verdict and rule, checked on in-process `main` runs."""
 
 import json
+from dataclasses import replace
+from decimal import Decimal
 
 import mpmath
 import pytest
 
 from recurseries.cli import main
-from recurseries.expr import DEFAULT_PRECISION, parse
+from recurseries.expr import DEFAULT_PRECISION, BinOp, FunctionDef, Number, Var, parse, render
 from recurseries.grids import Samples
 
 from corpus import ALL
@@ -41,3 +43,34 @@ def test_the_seed_shift_keeps_verdict_and_rule(capsys, entry):
     shifted = [arg for arg in entry.cli_args() if not arg.startswith("--x0=")]
     source = outcome(capsys, entry.cli_args())
     assert outcome(capsys, shifted + [f"--x0={mpmath.nstr(x1, DEFAULT_PRECISION)}"]) == source
+
+
+def conjugated(text: str, scale: str) -> str:
+    """The text of g(x) = scale*f(x/scale), made by substituting x/scale for
+    x in f's tree, as germ.reflect substitutes -x."""
+    def swap(node):
+        if isinstance(node, Var):
+            return BinOp("/", node, Number(scale))
+        kids = {k: swap(getattr(node, k)) for k in ("arg", "operand", "left", "right")
+                if hasattr(node, k)}
+        return replace(node, **kids) if kids else node
+
+    return render(FunctionDef(BinOp("*", Number(scale), swap(parse(text).root)), ""))
+
+
+def test_conjugation_substitutes_in_the_tree():
+    assert conjugated("x - x^2", "2") == "2 * (x / 2 - (x / 2) ^ 2)"
+
+
+@pytest.mark.parametrize("entry", [
+    pytest.param(e, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 2: the germ refuses (x/2)^1.95, as 2^(-1.95) is"
+        " irrational, and the sampled routes are inconclusive"))
+    if e.name == "abs_sine_blind" else e for e in EXPRESSIONS], ids=lambda e: e.name)
+def test_conjugation_keeps_verdict_and_rule(capsys, entry):
+    # y_n = 2*x_n is the orbit of g(x) = 2*f(x/2) from 2*x0, so its series
+    # is twice the series from x0
+    g = conjugated(entry.function, "2")
+    moved = [arg for arg in entry.cli_args() if not arg.startswith(("--f=", "--x0="))]
+    source = outcome(capsys, entry.cli_args())
+    assert outcome(capsys, moved + [f"--f={g}", f"--x0={Decimal(entry.x0) * 2}"]) == source
