@@ -20,13 +20,13 @@ ctx.extraprec, which restore it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Optional, Tuple, Union
 
 import mpmath
 from mpmath import mp
 from mpmath.libmp import (
-    dps_to_prec, fone, fzero, mpf_abs, mpf_exp, mpf_log, mpf_pow, round_nearest,
+    dps_to_prec, fone, fzero, mpf_abs, mpf_exp, mpf_log, mpf_pow, repr_dps, round_nearest,
 )
 
 from .kernels import (
@@ -100,19 +100,36 @@ class Neg:
 
 
 @dataclass(frozen=True)
+class Sum:
+    """terms[0] ops[0] terms[1] ops[1] terms[2] ..., left to right: a chain
+    of + and - is one node, whose ops holds the "+" or "-" before each term
+    after the first."""
+
+    terms: Tuple["Node", ...]
+    ops: str
+
+
+@dataclass(frozen=True)
+class Product:
+    """terms[0] * terms[1] * ..., left to right: a chain of * is one node."""
+
+    terms: Tuple["Node", ...]
+
+
+@dataclass(frozen=True)
 class BinOp:
-    op: str  # one of + - * / ^
+    op: str  # "/" or "^"
     left: "Node"
     right: "Node"
 
 
-Node = Union[Number, Var, Const, Call, Neg, BinOp]
+Node = Union[Number, Var, Const, Call, Neg, Sum, Product, BinOp]
 
 FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt", "abs")
 CONSTANTS = ("pi", "e")
 
 # precedence levels used by the renderer; higher binds tighter
-_ADD, _MUL, _NEG, _POW, _ATOM = 1, 2, 3, 4, 5
+_ADD, _MUL, _DIV, _NEG, _POW, _ATOM = 1, 2, 3, 4, 5, 6
 
 
 @dataclass(frozen=True)
@@ -143,12 +160,7 @@ def _tokenize(text: str):
             if at >= len(text):
                 break
             raise ExprSyntaxError(f"unexpected character {text[at]!r}", at)
-        if m.group("num") is not None:
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
+        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
@@ -156,23 +168,23 @@ def _tokenize(text: str):
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 
     def peek(self):
         return self.tokens[self.i]
 
-    def take(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+    def accept(self, ops: str) -> Optional[str]:
+        """Take the next token, and return its text, if it is an op in ops."""
+        kind, text, _ = self.peek()
+        if kind == "op" and text in ops:
+            self.i += 1
+            return text
+        return None
 
-    def expect_op(self, op: str):
-        kind, text, offset = self.peek()
-        if kind != "op" or text != op:
-            raise ExprSyntaxError(f"expected '{op}'", offset)
-        return self.take()
+    def expect_op(self, op: str) -> None:
+        if not self.accept(op):
+            raise ExprSyntaxError(f"expected '{op}'", self.peek()[2])
 
     def parse(self) -> Node:
         node = self.expr()
@@ -182,42 +194,31 @@ class _Parser:
         return node
 
     def expr(self) -> Node:
-        node = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.take()
-                node = BinOp(text, node, self.term())
-            else:
-                return node
+        terms, ops = [self.term()], ""
+        while op := self.accept("+-"):
+            ops += op
+            terms.append(self.term())
+        return Sum(tuple(terms), ops) if ops else terms[0]
 
     def term(self) -> Node:
-        node = self.factor()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.take()
-                node = BinOp(text, node, self.factor())
+        factors = [self.factor()]
+        while op := self.accept("*/"):
+            if op == "*":
+                factors.append(self.factor())
             else:
-                return node
+                factors = [BinOp("/", _product(factors), self.factor())]
+        return _product(factors)
 
     def factor(self) -> Node:
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "-":
-            self.take()
-            return Neg(self.power())
-        return self.power()
+        return Neg(self.power()) if self.accept("-") else self.power()
 
     def power(self) -> Node:
         node = self.atom()
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "^":
-            self.take()
-            return BinOp("^", node, self.factor())
-        return node
+        return BinOp("^", node, self.factor()) if self.accept("^") else node
 
     def atom(self) -> Node:
-        kind, text, offset = self.take()
+        kind, text, offset = self.peek()
+        self.i += 1
         if kind == "num":
             return Number(text)
         if kind == "name":
@@ -228,14 +229,11 @@ class _Parser:
             if text in FUNCTIONS:
                 self.expect_op("(")
                 args = [self.expr()]
-                while self.peek()[:2] == ("op", ","):
-                    self.take()
+                while self.accept(","):
                     args.append(self.expr())
                 self.expect_op(")")
                 if len(args) != 1:
-                    raise ArityError(
-                        f"{text} takes 1 argument, got {len(args)}", offset
-                    )
+                    raise ArityError(f"{text} takes 1 argument, got {len(args)}", offset)
                 return Call(text, args[0])
             raise UnknownIdentifierError(f"unknown identifier {text!r}", offset)
         if kind == "op" and text == "(":
@@ -257,16 +255,40 @@ def parse(text: str) -> FunctionDef:
         raise
 
 
+def _product(factors: list) -> Node:
+    return Product(tuple(factors)) if len(factors) > 1 else factors[0]
+
+
+_SUBTREES = ("arg", "operand", "left", "right")  # the fields that hold one subtree
+
+
+def _children(node: Node) -> tuple:
+    """node's subtrees, in order."""
+    if isinstance(node, (Sum, Product)):
+        return node.terms
+    return tuple(getattr(node, k) for k in _SUBTREES if hasattr(node, k))
+
+
+def substitute(node: Node, value: Node) -> Node:
+    """node with the tree value in place of every x."""
+    if isinstance(node, Var):
+        return value
+    if isinstance(node, (Sum, Product)):
+        return replace(node, terms=tuple(substitute(t, value) for t in node.terms))
+    return replace(node, **{k: substitute(getattr(node, k), value) for k in _SUBTREES
+                            if hasattr(node, k)})
+
+
 def _level(node: Node) -> int:
     if isinstance(node, BinOp):
-        if node.op in "+-":
-            return _ADD
-        if node.op in "*/":
-            return _MUL
-        return _POW
-    if isinstance(node, Neg):
-        return _NEG
-    return _ATOM
+        return _DIV if node.op == "/" else _POW
+    return {Sum: _ADD, Product: _MUL, Neg: _NEG}.get(type(node), _ATOM)
+
+
+def _wrap(node: Node, level: int) -> str:
+    """node's text, in parentheses where it binds looser than level."""
+    text = _render(node)
+    return text if _level(node) >= level else f"({text})"
 
 
 def _render(node: Node) -> str:
@@ -278,27 +300,18 @@ def _render(node: Node) -> str:
         return node.name
     if isinstance(node, Call):
         return f"{node.func}({_render(node.arg)})"
+    # the grammar allows only an atom or a power after unary minus
     if isinstance(node, Neg):
-        inner = _render(node.operand)
-        # the grammar allows only an atom or a power after unary minus
-        if _level(node.operand) < _POW:
-            inner = f"({inner})"
-        return f"-{inner}"
-    left, right = _render(node.left), _render(node.right)
-    if node.op in "+-":
-        if _level(node.right) <= _ADD:
-            right = f"({right})"
-    elif node.op in "*/":
-        if _level(node.left) < _MUL:
-            left = f"({left})"
-        if _level(node.right) <= _MUL:
-            right = f"({right})"
-    else:  # ^ requires an atom on the left and a factor on the right
-        if _level(node.left) < _ATOM:
-            left = f"({left})"
-        if _level(node.right) < _NEG:
-            right = f"({right})"
-    return f"{left} {node.op} {right}"
+        return f"-{_wrap(node.operand, _POW)}"
+    # a sum or product in parentheses at the head of a chain keeps them
+    if isinstance(node, Sum):
+        rest = (f"{op} {_wrap(t, _MUL)}" for op, t in zip(node.ops, node.terms[1:]))
+        return " ".join([_wrap(node.terms[0], _MUL), *rest])
+    if isinstance(node, Product):
+        return " * ".join([_wrap(node.terms[0], _DIV)] + [_wrap(t, _NEG) for t in node.terms[1:]])
+    # ^ requires an atom on the left and a factor on the right
+    left = _wrap(node.left, _MUL if node.op == "/" else _ATOM)
+    return f"{left} {node.op} {_wrap(node.right, _NEG)}"
 
 
 def render(f: FunctionDef) -> str:
@@ -359,23 +372,23 @@ STOP_MAX_N, STOP_FLOOR, STOP_DECAY, STOP_DOMAIN = range(4)
 
 
 def _has_var(node: Node, constants: Optional[list] = None) -> bool:
-    """Whether node has x. A list passed as constants gets the maximal
-    subtrees of node without x, other than a number or pi or e, in the
-    order of the tree."""
+    """Whether node has x. A list passed as constants gets, in the order of
+    the tree, each maximal subtree of node without x other than a number or
+    pi or e, as (subtree, None), and each run of two or more terms without
+    x at the head of a Sum or Product with x, as (that node, the run's
+    length)."""
     found = [] if constants is None else constants
-    if isinstance(node, Call):
-        children = (node.arg,)
-    elif isinstance(node, Neg):
-        children = (node.operand,)
-    elif isinstance(node, BinOp):
-        children = (node.left, node.right)
-    else:
+    children = _children(node)
+    if not children:
         return isinstance(node, Var)
-    mark = len(found)
-    if any([_has_var(child, found) for child in children]):  # every child
-        return True
-    found[mark:] = [node]
-    return False
+    marks, has = [], []
+    for child in children:  # every child
+        marks.append(len(found))
+        has.append(_has_var(child, found))
+    head = has.index(True) if True in has else None
+    if head is None or head > 1:
+        found[marks[0]:marks[head] if head else None] = [(node, head)]
+    return head is not None
 
 
 # the parity of sin, cos and abs of an odd argument (exp, ln and sqrt have none)
@@ -386,26 +399,22 @@ def parity(node: Node) -> Optional[int]:
     """0 when f has the same bits at -x as at x, 1 when it has the negated
     bits, None when the tree does not show either. Round-to-nearest and the
     kernels are symmetric under negation, so the rules are the algebraic
-    ones: x is odd and constants even; + and - keep a parity both operands
+    ones: x is odd and constants even; a sum keeps a parity all its terms
     share; * and / add parities; a literal integer exponent multiplies its
     base's parity; a node whose operands are all even is even; sin of an
     odd argument is odd, and cos and abs of one even."""
     if isinstance(node, Var):
         return 1
-    if isinstance(node, Neg):
-        return parity(node.operand)
     if isinstance(node, Call):
-        inner = parity(node.arg)
-        return inner and _ODD_ARGUMENT.get(node.func)
-    if not isinstance(node, BinOp):  # a number, pi or e
-        return 0
-    left, right = parity(node.left), parity(node.right)
-    if left is None or right is None:
+        return parity(node.arg) and _ODD_ARGUMENT.get(node.func)
+    kids = [parity(child) for child in _children(node)]
+    if None in kids:
         return None
-    if node.op in "+-":
-        return left if left == right else None
-    if node.op in "*/":
-        return left ^ right
+    if isinstance(node, Sum):
+        return kids[0] if len(set(kids)) == 1 else None
+    if not isinstance(node, BinOp) or node.op == "/":  # also -u, and a number, pi or e
+        return sum(kids) % 2
+    left, right = kids
     if not (left or right):  # ^ of even operands
         return 0
     if isinstance(node.right, Number) and node.right.text.isdigit():
@@ -467,8 +476,8 @@ class _Codegen:
         self.count = 0  # values assigned so far
         self.raises = False  # the statements end in an unconditional raise
 
-    def source(self, name: str, node: Node) -> str:
-        result = self.value(node)
+    def source(self, name: str, node: Node, head: Optional[int] = None) -> str:
+        result = self.value(node, head)
         body = self.lines if self.raises else self.lines + [f"return {result}"]
         return f"def {name}(x):\n" + "".join(f"    {line}\n" for line in body)
 
@@ -477,14 +486,14 @@ class _Codegen:
         constants = []
         _has_var(node, constants)
         if constants:
-            module = "".join(_Codegen(self.ctx, self.namespace).source(f"c{i}", c)
+            module = "".join(_Codegen(self.ctx, self.namespace).source(f"c{i}", *c)
                              for i, c in enumerate(constants))
             exec(compile(module, "<compiled constants>", "exec"), self.namespace)
-        for i, c in enumerate(constants):
+        for i, (c, head) in enumerate(constants):
             try:
-                self.folded[id(c)] = self.namespace[f"c{i}"](fzero)
+                self.folded[id(c)] = head, self.namespace[f"c{i}"](fzero)
             except EvalDomainError as err:
-                self.folded[id(c)] = err
+                self.folded[id(c)] = head, err
 
     def function(self, node: Node) -> Callable:
         self.fold(node)
@@ -611,9 +620,10 @@ class _Codegen:
         self.line(self.fault(node, reason, where))
         self.raises = True
 
-    def value(self, node: Node):
-        """The value that holds node's raw value after the statements so far:
-        a name, or four field sources in field mode."""
+    def value(self, node: Node, head: Optional[int] = None):
+        """The value that holds node's raw value, or with head that of the
+        first head terms of a Sum or Product, after the statements so far: a
+        name, or four field sources in field mode."""
         if self.raises:
             return ("None",) * 4 if self.fields else "None"
         if isinstance(node, Var):
@@ -622,12 +632,19 @@ class _Codegen:
             return self.constant(self.ctx.mpf(node.text)._mpf_)
         if isinstance(node, Const):
             return self.constant((+self.ctx.pi if node.name == "pi" else self.ctx.exp(1))._mpf_)
-        folded = self.folded.get(id(node))
+        # a folded head of a chain is its first terms (see _has_var)
+        start, folded = self.folded.get(id(node), (None, None))
         if isinstance(folded, EvalDomainError):
             self.fail(node, folded.reason, folded.subexpression)
             return self.value(node)
-        if folded is not None:
+        if folded is not None and start is None:
             return self.constant(folded)
+        if isinstance(node, (Sum, Product)):
+            ops = node.ops if isinstance(node, Sum) else "*" * len(node.terms)
+            v = self.value(node.terms[0]) if folded is None else self.constant(folded)
+            for op, term in zip(ops[(start or 1) - 1:], node.terms[start or 1:head]):
+                v = self.kernel(_BINARY[op], v, self.value(term))
+            return v
         if isinstance(node, Call):
             a = self.value(node.arg)
             sign, raw = self.field(a, 0), self.raw(a)
@@ -658,8 +675,6 @@ class _Codegen:
                 self.fail(node, "division by zero")
             return self.kernel(div, self.value(node.left), d)
         a, b = self.value(node.left), self.value(node.right)
-        if node.op in _BINARY:
-            return self.kernel(_BINARY[node.op], a, b)
         if self.known(b) is not None:
             return self._power(node, a, self.known(b))
         self.line(f"if {self.is_zero(a)} and {self.field(b, 0)}:"
@@ -786,27 +801,25 @@ def taylor_polynomial(coefficients, ctx) -> FunctionDef:
     """The polynomial a1*x + a2*x^2 + ... as a FunctionDef that carries the
     coefficients, read on ctx; the leading a1 is kept, never assumed to be 1.
 
-    Zero coefficients are skipped; coefficient values are rendered at the
-    context precision, which is exact for the short decimal inputs used here.
+    Zero coefficients are skipped. Each other one is written in digits that
+    read back on ctx as it, bit for bit, so the tree computes the polynomial
+    whose coefficients it carries.
     """
     coefficients = tuple(ctx.convert(c) for c in coefficients)
-    pieces = []
+    terms, ops = [], ""
     for k, c in enumerate(coefficients, start=1):
         if c == 0:
             continue
-        mag = abs(c)
-        text = mpmath.nstr(mag, ctx.dps, strip_zeros=True)
-        if mag == 1:
-            body = "x" if k == 1 else f"x ^ {k}"
-        elif k == 1:
-            body = f"{text} * x"
-        else:
-            body = f"{text} * x ^ {k}"
-        pieces.append(("-" if c < 0 else "+", body))
-    if not pieces:
+        text = mpmath.nstr(abs(c), ctx.dps)
+        if ctx.mpf(text) != abs(c):  # c has more digits than the working ones
+            text = mpmath.nstr(abs(c), repr_dps(ctx.prec))
+        factors = [Number(text)] * (abs(c) != 1) + [BinOp("^", Var(), Number(str(k))) if k > 1
+                                                    else Var()]
+        if c < 0 and not terms:  # the leading minus of -a*x^k is -a's
+            factors[0] = Neg(factors[0])
+        ops += "-" if c < 0 else "+"
+        terms.append(_product(factors))
+    if not terms:
         raise ValueError("all Taylor coefficients are zero")
-    sign, body = pieces[0]
-    source = f"-{body}" if sign == "-" else body
-    for sign, body in pieces[1:]:
-        source += f" {sign} {body}"
-    return FunctionDef(parse(source).root, source, coefficients)
+    root = Sum(tuple(terms), ops[1:]) if len(terms) > 1 else terms[0]
+    return FunctionDef(root, _render(root), coefficients)

@@ -31,11 +31,15 @@ factor gets the germ of point coefficients it got before intervals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import functools
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, Optional, Tuple
 
-from .expr import EXPONENT_CAP, BinOp, Call, Const, FunctionDef, Neg, Number, Var, _has_var
+from .expr import (
+    EXPONENT_CAP, Call, Const, FunctionDef, Neg, Number, Product, Sum, Var, _children, _has_var,
+    substitute,
+)
 
 # the absolute truncation orders tried in turn, until the germ is read
 ORDERS = (4, 8, 16, 32)
@@ -167,14 +171,7 @@ def reflect(f: FunctionDef) -> FunctionDef:
     """g(x) = -f(-x), whose germ at 0+ is f's at 0- seen from the right: for
     y = -x < 0, f(y)/y = g(x)/x. g is read from f's tree, also where f
     carries its coefficients."""
-    def swap(node):
-        if isinstance(node, Var):
-            return Neg(node)
-        kids = {k: swap(getattr(node, k)) for k in ("arg", "operand", "left", "right")
-                if hasattr(node, k)}
-        return replace(node, **kids) if kids else node
-
-    return FunctionDef(Neg(swap(f.root)), f"-({f.source_text})(-x)")
+    return FunctionDef(Neg(substitute(f.root, Neg(Var()))), f"-({f.source_text})(-x)")
 
 
 def contracts(germ: Germ) -> bool:
@@ -332,18 +329,16 @@ def _require_points(terms: _Terms, what: str) -> None:
         raise _Refused(f"{what} of an interval")
 
 
-def _nodes(node) -> Iterator:
-    yield node
-    for kid in ("arg", "operand", "left", "right"):
-        if hasattr(node, kid):
-            yield from _nodes(getattr(node, kid))
+def _kinds(node) -> set:
+    """The classes of the nodes of a tree."""
+    return {type(node)}.union(*map(_kinds, _children(node)))
 
 
 def _atom(u, n: Fraction) -> _Series:
     """sin(u) or cos(u) as the constant [-1, 1], for a u that holds x but no
     pi or e: with a constant, a sampled route may read the factor better
     (x*cos(pi*x) has f'(0) = 1), so that is refused as before."""
-    kinds = {type(node) for node in _nodes(u)}
+    kinds = _kinds(u)
     if Var not in kinds or Const in kinds:
         raise _Refused("sin or cos of an argument with no germ")
     return {_ZERO: _UNIT}, n
@@ -354,21 +349,17 @@ def _is_atom(node, series: _Series) -> bool:
     return isinstance(node, Call) and node.func in ("sin", "cos") and series[0] == {_ZERO: _UNIT}
 
 
-def _factors(node) -> list:
-    """The factors of a chain of *, in order."""
-    if isinstance(node, BinOp) and node.op == "*":
-        return _factors(node.left) + _factors(node.right)
-    return [node]
-
-
-def _paired_product(node, n: Fraction) -> Optional[_Series]:
-    """A chain of * in which atoms sin(u) and cos(u) (see _atom) of one
+def _paired_product(node: Product, n: Fraction) -> Optional[_Series]:
+    """A product in which atoms sin(u) and cos(u) (see _atom) of one
     argument u, the same tree, are read together, not as a product of
     their ranges (Moore's dependency problem): sin(u)*cos(u) is
     [-1/2, 1/2], then two sin(u) or two cos(u) left are [0, 1], and one
-    left is [-1, 1]. The other factors and these ranges multiply as
-    before. None when no two such atoms share an argument."""
-    factors = _factors(node)
+    left is [-1, 1]. Its factors include those of a product in parentheses
+    among them. The other factors and these ranges multiply as before. None
+    when no two such atoms share an argument."""
+    factors = list(node.terms)
+    while any(isinstance(f, Product) for f in factors):
+        factors = [g for f in factors for g in (f.terms if isinstance(f, Product) else (f,))]
     args = [f.arg for f in factors if isinstance(f, Call) and f.func in ("sin", "cos")]
     if len(set(args)) == len(args):
         return None
@@ -388,10 +379,7 @@ def _paired_product(node, n: Fraction) -> Optional[_Series]:
         ranges = ([_HALF_UNIT] * both + [_SQUARE] * (sines // 2 + cosines // 2)
                   + [_UNIT] * (sines % 2 + cosines % 2))
         product += [({_ZERO: r}, n) for r in ranges]
-    result = product[0]
-    for series in product[1:]:
-        result = _mul(result, series, n)
-    return result
+    return functools.reduce(lambda a, b: _mul(a, b, n), product)
 
 
 def _constant(node, n: Fraction) -> Fraction:
@@ -453,20 +441,18 @@ def _expand(node, n: Fraction) -> _Series:
         elif order <= 0:
             raise _Short
         return _compose(_taylor(node.func), terms, min(order, n))
+    if isinstance(node, Sum):  # left to right, truncated at each step
+        series = _expand(node.terms[0], n)
+        for op, term in zip(node.ops, node.terms[1:]):
+            series = _add(series, _expand(term if op == "+" else Neg(term), n))
+        return series
+    if isinstance(node, Product):  # left to right, unless atoms pair
+        return _paired_product(node, n) or functools.reduce(
+            lambda a, term: _mul(a, _expand(term, n), n), node.terms[1:], _expand(node.terms[0], n))
     if node.op == "^":
         base, r = _expand(node.left, n), _constant(node.right, n)
         if r == 2 and _is_atom(node.left, base):
             return {_ZERO: _SQUARE}, n
         return _power(base, r, n)
-    if node.op == "*":
-        paired = _paired_product(node, n)
-        if paired is not None:
-            return paired
     left, right = _expand(node.left, n), _expand(node.right, n)
-    if node.op == "+":
-        return _add(left, right)
-    if node.op == "-":
-        return _add(left, _neg(right))
-    if node.op == "*":
-        return _mul(left, right, n)
     return _mul(left, _power(right, -_ONE, n), n)

@@ -1,3 +1,6 @@
+import functools
+from dataclasses import replace
+
 import mpmath
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -14,6 +17,8 @@ from recurseries.expr import (
     FunctionDef,
     Neg,
     Number,
+    Product,
+    Sum,
     UnknownIdentifierError,
     Var,
     context,
@@ -203,6 +208,27 @@ def test_taylor_polynomial_matches_hand_sum():
         assert abs(value_at(f, x) - want) < mpmath.mpf("1e-70")
 
 
+@settings(max_examples=200, deadline=None)
+@given(coefficients=st.lists(st.fractions(-10, 10, max_denominator=10**6), min_size=1,
+                             max_size=6).filter(any),
+       precision=st.sampled_from([16, 30, 64, 100]))
+def test_taylor_coefficients_read_back_bit_for_bit(coefficients, precision):
+    # each coefficient the tree writes reads back on the context as the one
+    # the polynomial carries, and its germ reads: -1/6 at precision 64 was
+    # written in 74 digits, 3.3e-75 off
+    ctx = context(precision)
+    f = taylor_polynomial([ctx.mpf(c.numerator) / c.denominator for c in coefficients], ctx)
+    terms, ops = (f.root.terms, "+" + f.root.ops) if isinstance(f.root, Sum) else ((f.root,), "+")
+    carried = [c for c in f.coefficients if c]
+    assert len(terms) == len(carried)
+    for term, op, c in zip(terms, ops, carried):
+        if isinstance(term, Product):  # a * x^k, or -a * x^k first
+            written = parse_constant(render(FunctionDef(term.terms[0], "")), ctx)
+        else:  # x^k, or -x^k first
+            written = -1 if isinstance(term, Neg) else 1
+        assert (written if op == "+" else -written) == c
+
+
 def test_taylor_polynomial_edge_cases():
     assert render(taylor_polynomial((1,), CTX)) == "x"
     f = taylor_polynomial((1, -1), CTX)
@@ -213,7 +239,9 @@ def test_taylor_polynomial_edge_cases():
         taylor_polynomial((), CTX)
 
 
-# random expression trees: render then parse must reproduce the tree
+# random binary expression trees, the reference for the n-ary trees parse
+# builds: each + - * is a BinOp, as a left-deep chain was before Sum and
+# Product. They are read through their text (see _binary_text and _nary)
 _numbers = st.sampled_from(["0", "1", "2", "0.5", "1.25", "3e-2"])
 _leaf = st.one_of(
     _numbers.map(Number),
@@ -239,10 +267,71 @@ def _node_strategy():
     )
 
 
+# the precedence levels of the binary trees' text; higher binds tighter
+_LEVELS = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+
+
+def _binary_level(node):
+    if isinstance(node, BinOp):
+        return _LEVELS[node.op]
+    return 3 if isinstance(node, Neg) else 5
+
+
+def _binary_text(node):
+    """The text of a binary tree, parenthesized as the renderer did before
+    chains became Sum and Product nodes."""
+    if isinstance(node, Call):
+        return f"{node.func}({_binary_text(node.arg)})"
+    if not isinstance(node, (Neg, BinOp)):  # a number, x, pi or e
+        return render(FunctionDef(node, ""))
+    if isinstance(node, Neg):
+        inner = _binary_text(node.operand)
+        return f"-({inner})" if _binary_level(node.operand) < 4 else f"-{inner}"
+    left, right = _binary_text(node.left), _binary_text(node.right)
+    level = _LEVELS[node.op]
+    # the left operand of + - * / in parentheses below its level, of ^ below
+    # an atom; the right one of + - * / at or below its level, of ^ below -
+    if _binary_level(node.left) < (level if level < 4 else 5):
+        left = f"({left})"
+    if _binary_level(node.right) < (level + 1 if level < 4 else 3):
+        right = f"({right})"
+    return f"{left} {node.op} {right}"
+
+
+def _nary(root):
+    """The n-ary tree parse builds from a binary tree's text."""
+    return parse(_binary_text(root)).root
+
+
+def _binary(node):
+    """The binary tree of an n-ary one, each chain left-deep."""
+    if isinstance(node, (Sum, Product)):
+        ops = node.ops if isinstance(node, Sum) else "*" * len(node.terms)
+        return functools.reduce(lambda left, t: BinOp(t[0], left, _binary(t[1])),
+                                zip(ops, node.terms[1:]), _binary(node.terms[0]))
+    kids = {k: _binary(getattr(node, k)) for k in ("arg", "operand", "left", "right")
+            if hasattr(node, k)}
+    return replace(node, **kids) if kids else node
+
+
 @given(_node_strategy())
 def test_render_parse_fixed_point(root):
-    text = render(FunctionDef(root, ""))
-    assert parse(text).root == root
+    # render gives the binary tree's own text, which parse reads back
+    text = _binary_text(root)
+    f = parse(text)
+    assert render(f) == text
+    assert parse(render(f)).root == f.root
+
+
+def test_chains_parse_to_one_node():
+    assert parse("x - 2 + x*3*x").root == Sum(
+        (Var(), Number("2"), Product((Var(), Number("3"), Var()))), "-+")
+    assert parse("-x + 1").root == Sum((Neg(Var()), Number("1")), "+")
+    assert parse("x*2/3*x").root == Product((BinOp("/", Product((Var(), Number("2"))),
+                                                    Number("3")), Var()))
+    for text in ("(x + 1) + x", "(x * 2) * x", "x - (1 - x)", "x * (2 * x)"):
+        assert render(parse(text)) == text
+        assert len(parse(text).root.terms) == 2
 
 
 def test_evaluator_maps_raw_values_to_raw_values():
@@ -277,7 +366,7 @@ def _by_mpf_operators(node, x):
         return x
     if isinstance(node, Const):
         return +CTX.pi if node.name == "pi" else CTX.exp(1)
-    where = render(FunctionDef(node, ""))
+    where = _binary_text(node)
     if isinstance(node, Neg):
         return -_by_mpf_operators(node.operand, x)
     if isinstance(node, Call):
@@ -329,7 +418,9 @@ _xs = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(_node_strategy(), _xs)
 def test_evaluator_matches_mpf_operators_bit_for_bit(root, x):
-    fn = evaluator(FunctionDef(root, ""), CTX)
+    # the compiled n-ary tree gives the binary tree's bits and errors, which
+    # name the same subexpression text
+    fn = evaluator(FunctionDef(_nary(root), ""), CTX)
     try:
         want = _by_mpf_operators(root, x)
     except _TooLarge:
@@ -356,6 +447,7 @@ def test_parity(text, want):
 @settings(max_examples=300, deadline=None)
 @given(_node_strategy(), _xs)
 def test_an_odd_or_even_f_has_the_same_or_negated_bits_at_minus_x(root, x):
+    root = _nary(root)
     p = parity(root)
     if p is None:
         reject()
@@ -374,6 +466,7 @@ def test_an_odd_or_even_f_has_the_same_or_negated_bits_at_minus_x(root, x):
 def test_the_germ_of_minus_f_of_minus_x_is_f_s_own_or_its_negation(root):
     # analyze reads -f(-x)'s germ from f's for an odd or even f, in place of
     # the pass over reflect(f)
+    root = _nary(root)
     p = parity(root)
     if p is None:
         reject()
@@ -395,6 +488,23 @@ def test_constant_subtree_runs_its_libmp_calls_once(monkeypatch):
     got = [fn(x._mpf_) for x in xs]
     assert len(calls) == 1
     assert got == [(x + CTX.sin(CTX.mpf(1) / 3))._mpf_ for x in xs]
+
+
+def test_the_head_of_a_sum_without_x_runs_once(monkeypatch):
+    # 1/3 + 1/5 + x adds its head 1/3 + 1/5 once, when compiled, as the
+    # binary (1/3 + 1/5) + x did, and x to it at each call
+    calls = []
+
+    def counted_add(*args):
+        calls.append(args[0])
+        return kernels.add(*args)
+
+    monkeypatch.setitem(expr._BINARY, "+", counted_add)
+    fn = evaluator(parse("1/3 + 1/5 + x"), CTX)
+    xs = [CTX.mpf(n) / 7 for n in range(50)]
+    got = [fn(x._mpf_) for x in xs]
+    assert len(calls) == 1 + len(xs)
+    assert got == [(CTX.mpf(1) / 3 + CTX.mpf(1) / 5 + x)._mpf_ for x in xs]
 
 
 ONE = CTX.mpf(1)
@@ -493,17 +603,14 @@ def _positive_nodes():
                 lambda t: Call(*t)),
         ),
         max_leaves=12,
-    )
+    ).map(_nary)
 
 
 def _exp_arguments(node):
-    if isinstance(node, Call):
-        if node.func == "exp":
-            yield node.arg
-        yield from _exp_arguments(node.arg)
-    elif isinstance(node, BinOp):
-        yield from _exp_arguments(node.left)
-        yield from _exp_arguments(node.right)
+    if isinstance(node, Call) and node.func == "exp":
+        yield node.arg
+    for child in expr._children(node):
+        yield from _exp_arguments(child)
 
 
 # exp(u) turns a relative error r of u into the relative error |u|*r, so an
@@ -576,10 +683,11 @@ def test_a_constant_exponent_is_mpf_pow_with_its_checks(text, x):
     # the errors of the mpf operators, nan and infinities included
     root = parse(f"x^({text})").root
     fn = evaluator(FunctionDef(root, ""), CTX)
+    root = _binary(root)
     try:
         _by_mpf_operators(root, x)
     except _TooLarge:  # past the cap, after the base checks passed
-        want = EvalDomainError(render(FunctionDef(root, "")), x,
+        want = EvalDomainError(_binary_text(root), x,
                                f"exponent reaches the magnitude cap 2^{expr.EXPONENT_CAP}")
     except EvalDomainError as err:
         want = err

@@ -36,6 +36,7 @@ from recurseries.orbit import validate_hypotheses, validated_region
 
 from corpus import ALL
 from test_classify import advised_precision
+from test_expr import _nary
 
 CTX = context(64)
 HERE = os.path.dirname(__file__)
@@ -107,7 +108,7 @@ TREES = st.recursive(LEAVES, lambda kids: st.one_of(
     st.builds(Neg, kids),
     st.builds(Call, st.sampled_from(["sin", "cos", "exp", "ln", "sqrt", "abs"]), kids),
     st.builds(BinOp, st.sampled_from(list("+-*/^")), kids, kids),
-), max_leaves=8)
+), max_leaves=8).map(_nary)
 DEEP = context(300)
 
 

@@ -2,14 +2,16 @@
 keep its verdict and rule, checked on in-process `main` runs."""
 
 import json
-from dataclasses import replace
 from decimal import Decimal
 
 import mpmath
 import pytest
 
 from recurseries.cli import main
-from recurseries.expr import DEFAULT_PRECISION, BinOp, FunctionDef, Number, Var, parse, render
+from recurseries.expr import (
+    DEFAULT_PRECISION, BinOp, FunctionDef, Number, Product, Var, parse, render, substitute,
+)
+from recurseries.germ import reflect
 from recurseries.grids import Samples
 
 from corpus import ALL
@@ -17,12 +19,18 @@ from corpus import ALL
 EXPRESSIONS = [e for e in ALL if e.function is not None]
 
 
-def outcome(capsys, argv):
-    """(exit code, verdict, rule) of an analyze run."""
+def report(capsys, argv):
+    """(exit code, JSON report or None) of an analyze run."""
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--json"])
-    doc = json.loads(capsys.readouterr().out)
-    return exc.value.code, doc["verdict"], doc["rule"]
+    out = capsys.readouterr().out
+    return exc.value.code, json.loads(out) if exc.value.code != 1 else None
+
+
+def outcome(capsys, argv):
+    """(exit code, verdict, rule) of an analyze run."""
+    code, doc = report(capsys, argv)
+    return code, doc["verdict"], doc["rule"]
 
 
 def test_every_expression_entry_is_covered():
@@ -48,14 +56,8 @@ def test_the_seed_shift_keeps_verdict_and_rule(capsys, entry):
 def conjugated(text: str, scale: str) -> str:
     """The text of g(x) = scale*f(x/scale), made by substituting x/scale for
     x in f's tree, as germ.reflect substitutes -x."""
-    def swap(node):
-        if isinstance(node, Var):
-            return BinOp("/", node, Number(scale))
-        kids = {k: swap(getattr(node, k)) for k in ("arg", "operand", "left", "right")
-                if hasattr(node, k)}
-        return replace(node, **kids) if kids else node
-
-    return render(FunctionDef(BinOp("*", Number(scale), swap(parse(text).root)), ""))
+    inner = substitute(parse(text).root, BinOp("/", Var(), Number(scale)))
+    return render(FunctionDef(Product((Number(scale), inner)), ""))
 
 
 def test_conjugation_substitutes_in_the_tree():
@@ -74,3 +76,29 @@ def test_conjugation_keeps_verdict_and_rule(capsys, entry):
     moved = [arg for arg in entry.cli_args() if not arg.startswith(("--f=", "--x0="))]
     source = outcome(capsys, entry.cli_args())
     assert outcome(capsys, moved + [f"--f={g}", f"--x0={Decimal(entry.x0) * 2}"]) == source
+
+
+# reflected, these entries exit 1 or turn inconclusive: g's orbit is
+# one-signed, but g is analyzed in signed mode (ROADMAP item 1)
+REFLECTION_FAILS = {
+    "harmonic", "half_exponent", "damped_harmonic", "logistic_edge", "abs_sine_minorant",
+    "abs_sine_majorant", "abs_sine_blind", "abs_sine_boundary", "log_majorant",  # exit 1
+    "sine", "precision_limited",  # inconclusive
+}
+
+
+@pytest.mark.parametrize("entry", [
+    pytest.param(e, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 1: a one-signed orbit is not yet analyzed as the"
+        " reflected g in positive mode"))
+    if e.name in REFLECTION_FAILS else e for e in EXPRESSIONS], ids=lambda e: e.name)
+def test_reflection_keeps_the_verdict_and_negates_the_sum(capsys, entry):
+    # y_n = -x_n is the orbit of g(x) = -f(-x) from -x0, so its series is
+    # the negated series from x0
+    g = render(reflect(parse(entry.function)))
+    moved = [arg for arg in entry.cli_args() if not arg.startswith(("--f=", "--x0="))]
+    _, source = report(capsys, entry.cli_args())
+    code, reflected = report(capsys, moved + [f"--f={g}", f"--x0={-Decimal(entry.x0)}"])
+    assert code != 1 and reflected["verdict"] == source["verdict"]
+    total = reflected["orbit"]["partial_sum"]
+    assert Decimal(total) == Decimal(source["orbit"]["partial_sum"]).copy_negate()

@@ -19,7 +19,7 @@ from recurseries.grids import Samples
 from recurseries.orbit import (
     HYPOTHESIS_VIOLATION, MAX_ITERATIONS, REACHED_FLOOR, UNDERFLOW, Mode, iterate,
 )
-from test_expr import _node_strategy
+from test_expr import _nary, _node_strategy
 
 PRECISIONS = [16, 30, 64]
 # inline: f's statements in the loop; calls: the loop calls the compiled f,
@@ -97,7 +97,7 @@ _FLOORS = st.sampled_from(["1e-40", "1e-120", "0.001"])
 
 
 @settings(max_examples=300, deadline=None)
-@given(root=_node_strategy(), precision=st.sampled_from(PRECISIONS), x0=_SEEDS,
+@given(root=_node_strategy().map(_nary), precision=st.sampled_from(PRECISIONS), x0=_SEEDS,
        max_n=st.integers(1, 40), floor=_FLOORS, mode=st.sampled_from(list(Mode)),
        thin=st.sampled_from([1, 3, 7]), path=st.sampled_from(PATHS))
 def test_loop_is_the_orbit_by_definition(root, precision, x0, max_n, floor, mode, thin, path):
