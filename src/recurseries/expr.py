@@ -160,7 +160,12 @@ def _tokenize(text: str):
             if at >= len(text):
                 break
             raise ExprSyntaxError(f"unexpected character {text[at]!r}", at)
-        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
+        if m.group("num") is not None:
+            tokens.append(("num", m.group("num"), m.start("num")))
+        elif m.group("name") is not None:
+            tokens.append(("name", m.group("name"), m.start("name")))
+        else:
+            tokens.append(("op", m.group("op"), m.start("op")))
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
@@ -174,12 +179,16 @@ class _Parser:
     def peek(self):
         return self.tokens[self.i]
 
+    def take(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
     def accept(self, ops: str) -> Optional[str]:
         """Take the next token, and return its text, if it is an op in ops."""
         kind, text, _ = self.peek()
         if kind == "op" and text in ops:
-            self.i += 1
-            return text
+            return self.take()[1]
         return None
 
     def expect_op(self, op: str) -> None:
@@ -210,15 +219,18 @@ class _Parser:
         return _product(factors)
 
     def factor(self) -> Node:
-        return Neg(self.power()) if self.accept("-") else self.power()
+        if self.accept("-"):
+            return Neg(self.power())
+        return self.power()
 
     def power(self) -> Node:
         node = self.atom()
-        return BinOp("^", node, self.factor()) if self.accept("^") else node
+        if self.accept("^"):
+            return BinOp("^", node, self.factor())
+        return node
 
     def atom(self) -> Node:
-        kind, text, offset = self.peek()
-        self.i += 1
+        kind, text, offset = self.take()
         if kind == "num":
             return Number(text)
         if kind == "name":
@@ -233,7 +245,9 @@ class _Parser:
                     args.append(self.expr())
                 self.expect_op(")")
                 if len(args) != 1:
-                    raise ArityError(f"{text} takes 1 argument, got {len(args)}", offset)
+                    raise ArityError(
+                        f"{text} takes 1 argument, got {len(args)}", offset
+                    )
                 return Call(text, args[0])
             raise UnknownIdentifierError(f"unknown identifier {text!r}", offset)
         if kind == "op" and text == "(":
@@ -280,9 +294,15 @@ def substitute(node: Node, value: Node) -> Node:
 
 
 def _level(node: Node) -> int:
+    if isinstance(node, Sum):
+        return _ADD
+    if isinstance(node, Product):
+        return _MUL
     if isinstance(node, BinOp):
         return _DIV if node.op == "/" else _POW
-    return {Sum: _ADD, Product: _MUL, Neg: _NEG}.get(type(node), _ATOM)
+    if isinstance(node, Neg):
+        return _NEG
+    return _ATOM
 
 
 def _wrap(node: Node, level: int) -> str:
@@ -797,6 +817,15 @@ def parse_constant(text: str, ctx):
     return ctx.make_mpf(evaluator(f, ctx)(fzero))
 
 
+def _digits(value, ctx) -> str:
+    """value, an mpf of ctx, in ctx.dps digits, or in as many more as it
+    takes for them to read back on ctx as value bit for bit."""
+    text = mpmath.nstr(value, ctx.dps)
+    if ctx.mpf(text) != value:  # value has more digits than the working ones
+        text = mpmath.nstr(value, repr_dps(ctx.prec))
+    return text
+
+
 def taylor_polynomial(coefficients, ctx) -> FunctionDef:
     """The polynomial a1*x + a2*x^2 + ... as a FunctionDef that carries the
     coefficients, read on ctx; the leading a1 is kept, never assumed to be 1.
@@ -810,11 +839,8 @@ def taylor_polynomial(coefficients, ctx) -> FunctionDef:
     for k, c in enumerate(coefficients, start=1):
         if c == 0:
             continue
-        text = mpmath.nstr(abs(c), ctx.dps)
-        if ctx.mpf(text) != abs(c):  # c has more digits than the working ones
-            text = mpmath.nstr(abs(c), repr_dps(ctx.prec))
-        factors = [Number(text)] * (abs(c) != 1) + [BinOp("^", Var(), Number(str(k))) if k > 1
-                                                    else Var()]
+        power = BinOp("^", Var(), Number(str(k))) if k > 1 else Var()
+        factors = [power] if abs(c) == 1 else [Number(_digits(abs(c), ctx)), power]
         if c < 0 and not terms:  # the leading minus of -a*x^k is -a's
             factors[0] = Neg(factors[0])
         ops += "-" if c < 0 else "+"

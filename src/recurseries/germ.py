@@ -31,7 +31,6 @@ factor gets the germ of point coefficients it got before intervals.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, Optional, Tuple
@@ -329,16 +328,17 @@ def _require_points(terms: _Terms, what: str) -> None:
         raise _Refused(f"{what} of an interval")
 
 
-def _kinds(node) -> set:
-    """The classes of the nodes of a tree."""
-    return {type(node)}.union(*map(_kinds, _children(node)))
+def _nodes(node) -> Iterator:
+    yield node
+    for kid in _children(node):
+        yield from _nodes(kid)
 
 
 def _atom(u, n: Fraction) -> _Series:
     """sin(u) or cos(u) as the constant [-1, 1], for a u that holds x but no
     pi or e: with a constant, a sampled route may read the factor better
     (x*cos(pi*x) has f'(0) = 1), so that is refused as before."""
-    kinds = _kinds(u)
+    kinds = {type(node) for node in _nodes(u)}
     if Var not in kinds or Const in kinds:
         raise _Refused("sin or cos of an argument with no germ")
     return {_ZERO: _UNIT}, n
@@ -379,7 +379,10 @@ def _paired_product(node: Product, n: Fraction) -> Optional[_Series]:
         ranges = ([_HALF_UNIT] * both + [_SQUARE] * (sines // 2 + cosines // 2)
                   + [_UNIT] * (sines % 2 + cosines % 2))
         product += [({_ZERO: r}, n) for r in ranges]
-    return functools.reduce(lambda a, b: _mul(a, b, n), product)
+    result = product[0]
+    for series in product[1:]:
+        result = _mul(result, series, n)
+    return result
 
 
 def _constant(node, n: Fraction) -> Fraction:
@@ -447,8 +450,13 @@ def _expand(node, n: Fraction) -> _Series:
             series = _add(series, _expand(term if op == "+" else Neg(term), n))
         return series
     if isinstance(node, Product):  # left to right, unless atoms pair
-        return _paired_product(node, n) or functools.reduce(
-            lambda a, term: _mul(a, _expand(term, n), n), node.terms[1:], _expand(node.terms[0], n))
+        paired = _paired_product(node, n)
+        if paired is not None:
+            return paired
+        series = _expand(node.terms[0], n)
+        for term in node.terms[1:]:
+            series = _mul(series, _expand(term, n), n)
+        return series
     if node.op == "^":
         base, r = _expand(node.left, n), _constant(node.right, n)
         if r == 2 and _is_atom(node.left, base):

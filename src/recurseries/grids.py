@@ -12,9 +12,10 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 import mpmath
-from mpmath.libmp import repr_dps
 
-from .expr import DEFAULT_PRECISION, EvalDomainError, FunctionDef, context, evaluator, parity
+from .expr import (
+    DEFAULT_PRECISION, EvalDomainError, FunctionDef, _digits, context, evaluator, parity,
+)
 
 
 # the most points a grid may hold; the default grids hold 93 and 121
@@ -116,9 +117,7 @@ def seed_grid(x0, ctx) -> GridSpec:
     VALIDATION_FLOOR; a seed at or below it gets the decade below it instead.
     Its start is |x0| in digits that read back as |x0| bit for bit."""
     start = abs(ctx.convert(x0))
-    text = mpmath.nstr(start, ctx.dps)
-    if ctx.mpf(text) != start:  # x0 has more digits than the working ones
-        text = mpmath.nstr(start, repr_dps(ctx.prec))
+    text = _digits(start, ctx)
     if start > ctx.mpf(VALIDATION_FLOOR):
         return GridSpec(text, VALIDATION_FLOOR)
     return GridSpec(text, mpmath.nstr(start / 10, ctx.dps))

@@ -50,8 +50,9 @@ NESTED = ["(" * DEEP + "x" + ")" * DEEP, "x*(" * DEEP + "x" + ")" * DEEP,
           "x^(1-" * DEEP + "x" + ")" * DEEP]
 # a sum of 2,000 terms and the polynomial of 1,000 Taylor coefficients,
 # each one node however long
-LONG = ["--f=x/2" + "".join(f"+x/{n}e6" for n in range(1, DEEP)),
-        "--taylor=" + ",".join(["1/2"] + ["1e-9"] * 999)]
+LONG_SUM = "x/2" + "".join(f"+x/{n}e6" for n in range(1, DEEP))
+LONG_TAYLOR = ",".join(["1/2"] + ["1e-9"] * 999)
+LONG = ["--f=" + LONG_SUM, "--taylor=" + LONG_TAYLOR]
 
 COMMANDS = {
     "analyze": cmd_analyze,
@@ -849,9 +850,9 @@ NUMBERS = (["1", "0.5", "0.3", "1/2", "-0.3", "3e-29", "1e-2000", "1e2000", "-1e
 POOLS = {
     "--f": (["x/2", "x/(1+x)", "sin(x)", "x - x^2", OSCILLATORY, "-x/2", "ln(1+x)",
              "x - x^2*abs(sin(1/x))", "x^x", "sqrt(x)", "1/x", "2*x", "x", "0*x",
-             "x/2 + 0*sin(2^65536)", "x^1e2000", "x*1e-2000"],
+             "x/2 + 0*sin(2^65536)", "x^1e2000", "x*1e-2000", LONG_SUM],
             ["x +", "(x", ")", "", "tan(x)", "x ^^ 2", *NESTED]),
-    "--taylor": (["1,-1", "0.5", "1,0,-1/6", "1e2000,1"],
+    "--taylor": (["1,-1", "0.5", "1,0,-1/6", "1e2000,1", LONG_TAYLOR],
                  ["0", "", ",", "nan", "abc"]),
     "--precision": (["16", "64", "200"], ["0", "-5", "15", "", "abc"]),
     "--x0": NUMBERS,
@@ -875,6 +876,10 @@ POOLS = {
 }
 # what each subcommand cannot run without
 NEEDS = {"limit": "--a", "compare": "--majorant"}
+# f is evaluated at each point of the seed grid, four a decade from |x0|
+# down, so a long f takes 6 to 30 s from a seed of 1.7e308 and minutes
+# from 1e2000: with a long f, such a seed is 1 instead
+HUGE_SEEDS = {"1e2000", "-1e2000", "1.7e308"}
 
 
 def option(name):
@@ -888,7 +893,8 @@ def option(name):
 @st.composite
 def argvs(draw):
     """A subcommand and options: mostly its own, sometimes another
-    subcommand's or an unknown one. Each command that iterates gets --max-n."""
+    subcommand's or an unknown one. Each command that iterates gets --max-n,
+    and a long f no huge seed."""
     command = draw(st.one_of(*[st.sampled_from(sorted(_SUBCOMMANDS))] * 4, st.just("integrate")))
     own = _SUBCOMMANDS.get(command, (None, None, ()))[2]
     names = st.sampled_from(sorted(POOLS))
@@ -898,6 +904,9 @@ def argvs(draw):
     wanted += [name for name in ("--max-n", NEEDS.get(command)) if name in own]
     options = [draw(option(name)) for name in wanted]
     options += draw(st.lists(names.flatmap(option), max_size=4))
+    if {LONG_SUM, LONG_TAYLOR} & {value for _, value in options}:
+        options = [(name, "1" if name == "--x0" and value in HUGE_SEEDS else value)
+                   for name, value in options]
     return [command] + [name if value is None else f"{name}={value}"
                         for name, value in draw(st.permutations(options))]
 
