@@ -100,25 +100,26 @@ class Neg:
 
 
 @dataclass(frozen=True)
-class Sum:
+class _Chain:
     """terms[0] ops[0] terms[1] ops[1] terms[2] ..., left to right: a chain
-    of + and - is one node, whose ops holds the "+" or "-" before each term
-    after the first."""
+    of + and - (a Sum) or of * and / (a Product) is one node, whose ops
+    holds the operator before each term after the first."""
 
     terms: Tuple["Node", ...]
     ops: str
 
 
-@dataclass(frozen=True)
-class Product:
-    """terms[0] * terms[1] * ..., left to right: a chain of * is one node."""
+class Sum(_Chain):
+    """A chain of + and -."""
 
-    terms: Tuple["Node", ...]
+
+class Product(_Chain):
+    """A chain of * and /."""
 
 
 @dataclass(frozen=True)
 class BinOp:
-    op: str  # "/" or "^"
+    op: str  # "^", the one binary operator outside the chains
     left: "Node"
     right: "Node"
 
@@ -129,7 +130,8 @@ FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt", "abs")
 CONSTANTS = ("pi", "e")
 
 # precedence levels used by the renderer; higher binds tighter
-_ADD, _MUL, _DIV, _NEG, _POW, _ATOM = 1, 2, 3, 4, 5, 6
+_ADD, _MUL, _NEG, _POW, _ATOM = 1, 2, 3, 4, 5
+_LEVEL = {Sum: _ADD, Product: _MUL, Neg: _NEG, BinOp: _POW}  # any other node is an atom
 
 
 @dataclass(frozen=True)
@@ -207,16 +209,14 @@ class _Parser:
         while op := self.accept("+-"):
             ops += op
             terms.append(self.term())
-        return Sum(tuple(terms), ops) if ops else terms[0]
+        return _chain(Sum, terms, ops)
 
     def term(self) -> Node:
-        factors = [self.factor()]
+        factors, ops = [self.factor()], ""
         while op := self.accept("*/"):
-            if op == "*":
-                factors.append(self.factor())
-            else:
-                factors = [BinOp("/", _product(factors), self.factor())]
-        return _product(factors)
+            ops += op
+            factors.append(self.factor())
+        return _chain(Product, factors, ops)
 
     def factor(self) -> Node:
         if self.accept("-"):
@@ -269,8 +269,9 @@ def parse(text: str) -> FunctionDef:
         raise
 
 
-def _product(factors: list) -> Node:
-    return Product(tuple(factors)) if len(factors) > 1 else factors[0]
+def _chain(kind, terms: list, ops: str) -> Node:
+    """terms joined by ops as one Sum or Product (kind), or the one term."""
+    return kind(tuple(terms), ops) if ops else terms[0]
 
 
 _SUBTREES = ("arg", "operand", "left", "right")  # the fields that hold one subtree
@@ -278,7 +279,7 @@ _SUBTREES = ("arg", "operand", "left", "right")  # the fields that hold one subt
 
 def _children(node: Node) -> tuple:
     """node's subtrees, in order."""
-    if isinstance(node, (Sum, Product)):
+    if isinstance(node, _Chain):
         return node.terms
     return tuple(getattr(node, k) for k in _SUBTREES if hasattr(node, k))
 
@@ -287,28 +288,24 @@ def substitute(node: Node, value: Node) -> Node:
     """node with the tree value in place of every x."""
     if isinstance(node, Var):
         return value
-    if isinstance(node, (Sum, Product)):
+    if isinstance(node, _Chain):
         return replace(node, terms=tuple(substitute(t, value) for t in node.terms))
     return replace(node, **{k: substitute(getattr(node, k), value) for k in _SUBTREES
                             if hasattr(node, k)})
 
 
-def _level(node: Node) -> int:
-    if isinstance(node, Sum):
-        return _ADD
-    if isinstance(node, Product):
-        return _MUL
-    if isinstance(node, BinOp):
-        return _DIV if node.op == "/" else _POW
-    if isinstance(node, Neg):
-        return _NEG
-    return _ATOM
-
-
 def _wrap(node: Node, level: int) -> str:
     """node's text, in parentheses where it binds looser than level."""
     text = _render(node)
-    return text if _level(node) >= level else f"({text})"
+    return text if _LEVEL.get(type(node), _ATOM) >= level else f"({text})"
+
+
+def _pieces(node: _Chain) -> list:
+    """A chain's text in pieces: its head, then each term after its operator."""
+    # a sum or product in parentheses at the head of a chain keeps them
+    level = _MUL if isinstance(node, Sum) else _NEG
+    return [_wrap(node.terms[0], level)] + [f" {op} {_wrap(t, level)}"
+                                            for op, t in zip(node.ops, node.terms[1:])]
 
 
 def _render(node: Node) -> str:
@@ -323,15 +320,10 @@ def _render(node: Node) -> str:
     # the grammar allows only an atom or a power after unary minus
     if isinstance(node, Neg):
         return f"-{_wrap(node.operand, _POW)}"
-    # a sum or product in parentheses at the head of a chain keeps them
-    if isinstance(node, Sum):
-        rest = (f"{op} {_wrap(t, _MUL)}" for op, t in zip(node.ops, node.terms[1:]))
-        return " ".join([_wrap(node.terms[0], _MUL), *rest])
-    if isinstance(node, Product):
-        return " * ".join([_wrap(node.terms[0], _DIV)] + [_wrap(t, _NEG) for t in node.terms[1:]])
+    if isinstance(node, _Chain):
+        return "".join(_pieces(node))
     # ^ requires an atom on the left and a factor on the right
-    left = _wrap(node.left, _MUL if node.op == "/" else _ATOM)
-    return f"{left} {node.op} {_wrap(node.right, _NEG)}"
+    return f"{_wrap(node.left, _ATOM)} ^ {_wrap(node.right, _NEG)}"
 
 
 def render(f: FunctionDef) -> str:
@@ -370,9 +362,9 @@ def context(precision: int = DEFAULT_PRECISION):
     return ctx
 
 
-# the kernels of kernels.py behind ctx.sin, ctx.cos and mpf's +, -, *
+# the kernels of kernels.py behind ctx.sin, ctx.cos and mpf's +, -, *, /
 _UNARY = {"sin": sin, "cos": cos}
-_BINARY = {"+": add, "-": sub, "*": mul}
+_BINARY = {"+": add, "-": sub, "*": mul, "/": div}
 
 # Caps on binary magnitude (exp + bc of a raw value, so a value below 2^cap in
 # absolute value passes): ARGUMENT_CAP for the arguments of sin, cos and exp,
@@ -432,7 +424,7 @@ def parity(node: Node) -> Optional[int]:
         return None
     if isinstance(node, Sum):
         return kids[0] if len(set(kids)) == 1 else None
-    if not isinstance(node, BinOp) or node.op == "/":  # also -u, and a number, pi or e
+    if not isinstance(node, BinOp):  # also -u, and a number, pi or e
         return sum(kids) % 2
     left, right = kids
     if not (left or right):  # ^ of even operands
@@ -457,11 +449,12 @@ def _source(field) -> str:
 
 class _Codegen:
     """Writes a subtree as straight-line Python statements in the order of
-    evaluation (the right operand of / first), on the raw value of x (an
-    mpf's _mpf_ tuple). Each statement is the libmp call that mpf arithmetic
-    or the context's function makes, or the kernel of kernels.py with its
-    bits, at ctx's precision and round-nearest, with its domain check in
-    front of it; a check that fails raises EvalDomainError.
+    evaluation, on the raw value of x (an mpf's _mpf_ tuple); in a chain of
+    * and /, every divisor comes first, the last one first, then the head
+    and the other terms left to right. Each statement is the libmp call
+    that mpf arithmetic or the context's function makes, or the kernel of
+    kernels.py with its bits, at ctx's precision and round-nearest, with its
+    domain check in front of it; a check that fails raises EvalDomainError.
 
     function writes them as a function of x. orbit writes them, with fields
     set, into the loop of a whole orbit (or writes the loop that calls f):
@@ -659,11 +652,15 @@ class _Codegen:
             return self.value(node)
         if folded is not None and start is None:
             return self.constant(folded)
-        if isinstance(node, (Sum, Product)):
-            ops = node.ops if isinstance(node, Sum) else "*" * len(node.terms)
+        if isinstance(node, _Chain):
+            first, end = start or 1, head or len(node.terms)
+            pieces = _pieces(node) if "/" in node.ops else None
+            divisors = {k: self.divisor(node.terms[k], pieces[:k + 1])
+                        for k in range(end - 1, first - 1, -1) if node.ops[k - 1] == "/"}
             v = self.value(node.terms[0]) if folded is None else self.constant(folded)
-            for op, term in zip(ops[(start or 1) - 1:], node.terms[start or 1:head]):
-                v = self.kernel(_BINARY[op], v, self.value(term))
+            for k in range(first, end):
+                term = divisors[k] if k in divisors else self.value(node.terms[k])
+                v = self.kernel(_BINARY[node.ops[k - 1]], v, term)
             return v
         if isinstance(node, Call):
             a = self.value(node.arg)
@@ -687,13 +684,6 @@ class _Codegen:
             return self.kernel(sqrt, a)
         if isinstance(node, Neg):
             return self.kernel(neg, self.value(node.operand))
-        if node.op == "/":
-            d = self.value(node.right)
-            if self.known(d) is None:
-                self.line(f"if {self.is_zero(d)}: {self.fault(node, 'division by zero')}")
-            elif self.known(d) == fzero:
-                self.fail(node, "division by zero")
-            return self.kernel(div, self.value(node.left), d)
         a, b = self.value(node.left), self.value(node.right)
         if self.known(b) is not None:
             return self._power(node, a, self.known(b))
@@ -706,6 +696,15 @@ class _Codegen:
         self.line(f"if {self.field(b, 2)} + {self.field(b, 3)} > {EXPONENT_CAP}:"
                   f" {self.fault(node, _EXPONENT_PAST_CAP)}")
         return self.assign(f"mpf_pow({self.raw(a)}, {self.raw(b)}, P, R)")
+
+    def divisor(self, node: Node, pieces: list):
+        """node, a divisor, after its zero check, which names the chain's pieces up to node."""
+        d = self.value(node)
+        if self.known(d) is None:
+            self.line(f"if {self.is_zero(d)}: {self.fault(node, 'division by zero', ''.join(pieces))}")
+        elif self.known(d) == fzero:
+            self.fail(node, "division by zero", "".join(pieces))
+        return d
 
     def _power(self, node: Node, a, e):
         """a^e for a raw constant e: the checks of a variable exponent, of
@@ -844,8 +843,8 @@ def taylor_polynomial(coefficients, ctx) -> FunctionDef:
         if c < 0 and not terms:  # the leading minus of -a*x^k is -a's
             factors[0] = Neg(factors[0])
         ops += "-" if c < 0 else "+"
-        terms.append(_product(factors))
+        terms.append(_chain(Product, factors, "*" * (len(factors) - 1)))
     if not terms:
         raise ValueError("all Taylor coefficients are zero")
-    root = Sum(tuple(terms), ops[1:]) if len(terms) > 1 else terms[0]
+    root = _chain(Sum, terms, ops[1:])
     return FunctionDef(root, _render(root), coefficients)

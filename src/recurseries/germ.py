@@ -351,25 +351,27 @@ def _is_atom(node, series: _Series) -> bool:
 
 def _paired_product(node: Product, n: Fraction) -> Optional[_Series]:
     """A product in which atoms sin(u) and cos(u) (see _atom) of one
-    argument u, the same tree, are read together, not as a product of
-    their ranges (Moore's dependency problem): sin(u)*cos(u) is
+    argument u, the same tree, in * position are read together, not as a
+    product of their ranges (Moore's dependency problem): sin(u)*cos(u) is
     [-1/2, 1/2], then two sin(u) or two cos(u) left are [0, 1], and one
     left is [-1, 1]. Its factors include those of a product in parentheses
-    among them. The other factors and these ranges multiply as before. None
-    when no two such atoms share an argument."""
-    factors = list(node.terms)
-    while any(isinstance(f, Product) for f in factors):
-        factors = [g for f in factors for g in (f.terms if isinstance(f, Product) else (f,))]
-    args = [f.arg for f in factors if isinstance(f, Call) and f.func in ("sin", "cos")]
+    in * position. The other factors, a divisor raised to -1, and these
+    ranges multiply as before. None when no two such atoms share an
+    argument."""
+    factors = [("*", node)]
+    while any(op == "*" and isinstance(f, Product) for op, f in factors):
+        factors = [g for op, f in factors for g in (
+            zip("*" + f.ops, f.terms) if op == "*" and isinstance(f, Product) else [(op, f)])]
+    args = [f.arg for _, f in factors if isinstance(f, Call) and f.func in ("sin", "cos")]
     if len(set(args)) == len(args):
         return None
     product, atoms = [], {}
-    for factor in factors:
+    for op, factor in factors:
         series = _expand(factor, n)
-        if _is_atom(factor, series):
+        if op == "*" and _is_atom(factor, series):
             atoms.setdefault(factor.arg, []).append(factor.func)
         else:
-            product.append(series)
+            product.append(series if op == "*" else _power(series, -_ONE, n))
     if all(len(funcs) < 2 for funcs in atoms.values()):
         return None
     for funcs in atoms.values():
@@ -454,13 +456,11 @@ def _expand(node, n: Fraction) -> _Series:
         if paired is not None:
             return paired
         series = _expand(node.terms[0], n)
-        for term in node.terms[1:]:
-            series = _mul(series, _expand(term, n), n)
+        for op, term in zip(node.ops, node.terms[1:]):
+            factor = _expand(term, n)
+            series = _mul(series, factor if op == "*" else _power(factor, -_ONE, n), n)
         return series
-    if node.op == "^":
-        base, r = _expand(node.left, n), _constant(node.right, n)
-        if r == 2 and _is_atom(node.left, base):
-            return {_ZERO: _SQUARE}, n
-        return _power(base, r, n)
-    left, right = _expand(node.left, n), _expand(node.right, n)
-    return _mul(left, _power(right, -_ONE, n), n)
+    base, r = _expand(node.left, n), _constant(node.right, n)  # ^, the one BinOp
+    if r == 2 and _is_atom(node.left, base):
+        return {_ZERO: _SQUARE}, n
+    return _power(base, r, n)

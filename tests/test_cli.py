@@ -48,11 +48,15 @@ DEEP = 2000
 NESTED = ["(" * DEEP + "x" + ")" * DEEP, "x*(" * DEEP + "x" + ")" * DEEP,
           "sin(" * DEEP + "x" + ")" * DEEP, "-(" * DEEP + "x" + ")" * DEEP,
           "x^(1-" * DEEP + "x" + ")" * DEEP]
-# a sum of 2,000 terms and the polynomial of 1,000 Taylor coefficients,
-# each one node however long
+# a sum of 2,000 terms, the polynomial of 1,000 Taylor coefficients, a
+# quotient of 2,002 terms and a product of 2,000 whose factors alternate *
+# and /, with a zero check at each divisor, each one node however long
 LONG_SUM = "x/2" + "".join(f"+x/{n}e6" for n in range(1, DEEP))
 LONG_TAYLOR = ",".join(["1/2"] + ["1e-9"] * 999)
-LONG = ["--f=" + LONG_SUM, "--taylor=" + LONG_TAYLOR]
+LONG_QUOTIENT = "x" + "/1.001" * DEEP + "/2"
+LONG_ALTERNATING = "x/2" + "*(1+x)/(1+x)" * (DEEP // 2 - 1)
+LONG = ["--f=" + LONG_SUM, "--taylor=" + LONG_TAYLOR, "--f=" + LONG_QUOTIENT,
+        "--f=" + LONG_ALTERNATING]
 
 COMMANDS = {
     "analyze": cmd_analyze,
@@ -479,9 +483,9 @@ def test_a_deeply_nested_f_is_one_error_line(capsys, text):
         1, "error: f is nested too deeply\n")
 
 
-@pytest.mark.parametrize("arg", LONG, ids=["sum", "taylor"])
+@pytest.mark.parametrize("arg", LONG, ids=["sum", "taylor", "quotient", "alternating"])
 def test_a_long_sum_is_analyzed(capsys, arg):
-    # 0.9 and 2.3 s on 2 shared vCPUs
+    # 0.8, 2.6, 0.4 and 1.0 s on 2 shared vCPUs
     start = time.perf_counter()
     code, out = _main_output(capsys, ["analyze", arg, "--max-n=100"])
     assert time.perf_counter() - start < 20
@@ -850,7 +854,7 @@ NUMBERS = (["1", "0.5", "0.3", "1/2", "-0.3", "3e-29", "1e-2000", "1e2000", "-1e
 POOLS = {
     "--f": (["x/2", "x/(1+x)", "sin(x)", "x - x^2", OSCILLATORY, "-x/2", "ln(1+x)",
              "x - x^2*abs(sin(1/x))", "x^x", "sqrt(x)", "1/x", "2*x", "x", "0*x",
-             "x/2 + 0*sin(2^65536)", "x^1e2000", "x*1e-2000", LONG_SUM],
+             "x/2 + 0*sin(2^65536)", "x^1e2000", "x*1e-2000", LONG_SUM, LONG_QUOTIENT],
             ["x +", "(x", ")", "", "tan(x)", "x ^^ 2", *NESTED]),
     "--taylor": (["1,-1", "0.5", "1,0,-1/6", "1e2000,1", LONG_TAYLOR],
                  ["0", "", ",", "nan", "abc"]),
@@ -904,7 +908,7 @@ def argvs(draw):
     wanted += [name for name in ("--max-n", NEEDS.get(command)) if name in own]
     options = [draw(option(name)) for name in wanted]
     options += draw(st.lists(names.flatmap(option), max_size=4))
-    if {LONG_SUM, LONG_TAYLOR} & {value for _, value in options}:
+    if {LONG_SUM, LONG_QUOTIENT, LONG_TAYLOR} & {value for _, value in options}:
         options = [(name, "1" if name == "--x0" and value in HUGE_SEEDS else value)
                    for name, value in options]
     return [command] + [name if value is None else f"{name}={value}"

@@ -133,16 +133,28 @@ def test_the_envelopes_hold_f(terms, data):
 
 
 # products of atoms in which one argument u repeats: a pair of sin(u) and
-# cos(u), or a square, in either form, and up to two more atoms of the same
-# few arguments
+# cos(u), or a square, in either form, up to two more atoms of the same few
+# arguments, and maybe a positive divisor d at a position k among the factors
 ARGUMENTS = st.sampled_from(["1/x", "1/x^2", "ln(x)", "(1/x + x)"])
 PAIRS = st.builds(lambda form, u: form.replace("U", u), st.sampled_from(
     ["sin(U)*cos(U)", "cos(U)*sin(U)", "sin(U)*sin(U)", "cos(U)*cos(U)", "sin(U)^2", "cos(U)^2"]),
     ARGUMENTS)
 ATOMS_OF = st.builds(lambda form, u: form.replace("U", u), st.sampled_from(
     ["sin(U)", "cos(U)", "sin(U)^2", "abs(sin(U))"]), ARGUMENTS)
-PRODUCTS = st.lists(st.tuples(COEFFICIENTS, EXPONENTS, PAIRS, st.lists(ATOMS_OF, max_size=2)),
-                    min_size=1, max_size=3)
+DIVISORS = st.one_of(st.none(), st.tuples(st.builds(Fraction, st.integers(1, 9), st.integers(1, 9)),
+                                           st.integers(0, 99)))
+PRODUCTS = st.lists(st.tuples(COEFFICIENTS, EXPONENTS, PAIRS, st.lists(ATOMS_OF, max_size=2),
+                              DIVISORS), min_size=1, max_size=3)
+
+
+def product_text(c, e, pair, atoms, divisor) -> str:
+    """c*x^e*pair*atoms, with /d after the factor 1 + k mod their count for
+    a divisor (d, k)."""
+    factors = [f"({c})", f"x^({e})", *pair.split("*"), *atoms]
+    if divisor:
+        d, k = divisor
+        factors.insert(1 + k % len(factors), f"/({d})")
+    return "*".join(factors).replace("*/", "/")
 
 
 @settings(max_examples=150, deadline=None)
@@ -151,7 +163,7 @@ def test_the_envelopes_of_same_argument_products_hold_f(terms, data):
     # products whose atoms share arguments, read as one atom per pair, lie
     # between their envelopes near 0, up to the dropped terms; evaluated with
     # f's compiled function at random x in (0, 1e-3]
-    text = " + ".join("*".join([f"({c})*x^({e})", pair, *atoms]) for c, e, pair, atoms in terms)
+    text = " + ".join(product_text(*term) for term in terms)
     germ = expand(parse(text))
     if germ is None:  # every coefficient cancelled
         return
@@ -159,7 +171,8 @@ def test_the_envelopes_of_same_argument_products_hold_f(terms, data):
     for _ in range(5):
         x = CTX.mpf(data.draw(st.integers(1, 10**6))) / 10**9
         fx = CTX.make_mpf(f(x._mpf_))
-        slack = x ** mpf(germ.order) * sum(abs(mpf(c)) for c, *_ in terms) + CTX.mpf("1e-50")
+        bound = sum(abs(mpf(c)) / mpf(d[0] if d else 1) for c, *_, d in terms)
+        slack = x ** mpf(germ.order) * bound + CTX.mpf("1e-50")
         lo, hi = (CTX.fsum(mpf(c) * x ** mpf(e) for e, c in germ.envelope(upper))
                   for upper in (False, True))
         assert lo - slack <= fx <= hi + slack, (text, x)
@@ -279,10 +292,15 @@ def test_a_same_argument_product_decides_by_its_envelope():
         MAJORANT_RULE, "powerlaw:a=1/2,c=99/400")
 
 
-@pytest.mark.parametrize("text", ["x*sin(1/x)*(1/2)", "x*sin(1/x)*cos(1/x)"])
-def test_a_signed_envelope_bound_is_exact(text):
+@pytest.mark.parametrize("text,c", [
+    ("x*sin(1/x)*(1/2)", "0.5"), ("x*sin(1/x)*cos(1/x)", "0.5"),
+    # a divisor anywhere in the chain leaves the pair one atom, [-1/2, 1/2]
+    ("x*sin(1/x)/2*cos(1/x)", "0.25"), ("x/2*sin(1/x)*cos(1/x)", "0.25"),
+    ("x*sin(1/x)*cos(1/x)/2", "0.25"),
+])
+def test_a_signed_envelope_bound_is_exact(text, c):
     report = analyze_unsampled(text, "0.3")
-    assert (report.verdict.rule, report.verdict.witnesses) == (ABSOLUTE_BOUND_RULE, {"c": CTX.mpf("0.5")})
+    assert (report.verdict.rule, report.verdict.witnesses) == (ABSOLUTE_BOUND_RULE, {"c": CTX.mpf(c)})
 
 
 def test_signed_validation_reports_the_flat_run_on_both_signs():

@@ -240,7 +240,7 @@ def test_taylor_polynomial_edge_cases():
 
 
 # random binary expression trees, the reference for the n-ary trees parse
-# builds: each + - * is a BinOp, as a left-deep chain was before Sum and
+# builds: each + - * / is a BinOp, as a left-deep chain was before Sum and
 # Product. They are read through their text (see _binary_text and _nary)
 _numbers = st.sampled_from(["0", "1", "2", "0.5", "1.25", "3e-2"])
 _leaf = st.one_of(
@@ -306,9 +306,8 @@ def _nary(root):
 def _binary(node):
     """The binary tree of an n-ary one, each chain left-deep."""
     if isinstance(node, (Sum, Product)):
-        ops = node.ops if isinstance(node, Sum) else "*" * len(node.terms)
         return functools.reduce(lambda left, t: BinOp(t[0], left, _binary(t[1])),
-                                zip(ops, node.terms[1:]), _binary(node.terms[0]))
+                                zip(node.ops, node.terms[1:]), _binary(node.terms[0]))
     kids = {k: _binary(getattr(node, k)) for k in ("arg", "operand", "left", "right")
             if hasattr(node, k)}
     return replace(node, **kids) if kids else node
@@ -325,11 +324,11 @@ def test_render_parse_fixed_point(root):
 
 def test_chains_parse_to_one_node():
     assert parse("x - 2 + x*3*x").root == Sum(
-        (Var(), Number("2"), Product((Var(), Number("3"), Var()))), "-+")
+        (Var(), Number("2"), Product((Var(), Number("3"), Var()), "**")), "-+")
     assert parse("-x + 1").root == Sum((Neg(Var()), Number("1")), "+")
-    assert parse("x*2/3*x").root == Product((BinOp("/", Product((Var(), Number("2"))),
-                                                    Number("3")), Var()))
-    for text in ("(x + 1) + x", "(x * 2) * x", "x - (1 - x)", "x * (2 * x)"):
+    assert parse("x*2/3*x").root == Product((Var(), Number("2"), Number("3"), Var()), "*/*")
+    for text in ("(x + 1) + x", "(x * 2) * x", "x - (1 - x)", "x * (2 * x)", "(x * 2) / x",
+                 "(x / 2) * x"):
         assert render(parse(text)) == text
         assert len(parse(text).root.terms) == 2
 

@@ -92,7 +92,7 @@ def test_germ_reads_the_deviation_and_the_term_after_it(text, a, c):
     "x^x", "x - x^2*ln(x)", "x*ln(2+x)", "pi*x", "e*x", "x*sin(1)", "x*exp(1)",
     "x - 2^(1/2)*x^2", "x - (-x)^(1/2)", "x - x^(x/x)", "0*x",
     "2^(10^9)*x", "(1+x)^(10^9)", "x - x^(10^9)", "x - x^2*(1+x^(1/1000))^1000", "x*1e-2000",
-    "x/2 + 0*sin(2^65536)",
+    "x/2 + 0*sin(2^65536)", "x*sin(1/x)/cos(1/x)",
 ])
 def test_germ_refuses_what_it_cannot_read_at_once(text):
     start = time.perf_counter()
