@@ -1,15 +1,10 @@
 """Convergence rules for series with recursively defined terms.
 
 Each criterion is an explicit rule producing a Verdict that names the rule
-and its numeric witnesses. The `analyze` pipeline wires them together:
-hypothesis validation, the germ of f at 0 when it decides (the
-derivative rule or the limit-exponent rule, with exact witnesses, or, for
-a bounded oscillating factor, the comparison test read from the germ's
-exact envelopes; in signed mode, the signed rules read from the germs of
-f and -f(-x) or their envelopes), else the derivative rule, the
-limit-exponent rule for the boundary derivative case and the comparison
-band when neither decides, read from samples; the sampled signed-mode
-rules; and an empirical orbit cross-check.
+and its numeric witnesses. `analyze` runs five stages in order: the mode
+and the seed; the germs of f at 0, whose exact terms or envelopes decide
+when they can; the hypotheses; the sampled rules, only when the germs
+decide nothing; and the orbit cross-check.
 
 Every stage reads f from one sample table per analysis (`Samples`), which
 also fixes the working precision and its one context: f is compiled once,
@@ -26,7 +21,7 @@ single Richardson-style step; anything else counts as oscillation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -902,16 +897,16 @@ def _alternation_in_orbit(verdict: Verdict, orbit: Orbit, warnings: List[str]) -
 @dataclass
 class AnalysisReport:
     mode: Mode
-    verdict: Verdict
-    derivative: Optional[DerivativeEstimate]
-    germ: Optional[Germ]  # f's exact germ at 0, in positive mode when it has one
-    search: Optional[ExponentSearchResult]
-    fit: Optional[AsymptoticFit]
-    orbit_result: Optional[Orbit]
-    sum: Optional[SumEstimate]
-    hypothesis: HypothesisReport
-    warnings: List[str]
     table: Samples  # f's sample table, which every rule scan read
+    verdict: Optional[Verdict] = None
+    derivative: Optional[DerivativeEstimate] = None
+    germ: Optional[Germ] = None  # f's exact germ at 0, in positive mode when it has one
+    search: Optional[ExponentSearchResult] = None
+    fit: Optional[AsymptoticFit] = None
+    orbit_result: Optional[Orbit] = None
+    sum: Optional[SumEstimate] = None
+    hypothesis: Optional[HypothesisReport] = None
+    warnings: List[str] = field(default_factory=list)
 
 
 def detect_mode(table: Samples) -> Mode:
@@ -928,71 +923,69 @@ def detect_mode(table: Samples) -> Mode:
     return Mode.POSITIVE
 
 
-def _require_positive_seed(table: Samples, mode: Mode) -> None:
-    """Refuse a seed x0 <= 0 in positive mode before any orbit runs from it."""
+def orbit_mode(table: Samples, mode: str = "auto") -> Mode:
+    """The mode of the orbit from the table's seed x0: detect_mode's for
+    "auto", else mode ("positive" or "signed"). Refuses x0 = 0, and x0 < 0
+    in positive mode, where the orbit keeps 0 < f(x) < x, before any orbit
+    runs from x0."""
+    if table.x0 == 0:
+        raise AnalysisError("x0 must be nonzero")
+    mode = detect_mode(table) if mode == "auto" else Mode(mode)
     if mode is Mode.POSITIVE and not table.x0 > 0:
         raise AnalysisError(
             f"x0 = {mpmath.nstr(table.x0, 12)} must be positive in positive mode,"
             " where the orbit keeps 0 < f(x) < x"
         )
+    return mode
 
 
-def analyze(table: Samples, mode: str = "auto", max_n: int = 10**6,
-            floor: str = "1e-40") -> AnalysisReport:
-    """Run the full decision pipeline on the table's f from its seed x0.
-
-    mode is "auto", "positive" or "signed"; the orbit cross-check runs to
-    min(max_n, CROSS_CHECK_N) steps or until |x_n| < floor. Stages:
-    hypothesis validation with mode detection from |x0| down; the germ of
-    f at 0+ and, in signed mode, that of -f(-x) (f's own for an odd f, its
-    negation for an even one: see expr.parity), which decide without the
-    probe grid when they can, and which, where they show |f(x)| < |x| near 0,
-    read the points at the bottom of the seed grid where |f(x)| rounds to
-    |x| as a precision limit, not as violations; else the sampled signed
-    rules or the derivative rule, routing to the limit-exponent rule and
-    then the comparison band; then an empirical orbit cross-check whose fit
-    is compared against the verdict, and on which AlternatingRule names the
-    step the terms alternate from. Raises AnalysisError when the seed
-    lies outside the region where the hypotheses hold.
-    """
-    ctx = table.ctx
-    x0 = table.x0
-    if x0 == 0:
-        raise AnalysisError("x0 must be nonzero")
-
-    mode = detect_mode(table) if mode == "auto" else Mode(mode)
-    _require_positive_seed(table, mode)
-
-    hypothesis = validate_hypotheses(table, mode)
-    if mode is Mode.POSITIVE:
-        germ = expand(table.function)
-        sides = [germ]
-        decided = None if germ is None else _germ_rule(germ, ctx)
+def _germs(report: AnalysisReport) -> bool:
+    """Stage 2: f's germ at 0+ and, in signed mode, that of -f(-x) (f's own
+    for an odd f, its negation for an even one: see expr.parity), which set
+    the verdict and f'(0) when they decide (_germ_rule, or
+    _signed_envelope_rule on both sides). Returns whether they show
+    |f(x)| < |x| near 0; in positive mode only where the germ decides, as a
+    c_1 below 1 that rounds to 1 is evaluated as 1."""
+    f, ctx = report.table.function, report.table.ctx
+    if report.mode is Mode.POSITIVE:
+        report.germ = expand(f)
+        sides = [report.germ]
+        decided = None if report.germ is None else _germ_rule(report.germ, ctx)
     else:  # f at 0+, and at 0- through -f(-x) at 0+
-        germ = None
-        sides = [expand(table.function)]
-        if table.parity is None:
-            sides.append(expand(reflect(table.function)))
+        sides = [expand(f)]
+        if report.table.parity is None:
+            sides.append(expand(reflect(f)))
         else:  # -f(-x) is f for an odd f, and -f for an even one
-            sides.append(sides[0] if sides[0] is None or table.parity else -sides[0])
+            sides.append(sides[0] if sides[0] is None or report.table.parity else -sides[0])
         decided = _signed_envelope_rule(sides, ctx)
-    # whether the germs show |f| < |x| near 0; in positive mode only where
-    # the germ decides, as a c_1 below 1 that rounds to 1 is evaluated as 1
-    shown = (None not in sides and all(map(contracts, sides))
-             and (decided is not None or mode is Mode.SIGNED))
-    of_f, of_x = ("f(x)", "x") if mode is Mode.POSITIVE else ("|f(x)|", "|x|")
-    warnings = []
-    cut = hypothesis.cut
-    if cut is not None and shown:
-        # the germs show |f| < |x| near 0, so where f(x) rounds to x the
-        # working precision ran out: those points are no violations
-        kept = [v for v in hypothesis.violations if abs(v[0]) > cut]
-        hypothesis = replace(hypothesis, violations=kept, passed=not kept)
-        warnings.append(
-            f"{of_f} rounds to {of_x} at the working precision from {of_x} ="
-            f" {mpmath.nstr(cut, 12)} down: a precision limit, not a failed hypothesis, as"
-            f" f's germ at 0 shows {of_f} < {of_x} there"
-        )
+    if decided is not None:
+        report.derivative, report.verdict = decided
+    return (None not in sides and all(map(contracts, sides))
+            and (decided is not None or report.mode is Mode.SIGNED))
+
+
+def _hypotheses(report: AnalysisReport, shown: bool):
+    """Stage 3: the decay hypothesis on the seed grid. Where the germs show
+    |f(x)| < |x| near 0, the points at the bottom of the grid where |f(x)|
+    rounds to |x| are a precision limit, not violations. Returns the
+    validated region; raises AnalysisError when x0 lies outside it."""
+    table = report.table
+    hypothesis = validate_hypotheses(table, report.mode)
+    cut, limit = hypothesis.cut, ""
+    if cut is not None:
+        of_f, of_x = ("f(x)", "x") if report.mode is Mode.POSITIVE else ("|f(x)|", "|x|")
+        rounds = (f"{of_f} rounds to {of_x} at the working precision from {of_x} ="
+                  f" {mpmath.nstr(cut, 12)} down")
+        if shown:
+            # the working precision ran out where f(x) rounds to x
+            kept = [v for v in hypothesis.violations if abs(v[0]) > cut]
+            hypothesis = replace(hypothesis, violations=kept, passed=not kept)
+            report.warnings.append(f"{rounds}: a precision limit, not a failed hypothesis, as"
+                                   f" f's germ at 0 shows {of_f} < {of_x} there")
+        else:
+            limit = (f"; {rounds}, and f's germ at 0 does not show {of_f} < {of_x} there: rerun"
+                     " with a higher precision to tell a precision limit from a fixed point")
+    report.hypothesis = hypothesis
     region = validated_region(hypothesis)
     if region is None:
         first = "; ".join(
@@ -1001,92 +994,95 @@ def analyze(table: Samples, mode: str = "auto", max_n: int = 10**6,
                else f"f(x) = {mpmath.nstr(y, 12)}")
             for x, y in hypothesis.violations[:3]
         )
-        limit = "" if cut is None or shown else (
-            f"; {of_f} rounds to {of_x} at the working precision from {of_x} ="
-            f" {mpmath.nstr(cut, 12)} down, and f's germ at 0 does not show {of_f} < {of_x}"
-            " there: rerun with a higher precision to tell a precision limit from a fixed point"
-        )
+        raise AnalysisError(f"the decay hypothesis fails at every sampled scale ({first}){limit}")
+    if abs(table.x0) > region:
         raise AnalysisError(
-            f"the decay hypothesis fails at every sampled scale ({first}){limit}"
-        )
-    if abs(x0) > region:
-        raise AnalysisError(
-            f"x0 = {mpmath.nstr(x0, 12)} lies outside the validated region"
+            f"x0 = {mpmath.nstr(table.x0, 12)} lies outside the validated region"
             f" (0, {mpmath.nstr(region, 12)}]"
         )
+    return region
 
-    search = None
-    if decided is not None:
-        derivative, verdict = decided
-    else:
-        if region < table.points(table.probe)[0]:
-            warnings.append(
-                "validated region is smaller than the probe grid start;"
-                " derivative and limit probes may sample outside it"
-            )
-        derivative = estimate_derivative_at_zero(table, mode)
-        if mode is Mode.SIGNED:
-            verdict = signed_rule(table)
-        else:
-            verdict = derivative_rule(derivative)
-            if verdict.conclusion == INCONCLUSIVE:
-                routed = verdict.notes
-                if derivative.kind == VALUE and abs(derivative.c - 1) <= ctx.mpf(
-                    DERIVATIVE_MARGIN
-                ):
-                    search = search_exponent(table)
-                    if search.found:
-                        verdict = limit_exponent_rule(search.fit)
-                    else:
-                        routed = routed + [f"exponent search: {search.note}"]
-                if verdict.conclusion == INCONCLUSIVE:
-                    verdict = comparison_band(table)
-                verdict.notes = routed + verdict.notes
 
-    orbit_result = iterate(table, x0, min(max_n, CROSS_CHECK_N), floor, mode)
-    if orbit_result.status.kind == HYPOTHESIS_VIOLATION:
-        warnings.append(f"orbit cross-check: {orbit_result.status.describe()}")
+def _sampled_rules(report: AnalysisReport, region) -> None:
+    """Stage 4, when the germs decide nothing: the derivative estimate on
+    the probe grid, then signed_rule in signed mode; in positive mode
+    derivative_rule, routing a c within DERIVATIVE_MARGIN of 1 to the
+    exponent search and the limit-exponent rule, and what they leave
+    inconclusive to the comparison band."""
+    table = report.table
+    if region < table.points(table.probe)[0]:
+        report.warnings.append(
+            "validated region is smaller than the probe grid start;"
+            " derivative and limit probes may sample outside it"
+        )
+    report.derivative = derivative = estimate_derivative_at_zero(table, report.mode)
+    if report.mode is Mode.SIGNED:
+        report.verdict = signed_rule(table)
+        return
+    verdict = derivative_rule(derivative)
+    if verdict.conclusion == INCONCLUSIVE:
+        routed = verdict.notes
+        # a value the rule leaves inconclusive is 1 within the margin: the
+        # estimate flags any other as out of range
+        if derivative.kind == VALUE:
+            report.search = search_exponent(table)
+            if report.search.found:
+                verdict = limit_exponent_rule(report.search.fit)
+            else:
+                routed = routed + [f"exponent search: {report.search.note}"]
+        if verdict.conclusion == INCONCLUSIVE:
+            verdict = comparison_band(table)
+        verdict.notes = routed + verdict.notes
+    report.verdict = verdict
+
+
+def _cross_check(report: AnalysisReport, steps: int, floor: str) -> None:
+    """Stage 5: the orbit from x0, with AlternatingRule's step; in positive
+    mode, the power-law fit, warned about where its exponent conflicts with
+    the verdict, and the sum estimate of a convergent series."""
+    table, verdict, warnings = report.table, report.verdict, report.warnings
+    orbit = report.orbit_result = iterate(table, table.x0, steps, floor, report.mode)
+    if orbit.status.kind == HYPOTHESIS_VIOLATION:
+        warnings.append(f"orbit cross-check: {orbit.status.describe()}")
     if verdict.rule == ALTERNATING_RULE:
-        _alternation_in_orbit(verdict, orbit_result, warnings)
+        _alternation_in_orbit(verdict, orbit, warnings)
+    if report.mode is Mode.SIGNED:
+        return
     fit = None
-    if mode is Mode.POSITIVE and orbit_result.last_index >= 2 * MIN_WINDOW_TERMS:
+    if orbit.last_index >= 2 * MIN_WINDOW_TERMS:
         try:
-            fit = fit_power_law(orbit_result)
+            report.fit = fit = fit_power_law(orbit)
         except ValueError:
-            fit = None
+            pass
     if fit is not None and fit.rejected:
         warnings.append(f"empirical fit: {fit.reason}")
-    if fit is not None and not fit.rejected:
-        a_text = mpmath.nstr(fit.a, 8)
-        if verdict.conclusion == CONVERGENT and fit.a >= ctx.mpf("1.05"):
-            warnings.append(
-                f"empirical decay exponent a = {a_text} suggests divergence,"
-                " conflicting with the rule verdict"
-            )
-        elif verdict.conclusion == DIVERGENT and fit.a <= ctx.mpf("0.95"):
-            warnings.append(
-                f"empirical decay exponent a = {a_text} suggests convergence,"
-                " conflicting with the rule verdict"
-            )
-    sum_est = None
-    if verdict.conclusion == CONVERGENT and mode is Mode.POSITIVE:
+        fit = None
+    if fit is not None and (verdict.conclusion == CONVERGENT and fit.a >= table.ctx.mpf("1.05")
+                            or verdict.conclusion == DIVERGENT and fit.a <= table.ctx.mpf("0.95")):
+        warnings.append(f"empirical decay exponent a = {mpmath.nstr(fit.a, 8)} suggests"
+                        f" {'divergence' if fit.a > 1 else 'convergence'},"
+                        " conflicting with the rule verdict")
+    if verdict.conclusion == CONVERGENT:
         try:
-            sum_est = sum_estimate(
-                orbit_result, fit if fit is not None and not fit.rejected else None
-            )
+            report.sum = sum_estimate(orbit, fit)
         except ValueError:
-            sum_est = None
+            pass
 
-    return AnalysisReport(
-        mode=mode,
-        verdict=verdict,
-        derivative=derivative,
-        germ=germ,
-        search=search,
-        fit=fit,
-        orbit_result=orbit_result,
-        sum=sum_est,
-        hypothesis=hypothesis,
-        warnings=warnings,
-        table=table,
-    )
+
+def analyze(table: Samples, mode: str = "auto", max_n: int = 10**6,
+            floor: str = "1e-40") -> AnalysisReport:
+    """Run the decision pipeline on the table's f from its seed x0.
+
+    mode is "auto", "positive" or "signed". The stages run in order: 1. the
+    mode and the seed (orbit_mode); 2. the germs at 0 (_germs); 3. the
+    hypotheses (_hypotheses), which raise AnalysisError when x0 lies outside
+    the region where they hold; 4. the sampled rules, when the germs decide
+    nothing (_sampled_rules); 5. the orbit cross-check (_cross_check), to
+    min(max_n, CROSS_CHECK_N) steps or until |x_n| < floor.
+    """
+    report = AnalysisReport(orbit_mode(table, mode), table)
+    region = _hypotheses(report, _germs(report))
+    if report.verdict is None:
+        _sampled_rules(report, region)
+    _cross_check(report, min(max_n, CROSS_CHECK_N), floor)
+    return report

@@ -30,10 +30,9 @@ from .classify import (
     INCONCLUSIVE,
     MajorantSpec,
     PrecisionGuardError,
-    _require_positive_seed,
     analyze,
-    detect_mode,
     majorant_rule,
+    orbit_mode,
     probe_limit,
     search_exponent,
 )
@@ -295,8 +294,7 @@ def cmd_analyze(cfg: RunConfig, f: FunctionDef, label, out: TextIO) -> int:
 def cmd_iterate(cfg: RunConfig, f: FunctionDef, label, out: TextIO) -> int:
     p = cfg.precision
     table = _table(cfg, f)
-    mode = detect_mode(table) if cfg.mode == "auto" else Mode(cfg.mode)
-    _require_positive_seed(table, mode)
+    mode = orbit_mode(table, cfg.mode)
     # each row goes to the CSV as the orbit computes it, so the orbit holds
     # only its last row; without --orbit-csv the CSV is the output itself
     with open(cfg.orbit_csv, "w") if cfg.orbit_csv else contextlib.nullcontext(out) as csv:
@@ -348,7 +346,7 @@ def cmd_compare(cfg: RunConfig, f: FunctionDef, label, out: TextIO) -> int:
         raise ValueError("give a majorant with --majorant")
     p = cfg.precision
     g_table = _table(cfg, f)
-    _require_positive_seed(g_table, Mode.POSITIVE)  # both orbits run in positive mode
+    orbit_mode(g_table, "positive")  # both orbits run in positive mode
     spec = parse_majorant_spec(cfg.majorant, g_table.ctx)
     # m's analysis, when it has one, and its printed orbit read one table
     m_table = _table(cfg, spec.fn)

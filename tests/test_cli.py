@@ -87,6 +87,15 @@ def test_corpus_exit_codes(entry):
         assert "verdict: inconclusive" in out
 
 
+@pytest.mark.parametrize("entry", ALL, ids=lambda e: e.name)
+def test_analyze_prints_the_orbit_that_iterate_ends_with(entry):
+    # both run the orbit from x0 in the mode that orbit_mode picks
+    _, analyzed = run(entry.cli_args())
+    _, iterated = run(["iterate"] + entry.cli_args()[1:])
+    orbit = next(line for line in analyzed.splitlines() if line.startswith("orbit: "))
+    assert orbit == "orbit: " + iterated.splitlines()[-1]
+
+
 def test_json_schema_order_without_fit():
     code, out = run(["analyze", "--f", "x/2", "--json"])
     assert code == 0
